@@ -10,7 +10,7 @@ chain whose spectrum converges to an explicit limit model.
 from .errors import (Disconnected, ExtrapolationDiverged,
                      FactorisationMismatch, GraphError, InconsistentPaths,
                      LoopContraction, NumericalError, ParseError,
-                     PoleProximity, QGSError, ScanResolution,
+                     PoleProximity, QGSError, ScanFailure, ScanResolution,
                      SingularBracket, SingularMatrix, UnknownEdge)
 from .graphs import (Edge, MetricGraph, SpanningTreePath, ValidationReport,
                      Vertex, contract, load_graph, parse_graph,
@@ -43,7 +43,7 @@ __all__ = [
     "GraphError", "HighContrastCell", "InconsistentPaths", "LoopContraction",
     "MetricGraph", "NumericalError", "ParseError", "PathSumEstimate",
     "PoleProximity", "QGSError", "Quasimomentum", "RtDSamples",
-    "ScanResolution", "ScatteringMatrix", "SingularBracket", "SingularMatrix",
+    "ScanFailure", "ScanResolution", "ScatteringMatrix", "SingularBracket", "SingularMatrix",
     "SpanningTreePath", "SpectralPoint", "UnknownEdge", "ValidationReport",
     "Vertex", "WeylMatrix", "barycentric", "build_dispersion_table",
     "cell_discriminant", "compact_eigenvalues", "compact_spectrum",

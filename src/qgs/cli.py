@@ -8,8 +8,8 @@ Outputs are byte-deterministic: identical invocations produce identical
 bytes (no timestamps, fixed float formatting, sorted keys).  Grids accept
 either comma lists ("1,2,5") or ranges "start:stop:step" (stop
 inclusive up to rounding).  Set QGS_LOG=INFO (or DEBUG, ...) for
-progress logging on stderr; --jobs parallelises grid evaluation with the
-output order fixed by the grid, not by completion.
+progress logging on stderr.  Grid evaluation is serial; --jobs is still
+accepted, for compatibility with older command lines, and has no effect.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -32,7 +31,7 @@ from .highcontrast import (HighContrastCell, Quasimomentum,
                            hom_dprime_spectrum, hom_tau_spectrum)
 from .inverse import (RtDSamples, forward_f1_oracle, invert_couplings,
                       recover_external_couplings)
-from .scattering import lead_matching_oracle, sigma_external
+from .scattering import sigma_external
 from .spectra import compact_spectrum
 from .weyl import CouplingMatrix
 
@@ -112,13 +111,6 @@ class _Out:
         return False
 
 
-def _mapper(jobs: int):
-    if jobs <= 1:
-        return map
-    pool = ThreadPoolExecutor(max_workers=jobs)
-    return pool.map
-
-
 # --------------------------------------------------------------------------
 # spectrum
 # --------------------------------------------------------------------------
@@ -174,7 +166,7 @@ def cmd_smatrix(args) -> int:
         except (NumericalError, FactorisationMismatch) as exc:
             return (s, type(exc).__name__)
 
-    results = list(_mapper(args.jobs)(one, grid))
+    results = [one(s) for s in grid]
 
     if len(grid) == 1 and not isinstance(results[0], tuple):
         sm = results[0]
@@ -325,21 +317,18 @@ def cmd_homog(args) -> int:
     eps_tokens = [t.strip() for t in args.eps_list.split(",") if t.strip()]
     eps_values = [float(t) for t in eps_tokens]
     bands = args.bands
-    mapper = _mapper(args.jobs)
 
     rows = []  # (model, tau, band, z)
     for tok, e in zip(eps_tokens, eps_values):
         cell_e = cell.with_epsilon(e)
-        specs = list(mapper(lambda t: eps_spectrum(cell_e, t, bands), taus))
-        for t, spec in zip(taus, specs):
+        for t in taus:
             rows += [(f"eps:{tok}", t, b + 1, z)
-                     for b, z in enumerate(spec)]
-    for t, spec in zip(taus, mapper(
-            lambda t: hom_tau_spectrum(cell, t, bands), taus)):
-        rows += [("hom", t, b + 1, z) for b, z in enumerate(spec)]
-    for t, spec in zip(taus, mapper(
-            lambda t: hom_dprime_spectrum(
-                cell, Quasimomentum(t).shifted(), bands), taus)):
+                     for b, z in enumerate(eps_spectrum(cell_e, t, bands))]
+    for t in taus:
+        rows += [("hom", t, b + 1, z)
+                 for b, z in enumerate(hom_tau_spectrum(cell, t, bands))]
+    for t in taus:
+        spec = hom_dprime_spectrum(cell, Quasimomentum(t).shifted(), bands)
         rows += [("hom-shifted", t, b + 1, z) for b, z in enumerate(spec)]
 
     conv = []
@@ -537,6 +526,9 @@ def cmd_check(args) -> int:
 # wiring
 # --------------------------------------------------------------------------
 
+JOBS_HELP = "accepted for compatibility; evaluation is serial"
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="qgs",
@@ -562,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     sm.add_argument("--kappa")
     sm.add_argument("--factor-tol", type=float, default=1e-10,
                     help="projected-vs-factorised agreement tolerance")
-    sm.add_argument("--jobs", type=int, default=1)
+    sm.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     sm.add_argument("--out")
     sm.set_defaults(fn=cmd_smatrix)
 
@@ -593,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     hg.add_argument("--tau-grid", required=True,
                     help="comma list or a:b:step")
     hg.add_argument("--bands", type=int, default=4)
-    hg.add_argument("--jobs", type=int, default=1)
+    hg.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     hg.add_argument("--orders-out",
                     help="write the convergence table to its own file")
     hg.add_argument("--out")

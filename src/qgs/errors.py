@@ -92,6 +92,17 @@ class ExtrapolationDiverged(NumericalError):
         )
 
 
+class ScanFailure(NumericalError):
+    """A root scan could not finish: its function stayed undefined (NaN or
+    infinite) around a grid point, or a growing window never held the
+    requested number of roots.  Carries the abscissa ``x`` where it gave
+    up."""
+
+    def __init__(self, message, x):
+        self.x = x
+        super().__init__(message)
+
+
 class InconsistentPaths(QGSError):
     """Path-sum system references an ancestor that has not been solved yet
     (paths must be ordered with non-decreasing vertex count)."""

@@ -27,14 +27,12 @@ two Bloch waves.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ScanResolution
 from .kernels import SERIES_CUTOFF, entire_cs
-from .rootscan import scan_roots
+from .rootscan import grow_window, scan_roots
 
 SUM_TOL = 1e-12
 
@@ -169,6 +167,19 @@ def _collect(roots, count, to_z):
     return out[:count]
 
 
+def _fiber_spectrum(f, df, step, hi, count, to_z, zero, what):
+    """First `count` energies to_z(x) at the roots x > 0 of the dispersion
+    f, with z = 0 listed first when `zero`.  The scan window [step/1000, hi]
+    grows by 1.6 until it holds enough roots."""
+    head = [0.0] if zero else []
+
+    def collect(x_hi):
+        roots = scan_roots(f, step * 1e-3, x_hi, step, df=df)
+        return head + _collect(roots, count, to_z)
+
+    return grow_window(collect, hi, count, 1.6, 24, what)
+
+
 def eps_spectrum(cell: HighContrastCell, tau, count: int = 8) -> list[float]:
     """First `count` Bloch eigenvalues of the three-layer medium at tau.
 
@@ -188,19 +199,10 @@ def eps_spectrum(cell: HighContrastCell, tau, count: int = 8) -> list[float]:
     def df(kap):
         return (_cell_discriminant_dz(cell, kap * kap) * 2.0 * kap).real
 
-    out = [0.0] if t == 0.0 else []
     optical = cell.l2 + cell.stiff_width * cell.epsilon / math.sqrt(cell.a)
-    dk = math.pi / (8.0 * optical)
-    k_hi = (count + 2) * math.pi / optical
-    for _ in range(24):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ScanResolution)
-            roots = scan_roots(f, dk * 1e-3, k_hi, dk, df=df)
-        vals = out + _collect(roots, count, lambda k: k * k)
-        if len(vals) >= count:
-            return vals[:count]
-        k_hi *= 1.6
-    raise RuntimeError(f"could not collect {count} fiber eigenvalues")
+    return _fiber_spectrum(f, df, math.pi / (8.0 * optical),
+                           (count + 2) * math.pi / optical, count,
+                           lambda k: k * k, t == 0.0, "fiber eigenvalues")
 
 
 def hom_tau_spectrum(cell: HighContrastCell, tau, count: int = 8) -> list[float]:
@@ -221,18 +223,10 @@ def hom_tau_spectrum(cell: HighContrastCell, tau, count: int = 8) -> list[float]
     def df(q):
         return -math.sin(q) - 0.5 * b * (math.sin(q) + q * math.cos(q))
 
-    out = [0.0] if t == 0.0 else []
-    dq = math.pi / (8.0 * (1.0 + b))
-    q_hi = (count + 2) * math.pi + 1.0
-    for _ in range(24):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ScanResolution)
-            roots = scan_roots(f, dq * 1e-3, q_hi, dq, df=df)
-        vals = out + _collect(roots, count, lambda q: (q / cell.l2) ** 2)
-        if len(vals) >= count:
-            return vals[:count]
-        q_hi *= 1.6
-    raise RuntimeError(f"could not collect {count} homogenised eigenvalues")
+    return _fiber_spectrum(f, df, math.pi / (8.0 * (1.0 + b)),
+                           (count + 2) * math.pi + 1.0, count,
+                           lambda q: (q / cell.l2) ** 2, t == 0.0,
+                           "homogenised eigenvalues")
 
 
 def hom_dprime_spectrum(cell: HighContrastCell, tau_prime,
@@ -254,18 +248,10 @@ def hom_dprime_spectrum(cell: HighContrastCell, tau_prime,
     def df(q):
         return 0.5 * b * (math.sin(q) + q * math.cos(q)) + math.sin(q)
 
-    out = [0.0] if math.cos(t) == -1.0 else []
-    dq = math.pi / (8.0 * (1.0 + b))
-    q_hi = (count + 2) * math.pi + 1.0
-    for _ in range(24):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ScanResolution)
-            roots = scan_roots(f, dq * 1e-3, q_hi, dq, df=df)
-        vals = out + _collect(roots, count, lambda q: (q / cell.l2) ** 2)
-        if len(vals) >= count:
-            return vals[:count]
-        q_hi *= 1.6
-    raise RuntimeError(f"could not collect {count} homogenised eigenvalues")
+    return _fiber_spectrum(f, df, math.pi / (8.0 * (1.0 + b)),
+                           (count + 2) * math.pi + 1.0, count,
+                           lambda q: (q / cell.l2) ** 2, math.cos(t) == -1.0,
+                           "homogenised eigenvalues")
 
 
 # --------------------------------------------------------------------------

@@ -46,7 +46,8 @@ from .errors import (ExtrapolationDiverged, InconsistentPaths, ScanResolution,
                      SingularBracket, SingularMatrix, UnknownEdge)
 from .graphs import (Edge, MetricGraph, SpanningTreePath, contract,
                      spanning_tree)
-from .weyl import COND_LIMIT, CouplingMatrix, weyl_compact, weyl_full
+from .scattering import external_block, scattering_solves
+from .weyl import COND_LIMIT, CouplingMatrix, weyl_compact
 
 TAU0 = 32.0
 LEVELS = 7
@@ -91,13 +92,7 @@ class PathSumEstimate:
 
 def _topology_factor(graph: MetricGraph, s: float) -> np.ndarray:
     """F2 = Pe (M*)^-1 M Pe — coupling-free."""
-    M = weyl_full(graph, s).entries
-    Ms = M.conj().T
-    if np.linalg.cond(Ms) > COND_LIMIT:
-        raise SingularMatrix(s, "M*")
-    order = graph.vertex_ids()
-    ext = [order.index(v) for v in graph.external_ids()]
-    return np.linalg.solve(Ms, M)[np.ix_(ext, ext)]
+    return scattering_solves(graph, None, s)[1][external_block(graph)]
 
 
 def extract_rtd(sigma_e_oracle, graph_topology: MetricGraph,

@@ -13,9 +13,13 @@ square-root branch fixed by Im sqrt(z) >= 0.  Three evaluation regimes:
 * exactly-real z -> the same formulas, with the ~1e-16 imaginary dust
   zeroed, so real-symmetric invariants hold exactly.
 
-The mp_* twins evaluate the same kernels in mpmath arbitrary precision; the
-spectrum scanner uses them near pole-coincident roots where the float
-secular function loses sign accuracy.
+Each kernel has one source, ``_kernels``, instantiated for two arithmetic
+types: complex floats (``kcot``, ``kcsc``, ...) and mpmath arbitrary
+precision at the working precision (``mp_kcot``, ``mp_kcsc``, ...).  The
+mpmath versions keep every digit (no dust is zeroed); the spectrum scanner
+uses them near pole-coincident roots where the float secular function
+loses sign accuracy.  The matrix assemblies pick the arithmetic from the
+type of z, see ``is_mp``.
 """
 
 import cmath
@@ -27,17 +31,9 @@ import mpmath as mp
 SERIES_CUTOFF = 1e-4
 
 
-def sqrt_upper(z):
-    """Square root with Im >= 0: branch cut along [0, +inf).
-
-    Continuous on the complement of the cut; on (0, inf) takes the boundary
-    value from the upper half-plane (the positive root); on (-inf, 0) gives
-    i*sqrt(|z|).
-    """
-    w = cmath.sqrt(z)
-    if w.imag < 0:
-        w = -w
-    return w
+def is_mp(x) -> bool:
+    """True for an mpmath number: assemblies given one work in mpmath."""
+    return isinstance(x, (mp.mpf, mp.mpc))
 
 
 def _realify(z, value):
@@ -47,38 +43,83 @@ def _realify(z, value):
     return complex(value.real, 0.0)
 
 
-def kcot(z, l):
-    """sqrt(z) * cot(sqrt(z) * l)."""
-    z = complex(z)
-    u = z * l * l
-    if abs(u) < SERIES_CUTOFF:
-        return _realify(z, (1.0 - u / 3.0 - u * u / 45.0 - 2.0 * u**3 / 945.0) / l)
-    k = sqrt_upper(z)
-    q = cmath.exp(2j * k * l)
-    return _realify(z, 1j * k * (q + 1.0) / (q - 1.0))
+def _kernels(cast, sqrt, exp, cos, sin, realify):
+    """The kernel family in one arithmetic.
+
+    cast converts the energy into the arithmetic, sqrt/exp/cos/sin are its
+    complex elementary functions, realify(z, value) post-processes every
+    returned value.
+    """
+
+    def sqrt_upper(z):
+        """Square root with Im >= 0: branch cut along [0, +inf).
+
+        Continuous on the complement of the cut; on (0, inf) takes the
+        boundary value from the upper half-plane (the positive root); on
+        (-inf, 0) gives i*sqrt(|z|).
+        """
+        w = sqrt(z)
+        if w.imag < 0:
+            w = -w
+        return w
+
+    def kcot(z, l):
+        """sqrt(z) * cot(sqrt(z) * l)."""
+        z = cast(z)
+        u = z * l * l
+        if abs(u) < SERIES_CUTOFF:
+            return realify(z, (1.0 - u / 3.0 - u * u / 45.0
+                               - 2.0 * u**3 / 945.0) / l)
+        k = sqrt_upper(z)
+        q = exp(2j * k * l)
+        return realify(z, 1j * k * (q + 1.0) / (q - 1.0))
+
+    def kcsc(z, l):
+        """sqrt(z) / sin(sqrt(z) * l)."""
+        z = cast(z)
+        u = z * l * l
+        if abs(u) < SERIES_CUTOFF:
+            return realify(z, (1.0 + u / 6.0 + 7.0 * u * u / 360.0
+                               + 31.0 * u**3 / 15120.0) / l)
+        k = sqrt_upper(z)
+        p = exp(1j * k * l)
+        return realify(z, 2j * k * p / (p * p - 1.0))
+
+    def ktanhalf(z, l):
+        """sqrt(z) * tan(sqrt(z) * l / 2) — the loop kernel."""
+        z = cast(z)
+        u = z * l * l
+        if abs(u) < SERIES_CUTOFF:
+            return realify(z, (u / 2.0 + u * u / 24.0 + u**3 / 240.0) / l)
+        k = sqrt_upper(z)
+        p = exp(1j * k * l)
+        return realify(z, -1j * k * (p - 1.0) / (p + 1.0))
+
+    def entire_cs(z, x):
+        """The entire basis pair (C, S): C = cos(k x), S = sin(k x)/k, k=sqrt(z).
+
+        Both are entire functions of z (even in k, no branch), satisfying
+        C' = -z*S and S' = C in x, with C(0)=1, S(0)=0, S'(0)=1.  Used by
+        the vertex-matching systems and the layer transfer matrices.
+        """
+        z = cast(z)
+        v = z * x * x
+        if abs(v) < SERIES_CUTOFF:
+            C = 1.0 - v / 2.0 + v * v / 24.0 - v**3 / 720.0
+            S = x * (1.0 - v / 6.0 + v * v / 120.0 - v**3 / 5040.0)
+            return realify(z, C), realify(z, S)
+        k = sqrt_upper(z)
+        C = cos(k * x)
+        S = sin(k * x) / k
+        return realify(z, C), realify(z, S)
+
+    return sqrt_upper, kcot, kcsc, ktanhalf, entire_cs
 
 
-def kcsc(z, l):
-    """sqrt(z) / sin(sqrt(z) * l)."""
-    z = complex(z)
-    u = z * l * l
-    if abs(u) < SERIES_CUTOFF:
-        return _realify(z, (1.0 + u / 6.0 + 7.0 * u * u / 360.0
-                            + 31.0 * u**3 / 15120.0) / l)
-    k = sqrt_upper(z)
-    p = cmath.exp(1j * k * l)
-    return _realify(z, 2j * k * p / (p * p - 1.0))
-
-
-def ktanhalf(z, l):
-    """sqrt(z) * tan(sqrt(z) * l / 2) — the loop kernel."""
-    z = complex(z)
-    u = z * l * l
-    if abs(u) < SERIES_CUTOFF:
-        return _realify(z, (u / 2.0 + u * u / 24.0 + u**3 / 240.0) / l)
-    k = sqrt_upper(z)
-    p = cmath.exp(1j * k * l)
-    return _realify(z, -1j * k * (p - 1.0) / (p + 1.0))
+sqrt_upper, kcot, kcsc, ktanhalf, entire_cs = _kernels(
+    complex, cmath.sqrt, cmath.exp, cmath.cos, cmath.sin, _realify)
+mp_sqrt_upper, mp_kcot, mp_kcsc, mp_ktanhalf, mp_entire_cs = _kernels(
+    mp.mpc, mp.sqrt, mp.exp, mp.cos, mp.sin, lambda z, value: value)
 
 
 def sin_abs(z, l):
@@ -91,76 +132,3 @@ def sin_abs(z, l):
     if w.imag > 40.0:
         return 1e17
     return abs(cmath.sin(w))
-
-
-def entire_cs(z, x):
-    """The entire basis pair (C, S): C = cos(k x), S = sin(k x)/k, k=sqrt(z).
-
-    Both are entire functions of z (even in k, no branch), satisfying
-    C' = -z*S and S' = C in x, with C(0)=1, S(0)=0, S'(0)=1.  Used by the
-    vertex-matching oracle and the layer transfer matrices.
-    """
-    z = complex(z)
-    v = z * x * x
-    if abs(v) < SERIES_CUTOFF:
-        C = 1.0 - v / 2.0 + v * v / 24.0 - v**3 / 720.0
-        S = x * (1.0 - v / 6.0 + v * v / 120.0 - v**3 / 5040.0)
-        return _realify(z, C), _realify(z, S)
-    k = sqrt_upper(z)
-    C = cmath.cos(k * x)
-    S = cmath.sin(k * x) / k
-    return _realify(z, C), _realify(z, S)
-
-
-# --------------------------------------------------------------------------
-# arbitrary-precision twins (same formulas, mpmath arithmetic)
-# --------------------------------------------------------------------------
-
-def mp_sqrt_upper(z):
-    w = mp.sqrt(mp.mpc(z))
-    if mp.im(w) < 0:
-        w = -w
-    return w
-
-
-def mp_kcot(z, l):
-    z = mp.mpc(z)
-    u = z * l * l
-    if abs(u) < SERIES_CUTOFF:
-        # mp evaluation is only used for |z| well away from 0; keep the
-        # series anyway for uniformity
-        return (1 - u / 3 - u**2 / 45 - 2 * u**3 / 945) / l
-    k = mp_sqrt_upper(z)
-    q = mp.exp(2j * k * l)
-    return 1j * k * (q + 1) / (q - 1)
-
-
-def mp_kcsc(z, l):
-    z = mp.mpc(z)
-    u = z * l * l
-    if abs(u) < SERIES_CUTOFF:
-        return (1 + u / 6 + 7 * u**2 / 360 + 31 * u**3 / 15120) / l
-    k = mp_sqrt_upper(z)
-    p = mp.exp(1j * k * l)
-    return 2j * k * p / (p * p - 1)
-
-
-def mp_ktanhalf(z, l):
-    z = mp.mpc(z)
-    u = z * l * l
-    if abs(u) < SERIES_CUTOFF:
-        return (u / 2 + u**2 / 24 + u**3 / 240) / l
-    k = mp_sqrt_upper(z)
-    p = mp.exp(1j * k * l)
-    return -1j * k * (p - 1) / (p + 1)
-
-
-def mp_entire_cs(z, x):
-    z = mp.mpc(z)
-    if abs(z) * x * x < SERIES_CUTOFF:
-        v = z * x * x
-        C = 1 - v / 2 + v**2 / 24 - v**3 / 720
-        S = x * (1 - v / 6 + v**2 / 120 - v**3 / 5040)
-        return C, S
-    k = mp_sqrt_upper(z)
-    return mp.cos(k * x), mp.sin(k * x) / k

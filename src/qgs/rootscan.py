@@ -14,14 +14,16 @@ flavours:
   minimum is consistent with an actual zero.
 
 Evaluations returning NaN (e.g. a grid point landing exactly on a cleared
-pole) are retried at a slightly shifted abscissa.
+pole) are retried at a slightly shifted abscissa; when every retry fails
+too, the scan raises ScanFailure.  ``grow_window`` is the one loop that
+widens a scan window until it holds enough roots.
 """
 
 import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import ScanResolution
+from .errors import ScanFailure, ScanResolution
 
 TANGENT_DETECT = 0.3   # dip ratio that triggers tangency refinement
 TANGENT_ACCEPT = 1e-6  # |f(min)| relative to neighbours for acceptance
@@ -42,7 +44,7 @@ def _safe_eval(f, x, dx):
         v = f(xs)
         if v == v and not math.isinf(v):
             return xs, v
-    raise ArithmeticError(f"secular function undefined near x={x}")
+    raise ScanFailure(f"secular function undefined near x={x}", x)
 
 
 def bisect(f, a, b, fa=None, fb=None, xtol=1e-12, maxiter=200):
@@ -152,3 +154,21 @@ def scan_roots(f, lo, hi, step, df=None, refine_tangent=None,
                 f"step ({step:.3g})", ScanResolution)
             break
     return deduped
+
+
+def grow_window(collect, hi, count, factor, tries, what):
+    """First `count` values of collect(hi), widening the window as needed.
+
+    collect(hi) returns the sorted values found below the window edge hi
+    (ScanResolution warnings are silenced: a coarse step is expected while
+    the window is still small).  hi is multiplied by `factor` until the
+    list holds `count` values; ScanFailure after `tries` windows.
+    """
+    for _ in range(tries):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ScanResolution)
+            values = collect(hi)
+        if len(values) >= count:
+            return values[:count]
+        hi *= factor
+    raise ScanFailure(f"could not collect {count} {what} below x={hi:g}", hi)

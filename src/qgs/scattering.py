@@ -17,7 +17,9 @@ Two independent constructions live here:
   which agree identically in exact arithmetic.  ``sigma_external``
   evaluates both and refuses to return silently if they drift apart —
   that only happens when an inversion is badly conditioned.  Note F2
-  does not depend on the couplings at all.
+  does not depend on the couplings at all.  Every form is built from
+  ``scattering_solves``, which assembles M and solves each factor once
+  per energy.
 
 * ``lead_matching_oracle`` — plane-wave matching from scratch.  For a unit
   incoming wave e^{-ikx} on one lead, solve the (2n + n_leads) linear
@@ -57,9 +59,12 @@ class ScatteringMatrix:
             self.entries.conj().T @ self.entries - np.eye(n)))
 
 
-def _external_index(graph: MetricGraph) -> list[int]:
+def external_block(graph: MetricGraph):
+    """Index of the external-by-external block of a vertex-space matrix,
+    in sorted external order."""
     order = graph.vertex_ids()
-    return [order.index(v) for v in graph.external_ids()]
+    ext = [order.index(v) for v in graph.external_ids()]
+    return np.ix_(ext, ext)
 
 
 def _checked_solve(A, B, s, what):
@@ -68,26 +73,36 @@ def _checked_solve(A, B, s, what):
     return np.linalg.solve(A, B)
 
 
+def scattering_solves(graph: MetricGraph, kappa: CouplingMatrix | None,
+                      s: float):
+    """The two factors of the full product at energy s, each solved once.
+
+    Returns (left, right) = ((M - K)^-1 (M* - K), (M*)^-1 M) with M the
+    full M-matrix, assembled once; each solve is gated by cond <=
+    COND_LIMIT.  With kappa None only the coupling-free right factor is
+    solved and left is None.
+    """
+    M = weyl_full(graph, s).entries
+    Ms = M.conj().T
+    left = None
+    if kappa is not None:
+        K = kappa.as_array()
+        left = _checked_solve(M - K, Ms - K, s, "M - coupling")
+    return left, _checked_solve(Ms, M, s, "M*")
+
+
 def sigma_full(graph: MetricGraph, kappa: CouplingMatrix, s: float) -> np.ndarray:
     """Full vertex-space scattering product at energy s (n x n)."""
-    M = weyl_full(graph, s).entries
-    K = kappa.as_array()
-    Ms = M.conj().T
-    left = _checked_solve(M - K, Ms - K, s, "M - coupling")
-    right = _checked_solve(Ms, M, s, "M*")
+    left, right = scattering_solves(graph, kappa, s)
     return left @ right
 
 
 def external_factors(graph: MetricGraph, kappa: CouplingMatrix, s: float):
     """(F1, F2) external blocks whose product is the external scattering
     matrix.  F2 is coupling-independent."""
-    M = weyl_full(graph, s).entries
-    K = kappa.as_array()
-    Ms = M.conj().T
-    ext = _external_index(graph)
-    F1 = _checked_solve(M - K, Ms - K, s, "M - coupling")[np.ix_(ext, ext)]
-    F2 = _checked_solve(Ms, M, s, "M*")[np.ix_(ext, ext)]
-    return F1, F2
+    ext = external_block(graph)
+    left, right = scattering_solves(graph, kappa, s)
+    return left[ext], right[ext]
 
 
 def sigma_external(graph: MetricGraph, kappa: CouplingMatrix, s: float,
@@ -97,10 +112,10 @@ def sigma_external(graph: MetricGraph, kappa: CouplingMatrix, s: float,
     Raises FactorisationMismatch when projection and factorisation disagree
     beyond check_tol — a conditioning failure, not a formula discrepancy.
     """
-    ext = _external_index(graph)
-    projected = sigma_full(graph, kappa, s)[np.ix_(ext, ext)]
-    F1, F2 = external_factors(graph, kappa, s)
-    factorised = F1 @ F2
+    ext = external_block(graph)
+    left, right = scattering_solves(graph, kappa, s)
+    projected = (left @ right)[ext]
+    factorised = left[ext] @ right[ext]
     defect = float(np.linalg.norm(projected - factorised))
     if defect > check_tol * max(1.0, float(np.linalg.norm(factorised))):
         raise FactorisationMismatch(s, defect, check_tol)
@@ -110,8 +125,7 @@ def sigma_external(graph: MetricGraph, kappa: CouplingMatrix, s: float,
 def sigma_projected(graph: MetricGraph, kappa: CouplingMatrix,
                     s: float) -> ScatteringMatrix:
     """External scattering matrix by projection alone (no cross-check)."""
-    ext = _external_index(graph)
-    entries = sigma_full(graph, kappa, s)[np.ix_(ext, ext)]
+    entries = sigma_full(graph, kappa, s)[external_block(graph)]
     return ScatteringMatrix(float(s), entries, "projected")
 
 

@@ -31,18 +31,15 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
 
-from .errors import ScanResolution
 from .graphs import MetricGraph
-from .kernels import (entire_cs, kcot, kcsc, ktanhalf, mp_entire_cs, mp_kcot,
-                      mp_kcsc, mp_ktanhalf)
-from .rootscan import scan_roots
-from .weyl import CouplingMatrix
+from .kernels import entire_cs, is_mp, mp_entire_cs, sqrt_upper
+from .rootscan import grow_window, scan_roots
+from .weyl import CouplingMatrix, compact_entries
 
 MERGE_TOL = 1e-8          # roots closer than this (in z) are one eigenvalue
 KERNEL_REL = 1e-8         # singular-value cutoff for multiplicity
@@ -65,49 +62,31 @@ def _require_real(kappa: CouplingMatrix):
 # secular functions
 # --------------------------------------------------------------------------
 
-def _weyl_matrix_raw(graph, z):
-    """M_compact without pole guards (scan code handles poles itself)."""
-    n = graph.n_vertices
-    idx = {vid: i for i, vid in enumerate(graph.vertex_ids())}
-    M = np.zeros((n, n), dtype=complex)
-    for e in graph.edges:
-        if e.is_loop:
-            M[idx[e.u], idx[e.u]] += 2.0 * ktanhalf(z, e.length)
-        else:
-            i, j = idx[e.u], idx[e.v]
-            c = kcot(z, e.length)
-            s = kcsc(z, e.length)
-            M[i, i] -= c
-            M[j, j] -= c
-            M[i, j] += s
-            M[j, i] += s
+def _weyl_matrix_raw(graph, kappa, z):
+    """M_compact(z) - kappa without pole guards (scan code handles poles
+    itself), in the arithmetic of z."""
+    M = compact_entries(graph, z)
+    if not is_mp(z):
+        return M - np.diag(kappa.diagonal)
+    # elementwise mpmath matrix arithmetic would cost n^2 operations
+    for i, a in enumerate(kappa.diagonal):
+        M[i, i] -= a
     return M
 
 
-def _mp_weyl_secular(graph, diag, k, dps):
+def _mp_weyl_secular(graph, kappa, k, dps):
     """d(k^2) in mpmath: det(M - kappa) * prod sin(k l)."""
     with mp.workdps(dps):
-        z = mp.mpf(k) ** 2
-        n = graph.n_vertices
-        idx = {vid: i for i, vid in enumerate(graph.vertex_ids())}
-        M = mp.zeros(n, n)
-        for e in graph.edges:
-            if e.is_loop:
-                M[idx[e.u], idx[e.u]] += 2 * mp_ktanhalf(z, e.length)
-            else:
-                i, j = idx[e.u], idx[e.v]
-                c = mp_kcot(z, e.length)
-                s = mp_kcsc(z, e.length)
-                M[i, i] -= c
-                M[j, j] -= c
-                M[i, j] += s
-                M[j, i] += s
-        for i, a in enumerate(diag):
-            M[i, i] -= a
-        d = mp.det(M)
+        d = mp.det(_weyl_matrix_raw(graph, kappa, mp.mpf(k) ** 2))
         for e in graph.edges:
             d *= mp.sin(mp.mpf(k) * e.length)
         return float(mp.re(d))
+
+
+def _mp_weyl_det_negative(graph, kappa, q):
+    """det(M(-q^2) - kappa) in 60-digit mpmath."""
+    with mp.workdps(60):
+        return mp.det(_weyl_matrix_raw(graph, kappa, -mp.mpf(q) ** 2))
 
 
 def weyl_secular(graph: MetricGraph, kappa: CouplingMatrix):
@@ -116,17 +95,16 @@ def weyl_secular(graph: MetricGraph, kappa: CouplingMatrix):
     Switches to arbitrary precision when k sits within ~1e-4 of a pole of
     the M-matrix (in |sin(k l)|), where the float product loses the sign.
     """
-    diag = np.asarray(kappa.diagonal, dtype=complex)
     lengths = [e.length for e in graph.edges]
 
     def f(k):
         min_sin = min((abs(math.sin(k * l)) for l in lengths), default=1.0)
         if min_sin < MP_SIN_SWITCH:
             dps = 40 + min(80, int(2 * max(0.0, -math.log10(min_sin + 1e-300))))
-            return _mp_weyl_secular(graph, [complex(a) for a in diag], k, dps)
+            return _mp_weyl_secular(graph, kappa, k, dps)
         z = k * k
         with np.errstate(all="ignore"):
-            A = _weyl_matrix_raw(graph, z) - np.diag(diag)
+            A = _weyl_matrix_raw(graph, kappa, z)
             d = np.linalg.det(A).real
         for l in lengths:
             d *= math.sin(k * l)
@@ -140,11 +118,9 @@ def weyl_secular_negative(graph: MetricGraph, kappa: CouplingMatrix):
 
     No clearing: sin(sqrt(z) l) has no zeros on the negative half-axis.
     """
-    diag = np.asarray(kappa.diagonal, dtype=complex)
-
     def f(q):
         with np.errstate(all="ignore"):
-            A = _weyl_matrix_raw(graph, -q * q) - np.diag(diag)
+            A = _weyl_matrix_raw(graph, kappa, -q * q)
             return np.linalg.det(A).real
 
     return f
@@ -159,11 +135,14 @@ def _edge_end_data(z, l):
 
     Returns (u_end, v_end) where each end is ((cA_val, cB_val),
     (cA_der, cB_der)).  When Im(sqrt(z)) * l is large (deeply negative z),
-    cosh-type growth would overflow the determinant, so both columns of the
-    edge are divided by exp(Im(sqrt(z)) * l) — a positive factor that moves
-    no zeros and flips no signs.
+    cosh-type growth would overflow a float determinant, so both columns
+    of the edge are divided by exp(Im(sqrt(z)) * l) — a positive factor that
+    moves no zeros and flips no signs.  An mpmath z cannot overflow and is
+    never scaled.
     """
-    from .kernels import sqrt_upper
+    if is_mp(z):
+        C, S = mp_entire_cs(z, l)
+        return ((1.0, 0.0), (0.0, 1.0)), ((C, S), (z * S, -C))
     k = sqrt_upper(z)
     b = abs(k.imag) * l
     if b < 40.0:
@@ -178,7 +157,7 @@ def _edge_end_data(z, l):
     return ((us, 0.0), (0.0, us)), ((Cs, Ss), (z * Ss, -Cs))
 
 
-def matching_matrix(graph: MetricGraph, kappa: CouplingMatrix, z) -> np.ndarray:
+def matching_matrix(graph: MetricGraph, kappa: CouplingMatrix, z):
     """(2n)x(2n) system in per-edge coefficients (A_p, B_p).
 
     Edge p hosts u_p(x) = A_p C(z;x) + B_p S(z;x) on [0, l_p] with x=0 at
@@ -187,50 +166,50 @@ def matching_matrix(graph: MetricGraph, kappa: CouplingMatrix, z) -> np.ndarray:
     Derivative rows are scaled by 1/max(1, |k|) to keep the determinant
     well-conditioned at large z (a positive continuous factor, so zeros and
     sign changes are unaffected), and edge columns carry the scaling of
-    _edge_end_data.
+    _edge_end_data.  The arithmetic follows z: a numpy complex matrix for a
+    Python number, an mpmath matrix for an mpmath number.
     """
-    z = complex(z)
     n = graph.n_edges
+    if is_mp(z):
+        A = mp.zeros(2 * n, 2 * n)
+        scale = 1.0 / max(1.0, mp.sqrt(abs(z)))
+    else:
+        z = complex(z)
+        A = np.zeros((2 * n, 2 * n), dtype=complex)
+        scale = 1.0 / max(1.0, math.sqrt(abs(z)))
     cols = {e.id: 2 * i for i, e in enumerate(graph.edges)}
     # per-edge end data: (value_row, derivative_row) coefficient pairs
     ends = {}  # (edge_id, which) -> ((cA_val, cB_val), (cA_der, cB_der))
+    incident = {v.id: [] for v in graph.vertices}
     for e in graph.edges:
-        u_end, v_end = _edge_end_data(z, e.length)
-        ends[(e.id, 0)] = u_end
-        ends[(e.id, 1)] = v_end
+        ends[(e.id, 0)], ends[(e.id, 1)] = _edge_end_data(z, e.length)
+        incident[e.u].append((e.id, 0))
+        incident[e.v].append((e.id, 1))
 
-    rows = []
-    scale = 1.0 / max(1.0, abs(math.sqrt(abs(z))))
+    r = 0
     for v in graph.vertices:
-        incident = []
-        for e in graph.edges:
-            if e.u == v.id:
-                incident.append((e.id, 0))
-            if e.v == v.id:
-                incident.append((e.id, 1))
-        if not incident:
+        ends_here = incident[v.id]
+        if not ends_here:
             continue
-        first = incident[0]
-        for other in incident[1:]:
-            row = np.zeros(2 * n, dtype=complex)
+        first = ends_here[0]
+        for other in ends_here[1:]:
             (cA, cB), _ = ends[first]
-            row[cols[first[0]]] += cA
-            row[cols[first[0]] + 1] += cB
+            A[r, cols[first[0]]] += cA
+            A[r, cols[first[0]] + 1] += cB
             (cA, cB), _ = ends[other]
-            row[cols[other[0]]] -= cA
-            row[cols[other[0]] + 1] -= cB
-            rows.append(row)
-        row = np.zeros(2 * n, dtype=complex)
-        for end in incident:
+            A[r, cols[other[0]]] -= cA
+            A[r, cols[other[0]] + 1] -= cB
+            r += 1
+        for end in ends_here:
             _, (dA, dB) = ends[end]
-            row[cols[end[0]]] += dA * scale
-            row[cols[end[0]] + 1] += dB * scale
+            A[r, cols[end[0]]] += dA * scale
+            A[r, cols[end[0]] + 1] += dB * scale
         (cA, cB), _ = ends[first]
         a = complex(kappa.diagonal[graph.vertex_index(v.id)])
-        row[cols[first[0]]] -= a * cA * scale
-        row[cols[first[0]] + 1] -= a * cB * scale
-        rows.append(row)
-    return np.array(rows, dtype=complex)
+        A[r, cols[first[0]]] -= a * cA * scale
+        A[r, cols[first[0]] + 1] -= a * cB * scale
+        r += 1
+    return A
 
 
 def matching_det(graph: MetricGraph, kappa: CouplingMatrix):
@@ -256,47 +235,10 @@ def matching_det_negative(graph: MetricGraph, kappa: CouplingMatrix):
     return f
 
 
-def _mp_matching_det(graph, diag, z, dps):
+def _mp_matching_det(graph, kappa, z, dps):
+    """Matching determinant at z in dps-digit mpmath."""
     with mp.workdps(dps):
-        z = mp.mpf(z)
-        n = graph.n_edges
-        cols = {e.id: 2 * i for i, e in enumerate(graph.edges)}
-        ends = {}
-        for e in graph.edges:
-            C, S = mp_entire_cs(z, e.length)
-            ends[(e.id, 0)] = ((mp.mpf(1), mp.mpf(0)), (mp.mpf(0), mp.mpf(1)))
-            ends[(e.id, 1)] = ((C, S), (z * S, -C))
-        scale = 1 / max(mp.mpf(1), mp.sqrt(abs(z)))
-        A = mp.zeros(2 * n, 2 * n)
-        r = 0
-        for v in graph.vertices:
-            incident = []
-            for e in graph.edges:
-                if e.u == v.id:
-                    incident.append((e.id, 0))
-                if e.v == v.id:
-                    incident.append((e.id, 1))
-            if not incident:
-                continue
-            first = incident[0]
-            for other in incident[1:]:
-                (cA, cB), _ = ends[first]
-                A[r, cols[first[0]]] += cA
-                A[r, cols[first[0]] + 1] += cB
-                (cA, cB), _ = ends[other]
-                A[r, cols[other[0]]] -= cA
-                A[r, cols[other[0]] + 1] -= cB
-                r += 1
-            for end in incident:
-                _, (dA, dB) = ends[end]
-                A[r, cols[end[0]]] += dA * scale
-                A[r, cols[end[0]] + 1] += dB * scale
-            (cA, cB), _ = ends[first]
-            a = diag[graph.vertex_index(v.id)]
-            A[r, cols[first[0]]] -= a * cA * scale
-            A[r, cols[first[0]] + 1] -= a * cB * scale
-            r += 1
-        return mp.re(mp.det(A))
+        return mp.re(mp.det(matching_matrix(graph, kappa, mp.mpf(z))))
 
 
 def multiplicity_at(graph: MetricGraph, kappa: CouplingMatrix, z) -> int:
@@ -376,8 +318,7 @@ def _negative_window(graph, kappa):
 
 def _zero_is_eigenvalue(graph, kappa, mode):
     if mode == "weyl":
-        A = _weyl_matrix_raw(graph, 0.0) - np.diag(np.asarray(kappa.diagonal,
-                                                              dtype=complex))
+        A = _weyl_matrix_raw(graph, kappa, 0.0)
         sv = np.linalg.svd(A, compute_uv=False)
         return sv[-1] < ZERO_MEMBER_REL * max(1.0, sv[0])
     return multiplicity_at(graph, kappa, 0.0) > 0
@@ -400,7 +341,6 @@ def compact_spectrum(graph: MetricGraph, kappa: CouplingMatrix, z_max,
 
     total = graph.total_length()
     dk = math.pi / (8.0 * total)
-    diag = [complex(a) for a in kappa.diagonal]
 
     found = []  # raw z values
 
@@ -409,10 +349,10 @@ def compact_spectrum(graph: MetricGraph, kappa: CouplingMatrix, z_max,
     if q_hi > 0.0:
         if mode == "weyl":
             f_neg = weyl_secular_negative(graph, kappa)
-            mp_neg = lambda q: mp.re(_mp_weyl_det_negative(graph, diag, q))
+            mp_neg = lambda q: mp.re(_mp_weyl_det_negative(graph, kappa, q))
         else:
             f_neg = matching_det_negative(graph, kappa)
-            mp_neg = lambda q: _mp_matching_det(graph, diag, -q * q, 60)
+            mp_neg = lambda q: _mp_matching_det(graph, kappa, -q * q, 60)
         refiner = _mp_tangent_refiner(mp_neg)
         for root in scan_roots(f_neg, min(1e-6, dk / 100), q_hi, dk,
                                refine_tangent=refiner):
@@ -428,10 +368,10 @@ def compact_spectrum(graph: MetricGraph, kappa: CouplingMatrix, z_max,
         k_hi = math.sqrt(z_max)
         if mode == "weyl":
             f_pos = weyl_secular(graph, kappa)
-            mp_pos = lambda k: mp.mpf(_mp_weyl_secular(graph, diag, float(k), 60))
+            mp_pos = lambda k: mp.mpf(_mp_weyl_secular(graph, kappa, float(k), 60))
         else:
             f_pos = matching_det(graph, kappa)
-            mp_pos = lambda k: _mp_matching_det(graph, diag, float(k) ** 2, 60)
+            mp_pos = lambda k: _mp_matching_det(graph, kappa, float(k) ** 2, 60)
         refiner = _mp_tangent_refiner(mp_pos)
         for root in scan_roots(f_pos, min(1e-6, dk / 100), k_hi, dk,
                                refine_tangent=refiner):
@@ -456,31 +396,7 @@ def compact_spectrum(graph: MetricGraph, kappa: CouplingMatrix, z_max,
         mult = max(len(cluster), multiplicity_at(graph, kappa, zc))
         eigenvalues.append(Eigenvalue(zc, mult))
     eigenvalues.sort(key=lambda e: e.z)
-    if z_max is not None:
-        eigenvalues = [e for e in eigenvalues if e.z <= z_max + MERGE_TOL]
-    return eigenvalues
-
-
-def _mp_weyl_det_negative(graph, diag, q):
-    with mp.workdps(60):
-        z = -mp.mpf(q) ** 2
-        n = graph.n_vertices
-        idx = {vid: i for i, vid in enumerate(graph.vertex_ids())}
-        M = mp.zeros(n, n)
-        for e in graph.edges:
-            if e.is_loop:
-                M[idx[e.u], idx[e.u]] += 2 * mp_ktanhalf(z, e.length)
-            else:
-                i, j = idx[e.u], idx[e.v]
-                c = mp_kcot(z, e.length)
-                s = mp_kcsc(z, e.length)
-                M[i, i] -= c
-                M[j, j] -= c
-                M[i, j] += s
-                M[j, i] += s
-        for i, a in enumerate(diag):
-            M[i, i] -= a
-        return mp.det(M)
+    return [e for e in eigenvalues if e.z <= z_max + MERGE_TOL]
 
 
 def compact_eigenvalues(graph: MetricGraph, kappa: CouplingMatrix, count: int,
@@ -490,13 +406,10 @@ def compact_eigenvalues(graph: MetricGraph, kappa: CouplingMatrix, count: int,
     total = graph.total_length()
     # Weyl-type counting: about total_length/pi eigenvalues per unit of k
     k_guess = (count + 2) * math.pi / total + 2.0 / min(e.length for e in graph.edges)
-    z_max = k_guess * k_guess
-    for _ in range(20):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ScanResolution)
-            eigs = compact_spectrum(graph, kappa, z_max, mode)
-        flat = [e.z for e in eigs for _ in range(e.multiplicity)]
-        if len(flat) >= count:
-            return flat[:count]
-        z_max *= 2.0
-    raise RuntimeError(f"could not collect {count} eigenvalues below z={z_max}")
+
+    def collect(z_max):
+        eigs = compact_spectrum(graph, kappa, z_max, mode)
+        return [e.z for e in eigs for _ in range(e.multiplicity)]
+
+    return grow_window(collect, k_guess * k_guess, count, 2.0, 20,
+                       "eigenvalues")

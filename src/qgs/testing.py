@@ -10,7 +10,6 @@ from __future__ import annotations
 import random
 
 from .graphs import Edge, MetricGraph, Vertex
-from .weyl import CouplingMatrix
 
 
 def make_random_graph(rng: random.Random, max_vertices: int = 5,
@@ -45,8 +44,3 @@ def make_random_graph(rng: random.Random, max_vertices: int = 5,
     else:
         leads = rng.sample(ids, n_leads)
     return MetricGraph(vertices, edges, leads)
-
-
-def coupling_of(graph: MetricGraph) -> CouplingMatrix:
-    """The coupling matrix stored on the graph's vertices."""
-    return CouplingMatrix.from_graph(graph)

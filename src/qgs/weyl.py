@@ -15,11 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import mpmath as mp
 import numpy as np
 
 from .errors import PoleProximity, SingularMatrix
 from .graphs import MetricGraph
-from .kernels import SERIES_CUTOFF, kcot, kcsc, ktanhalf, sin_abs, sqrt_upper
+from .kernels import (SERIES_CUTOFF, is_mp, kcot, kcsc, ktanhalf, mp_kcot,
+                      mp_kcsc, mp_ktanhalf, sin_abs, sqrt_upper)
 
 POLE_TOL = 1e-12
 COND_LIMIT = 1e12
@@ -96,6 +98,34 @@ def _check_poles(graph, z):
             raise PoleProximity(z, e.id)
 
 
+def compact_entries(graph: MetricGraph, z):
+    """Compact M-matrix entries at z, with no pole check.
+
+    The arithmetic follows z: a numpy complex matrix for a Python number,
+    an mpmath matrix at the working precision for an mpmath number.
+    """
+    n = graph.n_vertices
+    if is_mp(z):
+        M = mp.zeros(n, n)
+        cot, csc, tanhalf = mp_kcot, mp_kcsc, mp_ktanhalf
+    else:
+        M = np.zeros((n, n), dtype=complex)
+        cot, csc, tanhalf = kcot, kcsc, ktanhalf
+    idx = {vid: i for i, vid in enumerate(graph.vertex_ids())}
+    for e in graph.edges:
+        if e.is_loop:
+            M[idx[e.u], idx[e.u]] += 2.0 * tanhalf(z, e.length)
+        else:
+            i, j = idx[e.u], idx[e.v]
+            c = cot(z, e.length)
+            s = csc(z, e.length)
+            M[i, i] -= c
+            M[j, j] -= c
+            M[i, j] += s
+            M[j, i] += s
+    return M
+
+
 def weyl_compact(graph: MetricGraph, z) -> WeylMatrix:
     """Compact M-matrix (leads ignored) at energy z.
 
@@ -105,21 +135,8 @@ def weyl_compact(graph: MetricGraph, z) -> WeylMatrix:
     """
     sp = SpectralPoint.of(z)
     _check_poles(graph, sp.z)
-    n = graph.n_vertices
-    idx = {vid: i for i, vid in enumerate(graph.vertex_ids())}
-    M = np.zeros((n, n), dtype=complex)
-    for e in graph.edges:
-        if e.is_loop:
-            M[idx[e.u], idx[e.u]] += 2.0 * ktanhalf(sp.z, e.length)
-        else:
-            i, j = idx[e.u], idx[e.v]
-            c = kcot(sp.z, e.length)
-            s = kcsc(sp.z, e.length)
-            M[i, i] -= c
-            M[j, j] -= c
-            M[i, j] += s
-            M[j, i] += s
-    return WeylMatrix(at=sp, entries=M, kind="compact")
+    return WeylMatrix(at=sp, entries=compact_entries(graph, sp.z),
+                      kind="compact")
 
 
 def weyl_full(graph: MetricGraph, z) -> WeylMatrix:

@@ -321,3 +321,19 @@ def test_unknown_subcommand_is_usage_error():
     proc = subprocess.run([sys.executable, "-m", "qgs", "frobnicate"],
                           capture_output=True, text=True)
     assert proc.returncode == 2
+
+
+def test_spectrum_overflow_exits_3_without_traceback(tmp_path, capsys):
+    """24 parallel unit edges and a deep well: the float matching
+    determinant overflows on the negative axis; the scan gives up with a
+    ScanFailure, which the CLI reports as a numerical failure."""
+    g = MetricGraph([Vertex("A", -20.0), Vertex("B")],
+                    [Edge("A", "B", 1.0) for _ in range(24)])
+    path = tmp_path / "fan.json"
+    path.write_text(serialize_graph(g))
+    rc = main(["spectrum", "--graph", str(path), "--zmax", "1",
+               "--mode", "matching"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "numerical failure: secular function undefined" in err
+    assert "Traceback" not in err

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgs import (CouplingMatrix, Edge, MetricGraph, Vertex, external_factors,
-                 lead_matching_oracle, sigma_external, sigma_full,
-                 sigma_projected, sigma_sweep)
+from qgs import (CouplingMatrix, Edge, FactorisationMismatch, MetricGraph,
+                 Vertex, external_factors, lead_matching_oracle,
+                 sigma_external, sigma_full, sigma_projected, sigma_sweep)
+from qgs.scattering import external_block
 from qgs.testing import make_random_graph
 
 # frozen regression: interval with a lead at V1, kappa = diag(1, 0), s = 1,
@@ -190,3 +191,22 @@ def test_phase_continuity_along_grid(lead_interval):
     vals = np.array([m.entries[0, 0] for m in mats])
     steps = np.abs(np.diff(vals))
     assert steps.max() < 0.2
+
+
+def test_external_forms_share_one_solve_bit_for_bit():
+    """sigma_external's entries are, bit for bit, the product of
+    external_factors, and the projection it checks them against is, bit for
+    bit, that of sigma_full (a negative tolerance makes it report the
+    defect it measured)."""
+    rng = random.Random(3)
+    for _ in range(6):
+        g = make_random_graph(rng, n_leads=2)
+        kappa = real_couplings(g)
+        for s in (0.7, 2.3, 11.0):
+            F1, F2 = external_factors(g, kappa, s)
+            assert np.array_equal(sigma_external(g, kappa, s).entries, F1 @ F2)
+            projected = sigma_full(g, kappa, s)[external_block(g)]
+            with pytest.raises(FactorisationMismatch) as info:
+                sigma_external(g, kappa, s, check_tol=-1.0)
+            assert info.value.defect == float(
+                np.linalg.norm(projected - F1 @ F2))

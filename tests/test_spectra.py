@@ -1,13 +1,21 @@
 """Compact spectra along two independent routes."""
 
 import math
+import random
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from qgs import (CouplingMatrix, Edge, Eigenvalue, MetricGraph, Vertex,
-                 compact_eigenvalues, compact_spectrum, matching_det,
-                 matching_matrix, multiplicity_at)
+from qgs import (CouplingMatrix, Edge, Eigenvalue, MetricGraph,
+                 NumericalError, ScanFailure, Vertex, compact_eigenvalues,
+                 compact_spectrum, matching_det, matching_matrix,
+                 multiplicity_at, weyl_secular)
+from qgs.rootscan import grow_window, scan_roots
+from qgs.spectra import (_mp_matching_det, _mp_weyl_det_negative,
+                         _mp_weyl_secular, matching_det_negative,
+                         weyl_secular_negative)
+from qgs.testing import make_random_graph
 
 
 def zeros(graph):
@@ -189,3 +197,53 @@ def test_leads_do_not_change_compact_spectrum(star3):
     a = flatten(compact_spectrum(star3, k_star, 30.0))
     b = flatten(compact_spectrum(bare, k_bare, 30.0))
     assert a == b
+
+
+# --------------------------------------------------------------------------
+# one assembly, two arithmetic types
+# --------------------------------------------------------------------------
+
+def _random_cases(count=8, seed=11):
+    rng = random.Random(seed)
+    for _ in range(count):
+        g = make_random_graph(rng, max_vertices=6, max_edges=9)
+        yield g, CouplingMatrix.from_graph(g)
+
+
+def _rel(a, b):
+    return abs(a - b) / abs(b)
+
+
+def test_float_and_mp_secular_functions_agree():
+    """The float scans and their 60-digit versions share one M-matrix and
+    one matching assembly; away from poles they agree to 1e-8."""
+    for g, kappa in _random_cases():
+        weyl_pos = weyl_secular(g, kappa)
+        weyl_neg = weyl_secular_negative(g, kappa)
+        match_pos = matching_det(g, kappa)
+        match_neg = matching_det_negative(g, kappa)
+        for k in (0.37, 1.3, 2.9, 4.1):
+            if min(abs(math.sin(k * e.length)) for e in g.edges) < 1e-3:
+                continue  # float weyl_secular hands this k to mpmath
+            assert _rel(weyl_pos(k), _mp_weyl_secular(g, kappa, k, 60)) < 1e-8
+            assert _rel(match_pos(k),
+                        float(_mp_matching_det(g, kappa, k * k, 60))) < 1e-8
+        for q in (0.4, 1.7, 3.3):
+            exact = float(mp.re(_mp_weyl_det_negative(g, kappa, q)))
+            assert _rel(weyl_neg(q), exact) < 1e-8
+            assert _rel(match_neg(q),
+                        float(_mp_matching_det(g, kappa, -q * q, 60))) < 1e-8
+
+
+def test_scan_failure_is_a_numerical_error():
+    with pytest.raises(ScanFailure) as info:
+        scan_roots(lambda x: float("nan"), 0.0, 1.0, 0.1)
+    assert isinstance(info.value, NumericalError)
+    assert info.value.x == 0.0
+
+
+def test_window_that_never_fills_is_a_scan_failure():
+    with pytest.raises(ScanFailure):
+        grow_window(lambda hi: [1.0], 1.0, 3, 2.0, 4, "roots")
+    assert grow_window(lambda hi: list(range(int(hi))), 1.0, 3, 2.0, 4,
+                       "roots") == [0, 1, 2]
