@@ -31,7 +31,6 @@ Two independent constructions live here:
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
