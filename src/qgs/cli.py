@@ -26,9 +26,9 @@ import numpy as np
 from .errors import (ExtrapolationDiverged, FactorisationMismatch, GraphError,
                      InconsistentPaths, NumericalError, ParseError)
 from .graphs import MetricGraph, load_graph, validate
-from .highcontrast import (HighContrastCell, Quasimomentum,
-                           convergence_study, eps_spectrum,
-                           hom_dprime_spectrum, hom_tau_spectrum)
+from .highcontrast import (HighContrastCell, Quasimomentum, convergence_fit,
+                           eps_spectrum, hom_dprime_spectrum,
+                           hom_tau_spectrum)
 from .inverse import (RtDSamples, forward_f1_oracle, invert_couplings,
                       recover_external_couplings)
 from .scattering import sigma_external
@@ -319,21 +319,22 @@ def cmd_homog(args) -> int:
     bands = args.bands
 
     rows = []  # (model, tau, band, z)
+    spectra = []  # per eps, per tau: kept for the convergence fit
     for tok, e in zip(eps_tokens, eps_values):
         cell_e = cell.with_epsilon(e)
-        for t in taus:
-            rows += [(f"eps:{tok}", t, b + 1, z)
-                     for b, z in enumerate(eps_spectrum(cell_e, t, bands))]
-    for t in taus:
-        rows += [("hom", t, b + 1, z)
-                 for b, z in enumerate(hom_tau_spectrum(cell, t, bands))]
+        spectra.append([eps_spectrum(cell_e, t, bands) for t in taus])
+        for t, spec in zip(taus, spectra[-1]):
+            rows += [(f"eps:{tok}", t, b + 1, z) for b, z in enumerate(spec)]
+    limits = [hom_tau_spectrum(cell, t, bands) for t in taus]
+    for t, spec in zip(taus, limits):
+        rows += [("hom", t, b + 1, z) for b, z in enumerate(spec)]
     for t in taus:
         spec = hom_dprime_spectrum(cell, Quasimomentum(t).shifted(), bands)
         rows += [("hom-shifted", t, b + 1, z) for b, z in enumerate(spec)]
 
     conv = []
     if len(eps_values) >= 3:
-        conv = convergence_study(cell, eps_values, taus, bands)
+        conv = convergence_fit(eps_values, taus, limits, spectra)
 
     def write_dispersion(fh):
         fh.write("# qgs homog\n")

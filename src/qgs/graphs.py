@@ -140,9 +140,6 @@ class MetricGraph:
                 d += 1
         return d
 
-    def incident_edges(self, vid: str) -> list[Edge]:
-        return [e for e in self.edges if vid in (e.u, e.v)]
-
     def couplings(self) -> list[complex]:
         """Coupling constants in canonical vertex order."""
         return [v.coupling for v in self.vertices]

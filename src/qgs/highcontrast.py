@@ -309,28 +309,27 @@ def build_dispersion_table(cell: HighContrastCell, taus, bands: int,
     return DispersionTable(taus, bands, table, meta)
 
 
-def convergence_study(cell: HighContrastCell, eps_list, tau_list,
-                      bands: int) -> list[ConvergenceRow]:
-    """Fit the eps -> 0 convergence order of the fiber spectra, per band.
+def convergence_fit(eps_list, taus, limits, spectra) -> list[ConvergenceRow]:
+    """Fit the eps -> 0 convergence order per band from computed spectra.
 
-    Needs at least three decreasing eps values.  Bands where the two
-    models agree below the resolution floor at every eps (the z = 0 row
-    at tau = 0) are flagged exact instead of fitted.
+    limits[j] is the homogenised spectrum at taus[j] and spectra[i][j] the
+    fiber spectrum of the eps_list[i] medium there.  Needs at least three
+    distinct eps values, in any order.  Bands where the two models agree
+    below the resolution floor at every eps (the z = 0 row at tau = 0) are
+    flagged exact instead of fitted.
     """
-    eps_list = sorted((float(e) for e in eps_list), reverse=True)
-    if len(eps_list) < 3:
+    by_eps = dict(zip((float(e) for e in eps_list), spectra))
+    eps_list = sorted(by_eps, reverse=True)
+    if len(spectra) < 3:
         raise ValueError("need at least three eps values")
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
+    if len(eps_list) < len(spectra):
         raise ValueError("eps values must be distinct")
     rows = []
-    for tau in tau_list:
-        t = _tau_value(tau)
-        limit = hom_tau_spectrum(cell, t, bands)
-        per_eps = []
-        for e in eps_list:
-            spec = eps_spectrum(cell.with_epsilon(e), t, bands)
-            per_eps.append([abs(s - l) for s, l in zip(spec, limit)])
-        for band in range(bands):
+    for j, t in enumerate(taus):
+        limit = limits[j]
+        per_eps = [[abs(s - l) for s, l in zip(by_eps[e][j], limit)]
+                   for e in eps_list]
+        for band in range(len(limit)):
             errs = tuple((e, per_eps[i][band])
                          for i, e in enumerate(eps_list))
             if all(err < EXACT_FLOOR for _, err in errs):
@@ -343,3 +342,15 @@ def convergence_study(cell: HighContrastCell, eps_list, tau_list,
             rows.append(ConvergenceRow(t, band + 1, limit[band], errs,
                                        order, False))
     return rows
+
+
+def convergence_study(cell: HighContrastCell, eps_list, tau_list,
+                      bands: int) -> list[ConvergenceRow]:
+    """Both models' spectra over eps_list x tau_list, then
+    ``convergence_fit`` on them."""
+    eps_list = [float(e) for e in eps_list]
+    taus = [_tau_value(tau) for tau in tau_list]
+    limits = [hom_tau_spectrum(cell, t, bands) for t in taus]
+    spectra = [[eps_spectrum(cell.with_epsilon(e), t, bands) for t in taus]
+               for e in eps_list]
+    return convergence_fit(eps_list, taus, limits, spectra)

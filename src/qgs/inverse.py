@@ -24,6 +24,10 @@ The chain implemented here:
    and the remainder fitted against c0 + c1/tau + c2/tau^2 over a
    doubling ladder of tau values.
 
+   Every probe is a call ``oracle(z, path)``, all energies of one path
+   before the next; ``forward_f1_oracle`` builds such an oracle from known
+   couplings and contracts each path once.
+
 3. ``recover_couplings`` — the path sums over a prefix-closed family of
    tree paths form a triangular system: each vertex coupling is the sum
    for its path minus the sum for the parent's path.
@@ -36,6 +40,7 @@ limits recovery to couplings at the external vertices — see
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -47,7 +52,7 @@ from .errors import (ExtrapolationDiverged, InconsistentPaths, ScanResolution,
 from .graphs import (Edge, MetricGraph, SpanningTreePath, contract,
                      spanning_tree)
 from .scattering import external_block, scattering_solves
-from .weyl import COND_LIMIT, CouplingMatrix, weyl_compact
+from .weyl import COND_LIMIT, CouplingMatrix, checked_solve, weyl_compact
 
 TAU0 = 32.0
 LEVELS = 7
@@ -71,11 +76,6 @@ class RtDSamples:
                                                       dtype=complex))
         if self.values.shape[0] != self.grid.shape[0]:
             raise ValueError("one matrix per grid point required")
-
-    @property
-    def max_asymmetry(self) -> float:
-        return float(max((np.linalg.norm(v - v.T) for v in self.values),
-                         default=0.0))
 
 
 @dataclass(frozen=True)
@@ -147,6 +147,15 @@ def extract_rtd(sigma_e_oracle, graph_topology: MetricGraph,
 # stage 2: response-map probes
 # --------------------------------------------------------------------------
 
+def _probe_vertex(graph: MetricGraph, vertex: str | None) -> str:
+    """`vertex`, or by default the natural probe point: the first external
+    vertex, or the first vertex of a graph without leads."""
+    if vertex is not None:
+        return vertex
+    ext = graph.external_ids()
+    return ext[0] if ext else graph.vertex_ids()[0]
+
+
 def f1_entry(graph: MetricGraph, kappa: CouplingMatrix, z,
              vertex: str | None = None) -> complex:
     """Diagonal response-map entry at one vertex (default: first external).
@@ -154,25 +163,17 @@ def f1_entry(graph: MetricGraph, kappa: CouplingMatrix, z,
     This is the (v, v) entry of (M_compact(z) - K)^-1, the quantity whose
     negative-axis asymptotics drive the recovery chain.
     """
-    if vertex is None:
-        ext = graph.external_ids()
-        vertex = ext[0] if ext else graph.vertex_ids()[0]
-    i = graph.vertex_index(vertex)
+    i = graph.vertex_index(_probe_vertex(graph, vertex))
     A = weyl_compact(graph, z).entries - kappa.as_array()
-    if np.linalg.cond(A) > COND_LIMIT:
-        raise SingularMatrix(z, "M_compact - coupling")
     e = np.zeros(A.shape[0], dtype=complex)
     e[i] = 1.0
-    return complex(np.linalg.solve(A, e)[i])
+    return complex(checked_solve(A, e, z, "M_compact - coupling")[i])
 
 
 def f1_via_determinants(graph: MetricGraph, kappa: CouplingMatrix, z,
                         vertex: str | None = None) -> complex:
     """Same entry through the cofactor ratio — independent cross-check."""
-    if vertex is None:
-        ext = graph.external_ids()
-        vertex = ext[0] if ext else graph.vertex_ids()[0]
-    i = graph.vertex_index(vertex)
+    i = graph.vertex_index(_probe_vertex(graph, vertex))
     A = weyl_compact(graph, z).entries - kappa.as_array()
     keep = [j for j in range(A.shape[0]) if j != i]
     minor = A[np.ix_(keep, keep)]
@@ -191,25 +192,26 @@ def _find_edge(graph: MetricGraph, u: str, v: str, length: float) -> str:
 
 
 def _contract_along(graph: MetricGraph, kappa: CouplingMatrix,
-                    path: SpanningTreePath, upto: int | None = None):
-    """Contract the first `upto` path edges; returns (graph', merged id).
+                    path: SpanningTreePath):
+    """Contract the path into its root; returns (graph', couplings',
+    merged id).  A root path leaves graph and couplings as they are.
 
-    Couplings ride on the vertices so that contraction adds them up; the
-    caller reads them back off the result.
+    Couplings ride on the vertices so that contraction adds them up, and
+    are read back off the result.
     """
+    if path.vertex_count == 1:
+        return graph, kappa, path.root
     g = graph.with_couplings(kappa.diagonal)
     merged = path.vertices_on_path[0]
-    steps = list(zip(path.vertices_on_path[1:], path.ordered_edge_lengths))
-    if upto is not None:
-        steps = steps[:upto]
-    for next_vertex, length in steps:
+    for next_vertex, length in zip(path.vertices_on_path[1:],
+                                   path.ordered_edge_lengths):
         eid = _find_edge(g, merged, next_vertex, length)
         old_ids = set(g.vertex_ids())
         g = contract(g, eid)
         new_ids = set(g.vertex_ids()) - old_ids
         assert len(new_ids) == 1
         merged = new_ids.pop()
-    return g, merged
+    return g, CouplingMatrix.from_graph(g), merged
 
 
 def f1_contracted(graph: MetricGraph, kappa: CouplingMatrix,
@@ -221,10 +223,8 @@ def f1_contracted(graph: MetricGraph, kappa: CouplingMatrix,
     at the merged vertex.  ``contraction_validation`` offers the slow
     shrinking-edge route for checking this identity.
     """
-    if path.vertex_count == 1:
-        return f1_entry(graph, kappa, z, vertex=path.root)
-    g, merged = _contract_along(graph, kappa, path)
-    return f1_entry(g, CouplingMatrix.from_graph(g), z, vertex=merged)
+    g, k, merged = _contract_along(graph, kappa, path)
+    return f1_entry(g, k, z, vertex=merged)
 
 
 def f1_shrunk(graph: MetricGraph, kappa: CouplingMatrix,
@@ -235,16 +235,10 @@ def f1_shrunk(graph: MetricGraph, kappa: CouplingMatrix,
     exists to validate the contraction identity numerically.
     """
     g = graph.with_couplings(kappa.diagonal)
-    merged_chain = [path.vertices_on_path[0]]
-    edits = {}
-    gg = g
-    for next_vertex, length in zip(path.vertices_on_path[1:],
-                                   path.ordered_edge_lengths):
-        eid = _find_edge(gg, merged_chain[-1], next_vertex, length)
-        edits[(merged_chain[-1], next_vertex)] = (eid, length)
-        merged_chain.append(next_vertex)
+    on_path = path.vertices_on_path
+    shrink = {_find_edge(g, u, v, length) for u, v, length
+              in zip(on_path, on_path[1:], path.ordered_edge_lengths)}
     new_edges = []
-    shrink = {eid for eid, _ in edits.values()}
     for e in g.edges:
         scale = delta if e.id in shrink else 1.0
         new_edges.append(Edge(e.u, e.v, e.length * scale))
@@ -271,33 +265,43 @@ def contraction_validation(graph: MetricGraph, kappa: CouplingMatrix,
 
 
 def forward_f1_oracle(graph: MetricGraph, kappa: CouplingMatrix):
-    """Callable (z, path=None) -> response entry, with the couplings baked in.
+    """Oracle (z, path) -> f1_contracted(graph, kappa, path, z), with the
+    couplings baked in.
 
     This is the oracle handed to the recovery pipeline in round-trip tests
     and by the command-line ``invert --oracle forward`` mode: the recovery
-    code sees only its values, never the couplings.
+    code sees only its values, never the couplings.  The recovery probes
+    one path at all its energies before the next, so the oracle contracts
+    each path once and keeps only the current path's contracted graph.
     """
-    def oracle(z, path: SpanningTreePath | None = None):
-        if path is None or path.vertex_count == 1:
-            vertex = None if path is None else path.root
-            return f1_entry(graph, kappa, z, vertex=vertex)
-        return f1_contracted(graph, kappa, path, z)
+    contracted = functools.lru_cache(maxsize=1)(
+        functools.partial(_contract_along, graph, kappa))
+
+    def oracle(z, path: SpanningTreePath):
+        g, k, merged = contracted(path)
+        return f1_entry(g, k, z, vertex=merged)
 
     return oracle
 
 
-def _probe(oracle, z, path: SpanningTreePath):
-    if path.vertex_count == 1:
-        try:
-            return oracle(z, path)
-        except TypeError:
-            return oracle(z)
-    try:
-        return oracle(z, path)
-    except TypeError as exc:
-        raise TypeError(
-            "oracle does not accept a path argument; plain z -> value "
-            "callables can only probe root paths (vertex count 1)") from exc
+def _ladder_fit(sample, tau0, levels, fit_tol, label):
+    """(c0, residual) of the least-squares fit sample(tau) ~ c0 + c1/tau +
+    c2/tau^2 over the ladder tau_j = tau0 * 2^j, j < levels.
+
+    A residual above fit_tol * (1 + |c0|) raises ExtrapolationDiverged
+    naming `label`, the path target or vertex.
+    """
+    taus = np.array([tau0 * 2.0 ** j for j in range(levels)])
+    design = np.column_stack([np.ones_like(taus), 1.0 / taus,
+                              1.0 / taus ** 2]).astype(complex)
+    samples = np.asarray([sample(tau) for tau in taus], dtype=complex)
+    coef, *_ = np.linalg.lstsq(design, samples, rcond=None)
+    fit = design @ coef
+    residual = float(np.max(np.abs(fit - samples)))
+    threshold = fit_tol * (1.0 + abs(coef[0]))
+    if residual > threshold:
+        raise ExtrapolationDiverged(residual, threshold, path=label)
+    return complex(coef[0]), residual
 
 
 def recover_path_sums(graph_topology: MetricGraph, rtd_oracle, paths,
@@ -305,36 +309,26 @@ def recover_path_sums(graph_topology: MetricGraph, rtd_oracle, paths,
                       fit_tol: float = FIT_TOL) -> list[PathSumEstimate]:
     """Fit the coupling sum along each path from deep negative-axis probes.
 
-    For the path V1..Vl the probe value obeys
+    For the path V1..Vl the probe value f = rtd_oracle(-tau^2, path), the
+    response entry with the path contracted into V1, obeys
 
-        -1/f1_contracted(-tau^2) = tau * D + (sum of couplings) + small,
+        -1/f = tau * D + (sum of couplings) + small,
         D = sum of lead-free degrees - 2*(l-1),
 
     so subtracting the degree drift and fitting c0 + c1/tau + c2/tau^2
-    over tau_j = tau0 * 2^j leaves the sum in c0.  A fit residual above
-    fit_tol * (1 + |c0|) raises ExtrapolationDiverged — the signature of a
-    wrong topology, a bad oracle, or tau0 too small for the edge lengths.
+    over tau_j = tau0 * 2^j leaves the sum in c0.  Each path is probed at
+    all its energies before the next, so an oracle contracts it once.  A
+    fit residual above fit_tol * (1 + |c0|) raises ExtrapolationDiverged —
+    the signature of a wrong topology, a bad oracle, or tau0 too small for
+    the edge lengths.
     """
-    taus = np.array([tau0 * 2.0 ** j for j in range(levels)])
-    design = np.column_stack([np.ones_like(taus), 1.0 / taus,
-                              1.0 / taus ** 2]).astype(complex)
     estimates = []
     for path in paths:
         D = sum(graph_topology.degree(v) for v in path.vertices_on_path)
         D -= 2 * (path.vertex_count - 1)
-        samples = []
-        for tau in taus:
-            f = _probe(rtd_oracle, -(tau * tau), path)
-            samples.append(-1.0 / f - tau * D)
-        samples = np.asarray(samples, dtype=complex)
-        coef, *_ = np.linalg.lstsq(design, samples, rcond=None)
-        fit = design @ coef
-        residual = float(np.max(np.abs(fit - samples)))
-        threshold = fit_tol * (1.0 + abs(coef[0]))
-        if residual > threshold:
-            raise ExtrapolationDiverged(residual, threshold,
-                                        path=path.target)
-        value = complex(coef[0])
+        value, residual = _ladder_fit(
+            lambda tau: -1.0 / rtd_oracle(-(tau * tau), path) - tau * D,
+            tau0, levels, fit_tol, path.target)
         if abs(value.imag) < 1e-12 * (1.0 + abs(value.real)):
             value = complex(value.real, 0.0)
         estimates.append(PathSumEstimate(path, value, residual))
@@ -385,10 +379,7 @@ def invert_couplings(graph_topology: MetricGraph, rtd_oracle,
     defaults to the first external vertex (the natural probe point), or
     the first vertex if the graph has no leads.
     """
-    if root is None:
-        ext = graph_topology.external_ids()
-        root = ext[0] if ext else graph_topology.vertex_ids()[0]
-    paths = spanning_tree(graph_topology, root)
+    paths = spanning_tree(graph_topology, _probe_vertex(graph_topology, root))
     estimates = recover_path_sums(graph_topology, rtd_oracle, paths,
                                   tau0=tau0, levels=levels, fit_tol=fit_tol)
     return recover_couplings(estimates), estimates
@@ -432,29 +423,16 @@ def recover_external_couplings(samples: RtDSamples,
     are rationally interpolated, so a log-spaced grid enclosing the ladder
     works, and exact ladder nodes work best.
     """
-    ext = graph_topology.external_ids()
-    taus = [tau0 * 2.0 ** j for j in range(levels)]
-    z_lo = -(max(taus) ** 2)
+    z_lo = -(max(tau0 * 2.0 ** j for j in range(levels)) ** 2)
     if samples.grid.min() > z_lo:
         warnings.warn(
             f"sample grid reaches only z={samples.grid.min():g}, ladder "
             f"needs z={z_lo:g}; extrapolating", ScanResolution)
     couplings = {}
-    taus_arr = np.array(taus)
-    design = np.column_stack([np.ones_like(taus_arr), 1.0 / taus_arr,
-                              1.0 / taus_arr ** 2]).astype(complex)
-    for j, vid in enumerate(ext):
+    for j, vid in enumerate(graph_topology.external_ids()):
         interp = barycentric(samples.grid, samples.values[:, j, j])
         D = graph_topology.degree(vid)
-        data = []
-        for tau in taus:
-            f = interp(-(tau * tau))
-            data.append(-1.0 / f - tau * D)
-        coef, *_ = np.linalg.lstsq(design, np.asarray(data), rcond=None)
-        fit = design @ coef
-        residual = float(np.max(np.abs(fit - np.asarray(data))))
-        threshold = fit_tol * (1.0 + abs(coef[0]))
-        if residual > threshold:
-            raise ExtrapolationDiverged(residual, threshold, path=vid)
-        couplings[vid] = complex(coef[0])
+        couplings[vid], _ = _ladder_fit(
+            lambda tau: -1.0 / interp(-(tau * tau)) - tau * D,
+            tau0, levels, fit_tol, vid)
     return couplings

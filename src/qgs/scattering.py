@@ -36,10 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FactorisationMismatch, NumericalError, SingularMatrix
+from .errors import FactorisationMismatch, NumericalError
 from .graphs import MetricGraph
 from .kernels import entire_cs
-from .weyl import COND_LIMIT, CouplingMatrix, weyl_full
+from .weyl import CouplingMatrix, checked_solve, weyl_full
 
 FACTOR_TOL = 1e-10
 
@@ -66,12 +66,6 @@ def external_block(graph: MetricGraph):
     return np.ix_(ext, ext)
 
 
-def _checked_solve(A, B, s, what):
-    if np.linalg.cond(A) > COND_LIMIT:
-        raise SingularMatrix(s, what)
-    return np.linalg.solve(A, B)
-
-
 def scattering_solves(graph: MetricGraph, kappa: CouplingMatrix | None,
                       s: float):
     """The two factors of the full product at energy s, each solved once.
@@ -86,8 +80,8 @@ def scattering_solves(graph: MetricGraph, kappa: CouplingMatrix | None,
     left = None
     if kappa is not None:
         K = kappa.as_array()
-        left = _checked_solve(M - K, Ms - K, s, "M - coupling")
-    return left, _checked_solve(Ms, M, s, "M*")
+        left = checked_solve(M - K, Ms - K, s, "M - coupling")
+    return left, checked_solve(Ms, M, s, "M*")
 
 
 def sigma_full(graph: MetricGraph, kappa: CouplingMatrix, s: float) -> np.ndarray:
@@ -203,10 +197,7 @@ def lead_matching_oracle(graph: MetricGraph, kappa: CouplingMatrix,
         add_const(r, first[2], -a * scale)
         r += 1
 
-    if np.linalg.cond(A) > COND_LIMIT:
-        raise SingularMatrix(s, "lead matching system")
-    X = np.linalg.solve(A, B)
-    return X[2 * n:, :]
+    return checked_solve(A, B, s, "lead matching system")[2 * n:, :]
 
 
 def sigma_sweep(graph: MetricGraph, kappa: CouplingMatrix, s_values):

@@ -30,6 +30,7 @@ modes.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -316,12 +317,15 @@ def _negative_window(graph, kappa):
     return min(window, 600.0 / l_max)
 
 
-def _zero_is_eigenvalue(graph, kappa, mode):
+def _zero_multiplicity(graph, kappa, mode):
+    """Multiplicity of z = 0 as an eigenvalue; 0 when it is none."""
     if mode == "weyl":
         A = _weyl_matrix_raw(graph, kappa, 0.0)
         sv = np.linalg.svd(A, compute_uv=False)
-        return sv[-1] < ZERO_MEMBER_REL * max(1.0, sv[0])
-    return multiplicity_at(graph, kappa, 0.0) > 0
+        if sv[-1] >= ZERO_MEMBER_REL * max(1.0, sv[0]):
+            return 0
+        return max(1, multiplicity_at(graph, kappa, 0.0))
+    return multiplicity_at(graph, kappa, 0.0)
 
 
 def compact_spectrum(graph: MetricGraph, kappa: CouplingMatrix, z_max,
@@ -359,20 +363,21 @@ def compact_spectrum(graph: MetricGraph, kappa: CouplingMatrix, z_max,
             found.append(-root.x * root.x)
 
     # z = 0 membership, decided analytically
-    zero_mult = 0
-    if _zero_is_eigenvalue(graph, kappa, mode):
-        zero_mult = max(1, multiplicity_at(graph, kappa, 0.0))
+    zero_mult = _zero_multiplicity(graph, kappa, mode)
 
     # positive part, scanned in k = sqrt(z)
     if z_max > 0.0:
         k_hi = math.sqrt(z_max)
         if mode == "weyl":
             f_pos = weyl_secular(graph, kappa)
-            mp_pos = lambda k: mp.mpf(_mp_weyl_secular(graph, kappa, float(k), 60))
+            mp_at = lambda k: mp.mpf(_mp_weyl_secular(graph, kappa, k, 60))
         else:
             f_pos = matching_det(graph, kappa)
-            mp_pos = lambda k: _mp_matching_det(graph, kappa, float(k) ** 2, 60)
-        refiner = _mp_tangent_refiner(mp_pos)
+            mp_at = lambda k: _mp_matching_det(graph, kappa, k ** 2, 60)
+        # evaluated at the double nearest to k: once the golden section is
+        # finer than their spacing it revisits doubles, so each is kept
+        mp_at = functools.cache(mp_at)
+        refiner = _mp_tangent_refiner(lambda k: mp_at(float(k)))
         for root in scan_roots(f_pos, min(1e-6, dk / 100), k_hi, dk,
                                refine_tangent=refiner):
             found.append(root.x * root.x)

@@ -89,6 +89,14 @@ class CouplingMatrix:
         return all(abs(a.imag) == 0.0 for a in self.diagonal)
 
 
+def checked_solve(A, B, z, what):
+    """Solve A X = B, refused with SingularMatrix(z, what) when cond(A)
+    exceeds COND_LIMIT (z is the energy, for the message)."""
+    if np.linalg.cond(A) > COND_LIMIT:
+        raise SingularMatrix(z, what)
+    return np.linalg.solve(A, B)
+
+
 def _check_poles(graph, z):
     # z=0 is removable (series limits 1/l, 1/l, 0), not a pole: genuine
     # poles sit at sqrt(z)*l = n*pi with n >= 1, outside the series region
@@ -171,11 +179,8 @@ def robin_to_dirichlet(graph: MetricGraph, kappa: CouplingMatrix, z) -> np.ndarr
     M = weyl_compact(graph, z).entries
     A = M - np.asarray(kappa.as_array() if isinstance(kappa, CouplingMatrix)
                        else kappa, dtype=complex)
-    if np.linalg.cond(A) > COND_LIMIT:
-        raise SingularMatrix(z, "M_compact - kappa")
     ext = [graph.vertex_index(v) for v in graph.external_ids()]
     rhs = np.zeros((graph.n_vertices, len(ext)), dtype=complex)
     for col, i in enumerate(ext):
         rhs[i, col] = 1.0
-    sol = np.linalg.solve(A, rhs)
-    return sol[ext, :]
+    return checked_solve(A, rhs, z, "M_compact - kappa")[ext, :]

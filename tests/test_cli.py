@@ -337,3 +337,34 @@ def test_spectrum_overflow_exits_3_without_traceback(tmp_path, capsys):
     assert rc == 3
     assert "numerical failure: secular function undefined" in err
     assert "Traceback" not in err
+
+
+def test_homog_computes_each_spectrum_once(tmp_path, monkeypatch):
+    """The convergence fit reuses the spectra of the dispersion rows."""
+    import qgs.cli
+    import qgs.highcontrast
+    calls = {"eps_spectrum": 0, "hom_tau_spectrum": 0}
+    for name in calls:
+        real = getattr(qgs.highcontrast, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        # every binding, so a call from either module counts
+        monkeypatch.setattr(qgs.cli, name, counting)
+        monkeypatch.setattr(qgs.highcontrast, name, counting)
+    rc = main(["homog", "--l1", "0.25", "--l2", "0.5",
+               "--eps-list", "0.02,0.01,0.005", "--tau-grid", "0,1.5",
+               "--bands", "2", "--out", str(tmp_path / "h.csv")])
+    assert rc == 0
+    assert "# convergence" in (tmp_path / "h.csv").read_text()
+    assert calls == {"eps_spectrum": 6, "hom_tau_spectrum": 2}
+
+
+def test_homog_duplicate_eps_is_invalid_input(capsys):
+    rc = main(["homog", "--l1", "0.25", "--l2", "0.5",
+               "--eps-list", "0.02,0.01,1e-2", "--tau-grid", "0",
+               "--bands", "1"])
+    assert rc == 2
+    assert capsys.readouterr().out == ""

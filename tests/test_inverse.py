@@ -250,3 +250,42 @@ def test_recover_external_from_samples():
     assert set(rec) == {"A", "C"}
     assert abs(rec["A"] - 0.9) < 1e-6
     assert abs(rec["C"] - 0.2) < 1e-6
+
+
+# --------------------------------------------------------------------------
+# oracle protocol and the work done per path
+# --------------------------------------------------------------------------
+
+def test_forward_oracle_contracts_each_path_once(star3, monkeypatch):
+    import qgs.inverse
+    calls = []
+    real = qgs.inverse.contract
+
+    def counting(graph, edge_id):
+        calls.append(edge_id)
+        return real(graph, edge_id)
+
+    monkeypatch.setattr(qgs.inverse, "contract", counting)
+    for g in (star3, chain(0.3, -0.4, 0.7, 1.2)):
+        calls.clear()
+        k = CouplingMatrix.from_values(g, [0.7, -0.2, 0.4, 0.1])
+        rec, _ = invert_couplings(g, forward_f1_oracle(g, k))
+        paths = spanning_tree(g, g.external_ids()[0])
+        assert len(calls) == sum(p.vertex_count - 1 for p in paths)
+        for vid, true in zip(g.vertex_ids(), k.diagonal):
+            assert abs(rec[vid] - true) < 1e-8
+
+
+def test_oracle_type_error_is_not_relabelled():
+    g = chain(0.3, -0.4, 0.7)
+    clean = forward_f1_oracle(g, CouplingMatrix.from_graph(g))
+
+    def faulty(z, path):
+        if path.vertex_count > 1:
+            raise TypeError("boom")
+        return clean(z, path)
+
+    with pytest.raises(TypeError) as info:
+        invert_couplings(g, faulty)
+    assert str(info.value) == "boom"
+    assert info.value.__cause__ is None

@@ -33,6 +33,8 @@ CASES = {
     "invert-forward": ["invert", "--graph-topology", "star.json",
                        "--oracle", "forward",
                        "--true-couplings", "0.5,-0.25,1,0.75"],
+    "invert-rtd-samples": ["invert", "--graph-topology", "two-leads.json",
+                           "--rtd-samples", "two-leads-rtd.csv"],
     "homog-study": ["homog", "--l1", "0.25", "--l2", "0.5",
                     "--eps-list", "0.02,0.01,0.005", "--tau-grid", "0,1.5",
                     "--bands", "2"],

@@ -247,3 +247,41 @@ def test_window_that_never_fills_is_a_scan_failure():
         grow_window(lambda hi: [1.0], 1.0, 3, 2.0, 4, "roots")
     assert grow_window(lambda hi: list(range(int(hi))), 1.0, 3, 2.0, 4,
                        "roots") == [0, 1, 2]
+
+
+@pytest.mark.parametrize("mode", ["weyl", "matching"])
+def test_positive_refiner_never_repeats_an_abscissa(mode, monkeypatch):
+    """The 60-digit golden section works on doubles once it is below their
+    spacing; each double is evaluated once."""
+    import os
+
+    import qgs.spectra as spectra
+    from qgs import load_graph
+    graph = load_graph(os.path.join(os.path.dirname(__file__), "pinned",
+                                    "star.json"))
+    name = "_mp_weyl_secular" if mode == "weyl" else "_mp_matching_det"
+    real, real_refiner = getattr(spectra, name), spectra._mp_tangent_refiner
+    refining, seen = [], []
+
+    def recording(graph, kappa, x, dps):
+        if refining and isinstance(x, float):  # positive axis: a double
+            seen.append(x)
+        return real(graph, kappa, x, dps)
+
+    def refiner(mp_f, **kwargs):
+        refine = real_refiner(mp_f, **kwargs)
+
+        def wrapped(a, b):
+            refining.append(True)
+            try:
+                return refine(a, b)
+            finally:
+                refining.pop()
+        return wrapped
+
+    monkeypatch.setattr(spectra, name, recording)
+    monkeypatch.setattr(spectra, "_mp_tangent_refiner", refiner)
+    eigs = spectra.compact_spectrum(graph, CouplingMatrix.from_graph(graph),
+                                    30.0, mode)
+    assert any(e.multiplicity == 2 for e in eigs)
+    assert seen and len(seen) == len(set(seen))
