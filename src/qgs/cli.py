@@ -23,15 +23,15 @@ import sys
 
 import numpy as np
 
-from .errors import (ExtrapolationDiverged, FactorisationMismatch, GraphError,
-                     InconsistentPaths, NumericalError, ParseError)
+from .errors import GraphError, InconsistentPaths, NumericalError, ParseError
 from .graphs import MetricGraph, load_graph, validate
-from .highcontrast import (HighContrastCell, Quasimomentum, convergence_fit,
+from .highcontrast import (HighContrastCell, Quasimomentum,
+                           build_dispersion_table, convergence_fit,
                            eps_spectrum, hom_dprime_spectrum,
                            hom_tau_spectrum)
 from .inverse import (RtDSamples, forward_f1_oracle, invert_couplings,
                       recover_external_couplings)
-from .scattering import sigma_external
+from .scattering import sigma_external, sigma_sweep
 from .spectra import compact_spectrum
 from .weyl import CouplingMatrix
 
@@ -42,20 +42,28 @@ def _fmt(x: float) -> str:
     return "%.17g" % float(x)
 
 
+def _finite(tokens, spec: str) -> list[float]:
+    values = [float(t) for t in tokens]
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"grid values must be finite, got {spec!r}")
+    return values
+
+
 def parse_grid(spec: str) -> list[float]:
-    """"a:b:step" (b inclusive up to rounding), "x,y,z", or a scalar."""
+    """"a:b:step" (b inclusive up to rounding), "x,y,z", or a scalar;
+    every number must be finite."""
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
             raise ValueError(f"range must be start:stop:step, got {spec!r}")
-        a, b, step = (float(p) for p in parts)
+        a, b, step = _finite(parts, spec)
         if step <= 0:
             raise ValueError("range step must be positive")
         n = int(math.floor((b - a) / step + 1e-9)) + 1
         if n < 1:
             raise ValueError(f"empty range {spec!r}")
         return [a + i * step for i in range(n)]
-    return [float(p) for p in spec.split(",") if p.strip() != ""]
+    return _finite((p for p in spec.split(",") if p.strip() != ""), spec)
 
 
 def _parse_couplings(spec: str) -> list[complex]:
@@ -154,22 +162,15 @@ def cmd_spectrum(args) -> int:
 
 def cmd_smatrix(args) -> int:
     graph = _load_valid_graph(args.graph)
-    if not graph.external_ids():
+    ext = graph.external_ids()
+    if not ext:
         raise GraphError("smatrix needs a graph with at least one lead")
     kappa = _coupling_from_args(graph, args.kappa, require_real=False)
     grid = parse_grid(args.s)
-    ext = graph.external_ids()
+    matrices, skipped = sigma_sweep(graph, kappa, grid, args.factor_tol)
 
-    def one(s):
-        try:
-            return sigma_external(graph, kappa, s, check_tol=args.factor_tol)
-        except (NumericalError, FactorisationMismatch) as exc:
-            return (s, type(exc).__name__)
-
-    results = [one(s) for s in grid]
-
-    if len(grid) == 1 and not isinstance(results[0], tuple):
-        sm = results[0]
+    if len(grid) == 1 and matrices:
+        sm = matrices[0]
         payload = {
             "s": sm.at_s,
             "external_order": list(ext),
@@ -194,21 +195,16 @@ def cmd_smatrix(args) -> int:
                 header += [f"re_{i}_{j}", f"im_{i}_{j}"]
         header.append("unitarity_defect")
         fh.write(",".join(header) + "\n")
-        skipped = []
-        for r in results:
-            if isinstance(r, tuple):
-                skipped.append(r)
-                continue
-            row = [_fmt(r.at_s)]
-            for v in r.entries.flat:
+        for sm in matrices:
+            row = [_fmt(sm.at_s)]
+            for v in sm.entries.flat:
                 row += [_fmt(v.real), _fmt(v.imag)]
-            row.append(_fmt(r.unitarity_defect))
+            row.append(_fmt(sm.unitarity_defect))
             fh.write(",".join(row) + "\n")
-        for s, reason in skipped:
-            fh.write(f"# skipped s={_fmt(s)} reason={reason}\n")
-    if any(isinstance(r, tuple) for r in results):
-        log.warning("%d grid points skipped",
-                    sum(isinstance(r, tuple) for r in results))
+        for s, exc in skipped:
+            fh.write(f"# skipped s={_fmt(s)} reason={type(exc).__name__}\n")
+    if skipped:
+        log.warning("%d grid points skipped", len(skipped))
     return 0
 
 
@@ -318,23 +314,19 @@ def cmd_homog(args) -> int:
     eps_values = [float(t) for t in eps_tokens]
     bands = args.bands
 
-    rows = []  # (model, tau, band, z)
-    spectra = []  # per eps, per tau: kept for the convergence fit
-    for tok, e in zip(eps_tokens, eps_values):
-        cell_e = cell.with_epsilon(e)
-        spectra.append([eps_spectrum(cell_e, t, bands) for t in taus])
-        for t, spec in zip(taus, spectra[-1]):
-            rows += [(f"eps:{tok}", t, b + 1, z) for b, z in enumerate(spec)]
-    limits = [hom_tau_spectrum(cell, t, bands) for t in taus]
-    for t, spec in zip(taus, limits):
-        rows += [("hom", t, b + 1, z) for b, z in enumerate(spec)]
-    for t in taus:
-        spec = hom_dprime_spectrum(cell, Quasimomentum(t).shifted(), bands)
-        rows += [("hom-shifted", t, b + 1, z) for b, z in enumerate(spec)]
+    eps_tables = [build_dispersion_table(cell.with_epsilon(e), taus, bands,
+                                         ("eps",)) for e in eps_values]
+    limits = build_dispersion_table(cell, taus, bands, ("hom", "hom-shifted"))
+    rows = [(f"eps:{tok}", t, b, z)
+            for tok, table in zip(eps_tokens, eps_tables)
+            for _, t, b, z in table.rows()]
+    rows += list(limits.rows())
 
     conv = []
     if len(eps_values) >= 3:
-        conv = convergence_fit(eps_values, taus, limits, spectra)
+        spectra = [table.eigenvalues["eps"] for table in eps_tables]
+        conv = convergence_fit(eps_values, taus, limits.eigenvalues["hom"],
+                               spectra)
 
     def write_dispersion(fh):
         fh.write("# qgs homog\n")
@@ -613,8 +605,7 @@ def main(argv=None) -> int:
     except (ParseError, GraphError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, ExtrapolationDiverged, InconsistentPaths,
-            FactorisationMismatch) as exc:
+    except (NumericalError, InconsistentPaths) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except BrokenPipeError:

@@ -349,8 +349,9 @@ def convergence_study(cell: HighContrastCell, eps_list, tau_list,
     """Both models' spectra over eps_list x tau_list, then
     ``convergence_fit`` on them."""
     eps_list = [float(e) for e in eps_list]
-    taus = [_tau_value(tau) for tau in tau_list]
-    limits = [hom_tau_spectrum(cell, t, bands) for t in taus]
-    spectra = [[eps_spectrum(cell.with_epsilon(e), t, bands) for t in taus]
+    limits = build_dispersion_table(cell, tau_list, bands, ("hom",))
+    spectra = [build_dispersion_table(cell.with_epsilon(e), tau_list, bands,
+                                      ("eps",)).eigenvalues["eps"]
                for e in eps_list]
-    return convergence_fit(eps_list, taus, limits, spectra)
+    return convergence_fit(eps_list, limits.taus,
+                           limits.eigenvalues["hom"], spectra)

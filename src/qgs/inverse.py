@@ -289,8 +289,15 @@ def _ladder_fit(sample, tau0, levels, fit_tol, label):
     c2/tau^2 over the ladder tau_j = tau0 * 2^j, j < levels.
 
     A residual above fit_tol * (1 + |c0|) raises ExtrapolationDiverged
-    naming `label`, the path target or vertex.
+    naming `label`, the path target or vertex.  tau0 must be finite and
+    positive, and levels at least 4: with only three levels the three
+    coefficients fit exactly, so the residual could never flag a
+    divergence.
     """
+    if not (math.isfinite(tau0) and tau0 > 0):
+        raise ValueError(f"tau0 must be finite and positive, got {tau0!r}")
+    if levels < 4:
+        raise ValueError(f"the ladder fit needs levels >= 4, got {levels}")
     taus = np.array([tau0 * 2.0 ** j for j in range(levels)])
     design = np.column_stack([np.ones_like(taus), 1.0 / taus,
                               1.0 / taus ** 2]).astype(complex)

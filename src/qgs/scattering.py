@@ -21,24 +21,25 @@ Two independent constructions live here:
   ``scattering_solves``, which assembles M and solves each factor once
   per energy.
 
-* ``lead_matching_oracle`` — plane-wave matching from scratch.  For a unit
-  incoming wave e^{-ikx} on one lead, solve the (2n + n_leads) linear
-  system of vertex conditions for the edge coefficients and outgoing
-  amplitudes.  This never touches the M-matrix, so it cross-checks the
-  algebra above.  (The two objects are unitarily related but not equal;
+* ``lead_matching_oracle`` — plane-wave matching.  For a unit incoming
+  wave e^{-ikx} on one lead, solve the (2n + n_leads) linear system of
+  vertex conditions for the edge coefficients and outgoing amplitudes.
+  The system is the vertex-matching assembly of the spectra, with one
+  lead end per lead (``spectra.matching_matrix``); it is built from the
+  entire edge kernels and never touches the M-matrix, so it cross-checks
+  the algebra above.  (The two objects are unitarily related but not equal;
   tests record their relation rather than asserting it.)
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FactorisationMismatch, NumericalError
 from .graphs import MetricGraph
-from .kernels import entire_cs
+from .spectra import matching_matrix
 from .weyl import CouplingMatrix, checked_solve, weyl_full
 
 FACTOR_TOL = 1e-10
@@ -136,81 +137,33 @@ def lead_matching_oracle(graph: MetricGraph, kappa: CouplingMatrix,
     """
     if s <= 0:
         raise ValueError("lead matching needs s > 0")
-    k = math.sqrt(s)
     leads = graph.external_ids()
     if not leads:
         return np.zeros((0, 0), dtype=complex)
-    n = graph.n_edges
-    dim = 2 * n + len(leads)
-    ecol = {e.id: 2 * i for i, e in enumerate(graph.edges)}
-    lcol = {v: 2 * n + i for i, v in enumerate(leads)}
-    lead_j = {v: j for j, v in enumerate(leads)}
-
-    # end datum: (value coeffs, deriv coeffs, value consts, deriv consts)
-    # coeffs are {column: coefficient}; consts are per-incoming-lead rows.
-    def compact_ends(e):
-        C, S = entire_cs(s, e.length)
-        u = ({ecol[e.id]: 1.0}, {ecol[e.id] + 1: 1.0})
-        v = ({ecol[e.id]: C, ecol[e.id] + 1: S},
-             {ecol[e.id]: s * S, ecol[e.id] + 1: -C})
-        return u, v
-
-    ends_at = {vid: [] for vid in graph.vertex_ids()}
-    for e in graph.edges:
-        u_end, v_end = compact_ends(e)
-        ends_at[e.u].append((u_end[0], u_end[1], None))
-        ends_at[e.v].append((v_end[0], v_end[1], None))
-    for v in leads:
-        # outgoing T e^{ikx}: value T, inward derivative ik T; incoming
-        # e^{-ikx} adds value 1 and inward derivative -ik on its own lead.
-        ends_at[v].append(({lcol[v]: 1.0}, {lcol[v]: 1j * k}, v))
-
-    A = np.zeros((dim, dim), dtype=complex)
-    B = np.zeros((dim, len(leads)), dtype=complex)
-    scale = 1.0 / max(1.0, k)
-    r = 0
-    for v in graph.vertices:
-        ends = ends_at[v.id]
-        if not ends:
-            continue
-        first = ends[0]
-
-        def add(row, coeffs, sign):
-            for col, c in coeffs.items():
-                A[row, col] += sign * c
-
-        def add_const(row, lead_vid, amount):
-            if lead_vid is not None:
-                B[row, lead_j[lead_vid]] -= amount  # move to RHS
-
-        for other in ends[1:]:
-            add(r, first[0], 1.0)
-            add_const(r, first[2], 1.0)
-            add(r, other[0], -1.0)
-            add_const(r, other[2], -1.0)
-            r += 1
-        a = complex(kappa.diagonal[graph.vertex_index(v.id)])
-        for end in ends:
-            add(r, {c: cf * scale for c, cf in end[1].items()}, 1.0)
-            add_const(r, end[2], -1j * k * scale)
-        add(r, {c: -a * cf * scale for c, cf in first[0].items()}, 1.0)
-        add_const(r, first[2], -a * scale)
-        r += 1
-
-    return checked_solve(A, B, s, "lead matching system")[2 * n:, :]
+    A = matching_matrix(graph, kappa, s, leads)
+    # columns: edge pairs, then (T, I) per lead; the unit incoming
+    # amplitudes move to the right-hand side
+    lead0 = 2 * graph.n_edges
+    unknown = list(range(lead0)) + list(range(lead0, A.shape[1], 2))
+    B = -A[:, lead0 + 1::2]
+    return checked_solve(A[:, unknown], B, s,
+                         "lead matching system")[lead0:, :]
 
 
-def sigma_sweep(graph: MetricGraph, kappa: CouplingMatrix, s_values):
-    """sigma_external over a grid; singular energies are skipped.
+def sigma_sweep(graph: MetricGraph, kappa: CouplingMatrix, s_values,
+                check_tol: float = FACTOR_TOL):
+    """sigma_external (with check_tol) over a grid; singular energies are
+    skipped.
 
-    Returns (matrices, skipped) where skipped is a list of
-    (s, reason) pairs for points where an inversion was singular or the
-    two routes disagreed.
+    Returns (matrices, skipped) in grid order, where skipped holds one
+    (float(s), exception) pair per point where an inversion was singular
+    or the two routes disagreed: the NumericalError instance, so callers
+    can report its type or its message.
     """
     matrices, skipped = [], []
     for s in s_values:
         try:
-            matrices.append(sigma_external(graph, kappa, s))
+            matrices.append(sigma_external(graph, kappa, s, check_tol))
         except NumericalError as exc:
-            skipped.append((float(s), str(exc)))
+            skipped.append((float(s), exc))
     return matrices, skipped

@@ -158,57 +158,65 @@ def _edge_end_data(z, l):
     return ((us, 0.0), (0.0, us)), ((Cs, Ss), (z * Ss, -Cs))
 
 
-def matching_matrix(graph: MetricGraph, kappa: CouplingMatrix, z):
-    """(2n)x(2n) system in per-edge coefficients (A_p, B_p).
+def matching_matrix(graph: MetricGraph, kappa: CouplingMatrix, z,
+                    leads=()):
+    """Vertex-matching system in per-edge coefficients (A_p, B_p).
 
     Edge p hosts u_p(x) = A_p C(z;x) + B_p S(z;x) on [0, l_p] with x=0 at
-    its 'from' end.  Rows: per vertex, (degree-1) continuity equations plus
-    one delta condition  sum of inward derivatives = coupling * value.
-    Derivative rows are scaled by 1/max(1, |k|) to keep the determinant
-    well-conditioned at large z (a positive continuous factor, so zeros and
-    sign changes are unaffected), and edge columns carry the scaling of
-    _edge_end_data.  The arithmetic follows z: a numpy complex matrix for a
-    Python number, an mpmath matrix for an mpmath number.
+    its 'from' end.  Rows: per vertex, (number of ends - 1) continuity
+    equations plus one delta condition  sum of inward derivatives =
+    coupling * value.  Derivative rows are scaled by 1/max(1, |k|) to keep
+    the determinant well-conditioned at large z (a positive continuous
+    factor, so zeros and sign changes are unaffected), and edge columns
+    carry the scaling of _edge_end_data.  The arithmetic follows z: a numpy
+    complex matrix for a Python number, an mpmath matrix for an mpmath
+    number.
+
+    Without leads the system is square, (2n)x(2n).  Each vertex id in
+    `leads` adds one lead end to that vertex: one more row and, after the
+    edge columns, two columns per lead in the given order, the outgoing
+    amplitude T and the incoming amplitude I.  Lead ends need a float z.
     """
-    n = graph.n_edges
+    n, m = graph.n_edges, len(leads)
     if is_mp(z):
-        A = mp.zeros(2 * n, 2 * n)
+        A = mp.zeros(2 * n + m, 2 * (n + m))
         scale = 1.0 / max(1.0, mp.sqrt(abs(z)))
     else:
         z = complex(z)
-        A = np.zeros((2 * n, 2 * n), dtype=complex)
+        A = np.zeros((2 * n + m, 2 * (n + m)), dtype=complex)
         scale = 1.0 / max(1.0, math.sqrt(abs(z)))
-    cols = {e.id: 2 * i for i, e in enumerate(graph.edges)}
-    # per-edge end data: (value_row, derivative_row) coefficient pairs
-    ends = {}  # (edge_id, which) -> ((cA_val, cB_val), (cA_der, cB_der))
+    # per vertex: (first column, ((cA_val, cB_val), (cA_der, cB_der))) per
+    # end; an end's coefficients act on its column and the next one
     incident = {v.id: [] for v in graph.vertices}
-    for e in graph.edges:
-        ends[(e.id, 0)], ends[(e.id, 1)] = _edge_end_data(z, e.length)
-        incident[e.u].append((e.id, 0))
-        incident[e.v].append((e.id, 1))
+    for i, e in enumerate(graph.edges):
+        u_end, v_end = _edge_end_data(z, e.length)
+        incident[e.u].append((2 * i, u_end))
+        incident[e.v].append((2 * i, v_end))
+    if leads:
+        ik = 1j * sqrt_upper(z)
+    for j, vid in enumerate(leads):
+        # outgoing T e^{ikx}: value T, inward derivative ik T; incoming
+        # I e^{-ikx}: value I, inward derivative -ik I.
+        incident[vid].append((2 * (n + j), ((1.0, 1.0), (ik, -ik))))
 
     r = 0
     for v in graph.vertices:
         ends_here = incident[v.id]
         if not ends_here:
             continue
-        first = ends_here[0]
-        for other in ends_here[1:]:
-            (cA, cB), _ = ends[first]
-            A[r, cols[first[0]]] += cA
-            A[r, cols[first[0]] + 1] += cB
-            (cA, cB), _ = ends[other]
-            A[r, cols[other[0]]] -= cA
-            A[r, cols[other[0]] + 1] -= cB
+        c0, ((cA0, cB0), _) = ends_here[0]
+        for c, ((cA, cB), _) in ends_here[1:]:
+            A[r, c0] += cA0
+            A[r, c0 + 1] += cB0
+            A[r, c] -= cA
+            A[r, c + 1] -= cB
             r += 1
-        for end in ends_here:
-            _, (dA, dB) = ends[end]
-            A[r, cols[end[0]]] += dA * scale
-            A[r, cols[end[0]] + 1] += dB * scale
-        (cA, cB), _ = ends[first]
+        for c, (_, (dA, dB)) in ends_here:
+            A[r, c] += dA * scale
+            A[r, c + 1] += dB * scale
         a = complex(kappa.diagonal[graph.vertex_index(v.id)])
-        A[r, cols[first[0]]] -= a * cA * scale
-        A[r, cols[first[0]] + 1] -= a * cB * scale
+        A[r, c0] -= a * cA0 * scale
+        A[r, c0 + 1] -= a * cB0 * scale
         r += 1
     return A
 
@@ -339,6 +347,8 @@ def compact_spectrum(graph: MetricGraph, kappa: CouplingMatrix, z_max,
     """
     if mode not in ("weyl", "matching"):
         raise ValueError(f"unknown mode {mode!r}")
+    if not math.isfinite(z_max):
+        raise ValueError(f"z_max must be finite, got {z_max!r}")
     _require_real(kappa)
     if graph.n_edges == 0:
         return []

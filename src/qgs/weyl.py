@@ -176,9 +176,7 @@ def robin_to_dirichlet(graph: MetricGraph, kappa: CouplingMatrix, z) -> np.ndarr
     Raises SingularMatrix when cond(M_compact - kappa) exceeds 1e12, i.e.
     when z is (numerically) an eigenvalue of the compact-graph operator.
     """
-    M = weyl_compact(graph, z).entries
-    A = M - np.asarray(kappa.as_array() if isinstance(kappa, CouplingMatrix)
-                       else kappa, dtype=complex)
+    A = weyl_compact(graph, z).entries - kappa.as_array()
     ext = [graph.vertex_index(v) for v in graph.external_ids()]
     rhs = np.zeros((graph.n_vertices, len(ext)), dtype=complex)
     for col, i in enumerate(ext):

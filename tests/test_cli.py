@@ -368,3 +368,39 @@ def test_homog_duplicate_eps_is_invalid_input(capsys):
                "--bands", "1"])
     assert rc == 2
     assert capsys.readouterr().out == ""
+
+
+# --------------------------------------------------------------------------
+# out-of-range numbers: exit 2 with a message, nothing on stdout
+# --------------------------------------------------------------------------
+
+def _refused(argv, capfd):
+    rc = main(argv)
+    captured = capfd.readouterr()  # file-descriptor level, so LAPACK too
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_spectrum_infinite_zmax_is_invalid_input(interval_file, capfd):
+    _refused(["spectrum", "--graph", interval_file, "--zmax", "inf"], capfd)
+
+
+def test_spectrum_nan_zmax_is_invalid_input(interval_file, capfd):
+    _refused(["spectrum", "--graph", interval_file, "--zmax", "nan"], capfd)
+
+
+def test_smatrix_infinite_grid_is_invalid_input(graph_file, capfd):
+    _refused(["smatrix", "--graph", graph_file, "--s", "1:inf:1"], capfd)
+
+
+def test_invert_zero_tau0_is_invalid_input(graph_file, capfd):
+    _refused(["invert", "--graph-topology", graph_file, "--oracle", "forward",
+              "--true-couplings", "0.5,-0.25,1.0", "--tau0", "0"], capfd)
+
+
+def test_invert_three_levels_is_invalid_input(graph_file, capfd):
+    """Three levels fit the three ladder coefficients exactly, leaving no
+    residual to detect a divergence with."""
+    _refused(["invert", "--graph-topology", graph_file, "--oracle", "forward",
+              "--true-couplings", "0.5,-0.25,1.0", "--levels", "3"], capfd)

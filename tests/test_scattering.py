@@ -150,6 +150,27 @@ def test_oracle_transmission_through_interval(lead_interval):
     assert abs(abs(R[0, 0]) - 1.0) < 1e-12
 
 
+def test_oracle_free_edge_transmits_with_its_phase():
+    """Edge A-B with leads at both ends and no couplings is a free line:
+    nothing reflects and each lead sees the other's wave delayed by e^{ikl}."""
+    l, s = 1.3, 2.7
+    g = MetricGraph([Vertex("A"), Vertex("B")], [Edge("A", "B", l)],
+                    leads=["A", "B"])
+    R = lead_matching_oracle(g, CouplingMatrix.zeros(g), s)
+    t = cmath.exp(1j * math.sqrt(s) * l)
+    assert np.abs(R - np.array([[0.0, t], [t, 0.0]])).max() < 1e-15
+
+
+def test_oracle_delta_reflection_on_a_line():
+    """A coupling a at A of the same line reflects |R_AA|^2 = a^2/(a^2+4k^2),
+    the delta potential's closed form."""
+    l, s, a = 1.3, 2.7, 0.9
+    g = MetricGraph([Vertex("A"), Vertex("B")], [Edge("A", "B", l)],
+                    leads=["A", "B"])
+    R = lead_matching_oracle(g, CouplingMatrix.from_values(g, [a, 0.0]), s)
+    assert abs(abs(R[0, 0]) ** 2 - a * a / (a * a + 4.0 * s)) < 1e-15
+
+
 def test_oracle_and_sigma_both_unitary_not_identical(star3):
     """The two conventions parametrise the same physics differently; they
     are separately unitary but differ as matrices."""
@@ -180,6 +201,17 @@ def test_sweep_preserves_order(star3):
     mats, skipped = sigma_sweep(star3, k, grid)
     assert not skipped
     assert [m.at_s for m in mats] == grid
+
+
+def test_sweep_passes_check_tol_and_keeps_the_exception(star3):
+    """A negative tolerance fails every cross-check, so each point is
+    skipped together with the FactorisationMismatch it raised."""
+    k = CouplingMatrix.from_values(star3, [0.1, 0.0, 0.0, 0.0])
+    grid = [1.0, 2.5, 4.0]
+    mats, skipped = sigma_sweep(star3, k, grid, check_tol=-1.0)
+    assert mats == []
+    assert [s for s, _ in skipped] == grid
+    assert all(isinstance(exc, FactorisationMismatch) for _, exc in skipped)
 
 
 def test_phase_continuity_along_grid(lead_interval):
