@@ -49,6 +49,10 @@ class HighContrastCell:
     epsilon: float | None = None
 
     def __post_init__(self):
+        for name in ("l1", "l2", "l3", "a", "epsilon"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if min(self.l1, self.l2, self.l3) <= 0:
             raise ValueError("layer widths must be positive")
         if abs(self.l1 + self.l2 + self.l3 - 1.0) > SUM_TOL:

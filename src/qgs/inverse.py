@@ -292,8 +292,10 @@ def _ladder_fit(sample, tau0, levels, fit_tol, label):
     naming `label`, the path target or vertex.  tau0 must be finite and
     positive, and levels at least 4: with only three levels the three
     coefficients fit exactly, so the residual could never flag a
-    divergence.
+    divergence.  A NaN fit_tol, which no residual can exceed, is refused.
     """
+    if math.isnan(fit_tol):
+        raise ValueError("fit_tol must be a number, got nan")
     if not (math.isfinite(tau0) and tau0 > 0):
         raise ValueError(f"tau0 must be finite and positive, got {tau0!r}")
     if levels < 4:

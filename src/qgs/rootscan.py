@@ -9,9 +9,10 @@ flavours:
   change (symmetry-induced double eigenvalues, band edges).  These show up
   as a deep local minimum of |f|.  They are refined either by bisecting an
   analytic derivative ``df`` (exact and cheap when available) or by a
-  caller-supplied ``refine_tangent`` callback (the spectrum code passes an
-  arbitrary-precision minimiser there), and accepted only if the refined
-  minimum is consistent with an actual zero.
+  caller-supplied ``refine_tangent`` callback (the spectrum code passes a
+  golden section on the smallest singular value of its kernel test there),
+  and accepted only if the refined minimum is consistent with an actual
+  zero.
 
 Evaluations returning NaN (e.g. a grid point landing exactly on a cleared
 pole) are retried at a slightly shifted abscissa; when every retry fails

@@ -33,6 +33,7 @@ Two independent constructions live here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,7 +106,10 @@ def sigma_external(graph: MetricGraph, kappa: CouplingMatrix, s: float,
 
     Raises FactorisationMismatch when projection and factorisation disagree
     beyond check_tol — a conditioning failure, not a formula discrepancy.
+    A NaN check_tol, which no defect can exceed, raises ValueError.
     """
+    if math.isnan(check_tol):
+        raise ValueError("check_tol must be a number, got nan")
     ext = external_block(graph)
     left, right = scattering_solves(graph, kappa, s)
     projected = (left @ right)[ext]

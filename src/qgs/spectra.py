@@ -22,15 +22,17 @@ raw determinant is scanned in kappa = sqrt(-z).  z = 0 is decided
 analytically (kernel test), since k = 0 is a spurious zero of d of order
 n_edges.
 
-Eigenvalue multiplicity is the numerical kernel dimension of the matching
-matrix at the root (singular values below 1e-8 * ||matrix||), for both
-modes.
+Both modes share one float kernel test: z is an eigenvalue where a
+pole-free, bounded matrix loses rank, by its multiplicity -- M(z) - kappa
+for z < 0, the matching matrix for z >= 0.  Multiplicity counts its
+relative singular values below 1e-8; tangent (double) roots are located
+by a golden section on the smallest.  mpmath remains only in the weyl
+route's evaluation near a pole and in two 60-digit reference determinants.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -250,54 +252,53 @@ def _mp_matching_det(graph, kappa, z, dps):
         return mp.re(mp.det(matching_matrix(graph, kappa, mp.mpf(z))))
 
 
+# --------------------------------------------------------------------------
+# kernel test: multiplicities and tangent roots
+# --------------------------------------------------------------------------
+
+def _kernel_values(graph, kappa, z):
+    """Descending singular values of the kernel-test matrix at real z over
+    its scale: M(z) - kappa over ||M(z)|| + ||kappa|| (max row sums) for
+    z < 0, the matching matrix over its largest singular value for z >= 0."""
+    if z < 0:
+        M = compact_entries(graph, z)
+        sv = np.linalg.svd(M - np.diag(kappa.diagonal), compute_uv=False)
+        return sv / (np.linalg.norm(M, np.inf) + max(map(abs, kappa.diagonal)))
+    sv = np.linalg.svd(matching_matrix(graph, kappa, z), compute_uv=False)
+    return sv / sv[0] if sv.size else sv
+
+
 def multiplicity_at(graph: MetricGraph, kappa: CouplingMatrix, z) -> int:
-    """Numerical kernel dimension of the matching matrix at z."""
-    A = matching_matrix(graph, kappa, z)
-    sv = np.linalg.svd(A, compute_uv=False)
-    if sv.size == 0:
-        return 0
-    return int(np.sum(sv < KERNEL_REL * sv[0]))
+    """Numerical kernel dimension at real z: the singular values of
+    M(z) - kappa (z < 0) or of the matching matrix (z >= 0) below
+    KERNEL_REL relative to the matrix's scale."""
+    return int(np.sum(_kernel_values(graph, kappa, z) < KERNEL_REL))
 
 
-# --------------------------------------------------------------------------
-# tangent-root refinement in arbitrary precision
-# --------------------------------------------------------------------------
+def _tangent_refiner(graph, kappa, sign):
+    """refine_tangent(a, b) for a scan in x = sqrt(|z|), z = sign * x^2:
+    golden section on the smallest value of _kernel_values until no double
+    is left between its points, accepted as a root only below KERNEL_REL,
+    so a near-closed gap stays rejected."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
 
-def _mp_golden_min(fabs, a, b, tol):
-    """Golden-section minimiser of fabs on [a, b] (mp floats)."""
-    invphi = (mp.sqrt(5) - 1) / 2
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = fabs(x1), fabs(x2)
-    while b - a > tol:
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = fabs(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = fabs(x2)
-    return (a + b) / 2
+    def smallest(x):
+        return _kernel_values(graph, kappa, sign * x * x)[-1]
 
-
-def _mp_tangent_refiner(mp_f, dps=60, accept_rel=1e-15):
-    """refine_tangent(a, b) using arbitrary-precision evaluation.
-
-    Accepts the minimum as a (double) root only when the refined minimum is
-    ~zero relative to the dip walls; a near-closed gap stays rejected.
-    """
     def refine(a, b):
-        with mp.workdps(dps):
-            am, bm = mp.mpf(a), mp.mpf(b)
-            fabs = lambda x: abs(mp_f(x))
-            wall = max(fabs(am), fabs(bm))
-            if wall == 0:
-                return None
-            x = _mp_golden_min(fabs, am, bm, mp.mpf(10) ** (-20))
-            if fabs(x) <= accept_rel * wall:
-                return float(x)
-        return None
+        x1, x2 = b - invphi * (b - a), a + invphi * (b - a)
+        f1, f2 = smallest(x1), smallest(x2)
+        while a < x1 < x2 < b:
+            if f1 < f2:
+                b, x2, f2 = x2, x1, f1
+                x1 = b - invphi * (b - a)
+                f1 = smallest(x1)
+            else:
+                a, x1, f1 = x1, x2, f2
+                x2 = a + invphi * (b - a)
+                f2 = smallest(x2)
+        x, fx = (x1, f1) if f1 < f2 else (x2, f2)
+        return x if fx < KERNEL_REL else None
 
     return refine
 
@@ -342,8 +343,9 @@ def compact_spectrum(graph: MetricGraph, kappa: CouplingMatrix, z_max,
 
     mode "weyl": zeros of the cleared M-matrix secular determinant;
     mode "matching": zeros of the vertex-matching determinant.
-    Multiplicities come from the matching-matrix kernel in both modes and
-    nearby roots are merged within 1e-8.  Leads are ignored.
+    In both modes tangent roots and multiplicities come from the kernel
+    test of _kernel_values, and nearby roots are merged within 1e-8.  Leads
+    are ignored.
     """
     if mode not in ("weyl", "matching"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -355,42 +357,21 @@ def compact_spectrum(graph: MetricGraph, kappa: CouplingMatrix, z_max,
 
     total = graph.total_length()
     dk = math.pi / (8.0 * total)
+    secular = {"weyl": (weyl_secular_negative, weyl_secular),
+               "matching": (matching_det_negative, matching_det)}[mode]
+    halves = ((-1.0, _negative_window(graph, kappa), secular[0]),
+              (1.0, math.sqrt(max(z_max, 0.0)), secular[1]))
 
+    # each half-axis is scanned in x = sqrt(|z|), z = sign * x^2
     found = []  # raw z values
-
-    # negative part, scanned in q = sqrt(-z)
-    q_hi = _negative_window(graph, kappa)
-    if q_hi > 0.0:
-        if mode == "weyl":
-            f_neg = weyl_secular_negative(graph, kappa)
-            mp_neg = lambda q: mp.re(_mp_weyl_det_negative(graph, kappa, q))
-        else:
-            f_neg = matching_det_negative(graph, kappa)
-            mp_neg = lambda q: _mp_matching_det(graph, kappa, -q * q, 60)
-        refiner = _mp_tangent_refiner(mp_neg)
-        for root in scan_roots(f_neg, min(1e-6, dk / 100), q_hi, dk,
-                               refine_tangent=refiner):
-            found.append(-root.x * root.x)
+    for sign, x_hi, make_f in halves:
+        refine = _tangent_refiner(graph, kappa, sign)
+        for root in scan_roots(make_f(graph, kappa), min(1e-6, dk / 100),
+                               x_hi, dk, refine_tangent=refine):
+            found.append(sign * root.x * root.x)
 
     # z = 0 membership, decided analytically
     zero_mult = _zero_multiplicity(graph, kappa, mode)
-
-    # positive part, scanned in k = sqrt(z)
-    if z_max > 0.0:
-        k_hi = math.sqrt(z_max)
-        if mode == "weyl":
-            f_pos = weyl_secular(graph, kappa)
-            mp_at = lambda k: mp.mpf(_mp_weyl_secular(graph, kappa, k, 60))
-        else:
-            f_pos = matching_det(graph, kappa)
-            mp_at = lambda k: _mp_matching_det(graph, kappa, k ** 2, 60)
-        # evaluated at the double nearest to k: once the golden section is
-        # finer than their spacing it revisits doubles, so each is kept
-        mp_at = functools.cache(mp_at)
-        refiner = _mp_tangent_refiner(lambda k: mp_at(float(k)))
-        for root in scan_roots(f_pos, min(1e-6, dk / 100), k_hi, dk,
-                               refine_tangent=refiner):
-            found.append(root.x * root.x)
 
     # merge clusters and attach multiplicities
     found.sort()

@@ -13,6 +13,7 @@ external blocks follow the sorted external-id order.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -57,6 +58,12 @@ class CouplingMatrix:
 
     ids: tuple[str, ...]
     diagonal: tuple[complex, ...]
+
+    def __post_init__(self):
+        for vid, a in zip(self.ids, self.diagonal):
+            if not cmath.isfinite(a):
+                raise ValueError(f"coupling at vertex {vid!r} must be "
+                                 f"finite, got {a!r}")
 
     @classmethod
     def zeros(cls, graph: MetricGraph) -> "CouplingMatrix":

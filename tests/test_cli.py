@@ -374,12 +374,15 @@ def test_homog_duplicate_eps_is_invalid_input(capsys):
 # out-of-range numbers: exit 2 with a message, nothing on stdout
 # --------------------------------------------------------------------------
 
-def _refused(argv, capfd):
+def _refused(argv, capfd, names=""):
+    """Exit 2, nothing on stdout, and an error message containing `names`,
+    the bad input's name."""
     rc = main(argv)
     captured = capfd.readouterr()  # file-descriptor level, so LAPACK too
     assert rc == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    assert names in captured.err
 
 
 def test_spectrum_infinite_zmax_is_invalid_input(interval_file, capfd):
@@ -404,3 +407,37 @@ def test_invert_three_levels_is_invalid_input(graph_file, capfd):
     residual to detect a divergence with."""
     _refused(["invert", "--graph-topology", graph_file, "--oracle", "forward",
               "--true-couplings", "0.5,-0.25,1.0", "--levels", "3"], capfd)
+
+
+def test_smatrix_nan_factor_tol_is_invalid_input(graph_file, capfd):
+    """No defect exceeds a NaN tolerance, so the check could never fire."""
+    _refused(["smatrix", "--graph", graph_file, "--s", "1,2",
+              "--factor-tol", "nan"], capfd, "check_tol")
+
+
+def test_invert_nan_fit_tol_is_invalid_input(graph_file, capfd):
+    _refused(["invert", "--graph-topology", graph_file, "--oracle", "forward",
+              "--true-couplings", "0.5,-0.25,1.0", "--fit-tol", "nan"], capfd,
+             "fit_tol")
+
+
+def _homog(l1="0.25", a="1", eps="0.1,0.05,0.02"):
+    return ["homog", "--l1", l1, "--l2", "0.5", "--a", a, "--eps-list", eps,
+            "--tau-grid", "0", "--bands", "1"]
+
+
+def test_homog_infinite_epsilon_is_invalid_input(capfd):
+    _refused(_homog(eps="inf,0.1,0.05"), capfd, "epsilon must be finite")
+
+
+def test_homog_nan_width_is_invalid_input(capfd):
+    _refused(_homog(l1="nan"), capfd, "l1 must be finite")
+
+
+def test_homog_infinite_contrast_is_invalid_input(capfd):
+    _refused(_homog(a="inf"), capfd, "a must be finite")
+
+
+def test_spectrum_nan_coupling_is_invalid_input(interval_file, capfd):
+    _refused(["spectrum", "--graph", interval_file, "--zmax", "10",
+              "--kappa", "nan,0"], capfd, "vertex 'A'")

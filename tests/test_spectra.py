@@ -13,8 +13,8 @@ from qgs import (CouplingMatrix, Edge, Eigenvalue, MetricGraph,
                  multiplicity_at, weyl_secular)
 from qgs.rootscan import grow_window, scan_roots
 from qgs.spectra import (_mp_matching_det, _mp_weyl_det_negative,
-                         _mp_weyl_secular, matching_det_negative,
-                         weyl_secular_negative)
+                         _mp_weyl_secular, _tangent_refiner,
+                         matching_det_negative, weyl_secular_negative)
 from qgs.testing import make_random_graph
 
 
@@ -115,12 +115,24 @@ def test_attractive_interval_bound_state(interval):
 
 @pytest.mark.parametrize("mode", ["weyl", "matching"])
 def test_deep_well(interval, mode):
-    """Strongly attractive ends: ground state at -a^2 up to e^{-a}."""
+    """Strongly attractive ends: ground state at -a^2 up to e^{-a}.  The
+    even and odd states split by ~e^{-a}, far below double precision, so
+    -a^2 is a double eigenvalue."""
     k = CouplingMatrix.from_values(interval, [-40.0, -40.0])
-    eig = flatten(compact_spectrum(interval, k, 1.0, mode))
-    neg = [z for z in eig if z < 0]
+    eigs = compact_spectrum(interval, k, 1.0, mode)
+    neg = [z for z in flatten(eigs) if z < 0]
     assert neg
     assert neg[0] == pytest.approx(-1600.0, rel=1e-10)
+    assert eigs[0].multiplicity == 2
+
+
+def test_deep_well_kernel_is_empty_away_from_the_root(interval):
+    """M(z) - kappa is bounded on the negative axis, so its kernel test
+    sees no eigenvalue at -1500, where the matching matrix is scaled by
+    cosh(39)."""
+    k = CouplingMatrix.from_values(interval, [-40.0, -40.0])
+    assert multiplicity_at(interval, k, -1500.0) == 0
+    assert multiplicity_at(interval, k, -1600.0) == 2
 
 
 def test_positive_couplings_have_no_negative_spectrum(star3):
@@ -157,6 +169,16 @@ def test_multiplicity_at_double():
                     [Edge("A", "B", 1.0), Edge("A", "B", 1.0)])
     assert multiplicity_at(g, zeros(g), math.pi ** 2) == 2
     assert multiplicity_at(g, zeros(g), 2.0) == 0
+
+
+def test_tangent_refiner_finds_the_double_root():
+    """Two parallel unit edges: pi^2 is a double eigenvalue, a tangent root
+    of the scanned determinants, located to the double nearest pi."""
+    g = MetricGraph([Vertex("A"), Vertex("B")],
+                    [Edge("A", "B", 1.0), Edge("A", "B", 1.0)])
+    refine = _tangent_refiner(g, zeros(g), 1.0)
+    assert refine(3.0, 3.3) == pytest.approx(math.pi, rel=1e-15)
+    assert refine(2.0, 2.5) is None  # no eigenvalue in (4, 6.25)
 
 
 def test_eigenvalue_record():
@@ -247,41 +269,3 @@ def test_window_that_never_fills_is_a_scan_failure():
         grow_window(lambda hi: [1.0], 1.0, 3, 2.0, 4, "roots")
     assert grow_window(lambda hi: list(range(int(hi))), 1.0, 3, 2.0, 4,
                        "roots") == [0, 1, 2]
-
-
-@pytest.mark.parametrize("mode", ["weyl", "matching"])
-def test_positive_refiner_never_repeats_an_abscissa(mode, monkeypatch):
-    """The 60-digit golden section works on doubles once it is below their
-    spacing; each double is evaluated once."""
-    import os
-
-    import qgs.spectra as spectra
-    from qgs import load_graph
-    graph = load_graph(os.path.join(os.path.dirname(__file__), "pinned",
-                                    "star.json"))
-    name = "_mp_weyl_secular" if mode == "weyl" else "_mp_matching_det"
-    real, real_refiner = getattr(spectra, name), spectra._mp_tangent_refiner
-    refining, seen = [], []
-
-    def recording(graph, kappa, x, dps):
-        if refining and isinstance(x, float):  # positive axis: a double
-            seen.append(x)
-        return real(graph, kappa, x, dps)
-
-    def refiner(mp_f, **kwargs):
-        refine = real_refiner(mp_f, **kwargs)
-
-        def wrapped(a, b):
-            refining.append(True)
-            try:
-                return refine(a, b)
-            finally:
-                refining.pop()
-        return wrapped
-
-    monkeypatch.setattr(spectra, name, recording)
-    monkeypatch.setattr(spectra, "_mp_tangent_refiner", refiner)
-    eigs = spectra.compact_spectrum(graph, CouplingMatrix.from_graph(graph),
-                                    30.0, mode)
-    assert any(e.multiplicity == 2 for e in eigs)
-    assert seen and len(seen) == len(set(seen))
