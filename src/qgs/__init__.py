@@ -29,8 +29,7 @@ from .scattering import (ScatteringMatrix, external_factors,
                          lead_matching_oracle, sigma_external, sigma_full,
                          sigma_projected, sigma_sweep)
 from .spectra import (Eigenvalue, compact_eigenvalues, compact_spectrum,
-                      matching_det, matching_matrix, multiplicity_at,
-                      weyl_secular)
+                      matching_det, matching_matrix, multiplicity_at)
 from .weyl import (CouplingMatrix, SpectralPoint, WeylMatrix,
                    external_projector, robin_to_dirichlet, weyl_compact,
                    weyl_full)
@@ -56,5 +55,5 @@ __all__ = [
     "recover_external_couplings", "recover_path_sums", "robin_to_dirichlet",
     "serialize_graph", "sigma_external", "sigma_full", "sigma_projected",
     "sigma_sweep", "spanning_tree", "transfer_matrix", "validate",
-    "weyl_compact", "weyl_full", "weyl_secular",
+    "weyl_compact", "weyl_full",
 ]

@@ -32,7 +32,7 @@ from .highcontrast import (HighContrastCell, Quasimomentum,
 from .inverse import (RtDSamples, forward_f1_oracle, invert_couplings,
                       recover_external_couplings)
 from .scattering import sigma_external, sigma_sweep
-from .spectra import compact_spectrum
+from .spectra import MERGE_TOL, compact_spectrum
 from .weyl import CouplingMatrix
 
 log = logging.getLogger("qgs")
@@ -123,6 +123,22 @@ class _Out:
 # spectrum
 # --------------------------------------------------------------------------
 
+def _paired_rows(ws, ms):
+    """(weyl, matching) eigenvalue rows in ascending order: values that
+    agree within MERGE_TOL relative to max(1, |z|) share a row, a value the
+    other route lacks gets None."""
+    rows, ws, ms = [], list(ws), list(ms)
+    while ws or ms:
+        w, m = (ws or [None])[0], (ms or [None])[0]
+        if w and m and abs(w.z - m.z) <= MERGE_TOL * max(1.0, abs(w.z)):
+            rows.append((ws.pop(0), ms.pop(0)))
+        elif w and (not m or w.z < m.z):
+            rows.append((ws.pop(0), None))
+        else:
+            rows.append((None, ms.pop(0)))
+    return rows
+
+
 def cmd_spectrum(args) -> int:
     graph = _load_valid_graph(args.graph)
     kappa = _coupling_from_args(graph, args.kappa, require_real=True)
@@ -138,16 +154,15 @@ def cmd_spectrum(args) -> int:
             _fmt(c.real) for c in kappa.diagonal))
         if args.mode == "both":
             ws, ms = results["weyl"], results["matching"]
-            if len(ws) != len(ms):
+            rows = _paired_rows(ws, ms)
+            if not len(ws) == len(ms) == len(rows):
                 log.warning("mode disagreement: %d weyl vs %d matching "
-                            "eigenvalues", len(ws), len(ms))
+                            "eigenvalues in %d rows", len(ws), len(ms),
+                            len(rows))
             fh.write("index,eigenvalue_weyl,eigenvalue_matching,multiplicity\n")
-            for i in range(max(len(ws), len(ms))):
-                zw = _fmt(ws[i].z) if i < len(ws) else "nan"
-                zm = _fmt(ms[i].z) if i < len(ms) else "nan"
-                mult = ms[i].multiplicity if i < len(ms) else (
-                    ws[i].multiplicity if i < len(ws) else 0)
-                fh.write(f"{i},{zw},{zm},{mult}\n")
+            for i, (w, m) in enumerate(rows):
+                zw, zm = (_fmt(e.z) if e else "nan" for e in (w, m))
+                fh.write(f"{i},{zw},{zm},{(m or w).multiplicity}\n")
         else:
             eig = results[args.mode]
             fh.write("index,eigenvalue,multiplicity,mode\n")

@@ -16,10 +16,9 @@ square-root branch fixed by Im sqrt(z) >= 0.  Three evaluation regimes:
 Each kernel has one source, ``_kernels``, instantiated for two arithmetic
 types: complex floats (``kcot``, ``kcsc``, ...) and mpmath arbitrary
 precision at the working precision (``mp_kcot``, ``mp_kcsc``, ...).  The
-mpmath versions keep every digit (no dust is zeroed); the spectrum scanner
-uses them near pole-coincident roots where the float secular function
-loses sign accuracy.  The matrix assemblies pick the arithmetic from the
-type of z, see ``is_mp``.
+mpmath versions keep every digit (no dust is zeroed); the 60-digit
+reference determinants of ``spectra`` use them.  The matrix assemblies
+pick the arithmetic from the type of z, see ``is_mp``.
 """
 
 import cmath

@@ -1,22 +1,21 @@
 """Grid scan + bisection root finder for real secular functions.
 
-The functions scanned here (cleared secular determinants, matching-system
-determinants, Bloch dispersion differences) are real-analytic with two root
-flavours:
+The functions scanned here (matching-system determinants, Bloch dispersion
+differences) are real-analytic with two root flavours:
 
 * crossings  — sign changes, refined by plain bisection;
 * tangencies — double roots where the function touches zero without a sign
   change (symmetry-induced double eigenvalues, band edges).  These show up
   as a deep local minimum of |f|.  They are refined either by bisecting an
   analytic derivative ``df`` (exact and cheap when available) or by a
-  caller-supplied ``refine_tangent`` callback (the spectrum code passes a
+  caller-supplied ``refine_tangent`` callback (the matching route passes a
   golden section on the smallest singular value of its kernel test there),
   and accepted only if the refined minimum is consistent with an actual
   zero.
 
-Evaluations returning NaN (e.g. a grid point landing exactly on a cleared
-pole) are retried at a slightly shifted abscissa; when every retry fails
-too, the scan raises ScanFailure.  ``grow_window`` is the one loop that
+Evaluations returning NaN or inf (e.g. an overflowing determinant) are
+retried at a slightly shifted abscissa; when every retry fails too, the
+scan raises ScanFailure.  ``grow_window`` is the one loop that
 widens a scan window until it holds enough roots.
 """
 

@@ -1,33 +1,30 @@
 """Compact-graph spectra via two independent routes.
 
-``weyl`` mode scans the cleared secular function
+``weyl`` mode counts eigenvalues.  M(z) is a matrix Herglotz function, so
+away from its poles z = (n pi / l_p)^2 the number of eigenvalues below z is
 
-    d(z) = det(M_compact(z) - kappa) * prod_p sin(sqrt(z) l_p)
+    N(z) = sum_p #{n >= 1 : (n pi / l_p)^2 < z} + #{eig(M(z) - kappa) > 0}
 
-whose zeros on the real axis are exactly the eigenvalues: the sine product
-cancels the trigonometric poles of the M-matrix entries, so sign scanning
-cannot misfire at a pole.  Near pole-coincident roots (e.g. the Neumann
-points k = n*pi/l, where det blows up while the product vanishes) the float
-evaluation of the product loses sign accuracy at distance ~sqrt(eps) from
-the root, so evaluation switches to arbitrary precision there.
+(Friedlander, ARMA 116, 1991; Berkolaiko & Kuchment, Introduction to
+Quantum Graphs, 2013).  The route bisects on N in t = sign(z) sqrt|z| to
+full double precision; a jump's size is its multiplicity.  No scan grid,
+so no pair of eigenvalues is too close to see.  N(-T^2) = 0 makes -T^2 an
+exact lower window.  Near a root on a pole or at z = 0 the float count is
+off (by about 3e-8 in z on a pole), so such roots move onto that point.
 
 ``matching`` mode is the independent oracle: it builds the (2n)x(2n) linear
 system in per-edge coefficients u_p = A_p*C(z;x) + B_p*S(z;x) from vertex
-continuity and the delta conditions, and scans its determinant.  The basis
-kernels C, S are entire in z, so this determinant needs no pole handling
-at all — which is what makes the two modes genuinely independent checks.
+continuity and the delta conditions, and scans its determinant in sqrt|z|
+for sign changes (for z < 0 in the count's window).  The basis kernels
+C, S are entire in z, so this determinant needs no pole handling at all --
+which is what makes the two modes genuinely independent checks.
 
-For z < 0 the sine product has no zeros, so no clearing is needed and the
-raw determinant is scanned in kappa = sqrt(-z).  z = 0 is decided
-analytically (kernel test), since k = 0 is a spurious zero of d of order
-n_edges.
-
-Both modes share one float kernel test: z is an eigenvalue where a
-pole-free, bounded matrix loses rank, by its multiplicity -- M(z) - kappa
-for z < 0, the matching matrix for z >= 0.  Multiplicity counts its
-relative singular values below 1e-8; tangent (double) roots are located
-by a golden section on the smallest.  mpmath remains only in the weyl
-route's evaluation near a pole and in two 60-digit reference determinants.
+The kernel test: z is an eigenvalue where a pole-free, bounded matrix
+loses rank, by its multiplicity -- M(z) - kappa for z < 0, the matching
+matrix for z >= 0.  Multiplicity counts its relative singular values below
+1e-8; it gives the matching route its multiplicities, tangent roots (by a
+golden section on the smallest) and z = 0, and gates the weyl route's
+snap.  mpmath remains only in three 60-digit reference determinants.
 """
 
 from __future__ import annotations
@@ -46,8 +43,7 @@ from .weyl import CouplingMatrix, compact_entries
 
 MERGE_TOL = 1e-8          # roots closer than this (in z) are one eigenvalue
 KERNEL_REL = 1e-8         # singular-value cutoff for multiplicity
-MP_SIN_SWITCH = 1e-4      # switch d(z) evaluation to mpmath below this
-ZERO_MEMBER_REL = 1e-10   # relative sigma_min threshold for z=0 membership
+SNAP_REL = 1e-7           # counted roots this close (in t) snap to 0 or a pole
 
 
 @dataclass(frozen=True)
@@ -56,17 +52,12 @@ class Eigenvalue:
     multiplicity: int
 
 
-def _require_real(kappa: CouplingMatrix):
-    if not kappa.is_real:
-        raise ValueError("real spectrum scan requires real couplings")
-
-
 # --------------------------------------------------------------------------
-# secular functions
+# the eigenvalue count
 # --------------------------------------------------------------------------
 
 def _weyl_matrix_raw(graph, kappa, z):
-    """M_compact(z) - kappa without pole guards (scan code handles poles
+    """M_compact(z) - kappa without pole guards (the count handles poles
     itself), in the arithmetic of z."""
     M = compact_entries(graph, z)
     if not is_mp(z):
@@ -77,8 +68,38 @@ def _weyl_matrix_raw(graph, kappa, z):
     return M
 
 
+def _eigen_count(graph, kappa, t):
+    """N(z) at z = t|t|: the Dirichlet count plus the number of positive
+    eigenvalues of M(z) - kappa."""
+    with np.errstate(all="ignore"):
+        A = _weyl_matrix_raw(graph, kappa, t * abs(t)).real
+    n = int(np.sum(np.linalg.eigvalsh(A) > 0.0))
+    if t > 0.0:
+        n += sum(math.ceil(t * e.length / math.pi) - 1 for e in graph.edges)
+    return n
+
+
+def _count_jumps(graph, kappa, lo, hi):
+    """(t, jump) for every jump of the count on (lo, hi], given none below
+    lo: each bracket whose end counts differ is halved until its midpoint
+    is no longer a double strictly inside it."""
+    jumps = []
+    stack = [(lo, hi, 0, _eigen_count(graph, kappa, hi))]
+    while stack:
+        a, b, na, nb = stack.pop()
+        if na == nb:
+            continue
+        m = 0.5 * (a + b)
+        if not a < m < b:
+            jumps.append((m, nb - na))
+            continue
+        nm = _eigen_count(graph, kappa, m)
+        stack += [(a, m, na, nm), (m, b, nm, nb)]
+    return jumps
+
+
 def _mp_weyl_secular(graph, kappa, k, dps):
-    """d(k^2) in mpmath: det(M - kappa) * prod sin(k l)."""
+    """Reference: det(M(k^2) - kappa) * prod sin(k l) in dps-digit mpmath."""
     with mp.workdps(dps):
         d = mp.det(_weyl_matrix_raw(graph, kappa, mp.mpf(k) ** 2))
         for e in graph.edges:
@@ -87,46 +108,9 @@ def _mp_weyl_secular(graph, kappa, k, dps):
 
 
 def _mp_weyl_det_negative(graph, kappa, q):
-    """det(M(-q^2) - kappa) in 60-digit mpmath."""
+    """Reference: det(M(-q^2) - kappa) in 60-digit mpmath."""
     with mp.workdps(60):
         return mp.det(_weyl_matrix_raw(graph, kappa, -mp.mpf(q) ** 2))
-
-
-def weyl_secular(graph: MetricGraph, kappa: CouplingMatrix):
-    """Cleared secular function as a callable of k = sqrt(z) > 0.
-
-    Switches to arbitrary precision when k sits within ~1e-4 of a pole of
-    the M-matrix (in |sin(k l)|), where the float product loses the sign.
-    """
-    lengths = [e.length for e in graph.edges]
-
-    def f(k):
-        min_sin = min((abs(math.sin(k * l)) for l in lengths), default=1.0)
-        if min_sin < MP_SIN_SWITCH:
-            dps = 40 + min(80, int(2 * max(0.0, -math.log10(min_sin + 1e-300))))
-            return _mp_weyl_secular(graph, kappa, k, dps)
-        z = k * k
-        with np.errstate(all="ignore"):
-            A = _weyl_matrix_raw(graph, kappa, z)
-            d = np.linalg.det(A).real
-        for l in lengths:
-            d *= math.sin(k * l)
-        return d
-
-    return f
-
-
-def weyl_secular_negative(graph: MetricGraph, kappa: CouplingMatrix):
-    """det(M(-kappa^2) - kappa_matrix) as a callable of kappa > 0 (z < 0).
-
-    No clearing: sin(sqrt(z) l) has no zeros on the negative half-axis.
-    """
-    def f(q):
-        with np.errstate(all="ignore"):
-            A = _weyl_matrix_raw(graph, kappa, -q * q)
-            return np.linalg.det(A).real
-
-    return f
 
 
 # --------------------------------------------------------------------------
@@ -247,7 +231,7 @@ def matching_det_negative(graph: MetricGraph, kappa: CouplingMatrix):
 
 
 def _mp_matching_det(graph, kappa, z, dps):
-    """Matching determinant at z in dps-digit mpmath."""
+    """Reference: the matching determinant at z in dps-digit mpmath."""
     with mp.workdps(dps):
         return mp.re(mp.det(matching_matrix(graph, kappa, mp.mpf(z))))
 
@@ -307,90 +291,93 @@ def _tangent_refiner(graph, kappa, sign):
 # spectrum assembly
 # --------------------------------------------------------------------------
 
-def _negative_window(graph, kappa):
-    """Upper bound on kappa = sqrt(-z) for the negative spectrum.
-
-    Only the attractive part of the couplings can push eigenvalues below
-    zero (the quadratic form is a sum of |u'|^2 integrals plus coupling
-    terms), and the form bound z >= -2*S^2 - 2*S/l_min with
-    S = sum of max(0, -a_m) gives kappa <= sqrt(2)*S + sqrt(2*S/l_min).
-    The window is clamped so that cosh(kappa*l) stays representable; a
-    graph would need couplings of order -300/l to hit the clamp.
-    """
-    S = float(sum(max(0.0, -complex(a).real) for a in kappa.diagonal))
-    if S == 0.0:
-        return 0.0
-    l_min = min(e.length for e in graph.edges)
-    l_max = max(e.length for e in graph.edges)
-    window = 1.0 + math.sqrt(2.0) * S + math.sqrt(2.0 * S / l_min)
-    return min(window, 600.0 / l_max)
+def _clusters(found):
+    """(z, weight) pairs, sorted and grouped into runs whose neighbours lie
+    within MERGE_TOL of each other."""
+    clusters = []
+    for z, w in sorted(found):
+        if clusters and z - clusters[-1][-1][0] <= MERGE_TOL:
+            clusters[-1].append((z, w))
+        else:
+            clusters.append([(z, w)])
+    return clusters
 
 
-def _zero_multiplicity(graph, kappa, mode):
-    """Multiplicity of z = 0 as an eigenvalue; 0 when it is none."""
-    if mode == "weyl":
-        A = _weyl_matrix_raw(graph, kappa, 0.0)
-        sv = np.linalg.svd(A, compute_uv=False)
-        if sv[-1] >= ZERO_MEMBER_REL * max(1.0, sv[0]):
-            return 0
-        return max(1, multiplicity_at(graph, kappa, 0.0))
-    return multiplicity_at(graph, kappa, 0.0)
+def _counted_spectrum(graph, kappa, T, z_max):
+    """The weyl route: the jumps of the count on (-T, t(z_max + MERGE_TOL)],
+    each moved onto the nearest of 0 and the poles n pi / l_p when the
+    kernel test finds an eigenvalue there and it lies within SNAP_REL *
+    max(|t|, 1 / l_min) (a root at 0 ends ~sqrt(eps) / l_min away, one on a
+    pole ~1e-8 t), then added up per cluster."""
+    w = z_max + MERGE_TOL
+    t_hi = math.copysign(math.sqrt(abs(w)), w)
+    lengths = [e.length for e in graph.edges]
+    found = []
+    for t, jump in _count_jumps(graph, kappa, -T, t_hi):
+        p = min((max(0, round(t * l / math.pi)) * math.pi / l
+                 for l in lengths), key=lambda p: abs(t - p))
+        if abs(t - p) <= SNAP_REL * max(abs(t), 1.0 / min(lengths)) and \
+                multiplicity_at(graph, kappa, p * p) >= 1:
+            t = p
+        found.append((t * abs(t), jump))
+    eigenvalues = []
+    for cluster in _clusters(found):
+        mult = sum(jump for _, jump in cluster)
+        if mult > 0:
+            eigenvalues.append(Eigenvalue(cluster[len(cluster) // 2][0], mult))
+    return eigenvalues
+
+
+def _matching_spectrum(graph, kappa, T, z_max):
+    """The matching route: sign changes and tangent roots of the matching
+    determinant in sqrt|z| on (0, T] (z < 0) and (0, sqrt(z_max)], with
+    multiplicities from the kernel test; z = 0 from the kernel test alone."""
+    dk = math.pi / (8.0 * graph.total_length())
+    halves = ((-1.0, T, matching_det_negative),
+              (1.0, math.sqrt(max(z_max, 0.0)), matching_det))
+    found = []  # (raw z value, 1)
+    for sign, x_hi, make_f in halves:
+        refine = _tangent_refiner(graph, kappa, sign)
+        for root in scan_roots(make_f(graph, kappa), min(1e-6, dk / 100),
+                               x_hi, dk, refine_tangent=refine):
+            found.append((sign * root.x * root.x, 1))
+
+    zero_mult = multiplicity_at(graph, kappa, 0.0)
+    eigenvalues = [Eigenvalue(0.0, zero_mult)] if zero_mult else []
+    for cluster in _clusters(found):
+        zc = sum(z for z, _ in cluster) / len(cluster)
+        if abs(zc) <= MERGE_TOL and zero_mult:
+            continue  # already counted by the kernel test
+        mult = max(len(cluster), multiplicity_at(graph, kappa, zc))
+        eigenvalues.append(Eigenvalue(zc, mult))
+    return eigenvalues
 
 
 def compact_spectrum(graph: MetricGraph, kappa: CouplingMatrix, z_max,
                      mode: str = "weyl") -> list[Eigenvalue]:
     """Eigenvalues of the compact graph in (-inf, z_max], sorted ascending.
 
-    mode "weyl": zeros of the cleared M-matrix secular determinant;
-    mode "matching": zeros of the vertex-matching determinant.
-    In both modes tangent roots and multiplicities come from the kernel
-    test of _kernel_values, and nearby roots are merged within 1e-8.  Leads
-    are ignored.
+    mode "weyl": jumps of the eigenvalue count, multiplicity the jump;
+    mode "matching": zeros of the vertex-matching determinant, tangent
+    roots and multiplicities from the kernel test of _kernel_values.
+    In both modes nearby roots are merged within 1e-8.  Leads are ignored.
     """
     if mode not in ("weyl", "matching"):
         raise ValueError(f"unknown mode {mode!r}")
     if not math.isfinite(z_max):
         raise ValueError(f"z_max must be finite, got {z_max!r}")
-    _require_real(kappa)
+    if not kappa.is_real:
+        raise ValueError("real spectrum scan requires real couplings")
     if graph.n_edges == 0:
         return []
 
-    total = graph.total_length()
-    dk = math.pi / (8.0 * total)
-    secular = {"weyl": (weyl_secular_negative, weyl_secular),
-               "matching": (matching_det_negative, matching_det)}[mode]
-    halves = ((-1.0, _negative_window(graph, kappa), secular[0]),
-              (1.0, math.sqrt(max(z_max, 0.0)), secular[1]))
-
-    # each half-axis is scanned in x = sqrt(|z|), z = sign * x^2
-    found = []  # raw z values
-    for sign, x_hi, make_f in halves:
-        refine = _tangent_refiner(graph, kappa, sign)
-        for root in scan_roots(make_f(graph, kappa), min(1e-6, dk / 100),
-                               x_hi, dk, refine_tangent=refine):
-            found.append(sign * root.x * root.x)
-
-    # z = 0 membership, decided analytically
-    zero_mult = _zero_multiplicity(graph, kappa, mode)
-
-    # merge clusters and attach multiplicities
-    found.sort()
-    clusters = []
-    for z in found:
-        if clusters and z - clusters[-1][-1] <= MERGE_TOL:
-            clusters[-1].append(z)
-        else:
-            clusters.append([z])
-
-    eigenvalues = []
-    if zero_mult:
-        eigenvalues.append(Eigenvalue(0.0, zero_mult))
-    for cluster in clusters:
-        zc = sum(cluster) / len(cluster)
-        if abs(zc) <= MERGE_TOL and zero_mult:
-            continue  # already counted analytically
-        mult = max(len(cluster), multiplicity_at(graph, kappa, zc))
-        eigenvalues.append(Eigenvalue(zc, mult))
+    T = 1.0  # the exact window: no eigenvalue below -T^2
+    while _eigen_count(graph, kappa, -T) > 0:
+        T *= 2.0
+    if mode == "weyl":
+        eigenvalues = _counted_spectrum(graph, kappa, T, z_max)
+    else:
+        eigenvalues = _matching_spectrum(graph, kappa, T, z_max)
     eigenvalues.sort(key=lambda e: e.z)
     return [e for e in eigenvalues if e.z <= z_max + MERGE_TOL]
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -9,8 +10,12 @@ import numpy as np
 import pytest
 
 from qgs import (CouplingMatrix, Edge, MetricGraph, ScanResolution, Vertex,
-                 robin_to_dirichlet, serialize_graph)
+                 compact_spectrum, load_graph, robin_to_dirichlet,
+                 serialize_graph)
 from qgs.cli import main, parse_grid
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench")
 
 
 @pytest.fixture
@@ -78,6 +83,35 @@ def test_spectrum_single_mode_columns(interval_file, capsys):
     lines = [ln for ln in out.splitlines() if not ln.startswith("#")]
     assert lines[0] == "index,eigenvalue,multiplicity,mode"
     assert lines[1].endswith(",matching")
+
+
+def test_spectrum_both_pairs_rows_by_eigenvalue(capsys):
+    """On missed-06 the matching scan misses members of close pairs that
+    the weyl count finds: each row holds one eigenvalue, with nan for a
+    route that lacks it and that route's multiplicity otherwise."""
+    path = os.path.join(PERFBENCH, "graphs", "missed-06.json")
+    g = load_graph(path)
+    kappa = CouplingMatrix.from_graph(g)
+    ws = compact_spectrum(g, kappa, 100.0, "weyl")
+    ms = compact_spectrum(g, kappa, 100.0, "matching")
+    rc = main(["spectrum", "--graph", path, "--zmax", "100"])
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()
+            if line[:1].isdigit()]
+    assert rc == 0
+    assert [r[1] for r in rows if r[1] != "nan"] == ["%.17g" % e.z for e in ws]
+    assert [r[2] for r in rows if r[2] != "nan"] == ["%.17g" % e.z for e in ms]
+    assert any(r[2] == "nan" for r in rows)
+    mult = {("%.17g" % e.z, col): e.multiplicity
+            for col, route in ((1, ws), (2, ms)) for e in route}
+    values = []
+    for r in rows:
+        zw, zm = float(r[1]), float(r[2])
+        if not math.isnan(zw) and not math.isnan(zm):
+            assert abs(zw - zm) <= 1e-8 * max(1.0, abs(zw))
+        col = 1 if math.isnan(zm) else 2
+        assert int(r[3]) == mult[r[col], col]
+        values.append(float(r[col]))
+    assert values == sorted(values)
 
 
 def test_spectrum_kappa_override(interval_file, capsys):
@@ -323,15 +357,15 @@ def test_unknown_subcommand_is_usage_error():
     assert proc.returncode == 2
 
 
-def test_spectrum_overflow_exits_3_without_traceback(tmp_path, capsys):
-    """24 parallel unit edges and a deep well: the float matching
-    determinant overflows on the negative axis; the scan gives up with a
-    ScanFailure, which the CLI reports as a numerical failure."""
-    g = MetricGraph([Vertex("A", -20.0), Vertex("B")],
-                    [Edge("A", "B", 1.0) for _ in range(24)])
-    path = tmp_path / "fan.json"
-    path.write_text(serialize_graph(g))
-    rc = main(["spectrum", "--graph", str(path), "--zmax", "1",
+def test_spectrum_overflow_exits_3_without_traceback(interval_file, capsys,
+                                                     monkeypatch):
+    """A float matching determinant that overflows at every point: the
+    scan gives up with a ScanFailure, which the CLI reports as a
+    numerical failure."""
+    import qgs.spectra
+    monkeypatch.setattr(qgs.spectra, "matching_det",
+                        lambda graph, kappa: lambda k: math.inf)
+    rc = main(["spectrum", "--graph", interval_file, "--zmax", "1",
                "--mode", "matching"])
     err = capsys.readouterr().err
     assert rc == 3

@@ -5,8 +5,9 @@ Non-numeric text must match exactly and every number to 1e-13 relative,
 so a refactor that changes an answer fails here.  Numbers below 1e-14 in
 magnitude (rounding noise such as a unitarity defect of 4e-16) are
 compared to that absolute floor instead.  The spectrum run has
-double eigenvalues of the equilateral star, which both routes find as
-tangent roots, so the tangent refiner's output is pinned too.
+double eigenvalues of the equilateral star, which the matching route
+finds as tangent roots and the weyl route as jumps of two in its count,
+so both are pinned too.
 Regenerate a file only when an answer is meant to change:
 
     cd tests/pinned && PYTHONPATH=../../src python -m qgs <argv> > <name>.txt

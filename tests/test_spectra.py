@@ -1,6 +1,9 @@
 """Compact spectra along two independent routes."""
 
+import importlib.util
+import json
 import math
+import os
 import random
 
 import mpmath as mp
@@ -9,13 +12,16 @@ import pytest
 
 from qgs import (CouplingMatrix, Edge, Eigenvalue, MetricGraph,
                  NumericalError, ScanFailure, Vertex, compact_eigenvalues,
-                 compact_spectrum, matching_det, matching_matrix,
-                 multiplicity_at, weyl_secular)
+                 compact_spectrum, load_graph, matching_det, matching_matrix,
+                 multiplicity_at)
 from qgs.rootscan import grow_window, scan_roots
 from qgs.spectra import (_mp_matching_det, _mp_weyl_det_negative,
-                         _mp_weyl_secular, _tangent_refiner,
-                         matching_det_negative, weyl_secular_negative)
+                         _mp_weyl_secular, _tangent_refiner, _weyl_matrix_raw,
+                         matching_det_negative)
 from qgs.testing import make_random_graph
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench")
 
 
 def zeros(graph):
@@ -77,12 +83,15 @@ def test_equilateral_star_degeneracies():
             assert m == me
 
 
-def test_cycle_pole_coincident_doubles():
+@pytest.mark.parametrize("mode", ["weyl", "matching"])
+def test_cycle_pole_coincident_doubles(mode):
     """Two parallel unit edges: eigenvalues (n pi)^2 sit exactly on the
-    trigonometric poles of the boundary map, with multiplicity two."""
+    trigonometric poles of the boundary map, with multiplicity two.  The
+    float count splits each into two roots about 3.5e-8 apart, so the weyl
+    route must move both onto the pole."""
     g = MetricGraph([Vertex("A"), Vertex("B")],
                     [Edge("A", "B", 1.0), Edge("A", "B", 1.0)])
-    eig = compact_spectrum(g, zeros(g), 50.0, "matching")
+    eig = compact_spectrum(g, zeros(g), 50.0, mode)
     table = [(e.z, e.multiplicity) for e in eig]
     assert table[0] == (0.0, 1)
     for n, (z, m) in enumerate(table[1:], start=1):
@@ -147,6 +156,65 @@ def test_zero_membership(interval):
     k = CouplingMatrix.from_values(interval, [0.3, 0.0])
     eig = flatten(compact_spectrum(interval, k, 1.0))
     assert all(z != 0.0 for z in eig)
+
+
+@pytest.mark.parametrize("mode", ["weyl", "matching"])
+def test_fan_bound_state(mode):
+    """24 parallel unit edges, coupling -20 at one end: the ground state
+    is the same on every edge, so z = -q^2 with 24 q tanh q = 20.  It lies
+    inside the exact window T = 2, where the float matching determinant
+    stays finite."""
+    g = MetricGraph([Vertex("A", -20.0), Vertex("B")],
+                    [Edge("A", "B", 1.0) for _ in range(24)])
+    with mp.workdps(30):
+        q = mp.findroot(lambda q: 24 * q * mp.tanh(q) - 20, 1.0)
+    eigs = compact_spectrum(g, CouplingMatrix.from_graph(g), 1.0, mode)
+    assert [e.multiplicity for e in eigs] == [1]
+    assert eigs[0].z == pytest.approx(float(-q * q), rel=1e-11)
+
+
+def _reference():
+    """perfbench/reference.py: an eigenvalue count in plain numpy that
+    imports nothing from qgs."""
+    spec = importlib.util.spec_from_file_location(
+        "reference", os.path.join(PERFBENCH, "reference.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+MISSED = [(f"missed-{i}", 100.0) for i in ("03", "06", "13", "21", "28", "39")]
+
+
+def _fixed(name, z_max):
+    """A perfbench graph with its couplings, and the reference eigenvalues
+    below z_max."""
+    path = os.path.join(PERFBENCH, "graphs", name + ".json")
+    with open(path) as fh:
+        ref = _reference().eigenvalues(json.load(fh), z_max)
+    g = load_graph(path)
+    return g, CouplingMatrix.from_graph(g), ref
+
+
+@pytest.mark.parametrize("name,z_max", MISSED + [("ladder-n50", 2.0)])
+def test_weyl_route_lists_every_reference_eigenvalue(name, z_max):
+    """The count sees the close pairs a scan misses, with multiplicity."""
+    g, kappa, ref = _fixed(name, z_max)
+    got = flatten(compact_spectrum(g, kappa, z_max, "weyl"))
+    assert len(got) == len(ref)
+    for z, want in zip(got, ref):
+        assert z == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("name,z_max", MISSED + [("ladder-n30m", 1.0)])
+def test_matching_values_are_reference_eigenvalues(name, z_max):
+    """The matching scan may miss members of close pairs, but reports no
+    other value.  On ladder-n30m (45 edges) its float determinant stays
+    finite only inside the count's exact negative window."""
+    g, kappa, ref = _fixed(name, z_max)
+    for e in compact_spectrum(g, kappa, z_max, "matching"):
+        assert min(abs(e.z - want) for want in ref) <= \
+            1e-9 * max(1.0, abs(e.z))
 
 
 # --------------------------------------------------------------------------
@@ -236,23 +304,32 @@ def _rel(a, b):
     return abs(a - b) / abs(b)
 
 
+def _weyl_det(g, kappa, z):
+    """det(M(z) - kappa) in floats, times prod sin(sqrt(z) l) for z > 0."""
+    d = np.linalg.det(_weyl_matrix_raw(g, kappa, z)).real
+    if z > 0:
+        for e in g.edges:
+            d *= math.sin(math.sqrt(z) * e.length)
+    return d
+
+
 def test_float_and_mp_secular_functions_agree():
-    """The float scans and their 60-digit versions share one M-matrix and
-    one matching assembly; away from poles they agree to 1e-8."""
+    """The float count, the float matching scan and their 60-digit
+    references share one M-matrix and one matching assembly; away from
+    poles they agree to 1e-8."""
     for g, kappa in _random_cases():
-        weyl_pos = weyl_secular(g, kappa)
-        weyl_neg = weyl_secular_negative(g, kappa)
         match_pos = matching_det(g, kappa)
         match_neg = matching_det_negative(g, kappa)
         for k in (0.37, 1.3, 2.9, 4.1):
             if min(abs(math.sin(k * e.length)) for e in g.edges) < 1e-3:
-                continue  # float weyl_secular hands this k to mpmath
-            assert _rel(weyl_pos(k), _mp_weyl_secular(g, kappa, k, 60)) < 1e-8
+                continue  # too near a pole for the float M-matrix
+            assert _rel(_weyl_det(g, kappa, k * k),
+                        _mp_weyl_secular(g, kappa, k, 60)) < 1e-8
             assert _rel(match_pos(k),
                         float(_mp_matching_det(g, kappa, k * k, 60))) < 1e-8
         for q in (0.4, 1.7, 3.3):
             exact = float(mp.re(_mp_weyl_det_negative(g, kappa, q)))
-            assert _rel(weyl_neg(q), exact) < 1e-8
+            assert _rel(_weyl_det(g, kappa, -q * q), exact) < 1e-8
             assert _rel(match_neg(q),
                         float(_mp_matching_det(g, kappa, -q * q, 60))) < 1e-8
 
