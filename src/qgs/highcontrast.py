@@ -18,10 +18,11 @@ has dispersion  (b q / 2) sin q - cos q = cos tau'; the two describe the
 same band structure (cos flips sign under the shift) but are computed by
 independent code paths so they can be cross-checked band by band.
 
-Everything here returns eigenvalues only — no eigenfunctions — with
-double (tangent) dispersion roots repeated, so that e.g. the free medium
-(a=1, eps=1) at tau=0 lists (2 pi n)^2 twice for n >= 1, matching the
-two Bloch waves.
+Fiber eigenvalue n is the only root in band n (Floquet theory: Eastham
+1973; Reed & Simon IV, XIII.16), so each is one bisection to full double
+precision on a bracket known in advance: no grid scan, no derivative.  A
+closed gap's edge is listed once per band: the free medium (a=1, eps=1)
+at tau=0 lists (2 pi n)^2 twice for n >= 1, the two Bloch waves.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kernels import SERIES_CUTOFF, entire_cs
-from .rootscan import grow_window, scan_roots
+from .kernels import entire_cs
 
 SUM_TOL = 1e-12
 
@@ -78,10 +78,12 @@ class HighContrastCell:
 
 @dataclass(frozen=True)
 class Quasimomentum:
-    """Quasimomentum normalised into [-pi, pi)."""
+    """Quasimomentum normalised into [-pi, pi); values inside stay exact."""
     tau: float
 
     def __post_init__(self):
+        if -math.pi <= self.tau < math.pi:
+            return
         t = math.fmod(self.tau + math.pi, 2.0 * math.pi)
         if t < 0:
             t += 2.0 * math.pi
@@ -112,150 +114,149 @@ def transfer_matrix(coef: float, length: float, z) -> np.ndarray:
     return np.array([[C, S / coef], [-complex(z) * S, C]])
 
 
-def _transfer_dz(coef: float, length: float, z) -> np.ndarray:
-    """Entrywise d/dz of transfer_matrix — entire as well.
+def _layers(cell: HighContrastCell):
+    """(coefficient, width) of the three layers, left to right."""
+    if cell.epsilon is None:
+        raise ValueError("cell carries no epsilon; use with_epsilon")
+    stiff = cell.a / cell.epsilon ** 2
+    return ((stiff, cell.l1), (1.0, cell.l2), (stiff, cell.l3))
 
-    Uses dC/dw = -(L/2) S and dS/dw = (L C - S)/(2w) with w = z/c; the
-    second expression is evaluated by series near w = 0 where the
-    subtraction cancels.
-    """
-    w = complex(z) / coef
-    L = length
-    C, S = entire_cs(w, L)
-    u = w * L * L
-    if abs(u) < SERIES_CUTOFF:
-        Sdot = -L ** 3 / 6.0 + u * L ** 3 / 60.0 - u * u * L ** 3 / 1680.0
-    else:
-        Sdot = (L * C - S) / (2.0 * w)
-    Cdot = -(L / 2.0) * S
-    # d/dz = (1/c) d/dw ; the lower-left entry is -z S, differentiate as a
-    # product.
-    return np.array([
-        [Cdot / coef, Sdot / (coef * coef)],
-        [-S - complex(z) * Sdot / coef, Cdot / coef],
-    ])
+
+def _monodromy(layers, z) -> np.ndarray:
+    T1, T2, T3 = (transfer_matrix(c, width, z) for c, width in layers)
+    return T3 @ T2 @ T1
 
 
 def cell_discriminant(cell: HighContrastCell, z) -> complex:
     """Trace of the three-layer monodromy at spectral parameter z."""
-    if cell.epsilon is None:
-        raise ValueError("cell carries no epsilon; use with_epsilon")
-    stiff = cell.a / cell.epsilon ** 2
-    T1 = transfer_matrix(stiff, cell.l1, z)
-    T2 = transfer_matrix(1.0, cell.l2, z)
-    T3 = transfer_matrix(stiff, cell.l3, z)
-    return complex(np.trace(T3 @ T2 @ T1))
-
-
-def _cell_discriminant_dz(cell: HighContrastCell, z) -> complex:
-    stiff = cell.a / cell.epsilon ** 2
-    layers = ((stiff, cell.l1), (1.0, cell.l2), (stiff, cell.l3))
-    Ts = [transfer_matrix(c, L, z) for c, L in layers]
-    Ds = [_transfer_dz(c, L, z) for c, L in layers]
-    total = (Ds[2] @ Ts[1] @ Ts[0] + Ts[2] @ Ds[1] @ Ts[0]
-             + Ts[2] @ Ts[1] @ Ds[0])
-    return complex(np.trace(total))
+    return complex(np.trace(_monodromy(_layers(cell), z)))
 
 
 # --------------------------------------------------------------------------
 # fiber spectra
 # --------------------------------------------------------------------------
 
-def _collect(roots, count, to_z):
-    out = []
-    for r in roots:
-        copies = 2 if r.kind == "tangent" else 1
-        out.extend([to_z(r.x)] * copies)
-        if len(out) >= count:
-            break
-    return out[:count]
+def _check_bands(count: int) -> None:
+    if count < 1:
+        raise ValueError(f"bands must be at least 1, got {count}")
 
 
-def _fiber_spectrum(f, df, step, hi, count, to_z, zero, what):
-    """First `count` energies to_z(x) at the roots x > 0 of the dispersion
-    f, with z = 0 listed first when `zero`.  The scan window [step/1000, hi]
-    grows by 1.6 until it holds enough roots."""
-    head = [0.0] if zero else []
+def _folded(tau) -> float:
+    """t = |tau| in [0, pi], with tau wrapped through Quasimomentum."""
+    t = _tau_value(tau)
+    if not math.isfinite(t):  # a nan target would pass every band as a hit
+        raise ValueError(f"tau must be finite, got {t!r}")
+    return abs(Quasimomentum(t).tau)
 
-    def collect(x_hi):
-        roots = scan_roots(f, step * 1e-3, x_hi, step, df=df)
-        return head + _collect(roots, count, to_z)
 
-    return grow_window(collect, hi, count, 1.6, 24, what)
+def _bisect(below, lo: float, hi: float) -> float:
+    """Last double of [lo, hi] at which `below` holds, for a predicate
+    false at hi (not evaluated) that changes once; lo itself when it fails
+    there, an exact hit at the left end."""
+    if not below(lo):
+        return lo
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo
+        lo, hi = (mid, hi) if below(mid) else (lo, mid)
+
+
+def _rotation(cell: HighContrastCell, kappa: float, band: int):
+    """(phi(kappa) - (band - 1) pi, 4 - D^2): the cell's rotation function
+    phi rises from 0 to pi across the band, D = 2 cos(phi), and is flat in
+    the gaps, where 4 - D^2 < 0.  phi = pi n_D + (a, or pi - a for odd n_D):
+    n_D = ceil(theta/pi) - 1 counts Dirichlet eigenvalues below kappa^2 by
+    the Pruefer angle of u(0) = 0, which gains kappa L / sqrt(c) in a layer
+    and at an interface maps psi = theta mod pi to atan2(sqrt(c_new/c_old)
+    sin psi, cos psi); a = atan2(sqrt(4 - D^2), D), with 4 - D^2 formed from
+    the monodromy entries so that it stays exact where a gap closes."""
+    layers = _layers(cell)
+    theta, coef = 0.0, layers[0][0]
+    for c, width in layers:
+        turns, psi = divmod(theta, math.pi)
+        theta = (turns * math.pi
+                 + math.atan2(math.sqrt(c / coef) * math.sin(psi), math.cos(psi))
+                 + kappa * width / math.sqrt(c))
+        coef = c
+    n_dirichlet = math.ceil(theta / math.pi) - 1
+    (m11, m12), (m21, m22) = _monodromy(layers, kappa * kappa).real
+    delta = -(m11 - m22) ** 2 - 4.0 * m12 * m21
+    a = math.atan2(math.sqrt(max(delta, 0.0)), m11 + m22)
+    return (math.pi * (n_dirichlet - band + 1)
+            + (a if n_dirichlet % 2 == 0 else math.pi - a)), delta
 
 
 def eps_spectrum(cell: HighContrastCell, tau, count: int = 8) -> list[float]:
     """First `count` Bloch eigenvalues of the three-layer medium at tau.
 
-    Solves D(z) = 2 cos(tau) by scanning kappa = sqrt(z); z = 0 belongs to
-    the fiber exactly when tau = 0 (the monodromy at z = 0 is unipotent,
-    so D(0) = 2).  Tangent roots (closed gaps — e.g. the free medium) are
-    refined through the analytic derivative of D and listed twice.
-    """
-    if cell.epsilon is None:
-        raise ValueError("cell carries no epsilon; use with_epsilon")
-    t = _tau_value(tau)
-    target = 2.0 * math.cos(t)
+    Eigenvalue n solves phi = (n - 1) pi + (t, or pi - t for even n),
+    t = |tau| folded into [0, pi], bisected in kappa = sqrt(z) from the
+    previous root to n pi / l2, where phi >= n pi: by min-max the n-th
+    Dirichlet eigenvalue is at most (n pi / l2)^2.  At a band edge (t = 0
+    or pi) the root is the end of phi's flat stretch inside the band; z = 0
+    at tau = 0 is an exact hit at band 1's left end, where D(0) = 2."""
+    _check_bands(count)
+    t = _folded(tau)
+    out, kappa = [], 0.0
+    for n in range(1, count + 1):
+        s = t if n % 2 else math.pi - t
 
-    def f(kap):
-        return cell_discriminant(cell, kap * kap).real - target
+        def below(k):  # an open gap at rho = 0 lies under the band
+            rho, delta = _rotation(cell, k, n)
+            return rho < s or (rho <= 0.0 and delta < 0.0)
 
-    def df(kap):
-        return (_cell_discriminant_dz(cell, kap * kap) * 2.0 * kap).real
+        kappa = _bisect(below, kappa, n * math.pi / cell.l2)
+        out.append(kappa * kappa)
+    return out
 
-    optical = cell.l2 + cell.stiff_width * cell.epsilon / math.sqrt(cell.a)
-    return _fiber_spectrum(f, df, math.pi / (8.0 * optical),
-                           (count + 2) * math.pi / optical, count,
-                           lambda k: k * k, t == 0.0, "fiber eigenvalues")
+
+def _limit_spectrum(excess, count: int, l2: float) -> list[float]:
+    """Band roots z = (q / l2)^2 of a limit model: band n is where excess(q,
+    n), >= 0 at q = (n - 1) pi and <= 0 at q = n pi, changes sign."""
+    _check_bands(count)
+    return [(_bisect(lambda q: excess(q, n) > 0.0, (n - 1) * math.pi,
+                     n * math.pi) / l2) ** 2 for n in range(1, count + 1)]
 
 
 def hom_tau_spectrum(cell: HighContrastCell, tau, count: int = 8) -> list[float]:
     """First `count` eigenvalues of the homogenised fiber model at tau.
 
-    Dispersion: cos q - (b q / 2) sin q = cos tau on q = l2 k > 0, plus
-    z = 0 exactly at tau = 0.  The A-free branch (pure sine solutions,
-    q a multiple of pi) satisfies the same scalar relation, so a single
-    scan covers everything.  Independent of a and epsilon.
+    Dispersion: f(q) = cos q - (b q / 2) sin q = cos tau, q = l2 k >= 0;
+    f = (-1)^m at q = m pi, so band n is the sign change of
+    (-1)^(n-1) (f - cos tau) on [(n - 1) pi, n pi].  The A-free branch
+    (q a multiple of pi) satisfies the same relation.  Independent of a
+    and epsilon.
     """
-    t = _tau_value(tau)
     b = cell.width_ratio
-    target = math.cos(t)
+    t = _folded(tau)
 
-    def f(q):
-        return math.cos(q) - 0.5 * b * q * math.sin(q) - target
+    def excess(q, n):
+        # f - cos t, cos q - cos t as a product: exact at small q and t
+        d = (2.0 * math.sin(0.5 * (t + q)) * math.sin(0.5 * (t - q))
+             - 0.5 * b * q * math.sin(q))
+        return d if n % 2 else -d
 
-    def df(q):
-        return -math.sin(q) - 0.5 * b * (math.sin(q) + q * math.cos(q))
-
-    return _fiber_spectrum(f, df, math.pi / (8.0 * (1.0 + b)),
-                           (count + 2) * math.pi + 1.0, count,
-                           lambda q: (q / cell.l2) ** 2, t == 0.0,
-                           "homogenised eigenvalues")
+    return _limit_spectrum(excess, count, cell.l2)
 
 
 def hom_dprime_spectrum(cell: HighContrastCell, tau_prime,
                         count: int = 8) -> list[float]:
     """The companion homogenised model in the shifted parametrisation.
 
-    Dispersion: (b q / 2) sin q - cos q = cos tau', with z = 0 in the
-    fiber exactly when cos tau' = -1.  Band by band this reproduces
-    hom_tau_spectrum at tau = tau' - pi; the code path is deliberately
-    separate so the two can be compared as independent routes.
+    Dispersion: g(q) = (b q / 2) sin q - cos q = cos tau', so band n is the
+    sign change of (-1)^n (g - cos tau') on [(n - 1) pi, n pi].  Band by
+    band this reproduces hom_tau_spectrum at tau = tau' - pi; the
+    dispersion is evaluated separately so the two routes check each other.
     """
-    t = _tau_value(tau_prime)
     b = cell.width_ratio
-    target = math.cos(t)
+    target = math.cos(_folded(tau_prime))
 
-    def f(q):
-        return 0.5 * b * q * math.sin(q) - math.cos(q) - target
+    def excess(q, n):
+        g = 0.5 * b * q * math.sin(q) - math.cos(q)
+        return (target - g) if n % 2 else (g - target)
 
-    def df(q):
-        return 0.5 * b * (math.sin(q) + q * math.cos(q)) + math.sin(q)
-
-    return _fiber_spectrum(f, df, math.pi / (8.0 * (1.0 + b)),
-                           (count + 2) * math.pi + 1.0, count,
-                           lambda q: (q / cell.l2) ** 2, math.cos(t) == -1.0,
-                           "homogenised eigenvalues")
+    return _limit_spectrum(excess, count, cell.l2)
 
 
 # --------------------------------------------------------------------------
@@ -295,6 +296,7 @@ class DispersionTable:
 
 def build_dispersion_table(cell: HighContrastCell, taus, bands: int,
                            models=("eps", "hom")) -> DispersionTable:
+    _check_bands(bands)
     taus = tuple(float(_tau_value(t)) for t in taus)
     table: dict = {}
     for model in models:

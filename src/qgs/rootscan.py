@@ -1,17 +1,14 @@
 """Grid scan + bisection root finder for real secular functions.
 
-The functions scanned here (matching-system determinants, Bloch dispersion
-differences) are real-analytic with two root flavours:
+Only the matching route scans now (its vertex-matching determinant; the
+fiber spectra of ``highcontrast`` bisect band by band).  Two root flavours:
 
 * crossings  — sign changes, refined by plain bisection;
-* tangencies — double roots where the function touches zero without a sign
-  change (symmetry-induced double eigenvalues, band edges).  These show up
-  as a deep local minimum of |f|.  They are refined either by bisecting an
-  analytic derivative ``df`` (exact and cheap when available) or by a
-  caller-supplied ``refine_tangent`` callback (the matching route passes a
-  golden section on the smallest singular value of its kernel test there),
-  and accepted only if the refined minimum is consistent with an actual
-  zero.
+* tangencies — double roots touching zero without a sign change, seen as a
+  deep local minimum of |f|, refined by a ``refine_tangent(a, b)`` callback
+  (the matching route's golden section on its kernel test) or by bisecting
+  an analytic derivative ``df``, and accepted only if the refined minimum
+  is consistent with an actual zero.
 
 Evaluations returning NaN or inf (e.g. an overflowing determinant) are
 retried at a slightly shifted abscissa; when every retry fails too, the

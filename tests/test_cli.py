@@ -455,9 +455,9 @@ def test_invert_nan_fit_tol_is_invalid_input(graph_file, capfd):
              "fit_tol")
 
 
-def _homog(l1="0.25", a="1", eps="0.1,0.05,0.02"):
+def _homog(l1="0.25", a="1", eps="0.1,0.05,0.02", bands="1"):
     return ["homog", "--l1", l1, "--l2", "0.5", "--a", a, "--eps-list", eps,
-            "--tau-grid", "0", "--bands", "1"]
+            "--tau-grid", "0", "--bands", bands]
 
 
 def test_homog_infinite_epsilon_is_invalid_input(capfd):
@@ -470,6 +470,14 @@ def test_homog_nan_width_is_invalid_input(capfd):
 
 def test_homog_infinite_contrast_is_invalid_input(capfd):
     _refused(_homog(a="inf"), capfd, "a must be finite")
+
+
+def test_homog_zero_bands_is_invalid_input(capfd):
+    _refused(_homog(bands="0"), capfd, "bands must be at least 1")
+
+
+def test_homog_negative_bands_is_invalid_input(capfd):
+    _refused(_homog(bands="-1"), capfd, "bands must be at least 1")
 
 
 def test_spectrum_nan_coupling_is_invalid_input(interval_file, capfd):

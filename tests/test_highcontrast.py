@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from qgs import (HighContrastCell, Quasimomentum, build_dispersion_table,
                  cell_discriminant, convergence_study, eps_spectrum,
                  hom_dprime_spectrum, hom_tau_spectrum, transfer_matrix)
+from qgs.kernels import mp_entire_cs
 
 CELL = HighContrastCell(0.25, 0.5, 0.25)
 
@@ -119,9 +121,10 @@ def test_free_medium_tangent_doubles():
     cell = CELL.with_epsilon(1.0)
     spec = eps_spectrum(cell, 0.0, 5)
     assert spec[0] == 0.0
-    assert spec[1] == pytest.approx((2 * math.pi) ** 2, rel=1e-8)
-    assert spec[2] == pytest.approx((2 * math.pi) ** 2, rel=1e-8)
-    assert spec[3] == pytest.approx((4 * math.pi) ** 2, rel=1e-8)
+    assert spec[1] == pytest.approx((2 * math.pi) ** 2, rel=1e-12)
+    assert spec[2] == pytest.approx((2 * math.pi) ** 2, rel=1e-12)
+    assert spec[3] == pytest.approx((4 * math.pi) ** 2, rel=1e-12)
+    assert spec[4] == pytest.approx((4 * math.pi) ** 2, rel=1e-12)
 
 
 def test_frozen_contrast_regression():
@@ -137,11 +140,98 @@ def test_zero_membership_follows_tau():
     assert eps_spectrum(cell, 0.7, 1)[0] > 0.0
 
 
+def test_spectra_are_periodic_in_tau():
+    cell = CELL.with_epsilon(0.05)
+    for tau in (0.3, -2.0, 3.0):
+        for spectrum, c in ((eps_spectrum, cell), (hom_tau_spectrum, CELL)):
+            a = spectrum(c, tau, 4)
+            b = spectrum(c, tau + 2 * math.pi, 4)
+            assert b == pytest.approx(a, rel=1e-12)
+
+
+@pytest.mark.parametrize("spectrum", [eps_spectrum, hom_tau_spectrum,
+                                      hom_dprime_spectrum])
+@pytest.mark.parametrize("count", [0, -1])
+def test_band_count_below_one_is_refused(spectrum, count):
+    with pytest.raises(ValueError, match="bands must be at least 1"):
+        spectrum(CELL.with_epsilon(0.1), 0.5, count)
+    with pytest.raises(ValueError, match="bands must be at least 1"):
+        build_dispersion_table(CELL, [0.5], count, ("hom",))
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf])
+def test_non_finite_tau_is_refused(tau):
+    for spectrum, cell in ((eps_spectrum, CELL.with_epsilon(0.1)),
+                           (hom_tau_spectrum, CELL), (hom_dprime_spectrum, CELL)):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            spectrum(cell, tau, 2)
+
+
 def test_spectrum_accepts_quasimomentum_object():
     cell = CELL.with_epsilon(0.3)
     a = eps_spectrum(cell, Quasimomentum(0.7), 3)
     b = eps_spectrum(cell, 0.7, 3)
     assert a == b
+
+
+# --------------------------------------------------------------------------
+# 40-digit references on the pinned cell
+# --------------------------------------------------------------------------
+
+# rough locations of bands 1 and 2 at tau = 0 and 1.5, for eps = 0.02 and
+# 0.005 and the limit alike; the references are refined from these alone
+SEEDS = {0.0: (0.0, 65.8), 1.5: (4.26, 54.0)}
+
+
+def _mp_discriminant(cell, z):
+    stiff = mp.mpf(cell.a) / mp.mpf(cell.epsilon) ** 2
+    M = mp.eye(2)
+    for coef, width in ((stiff, cell.l1), (mp.mpf(1), cell.l2),
+                        (stiff, cell.l3)):
+        C, S = mp_entire_cs(z / coef, mp.mpf(width))
+        M = mp.matrix([[C, S / coef], [-z * S, C]]) * M
+    return (M[0, 0] + M[1, 1]).real
+
+
+def _mp_eps_root(cell, tau, seed):
+    target = 2 * mp.cos(mp.mpf(tau))
+    k = mp.findroot(lambda k: _mp_discriminant(cell, k * k) - target,
+                    mp.sqrt(seed))
+    return k * k
+
+
+def _mp_hom_root(cell, tau, seed):
+    b, l2 = mp.mpf(cell.width_ratio), mp.mpf(cell.l2)
+    q = mp.findroot(lambda q: mp.cos(q) - b * q / 2 * mp.sin(q)
+                    - mp.cos(mp.mpf(tau)), l2 * mp.sqrt(seed))
+    return (q / l2) ** 2
+
+
+def _check_against(got, tau, reference):
+    seeds = SEEDS[tau]
+    assert len(got) == 2
+    assert got[0] == 0.0 if tau == 0.0 else got[0] > 0.0
+    with mp.workdps(40):
+        for z, seed in zip(got, seeds):
+            if seed:
+                ref = reference(mp.mpf(seed))
+                assert abs(z - ref) <= 1e-14 * ref, (z, ref)
+
+
+@pytest.mark.parametrize("tau", [0.0, 1.5])
+@pytest.mark.parametrize("eps", [0.02, 0.005])
+def test_eps_spectrum_matches_40_digit_roots(eps, tau):
+    cell = CELL.with_epsilon(eps)
+    _check_against(eps_spectrum(cell, tau, 2), tau,
+                   lambda seed: _mp_eps_root(cell, tau, seed))
+
+
+@pytest.mark.parametrize("tau", [0.0, 1.5])
+def test_limit_spectra_match_40_digit_roots(tau):
+    reference = lambda seed: _mp_hom_root(CELL, tau, seed)  # noqa: E731
+    _check_against(hom_tau_spectrum(CELL, tau, 2), tau, reference)
+    _check_against(hom_dprime_spectrum(CELL, Quasimomentum(tau).shifted(), 2),
+                   tau, reference)
 
 
 # --------------------------------------------------------------------------
@@ -196,6 +286,17 @@ def test_norm_resolvent_rate():
         assert 1.8 <= r.order <= 2.3
         errs = [e for _, e in r.errors]
         assert errs[0] > errs[1] > errs[2]
+
+
+def test_small_tau_orders():
+    """At 0 < tau <= 1e-3 the acoustic band is tiny; it must still be
+    band 1 of both models, so each band converges at second order."""
+    rows = convergence_study(CELL, [0.02, 0.01, 0.005], [4e-4], 2)
+    assert [r.band for r in rows] == [1, 2]
+    for r in rows:
+        assert 1.8 <= r.order <= 2.3
+    assert eps_spectrum(CELL.with_epsilon(0.02), 4e-4, 1)[0] == \
+        pytest.approx(3.2e-7, rel=0.01)
 
 
 def test_convergence_flags_exact_band():
