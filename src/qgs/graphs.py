@@ -22,8 +22,11 @@ Conventions used throughout the toolkit:
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import Disconnected, GraphError, LoopContraction, ParseError, UnknownEdge
 
@@ -124,6 +127,14 @@ class MetricGraph:
         """Sorted ids of external vertices — the external matrix order."""
         return sorted(set(self.leads))
 
+    def external_indices(self) -> list[int]:
+        """Matrix indices of the external vertices, in external order."""
+        index = {}
+        for i, v in enumerate(self.vertices):
+            index.setdefault(v.id, i)
+        return [index[vid] if vid in index else self.vertex_index(vid)
+                for vid in self.external_ids()]
+
     def edge_by_id(self, edge_id: str) -> Edge:
         for e in self.edges:
             if e.id == edge_id:
@@ -216,6 +227,11 @@ def _adjacency(graph):
 
 _RATIONAL_TOL = 1e-9
 _MAX_DENOM = 12
+# The screen in _rational_pairs keeps every pair within _SCREEN_SLACK times
+# _RATIONAL_TOL of some p/q, q <= _MAX_DENOM, and every ratio above
+# _SCREEN_MAX, where rint(ratio * q) may miss p.
+_SCREEN_SLACK = 2.0
+_SCREEN_MAX = 2.0 ** 40
 
 
 def _near_small_rational(ratio):
@@ -226,6 +242,26 @@ def _near_small_rational(ratio):
     return abs(ratio - float(frac)) < _RATIONAL_TOL and frac != 0
 
 
+def _rational_pairs(lengths):
+    """Index pairs (i, j), i < j, in loop order, whose length ratio
+    lengths[i] / lengths[j] passes _near_small_rational.
+
+    A numpy screen over all pairs and every q <= _MAX_DENOM leaves the
+    exact Fraction test only a few candidates.
+    """
+    i, j = np.triu_indices(len(lengths), 1)
+    ratio = np.asarray(lengths, dtype=float)[i] / np.asarray(
+        lengths, dtype=float)[j]
+    candidate = (_SCREEN_MAX < ratio) & (ratio < math.inf)
+    for q in range(1, _MAX_DENOM + 1):
+        p = np.rint(ratio * q)
+        candidate |= ((np.abs(ratio - p / q) < _SCREEN_SLACK * _RATIONAL_TOL)
+                      & (p != 0))
+    for k in np.flatnonzero(candidate):
+        if _near_small_rational(float(ratio[k])):
+            yield int(i[k]), int(j[k])
+
+
 def validate(graph: MetricGraph) -> ValidationReport:
     """Check the standing assumptions; returns a report, never raises.
 
@@ -234,8 +270,10 @@ def validate(graph: MetricGraph) -> ValidationReport:
     leads on unknown vertices, disconnected graph.
 
     Warning (not a violation): a pair of compact edge lengths whose ratio is
-    within 1e-9 of a small-denominator rational.  The forward formulas do
-    not need rational independence, but the reconstruction guarantees do.
+    within 1e-9 of a nonzero p/q, q <= 12 (the first such pair in (i, j)
+    order; a numpy screen of all pairs leaves the exact Fraction test only
+    the candidates).  The forward formulas do not need rational
+    independence, but the reconstruction guarantees do.
     """
     report = ValidationReport()
     ids = [v.id for v in graph.vertices]
@@ -268,18 +306,12 @@ def validate(graph: MetricGraph) -> ValidationReport:
     if graph.n_vertices and not graph.is_connected():
         report.violations.append("graph is disconnected")
 
-    lengths = [e.length for e in graph.edges if e.length > 0]
-    for i in range(len(lengths)):
-        for j in range(i + 1, len(lengths)):
-            r = lengths[i] / lengths[j]
-            if _near_small_rational(r):
-                report.warnings.append(
-                    "edge lengths may be rationally dependent "
-                    f"(ratio {lengths[i]:g}/{lengths[j]:g} ~ rational); "
-                    "reconstruction guarantees assume rational independence")
-                break
-        else:
-            continue
+    lengths = [e.length for e in graph.edges if 0 < e.length < math.inf]
+    for i, j in _rational_pairs(lengths):
+        report.warnings.append(
+            "edge lengths may be rationally dependent "
+            f"(ratio {lengths[i]:g}/{lengths[j]:g} ~ rational); "
+            "reconstruction guarantees assume rational independence")
         break
 
     return report

@@ -51,7 +51,7 @@ from .errors import (ExtrapolationDiverged, InconsistentPaths, ScanResolution,
                      SingularBracket, SingularMatrix, UnknownEdge)
 from .graphs import (Edge, MetricGraph, SpanningTreePath, contract,
                      spanning_tree)
-from .scattering import external_block, scattering_solves
+from .scattering import external_block, scattering_solves_at
 from .weyl import COND_LIMIT, CouplingMatrix, checked_solve, weyl_compact
 
 TAU0 = 32.0
@@ -92,7 +92,7 @@ class PathSumEstimate:
 
 def _topology_factor(graph: MetricGraph, s: float) -> np.ndarray:
     """F2 = Pe (M*)^-1 M Pe — coupling-free."""
-    return scattering_solves(graph, None, s)[1][external_block(graph)]
+    return scattering_solves_at(graph, None, s)[1][external_block(graph)]
 
 
 def extract_rtd(sigma_e_oracle, graph_topology: MetricGraph,

@@ -18,8 +18,13 @@ Two independent constructions live here:
   evaluates both and refuses to return silently if they drift apart —
   that only happens when an inversion is badly conditioned.  Note F2
   does not depend on the couplings at all.  Every form is built from
-  ``scattering_solves``, which assembles M and solves each factor once
-  per energy.
+  ``scattering_solves``, which assembles M once per energy and solves
+  each factor once per block of energies, as one stacked solve; a single
+  energy is a block of one, and ``sigma_sweep`` cuts its grid into
+  blocks of at most BLOCK_BYTES of M-matrices.  The projected form is
+  checked as the external rows of the left factor times the external
+  columns of the right one, without the n x n product.  Energies s <= 0
+  are refused with ValueError: no wave propagates on a lead there.
 
 * ``lead_matching_oracle`` — plane-wave matching.  For a unit incoming
   wave e^{-ikx} on one lead, solve the (2n + n_leads) linear system of
@@ -38,12 +43,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FactorisationMismatch, NumericalError
+from .errors import FactorisationMismatch, NumericalError, PoleProximity
 from .graphs import MetricGraph
 from .spectra import matching_matrix
 from .weyl import CouplingMatrix, checked_solve, weyl_full
 
 FACTOR_TOL = 1e-10
+BLOCK_BYTES = 256 * 1024   # M-matrices stacked per block of a sweep
 
 
 @dataclass(frozen=True)
@@ -63,32 +69,63 @@ class ScatteringMatrix:
 def external_block(graph: MetricGraph):
     """Index of the external-by-external block of a vertex-space matrix,
     in sorted external order."""
-    order = graph.vertex_ids()
-    ext = [order.index(v) for v in graph.external_ids()]
+    ext = graph.external_indices()
     return np.ix_(ext, ext)
 
 
 def scattering_solves(graph: MetricGraph, kappa: CouplingMatrix | None,
-                      s: float):
-    """The two factors of the full product at energy s, each solved once.
+                      s_values):
+    """The two factors of the full product at each energy of a block.
 
-    Returns (left, right) = ((M - K)^-1 (M* - K), (M*)^-1 M) with M the
-    full M-matrix, assembled once; each solve is gated by cond <=
-    COND_LIMIT.  With kappa None only the coupling-free right factor is
-    solved and left is None.
+    Returns (left, right, errors): stacks of (M - K)^-1 (M* - K) and
+    (M*)^-1 M, one n x n matrix per energy, with M the full M-matrix.  M is
+    assembled once per energy and each factor is one batched solve over the
+    block, gated by cond <= COND_LIMIT.  errors[i] is None, or the first
+    NumericalError that refused energy i (a pole of M, then the left solve,
+    then the right one), whose matrices are then NaN.  With kappa None only
+    the coupling-free right factor is solved and left is None.  Raises
+    ValueError for an energy s <= 0.
     """
-    M = weyl_full(graph, s).entries
-    Ms = M.conj().T
+    for s in s_values:
+        if not s > 0:
+            raise ValueError(f"scattering needs s > 0, got s={s:g}")
+    n = graph.n_vertices
+    M = np.empty((len(s_values), n, n), dtype=complex)
+    errors = [None] * len(s_values)
+    for i, s in enumerate(s_values):
+        try:
+            M[i] = weyl_full(graph, s).entries
+        except PoleProximity as exc:
+            errors[i] = exc
+            M[i] = np.eye(n)        # a placeholder the solves pass
+    Ms = M.conj().swapaxes(1, 2)
     left = None
     if kappa is not None:
         K = kappa.as_array()
-        left = checked_solve(M - K, Ms - K, s, "M - coupling")
-    return left, checked_solve(Ms, M, s, "M*")
+        left, refused = checked_solve(M - K, Ms - K, s_values, "M - coupling")
+        errors = [exc or r for exc, r in zip(errors, refused)]
+    right, refused = checked_solve(Ms, M, s_values, "M*")
+    errors = [exc or r for exc, r in zip(errors, refused)]
+    failed = [exc is not None for exc in errors]
+    for X in (left, right):
+        if X is not None:
+            X[failed] = np.nan
+    return left, right, errors
+
+
+def scattering_solves_at(graph: MetricGraph, kappa: CouplingMatrix | None,
+                         s: float):
+    """scattering_solves at the one energy s: (left, right), n x n each,
+    or the NumericalError that refused s, raised."""
+    left, right, (error,) = scattering_solves(graph, kappa, [s])
+    if error is not None:
+        raise error
+    return (None if left is None else left[0]), right[0]
 
 
 def sigma_full(graph: MetricGraph, kappa: CouplingMatrix, s: float) -> np.ndarray:
     """Full vertex-space scattering product at energy s (n x n)."""
-    left, right = scattering_solves(graph, kappa, s)
+    left, right = scattering_solves_at(graph, kappa, s)
     return left @ right
 
 
@@ -96,8 +133,29 @@ def external_factors(graph: MetricGraph, kappa: CouplingMatrix, s: float):
     """(F1, F2) external blocks whose product is the external scattering
     matrix.  F2 is coupling-independent."""
     ext = external_block(graph)
-    left, right = scattering_solves(graph, kappa, s)
+    left, right = scattering_solves_at(graph, kappa, s)
     return left[ext], right[ext]
+
+
+def _sigma_block(graph, kappa, s_values, check_tol):
+    """sigma_external at each energy of one block: per energy, the
+    ScatteringMatrix or the NumericalError that refused it."""
+    ext = graph.external_indices()
+    left, right, errors = scattering_solves(graph, kappa, s_values)
+    rows, cols = left[:, ext, :], right[:, :, ext]
+    factorised = rows[:, :, ext] @ cols[:, ext, :]
+    # the external block of the full product, without forming the product
+    projected = rows @ cols
+    defects = np.linalg.norm(projected - factorised, axis=(1, 2))
+    scales = np.maximum(1.0, np.linalg.norm(factorised, axis=(1, 2)))
+    results = []
+    for s, error, entries, defect, scale in zip(
+            s_values, errors, factorised, defects, scales):
+        if error is None and defect > check_tol * scale:
+            error = FactorisationMismatch(s, float(defect), check_tol)
+        results.append(error or ScatteringMatrix(float(s), entries,
+                                                 "full-factorised"))
+    return results
 
 
 def sigma_external(graph: MetricGraph, kappa: CouplingMatrix, s: float,
@@ -106,18 +164,14 @@ def sigma_external(graph: MetricGraph, kappa: CouplingMatrix, s: float,
 
     Raises FactorisationMismatch when projection and factorisation disagree
     beyond check_tol — a conditioning failure, not a formula discrepancy.
-    A NaN check_tol, which no defect can exceed, raises ValueError.
+    The defect is the Frobenius norm of the difference, np.linalg.norm
+    over axes (-2, -1).  A NaN check_tol, which no defect can exceed, and
+    an energy s <= 0 raise ValueError.
     """
-    if math.isnan(check_tol):
-        raise ValueError("check_tol must be a number, got nan")
-    ext = external_block(graph)
-    left, right = scattering_solves(graph, kappa, s)
-    projected = (left @ right)[ext]
-    factorised = left[ext] @ right[ext]
-    defect = float(np.linalg.norm(projected - factorised))
-    if defect > check_tol * max(1.0, float(np.linalg.norm(factorised))):
-        raise FactorisationMismatch(s, defect, check_tol)
-    return ScatteringMatrix(float(s), factorised, "full-factorised")
+    matrices, skipped = sigma_sweep(graph, kappa, [s], check_tol)
+    if skipped:
+        raise skipped[0][1]
+    return matrices[0]
 
 
 def sigma_projected(graph: MetricGraph, kappa: CouplingMatrix,
@@ -162,12 +216,23 @@ def sigma_sweep(graph: MetricGraph, kappa: CouplingMatrix, s_values,
     Returns (matrices, skipped) in grid order, where skipped holds one
     (float(s), exception) pair per point where an inversion was singular
     or the two routes disagreed: the NumericalError instance, so callers
-    can report its type or its message.
+    can report its type or its message.  The grid is solved in blocks of
+    at most BLOCK_BYTES of M-matrices; each point's results are those of
+    sigma_external at that point alone, bit for bit.  A NaN check_tol or
+    an energy s <= 0 raises ValueError.
     """
+    if math.isnan(check_tol):
+        raise ValueError("check_tol must be a number, got nan")
+    s_values = list(s_values)
+    m_bytes = 16 * graph.n_vertices ** 2        # one complex M-matrix
+    size = max(1, BLOCK_BYTES // max(1, m_bytes))
     matrices, skipped = [], []
-    for s in s_values:
-        try:
-            matrices.append(sigma_external(graph, kappa, s, check_tol))
-        except NumericalError as exc:
-            skipped.append((float(s), exc))
+    for start in range(0, len(s_values), size):
+        block = s_values[start:start + size]
+        for s, result in zip(block, _sigma_block(graph, kappa, block,
+                                                 check_tol)):
+            if isinstance(result, NumericalError):
+                skipped.append((float(s), result))
+            else:
+                matrices.append(result)
     return matrices, skipped

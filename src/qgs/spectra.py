@@ -186,7 +186,7 @@ def matching_matrix(graph: MetricGraph, kappa: CouplingMatrix, z,
         incident[vid].append((2 * (n + j), ((1.0, 1.0), (ik, -ik))))
 
     r = 0
-    for v in graph.vertices:
+    for i, v in enumerate(graph.vertices):
         ends_here = incident[v.id]
         if not ends_here:
             continue
@@ -200,7 +200,7 @@ def matching_matrix(graph: MetricGraph, kappa: CouplingMatrix, z,
         for c, (_, (dA, dB)) in ends_here:
             A[r, c] += dA * scale
             A[r, c + 1] += dB * scale
-        a = complex(kappa.diagonal[graph.vertex_index(v.id)])
+        a = complex(kappa.diagonal[i])
         A[r, c0] -= a * cA0 * scale
         A[r, c0 + 1] -= a * cB0 * scale
         r += 1

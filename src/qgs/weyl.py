@@ -26,6 +26,7 @@ from .kernels import (SERIES_CUTOFF, is_mp, kcot, kcsc, ktanhalf, mp_kcot,
 
 POLE_TOL = 1e-12
 COND_LIMIT = 1e12
+GATE_SLACK = 4.0   # rounding margin of the 1-norm bracket in checked_solve
 
 
 @dataclass(frozen=True)
@@ -96,12 +97,58 @@ class CouplingMatrix:
         return all(abs(a.imag) == 0.0 for a in self.diagonal)
 
 
+def _norm1(A):
+    """Max column sum of each matrix of a stack (the 1-norm)."""
+    return np.abs(A).sum(axis=-2).max(axis=-1)
+
+
+def _exceeds_cond_limit(A):
+    """np.linalg.cond(A) > COND_LIMIT, for one matrix or each of a stack.
+
+    kappa_1 = ||A||_1 ||A^-1||_1 brackets the 2-norm condition number:
+    kappa_1/n <= cond(A) <= n kappa_1 (Golub & Van Loan, Matrix
+    Computations, 2.3).  A matrix whose bracket lies below or above
+    COND_LIMIT with a factor GATE_SLACK to spare, for the rounding of the
+    computed inverse, is decided by it; only the rest go to the SVD of
+    np.linalg.cond, so every decision is the SVD's.  (Higham's 1-norm
+    estimator, ACM TOMS 14, 1988, would need the LU factors, which numpy
+    does not expose.)
+    """
+    n = A.shape[-1]
+    try:
+        inverse = np.linalg.inv(A)
+    except np.linalg.LinAlgError:   # exactly singular: all to the SVD
+        inverse = np.full_like(A, np.nan)
+    with np.errstate(all="ignore"):
+        kappa1 = _norm1(A) * _norm1(inverse)
+    refused = np.asarray(kappa1 > GATE_SLACK * n * COND_LIMIT)
+    band = ~refused & ~(GATE_SLACK * n * kappa1 < COND_LIMIT)
+    if band.any():
+        refused[band] = np.linalg.cond(A[band]) > COND_LIMIT
+    return refused
+
+
 def checked_solve(A, B, z, what):
-    """Solve A X = B, refused with SingularMatrix(z, what) when cond(A)
-    exceeds COND_LIMIT (z is the energy, for the message)."""
-    if np.linalg.cond(A) > COND_LIMIT:
-        raise SingularMatrix(z, what)
-    return np.linalg.solve(A, B)
+    """Solve A X = B, refusing A when np.linalg.cond(A) exceeds COND_LIMIT.
+
+    One matrix A (n x n): returns X, or raises SingularMatrix(z, what)
+    (z is the energy, for the message).  A stack A (N x n x n) with B
+    (N x n x m) and one energy per matrix in z: returns (X, errors), where
+    errors[i] is SingularMatrix(z[i], what) for a refused A[i], whose X[i]
+    is then NaN, and None otherwise.  Either way X is np.linalg.solve's,
+    bit for bit.
+    """
+    refused = _exceeds_cond_limit(A)
+    if A.ndim == 2:
+        if refused:
+            raise SingularMatrix(z, what)
+        return np.linalg.solve(A, B)
+    if refused.any():       # identities in their place keep the stack solvable
+        A = np.where(refused[:, None, None], np.eye(A.shape[-1]), A)
+    X = np.linalg.solve(A, B)
+    X[refused] = np.nan
+    return X, [SingularMatrix(zi, what) if r else None
+               for zi, r in zip(z, refused)]
 
 
 def _check_poles(graph, z):
@@ -158,8 +205,7 @@ def weyl_full(graph: MetricGraph, z) -> WeylMatrix:
     """Full M-matrix: compact part plus i*sqrt(z) on external diagonals."""
     base = weyl_compact(graph, z)
     M = base.entries.copy()
-    for vid in graph.external_ids():
-        i = graph.vertex_index(vid)
+    for i in graph.external_indices():
         M[i, i] += 1j * base.at.sqrt_z
     return WeylMatrix(at=base.at, entries=M, kind="full")
 
@@ -167,8 +213,7 @@ def weyl_full(graph: MetricGraph, z) -> WeylMatrix:
 def external_projector(graph: MetricGraph) -> np.ndarray:
     """0/1 diagonal projector onto the external vertices (full-size)."""
     P = np.zeros((graph.n_vertices, graph.n_vertices), dtype=complex)
-    for vid in graph.external_ids():
-        i = graph.vertex_index(vid)
+    for i in graph.external_indices():
         P[i, i] = 1.0
     return P
 
@@ -184,7 +229,7 @@ def robin_to_dirichlet(graph: MetricGraph, kappa: CouplingMatrix, z) -> np.ndarr
     when z is (numerically) an eigenvalue of the compact-graph operator.
     """
     A = weyl_compact(graph, z).entries - kappa.as_array()
-    ext = [graph.vertex_index(v) for v in graph.external_ids()]
+    ext = graph.external_indices()
     rhs = np.zeros((graph.n_vertices, len(ext)), dtype=complex)
     for col, i in enumerate(ext):
         rhs[i, col] = 1.0

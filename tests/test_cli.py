@@ -443,6 +443,26 @@ def test_invert_three_levels_is_invalid_input(graph_file, capfd):
               "--true-couplings", "0.5,-0.25,1.0", "--levels", "3"], capfd)
 
 
+def test_smatrix_nonpositive_energy_is_invalid_input(graph_file, capfd):
+    """No wave propagates on a lead at s <= 0; such energies used to print
+    the identity with unitarity defect 0, or a skipped SingularMatrix."""
+    _refused(["smatrix", "--graph", graph_file, "--s=-4,-1,0.5"], capfd,
+             "s=-4")
+    _refused(["smatrix", "--graph", graph_file, "--s=0"], capfd, "s=0")
+
+
+def test_infinite_edge_length_is_invalid_input(tmp_path, capfd):
+    """JSON's Infinity is a length validate refuses, not a traceback."""
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps({
+        "vertices": [{"id": "A"}, {"id": "B"}, {"id": "C"}],
+        "edges": [{"from": "A", "to": "B", "length": math.inf},
+                  {"from": "B", "to": "C", "length": 1.0}],
+        "leads": ["A"]}))
+    _refused(["smatrix", "--graph", str(path), "--s", "1"], capfd,
+             "non-positive length inf")
+
+
 def test_smatrix_nan_factor_tol_is_invalid_input(graph_file, capfd):
     """No defect exceeds a NaN tolerance, so the check could never fire."""
     _refused(["smatrix", "--graph", graph_file, "--s", "1,2",

@@ -75,6 +75,68 @@ def test_connected_graph_validates(star3):
     assert validate(star3).ok
 
 
+def test_validate_infinite_length_is_a_violation_not_a_crash():
+    """An infinite length before a finite one used to reach Fraction(inf)
+    in the rational-ratio check and raise OverflowError."""
+    g = MetricGraph([Vertex("A"), Vertex("B"), Vertex("C")],
+                    [Edge("A", "B", math.inf), Edge("B", "C", 1.0)])
+    report = validate(g)
+    assert any("non-positive length inf" in v for v in report.violations)
+    assert not report.warnings
+
+
+def _fraction_loop_warnings(graph):
+    """The rational-dependence warnings of a Fraction test on every pair
+    in (i, j) order, as validate emitted them before its numpy screen."""
+    from fractions import Fraction
+
+    lengths = [e.length for e in graph.edges if e.length > 0]
+    for i in range(len(lengths)):
+        for j in range(i + 1, len(lengths)):
+            r = lengths[i] / lengths[j]
+            frac = Fraction(r).limit_denominator(12)
+            if abs(r - float(frac)) < 1e-9 and frac != 0:
+                return [
+                    "edge lengths may be rationally dependent "
+                    f"(ratio {lengths[i]:g}/{lengths[j]:g} ~ rational); "
+                    "reconstruction guarantees assume rational independence"]
+    return []
+
+
+CRAFTED_RATIOS = [2 / 3, 2 / 3 + 5e-10, 2 / 3 - 5e-10, 2 / 3 + 2e-9,
+                  2 / 3 - 2e-9, 11 / 12, 1 / 12 + 5e-10, 1 / 30, 1 / 25,
+                  7 + 4e-10, 7 + 2e-9, 1e15 / 3, math.sqrt(2)]
+
+
+@pytest.mark.parametrize("ratio", CRAFTED_RATIOS)
+@pytest.mark.parametrize("flip", [False, True])
+def test_validate_rational_screen_matches_fraction_loop(ratio, flip):
+    """Both orders of each crafted ratio, next to an independent third
+    length: tolerances of 1e-9 (warns) and 2e-9 (does not), a ratio below
+    1/24 (nearest p/q is 0), ratios above 1 and a huge one."""
+    a, b = (1.0, ratio) if flip else (ratio, 1.0)
+    g = MetricGraph([Vertex("A"), Vertex("B"), Vertex("C")],
+                    [Edge("A", "B", a), Edge("B", "C", b),
+                     Edge("A", "C", math.sqrt(3))])
+    assert validate(g).warnings == _fraction_loop_warnings(g)
+
+
+def test_validate_rational_screen_matches_fraction_loop_on_random_graphs():
+    """Random lengths rarely warn, so every other graph has its lengths
+    rounded to two decimals, which often makes a ratio p/q with q <= 12."""
+    rng = random.Random(11)
+    warned = 0
+    for k in range(300):
+        g = make_random_graph(rng, max_vertices=8, max_edges=14)
+        if k % 2:
+            g = MetricGraph(g.vertices, [Edge(e.u, e.v, round(e.length, 2))
+                                         for e in g.edges], g.leads)
+        expected = _fraction_loop_warnings(g)
+        assert validate(g).warnings == expected
+        warned += bool(expected)
+    assert 20 < warned < 150
+
+
 # --------------------------------------------------------------------------
 # contraction
 # --------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 """External scattering matrices and their two factorised routes."""
 
 import cmath
+import importlib
+import json
 import math
+import os
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -10,9 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgs import (CouplingMatrix, Edge, FactorisationMismatch, MetricGraph,
-                 Vertex, external_factors, lead_matching_oracle,
-                 sigma_external, sigma_full, sigma_projected, sigma_sweep)
-from qgs.scattering import external_block
+                 NumericalError, PoleProximity, Vertex, external_factors,
+                 lead_matching_oracle, parse_graph, sigma_external, sigma_full,
+                 sigma_projected, sigma_sweep)
+from qgs import scattering
+from qgs.scattering import external_block, scattering_solves_at
 from qgs.testing import make_random_graph
 
 # frozen regression: interval with a lead at V1, kappa = diag(1, 0), s = 1,
@@ -195,6 +201,15 @@ def test_sweep_skips_poles(lead_interval):
     assert skipped[0][0] == pytest.approx(math.pi ** 2)
 
 
+def test_sweep_reports_the_pole_not_its_placeholder(lead_interval):
+    """At a pole the solves see an identity in M's place; with a coupling
+    of 1, M - K is then singular, which must not mask the pole."""
+    k = CouplingMatrix.from_values(lead_interval, [1.0, 1.0])
+    mats, skipped = sigma_sweep(lead_interval, k, [1.0, math.pi ** 2, 4.0])
+    assert len(mats) == 2
+    assert [type(exc) for _, exc in skipped] == [PoleProximity]
+
+
 def test_sweep_preserves_order(star3):
     k = CouplingMatrix.from_values(star3, [0.1, 0.0, 0.0, 0.0])
     grid = [5.0, 1.0, 3.0]
@@ -228,17 +243,90 @@ def test_phase_continuity_along_grid(lead_interval):
 def test_external_forms_share_one_solve_bit_for_bit():
     """sigma_external's entries are, bit for bit, the product of
     external_factors, and the projection it checks them against is, bit for
-    bit, that of sigma_full (a negative tolerance makes it report the
-    defect it measured)."""
+    bit, the external rows of the left factor times the external columns of
+    the right one: the external block of sigma_full, up to rounding (a
+    negative tolerance makes it report the defect it measured)."""
     rng = random.Random(3)
     for _ in range(6):
         g = make_random_graph(rng, n_leads=2)
         kappa = real_couplings(g)
+        ext = g.external_indices()
         for s in (0.7, 2.3, 11.0):
             F1, F2 = external_factors(g, kappa, s)
             assert np.array_equal(sigma_external(g, kappa, s).entries, F1 @ F2)
-            projected = sigma_full(g, kappa, s)[external_block(g)]
+            left, right = scattering_solves_at(g, kappa, s)
+            projected = left[ext, :] @ right[:, ext]
+            assert np.allclose(projected, sigma_full(g, kappa, s)[
+                external_block(g)], rtol=0, atol=1e-13)
             with pytest.raises(FactorisationMismatch) as info:
                 sigma_external(g, kappa, s, check_tol=-1.0)
             assert info.value.defect == float(
-                np.linalg.norm(projected - F1 @ F2))
+                np.linalg.norm(projected - F1 @ F2, axis=(-2, -1)))
+
+
+def _family_graph(n, seed):
+    """A perfbench family graph of n vertices and 6 leads, couplings
+    included."""
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench"))
+    try:
+        inputs = importlib.import_module("inputs")
+    finally:
+        sys.path.pop(0)
+    g = parse_graph(json.dumps(inputs.family_graph(random.Random(seed), n,
+                                                   n_leads=6)))
+    return g, CouplingMatrix.from_graph(g)
+
+
+def _one_at_a_time(graph, kappa, grid, check_tol):
+    matrices, skipped = [], []
+    for s in grid:
+        try:
+            matrices.append(sigma_external(graph, kappa, s, check_tol))
+        except NumericalError as exc:
+            skipped.append((float(s), exc))
+    return matrices, skipped
+
+
+@pytest.mark.parametrize("n", [5, 50, 100])
+@pytest.mark.parametrize("block_bytes", [None, 7 * 16 * 5 * 5])
+def test_sweep_is_bit_equal_to_one_energy_at_a_time(n, block_bytes,
+                                                    monkeypatch):
+    """Matrices and skips of a sweep equal those of sigma_external run at
+    each energy alone, bit for bit.  The default block budget takes the
+    5-vertex grid in one block and the 50-vertex one in blocks of 6; the
+    small one cuts the 5-vertex grid into blocks of 7.  The grid holds two
+    poles of the first edge, and a negative tolerance turns every other
+    point into a reported mismatch."""
+    if block_bytes is not None:
+        monkeypatch.setattr(scattering, "BLOCK_BYTES", block_bytes)
+    g, kappa = _family_graph(n, seed=n)
+    l0 = g.edges[0].length
+    grid = sorted([0.3 + 0.41 * i for i in range(23)]
+                  + [(math.pi / l0) ** 2, (2 * math.pi / l0) ** 2])
+    for tol in (1e-10, -1.0):
+        got = sigma_sweep(g, kappa, grid, tol)
+        want = _one_at_a_time(g, kappa, grid, tol)
+        assert [m.at_s for m in got[0]] == [m.at_s for m in want[0]]
+        for a, b in zip(got[0], want[0]):
+            assert np.array_equal(a.entries, b.entries)
+        assert [(s, type(e), str(e)) for s, e in got[1]] == \
+            [(s, type(e), str(e)) for s, e in want[1]]
+        kinds = {type(e) for _, e in got[1]}
+        assert PoleProximity in kinds
+        assert (FactorisationMismatch in kinds) == (tol < 0)
+        assert len(got[0]) + len(got[1]) == len(grid)
+
+
+@pytest.mark.parametrize("s", [-4.0, -1.0, 0.0])
+def test_nonpositive_energy_is_refused(star3, s):
+    """The lead sees no propagating wave at s <= 0: every form refuses the
+    energy, naming it, instead of answering."""
+    k = CouplingMatrix.from_values(star3, [0.1, 0.0, 0.0, 0.0])
+    for call in (lambda: sigma_external(star3, k, s),
+                 lambda: sigma_full(star3, k, s),
+                 lambda: external_factors(star3, k, s),
+                 lambda: sigma_projected(star3, k, s),
+                 lambda: sigma_sweep(star3, k, [2.0, 3.0, s])):
+        with pytest.raises(ValueError, match=f"s={s:g}"):
+            call()

@@ -13,6 +13,7 @@ from qgs import (CouplingMatrix, Edge, MetricGraph, PoleProximity,
                  SingularMatrix, Vertex, external_projector,
                  robin_to_dirichlet, weyl_compact, weyl_full)
 from qgs.testing import make_random_graph
+from qgs.weyl import COND_LIMIT, checked_solve
 
 graphs = st.integers(min_value=0, max_value=10**9).map(
     lambda seed: make_random_graph(random.Random(seed)))
@@ -192,3 +193,108 @@ def test_weyl_matrix_record_carries_kind(interval):
     assert weyl_full(interval, 1.0).kind == "full"
     sp = weyl_full(interval, -1.0).at
     assert sp.sqrt_z == pytest.approx(cmath.sqrt(-1.0 + 0j))
+
+
+# --------------------------------------------------------------------------
+# the condition gate of checked_solve
+# --------------------------------------------------------------------------
+
+def _with_cond(rng, n, kappa):
+    """Complex n x n matrix with singular values spread geometrically from
+    1 down to 1/kappa (so cond = kappa for n > 1)."""
+    def unitary():
+        q, _ = np.linalg.qr(rng.standard_normal((n, n))
+                            + 1j * rng.standard_normal((n, n)))
+        return q
+    sv = np.geomspace(1.0, 1.0 / kappa, n)
+    return unitary() @ np.diag(sv) @ unitary().conj().T
+
+
+def _norm_aligned(rng, n, kappa, quiet):
+    """Singular values 1, kappa^-1/2 (n - 2 times) and 1/kappa, with
+    singular vectors chosen so that the 1-norm condition number is close
+    to cond/(n - 1) (quiet) or to (n - 1) cond: either end of the bracket
+    the gate relies on."""
+    def basis(first, last):
+        q, _ = np.linalg.qr(np.column_stack(
+            [first, last, rng.standard_normal((n, n - 2))]))
+        return np.column_stack([q[:, 0], q[:, 2:], q[:, 1]])
+    point, flat = np.eye(n)[0], np.r_[0.0, np.ones(n - 1)]
+    U, V = (basis(point, flat), basis(flat, point)) if quiet else \
+        (basis(flat, point), basis(point, flat))
+    sv = np.r_[1.0, np.full(n - 2, kappa ** -0.5), 1.0 / kappa]
+    return U @ np.diag(sv) @ V.T
+
+
+def _gate_cases():
+    rng = np.random.default_rng(5)
+    cases = []
+    for n in (1, 2, 10, 100):
+        for kappa in (1.0, 1e3, 4e11, 9e11, 1.1e12, 2.5e12, 1e14):
+            cases.append(_with_cond(rng, n, kappa))
+            if n > 2:
+                cases += [_norm_aligned(rng, n, kappa, quiet)
+                          for quiet in (True, False)]
+        singular = _with_cond(rng, n, 10.0)
+        singular[:, 0] = 0.0
+        cases.append(singular)
+    return cases
+
+
+def test_gate_decides_as_the_svd_condition_number():
+    """One matrix at a time and as stacks of equal size, the gate refuses
+    exactly the matrices with np.linalg.cond(A) > COND_LIMIT, and what it
+    solves is np.linalg.solve's answer bit for bit."""
+    cases = _gate_cases()
+    for A in cases:
+        B = np.arange(A.shape[0] * 2).reshape(-1, 2) + 1j
+        if np.linalg.cond(A) > COND_LIMIT:
+            with pytest.raises(SingularMatrix, match="probe"):
+                checked_solve(A, B, 1.5, "probe")
+        else:
+            assert np.array_equal(checked_solve(A, B, 1.5, "probe"),
+                                  np.linalg.solve(A, B))
+    for n in (1, 2, 10, 100):
+        stack = np.array([A for A in cases if A.shape[0] == n])
+        B = np.ones((len(stack), n, 3), dtype=complex)
+        X, errors = checked_solve(stack, B, list(range(len(stack))), "probe")
+        want = [np.linalg.cond(A) > COND_LIMIT for A in stack]
+        assert [e is not None for e in errors] == want
+        for i, (A, refused) in enumerate(zip(stack, want)):
+            if refused:
+                assert isinstance(errors[i], SingularMatrix)
+                assert errors[i].z == i
+                assert np.isnan(X[i]).all()
+            else:
+                assert np.array_equal(X[i], np.linalg.solve(A, B[i]))
+    assert any(np.linalg.cond(A) > COND_LIMIT for A in cases)
+
+
+def test_gate_needs_no_svd_clear_of_the_limit(monkeypatch):
+    """Matrices far from COND_LIMIT on either side are decided by the
+    1-norm bracket alone."""
+    rng = np.random.default_rng(8)
+    fine = np.array([_with_cond(rng, 10, 1e3) for _ in range(3)])
+    bad = np.array([_with_cond(rng, 10, 1e16) for _ in range(2)])
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.cond called")
+
+    monkeypatch.setattr(np.linalg, "cond", no_svd)
+    _, errors = checked_solve(np.concatenate([fine, bad]),
+                              np.ones((5, 10, 1)), [1.0] * 5, "probe")
+    assert [e is None for e in errors] == [True, True, True, False, False]
+
+
+def test_stack_with_one_singular_matrix_refuses_that_item_only():
+    rng = np.random.default_rng(9)
+    stack = np.array([_with_cond(rng, 6, 10.0) for _ in range(4)])
+    stack[2] = 0.0
+    B = rng.standard_normal((4, 6, 2)) + 0j
+    X, errors = checked_solve(stack, B, [0.5, 1.0, 1.5, 2.0], "M*")
+    assert [e is None for e in errors] == [True, True, False, True]
+    assert isinstance(errors[2], SingularMatrix)
+    assert str(errors[2]) == "M* numerically singular at z=1.5"
+    assert np.isnan(X[2]).all()
+    for i in (0, 1, 3):
+        assert np.array_equal(X[i], np.linalg.solve(stack[i], B[i]))
