@@ -132,8 +132,12 @@ class MetricGraph:
         index = {}
         for i, v in enumerate(self.vertices):
             index.setdefault(v.id, i)
-        return [index[vid] if vid in index else self.vertex_index(vid)
-                for vid in self.external_ids()]
+        ext = []
+        for vid in self.external_ids():
+            if vid not in index:
+                raise GraphError(f"unknown vertex id {vid!r}")
+            ext.append(index[vid])
+        return ext
 
     def edge_by_id(self, edge_id: str) -> Edge:
         for e in self.edges:

@@ -1,21 +1,21 @@
 """Interleaved benchmark runs of a base revision and this checkout.
 
     python3 tools/bench_pair.py --workload smatrix-sweep --seed 1 --seed 4242
-    python3 tools/bench_pair.py --workload homog-study --pairs 3 \
-        --base HEAD~1 --label homog-study-check
+    python3 tools/bench_pair.py --workload homog-study --pairs 3 --base HEAD~1
 
 The base revision (default HEAD) is extracted with ``git archive`` into
 tools/.bench-work/base, emptied first; the change is this checkout's
 working tree, uncommitted edits included.  For each --seed (default 1),
 each of --pairs pairs runs ``perfbench/run.py --trace 0`` once in each
-tree, one process at a time, base first in even pairs and change first in
-odd ones, so that a drift of the machine's load falls on both sides alike.
+tree, for the run_seconds of BENCHMARK.json and one process at a time,
+base first in even pairs and change first in odd ones, so that a drift of
+the machine's load falls on both sides alike.
 
-Writes BENCH_<label>.json (label defaults to the workload) at the root of
-the checkout: the environment and, per seed, every run's JSON line with
-its pair, position and loadavg, per side and metric the median and
-quartiles of the runs, and the number of pairs in which the change was
-better (lower: every end-to-end metric of run.py is better lower).
+Writes BENCH_<workload>.json at the root of the checkout: the
+environment and, per seed, every run's JSON line with its pair, position
+and loadavg, per side and metric the median and quartiles of the runs,
+and the number of pairs in which the change was better (lower: every
+end-to-end metric of run.py is better lower).
 """
 
 from __future__ import annotations
@@ -48,11 +48,18 @@ def extract(rev: str, dest: str):
     subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
 
 
+def run_seconds() -> float:
+    """The run length BENCHMARK.json fixes for every run."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        return float(json.load(fh)["run_seconds"])
+
+
 def run_once(tree: str, args, seed: int) -> dict:
     """One perfbench run in tree: its JSON line and its environment line."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", args.workload,
-         "--seed", str(seed), "--seconds", str(args.seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(run_seconds()),
+         "--trace", "0"],
         cwd=tree, capture_output=True, text=True, timeout=600)
     if proc.returncode != 0:
         raise SystemExit(f"error: run in {tree} exited {proc.returncode}:\n"
@@ -119,9 +126,7 @@ def main(argv=None) -> int:
     p.add_argument("--workload", required=True)
     p.add_argument("--seed", type=int, action="append")
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=10.0)
     p.add_argument("--base", default="HEAD")
-    p.add_argument("--label")
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
@@ -138,7 +143,7 @@ def main(argv=None) -> int:
 
     report = {
         "workload": args.workload, "pairs": args.pairs,
-        "seconds": args.seconds,
+        "seconds": run_seconds(),
         "base": {"rev": git("rev-parse", args.base)},
         "change": {"rev": git("rev-parse", "HEAD"),
                    "dirty": bool(git("status", "--porcelain",
@@ -147,7 +152,7 @@ def main(argv=None) -> int:
         "finished": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "seeds": by_seed,
     }
-    out = os.path.join(ROOT, f"BENCH_{args.label or args.workload}.json")
+    out = os.path.join(ROOT, f"BENCH_{args.workload}.json")
     with open(out, "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")
