@@ -52,7 +52,7 @@ from .errors import (ExtrapolationDiverged, InconsistentPaths, ScanResolution,
 from .graphs import (Edge, MetricGraph, SpanningTreePath, contract,
                      spanning_tree)
 from .scattering import external_block, scattering_solves_at
-from .weyl import COND_LIMIT, CouplingMatrix, checked_solve, weyl_compact
+from .weyl import COND_LIMIT, CouplingMatrix, checked_inverse, weyl_compact
 
 TAU0 = 32.0
 LEVELS = 7
@@ -161,13 +161,12 @@ def f1_entry(graph: MetricGraph, kappa: CouplingMatrix, z,
     """Diagonal response-map entry at one vertex (default: first external).
 
     This is the (v, v) entry of (M_compact(z) - K)^-1, the quantity whose
-    negative-axis asymptotics drive the recovery chain.
+    negative-axis asymptotics drive the recovery chain, read from the
+    inverse that the condition gate computes.
     """
     i = graph.vertex_index(_probe_vertex(graph, vertex))
     A = weyl_compact(graph, z).entries - kappa.as_array()
-    e = np.zeros(A.shape[0], dtype=complex)
-    e[i] = 1.0
-    return complex(checked_solve(A, e, z, "M_compact - coupling")[i])
+    return complex(checked_inverse(A, z, "M_compact - coupling")[i, i])
 
 
 def f1_via_determinants(graph: MetricGraph, kappa: CouplingMatrix, z,

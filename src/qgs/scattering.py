@@ -18,13 +18,14 @@ Two independent constructions live here:
   evaluates both and refuses to return silently if they drift apart —
   that only happens when an inversion is badly conditioned.  Note F2
   does not depend on the couplings at all.  Every form is built from
-  ``scattering_solves``, which assembles M once per energy and solves
-  each factor once per block of energies, as one stacked solve; a single
-  energy is a block of one, and ``sigma_sweep`` cuts its grid into
-  blocks of at most BLOCK_BYTES of M-matrices.  The projected form is
-  checked as the external rows of the left factor times the external
-  columns of the right one, without the n x n product.  Energies s <= 0
-  are refused with ValueError: no wave propagates on a lead there.
+  ``scattering_solves``, which assembles the M-matrices of a block of
+  energies in one stacked call and solves each factor once per block, as
+  one stacked solve; a single energy is a block of one, and
+  ``sigma_sweep`` cuts its grid into blocks of at most ``weyl.BLOCK_BYTES``
+  of M-matrices.  The projected form is checked as the external rows of
+  the left factor times the external columns of the right one, without
+  the n x n product.  Energies s <= 0 are refused with ValueError: no wave
+  propagates on a lead there.
 
 * ``lead_matching_oracle`` — plane-wave matching.  For a unit incoming
   wave e^{-ikx} on one lead, solve the (2n + n_leads) linear system of
@@ -46,10 +47,9 @@ import numpy as np
 from .errors import FactorisationMismatch, NumericalError, PoleProximity
 from .graphs import MetricGraph
 from .spectra import matching_matrix
-from .weyl import CouplingMatrix, checked_solve, weyl_full
+from .weyl import CouplingMatrix, checked_solve, stack_size, weyl_stack
 
 FACTOR_TOL = 1e-10
-BLOCK_BYTES = 256 * 1024   # M-matrices stacked per block of a sweep
 
 
 @dataclass(frozen=True)
@@ -78,26 +78,22 @@ def scattering_solves(graph: MetricGraph, kappa: CouplingMatrix | None,
     """The two factors of the full product at each energy of a block.
 
     Returns (left, right, errors): stacks of (M - K)^-1 (M* - K) and
-    (M*)^-1 M, one n x n matrix per energy, with M the full M-matrix.  M is
-    assembled once per energy and each factor is one batched solve over the
-    block, gated by cond <= COND_LIMIT.  errors[i] is None, or the first
-    NumericalError that refused energy i (a pole of M, then the left solve,
-    then the right one), whose matrices are then NaN.  With kappa None only
+    (M*)^-1 M, one n x n matrix per energy, with M the full M-matrix.  The
+    block's M-matrices are one stacked assembly and each factor is one
+    batched solve over the block, gated by cond <= COND_LIMIT.  errors[i]
+    is None, or the first NumericalError that refused energy i (a pole of
+    M, then the left solve, then the right one), whose matrices are then
+    NaN.  With kappa None only
     the coupling-free right factor is solved and left is None.  Raises
     ValueError for an energy s <= 0.
     """
     for s in s_values:
         if not s > 0:
             raise ValueError(f"scattering needs s > 0, got s={s:g}")
-    n = graph.n_vertices
-    M = np.empty((len(s_values), n, n), dtype=complex)
-    errors = [None] * len(s_values)
-    for i, s in enumerate(s_values):
-        try:
-            M[i] = weyl_full(graph, s).entries
-        except PoleProximity as exc:
-            errors[i] = exc
-            M[i] = np.eye(n)        # a placeholder the solves pass
+    M, poles = weyl_stack(graph, np.asarray(s_values, dtype=float), full=True)
+    errors = [None if p < 0 else PoleProximity(complex(s), graph.edges[p].id)
+              for s, p in zip(s_values, poles)]
+    M[poles >= 0] = np.eye(graph.n_vertices)    # a placeholder the solves pass
     Ms = M.conj().swapaxes(1, 2)
     left = None
     if kappa is not None:
@@ -217,15 +213,14 @@ def sigma_sweep(graph: MetricGraph, kappa: CouplingMatrix, s_values,
     (float(s), exception) pair per point where an inversion was singular
     or the two routes disagreed: the NumericalError instance, so callers
     can report its type or its message.  The grid is solved in blocks of
-    at most BLOCK_BYTES of M-matrices; each point's results are those of
-    sigma_external at that point alone, bit for bit.  A NaN check_tol or
+    at most weyl.BLOCK_BYTES of M-matrices; each point's results are those
+    of sigma_external at that point alone, bit for bit.  A NaN check_tol or
     an energy s <= 0 raises ValueError.
     """
     if math.isnan(check_tol):
         raise ValueError("check_tol must be a number, got nan")
     s_values = list(s_values)
-    m_bytes = 16 * graph.n_vertices ** 2        # one complex M-matrix
-    size = max(1, BLOCK_BYTES // max(1, m_bytes))
+    size = stack_size(graph.n_vertices)
     matrices, skipped = [], []
     for start in range(0, len(s_values), size):
         block = s_values[start:start + size]

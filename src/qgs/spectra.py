@@ -7,10 +7,13 @@ away from its poles z = (n pi / l_p)^2 the number of eigenvalues below z is
 
 (Friedlander, ARMA 116, 1991; Berkolaiko & Kuchment, Introduction to
 Quantum Graphs, 2013).  The route bisects on N in t = sign(z) sqrt|z| to
-full double precision; a jump's size is its multiplicity.  No scan grid,
-so no pair of eigenvalues is too close to see.  N(-T^2) = 0 makes -T^2 an
-exact lower window.  Near a root on a pole or at z = 0 the float count is
-off (by about 3e-8 in z on a pole), so such roots move onto that point.
+full double precision; a jump's size is its multiplicity.  All live
+brackets are halved in lockstep: each round counts its midpoints with one
+stacked M-matrix assembly and one stacked eigvalsh per BLOCK_BYTES of
+matrices.  No scan grid, so no pair of eigenvalues is too close to see.
+N(-T^2) = 0 makes -T^2 an exact lower window.  Near a root on a pole or
+at z = 0 the float count is off (by about 3e-8 in z on a pole), so such
+roots move onto that point.
 
 ``matching`` mode is the independent oracle: it builds the (2n)x(2n) linear
 system in per-edge coefficients u_p = A_p*C(z;x) + B_p*S(z;x) from vertex
@@ -39,7 +42,7 @@ import numpy as np
 from .graphs import MetricGraph
 from .kernels import entire_cs, is_mp, mp_entire_cs, sqrt_upper
 from .rootscan import grow_window, scan_roots
-from .weyl import CouplingMatrix, compact_entries
+from .weyl import CouplingMatrix, compact_entries, stack_size
 
 MERGE_TOL = 1e-8          # roots closer than this (in z) are one eigenvalue
 KERNEL_REL = 1e-8         # singular-value cutoff for multiplicity
@@ -58,7 +61,8 @@ class Eigenvalue:
 
 def _weyl_matrix_raw(graph, kappa, z):
     """M_compact(z) - kappa without pole guards (the count handles poles
-    itself), in the arithmetic of z."""
+    itself), in the arithmetic of z: one matrix, or a stack for a 1-D
+    array of energies."""
     M = compact_entries(graph, z)
     if not is_mp(z):
         return M - np.diag(kappa.diagonal)
@@ -68,34 +72,50 @@ def _weyl_matrix_raw(graph, kappa, z):
     return M
 
 
-def _eigen_count(graph, kappa, t):
-    """N(z) at z = t|t|: the Dirichlet count plus the number of positive
-    eigenvalues of M(z) - kappa."""
-    with np.errstate(all="ignore"):
-        A = _weyl_matrix_raw(graph, kappa, t * abs(t)).real
-    n = int(np.sum(np.linalg.eigvalsh(A) > 0.0))
-    if t > 0.0:
-        n += sum(math.ceil(t * e.length / math.pi) - 1 for e in graph.edges)
-    return n
+def _eigen_counts(graph, kappa, t):
+    """N(z) at each z = t|t| of the sequence t, as an int array: the
+    Dirichlet count plus the number of positive eigenvalues of M(z) -
+    kappa, with one assembly and one stacked eigvalsh per stack of at most
+    BLOCK_BYTES of matrices."""
+    t = np.asarray(t, dtype=float)
+    lengths = np.array([e.length for e in graph.edges])
+    # ceil(t l / pi) - 1 Dirichlet eigenvalues below t > 0 per edge; the
+    # maximum clears the negative values of t <= 0
+    dirichlet = np.ceil(np.multiply.outer(t, lengths) / math.pi) - 1.0
+    counts = np.maximum(dirichlet, 0.0).sum(axis=1).astype(int)
+    size = stack_size(graph.n_vertices)
+    for start in range(0, len(t), size):
+        block = t[start:start + size]
+        with np.errstate(all="ignore"):
+            A = _weyl_matrix_raw(graph, kappa, block * abs(block)).real
+        counts[start:start + size] += np.sum(np.linalg.eigvalsh(A) > 0.0,
+                                             axis=1)
+    return counts
 
 
 def _count_jumps(graph, kappa, lo, hi):
     """(t, jump) for every jump of the count on (lo, hi], given none below
-    lo: each bracket whose end counts differ is halved until its midpoint
-    is no longer a double strictly inside it."""
+    lo, in ascending t: each bracket whose end counts differ is halved
+    until its midpoint is no longer a double strictly inside it.  All live
+    brackets are halved in lockstep, with one _eigen_counts call for the
+    midpoints of each round."""
     jumps = []
-    stack = [(lo, hi, 0, _eigen_count(graph, kappa, hi))]
-    while stack:
-        a, b, na, nb = stack.pop()
-        if na == nb:
-            continue
-        m = 0.5 * (a + b)
-        if not a < m < b:
-            jumps.append((m, nb - na))
-            continue
-        nm = _eigen_count(graph, kappa, m)
-        stack += [(a, m, na, nm), (m, b, nm, nb)]
-    return jumps
+    brackets = [(lo, hi, 0, int(_eigen_counts(graph, kappa, [hi])[0]))]
+    while brackets:
+        live = []
+        for a, b, na, nb in brackets:
+            if na == nb:
+                continue
+            m = 0.5 * (a + b)
+            if a < m < b:
+                live.append((a, m, b, na, nb))
+            else:
+                jumps.append((m, nb - na))
+        counts = _eigen_counts(graph, kappa, [m for _, m, _, _, _ in live])
+        brackets = [half for (a, m, b, na, nb), nm
+                    in zip(live, counts.tolist())
+                    for half in ((a, m, na, nm), (m, b, nm, nb))]
+    return sorted(jumps)
 
 
 def _mp_weyl_secular(graph, kappa, k, dps):
@@ -372,7 +392,7 @@ def compact_spectrum(graph: MetricGraph, kappa: CouplingMatrix, z_max,
         return []
 
     T = 1.0  # the exact window: no eigenvalue below -T^2
-    while _eigen_count(graph, kappa, -T) > 0:
+    while _eigen_counts(graph, kappa, [-T])[0] > 0:
         T *= 2.0
     if mode == "weyl":
         eigenvalues = _counted_spectrum(graph, kappa, T, z_max)

@@ -9,24 +9,41 @@ external vertex adds i*sqrt(z) on the corresponding diagonal entries.
 
 Matrix rows/columns follow the sorted-vertex-id order of graph-core;
 external blocks follow the sorted external-id order.
+
+The float assembly, weyl_stack, works on stacks: given N energies it
+returns an (N, n, n) stack, with the kernels evaluated once on an (N, E)
+array of energies by edge lengths and their values scattered into the
+entries by index arrays built on the graph's first assembly.  The pole
+test reads the same arrays.  Each entry sums its edges' terms in edge
+order, so a matrix does not depend on the stack it is assembled in; a
+single energy is a stack of one.  Stacks of many energies are cut to
+BLOCK_BYTES of matrices by their callers.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
 
 from .errors import PoleProximity, SingularMatrix
 from .graphs import MetricGraph
-from .kernels import (SERIES_CUTOFF, is_mp, kcot, kcsc, ktanhalf, mp_kcot,
-                      mp_kcsc, mp_ktanhalf, sin_abs, sqrt_upper)
+from .kernels import (SERIES_CUTOFF, edge_kernels, is_mp, mp_edge_kernels,
+                      sqrt_upper, sqrt_upper_array)
 
 POLE_TOL = 1e-12
 COND_LIMIT = 1e12
 GATE_SLACK = 4.0   # rounding margin of the 1-norm bracket in checked_solve
+BLOCK_BYTES = 256 * 1024   # complex M-matrices held in one stack
+
+
+def stack_size(n_vertices: int) -> int:
+    """Energies per stack: as many n x n complex matrices as fit in
+    BLOCK_BYTES, and at least one."""
+    return max(1, BLOCK_BYTES // max(1, 16 * n_vertices ** 2))
 
 
 @dataclass(frozen=True)
@@ -102,8 +119,10 @@ def _norm1(A):
     return np.abs(A).sum(axis=-2).max(axis=-1)
 
 
-def _exceeds_cond_limit(A):
-    """np.linalg.cond(A) > COND_LIMIT, for one matrix or each of a stack.
+def _cond_gate(A):
+    """(refused, inverse): np.linalg.cond(A) > COND_LIMIT, for one matrix or
+    each of a stack, and np.linalg.inv(A), which the decision is made from
+    (NaN for an exactly singular A).
 
     kappa_1 = ||A||_1 ||A^-1||_1 brackets the 2-norm condition number:
     kappa_1/n <= cond(A) <= n kappa_1 (Golub & Van Loan, Matrix
@@ -125,7 +144,7 @@ def _exceeds_cond_limit(A):
     band = ~refused & ~(GATE_SLACK * n * kappa1 < COND_LIMIT)
     if band.any():
         refused[band] = np.linalg.cond(A[band]) > COND_LIMIT
-    return refused
+    return refused, inverse
 
 
 def checked_solve(A, B, z, what):
@@ -138,7 +157,7 @@ def checked_solve(A, B, z, what):
     is then NaN, and None otherwise.  Either way X is np.linalg.solve's,
     bit for bit.
     """
-    refused = _exceeds_cond_limit(A)
+    refused, _ = _cond_gate(A)
     if A.ndim == 2:
         if refused:
             raise SingularMatrix(z, what)
@@ -151,41 +170,145 @@ def checked_solve(A, B, z, what):
                for zi, r in zip(z, refused)]
 
 
-def _check_poles(graph, z):
-    # z=0 is removable (series limits 1/l, 1/l, 0), not a pole: genuine
-    # poles sit at sqrt(z)*l = n*pi with n >= 1, outside the series region
-    for e in graph.edges:
-        if (abs(z) * e.length * e.length >= SERIES_CUTOFF
-                and sin_abs(z, e.length) < POLE_TOL):
-            raise PoleProximity(z, e.id)
+def checked_inverse(A, z, what):
+    """np.linalg.inv(A) of one matrix, refused as by checked_solve: raises
+    SingularMatrix(z, what) when np.linalg.cond(A) exceeds COND_LIMIT."""
+    refused, inverse = _cond_gate(A)
+    if refused:
+        raise SingularMatrix(z, what)
+    return inverse
+
+
+class _Plan(NamedTuple):
+    """Where the compact M-matrix entries of a graph come from.
+
+    edge_kernels gives cot, csc and tanhalf of every edge at N energies as
+    a (3, N, E) array of terms.  Slot s of a matrix takes the term of
+    kernel[s] (0, 1, 2 for cot, csc, tanhalf) and edge[s], times scale[s],
+    into its flat entry index[s].  The slots list each edge's entries in
+    edge order: a non-loop edge's -cot on both diagonal entries and its csc
+    on both off-diagonal ones, a loop's 2 tanhalf on its vertex's diagonal.
+    """
+
+    n: int
+    lengths: np.ndarray          # every edge, in edge order
+    kernel: np.ndarray
+    edge: np.ndarray
+    scale: np.ndarray
+    index: np.ndarray
+
+
+def _plan(graph: MetricGraph) -> _Plan:
+    """The graph's assembly plan, built on its first assembly and kept on
+    it (a MetricGraph is immutable, so the plan stays valid)."""
+    plan = vars(graph).get("_weyl_plan")
+    if plan is not None:
+        return plan
+    n = graph.n_vertices
+    idx = {vid: i for i, vid in enumerate(graph.vertex_ids())}
+    slots = []      # (kernel, edge, scale, flat entry)
+    for p, e in enumerate(graph.edges):
+        i, j = idx[e.u], idx[e.v]
+        if e.is_loop:
+            slots.append((2, p, 2.0, i * n + i))
+        else:
+            slots += [(0, p, -1.0, i * n + i), (0, p, -1.0, j * n + j),
+                      (1, p, 1.0, i * n + j), (1, p, 1.0, j * n + i)]
+    kernel, edge, scale, index = np.array(slots).reshape(-1, 4).T
+    plan = _Plan(n, np.array([e.length for e in graph.edges]),
+                 kernel.astype(np.intp), edge.astype(np.intp), scale,
+                 index.astype(np.intp))
+    vars(graph)["_weyl_plan"] = plan
+    return plan
+
+
+def _assemble(graph, z, full):
+    """(M, terms) at the N energies of the 1-D complex array z: the
+    (N, n, n) M-matrices (compact, plus i*sqrt(z) on the external
+    diagonals when full) and the (3, N, E) kernel terms they are summed
+    from, real and imaginary parts apart, each entry over its slots in
+    edge order."""
+    plan = _plan(graph)
+    N, size = len(z), plan.n * plan.n
+    zc = z[:, None]
+    with np.errstate(all="ignore"):     # the kernels blow up at a pole
+        terms = edge_kernels(zc, plan.lengths)
+    slots = (terms[plan.kernel, :, plan.edge].T * plan.scale).ravel()
+    flat = plan.index if N == 1 else \
+        np.add.outer(np.arange(N) * size, plan.index).ravel()
+    M = np.zeros(N * size, dtype=complex)
+    M.real = np.bincount(flat, slots.real, minlength=M.size)
+    if slots.imag.any():
+        M.imag = np.bincount(flat, slots.imag, minlength=M.size)
+    M = M.reshape(N, plan.n, plan.n)
+    if full:
+        ext = graph.external_indices()
+        M[:, ext, ext] += 1j * sqrt_upper_array(zc)
+    return M, terms
+
+
+def weyl_stack(graph: MetricGraph, z, full: bool = False):
+    """(M, poles): M-matrices at the N energies of the 1-D array z, with no
+    pole check, and where their poles are.
+
+    M is the (N, n, n) stack of compact M-matrices, with i*sqrt(z) added
+    on the external diagonals when full.  Every kernel is evaluated once
+    on the (N, E) array of energies by edge lengths, and each entry sums
+    its edges' terms in edge order, so a matrix does not depend on the
+    stack it sits in.  poles[i] is the index of the first edge with
+    |sin(sqrt(z_i) l)| = sqrt|z_i| / |kcsc(z_i, l)| below POLE_TOL, or -1.
+    z = 0 is removable (series limits 1/l, 1/l, 0), not a pole: genuine
+    poles sit at sqrt(z)*l = n*pi with n >= 1, outside the series region.
+    """
+    z = np.asarray(z, dtype=complex)
+    M, terms = _assemble(graph, z, full)
+    poles = np.full(len(z), -1)
+    if not ((z.real > 0.0) | (z.imag != 0.0)).any():
+        return M, poles     # on z <= 0, |sin(sqrt(z) l)| = sinh(|sqrt(z)| l)
+    lengths = _plan(graph).lengths
+    az = abs(z)[:, None]
+    with np.errstate(all="ignore"):
+        hit = ((az * lengths * lengths >= SERIES_CUTOFF)
+               & (np.sqrt(az) < POLE_TOL * abs(terms[1])))
+    if hit.any():
+        poles = np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
+    return M, poles
 
 
 def compact_entries(graph: MetricGraph, z):
     """Compact M-matrix entries at z, with no pole check.
 
-    The arithmetic follows z: a numpy complex matrix for a Python number,
-    an mpmath matrix at the working precision for an mpmath number.
+    The arithmetic follows z.  A Python or numpy number gives one numpy
+    complex matrix and a 1-D array of N energies an (N, n, n) stack, both
+    assembled as by weyl_stack; an mpmath number gives an mpmath matrix at
+    the working precision.
     """
+    if not is_mp(z):
+        z = np.asarray(z, dtype=complex)
+        M, _ = _assemble(graph, z.reshape(-1), full=False)
+        return M if z.ndim else M[0]
     n = graph.n_vertices
-    if is_mp(z):
-        M = mp.zeros(n, n)
-        cot, csc, tanhalf = mp_kcot, mp_kcsc, mp_ktanhalf
-    else:
-        M = np.zeros((n, n), dtype=complex)
-        cot, csc, tanhalf = kcot, kcsc, ktanhalf
+    M = mp.zeros(n, n)
     idx = {vid: i for i, vid in enumerate(graph.vertex_ids())}
     for e in graph.edges:
+        c, s, t = mp_edge_kernels(z, e.length)
         if e.is_loop:
-            M[idx[e.u], idx[e.u]] += 2.0 * tanhalf(z, e.length)
+            M[idx[e.u], idx[e.u]] += 2.0 * t
         else:
             i, j = idx[e.u], idx[e.v]
-            c = cot(z, e.length)
-            s = csc(z, e.length)
             M[i, i] -= c
             M[j, j] -= c
             M[i, j] += s
             M[j, i] += s
     return M
+
+
+def _weyl_matrix(graph, z, full):
+    sp = SpectralPoint.of(z)
+    (M,), (p,) = weyl_stack(graph, [sp.z], full)
+    if p >= 0:
+        raise PoleProximity(sp.z, graph.edges[p].id)
+    return WeylMatrix(at=sp, entries=M, kind="full" if full else "compact")
 
 
 def weyl_compact(graph: MetricGraph, z) -> WeylMatrix:
@@ -195,19 +318,13 @@ def weyl_compact(graph: MetricGraph, z) -> WeylMatrix:
     |sin(sqrt(z) l_p)| of any edge; callers wanting a boundary value from
     the upper half-plane retry at z + 1e-8j.
     """
-    sp = SpectralPoint.of(z)
-    _check_poles(graph, sp.z)
-    return WeylMatrix(at=sp, entries=compact_entries(graph, sp.z),
-                      kind="compact")
+    return _weyl_matrix(graph, z, full=False)
 
 
 def weyl_full(graph: MetricGraph, z) -> WeylMatrix:
-    """Full M-matrix: compact part plus i*sqrt(z) on external diagonals."""
-    base = weyl_compact(graph, z)
-    M = base.entries.copy()
-    for i in graph.external_indices():
-        M[i, i] += 1j * base.at.sqrt_z
-    return WeylMatrix(at=base.at, entries=M, kind="full")
+    """Full M-matrix: compact part plus i*sqrt(z) on external diagonals.
+    Raises PoleProximity as weyl_compact does."""
+    return _weyl_matrix(graph, z, full=True)
 
 
 def external_projector(graph: MetricGraph) -> np.ndarray:

@@ -17,7 +17,7 @@ from qgs import (CouplingMatrix, Edge, FactorisationMismatch, MetricGraph,
                  NumericalError, PoleProximity, SingularMatrix, Vertex,
                  external_factors, lead_matching_oracle, parse_graph,
                  sigma_external, sigma_full, sigma_projected, sigma_sweep)
-from qgs import scattering
+from qgs import weyl
 from qgs.scattering import external_block, scattering_solves_at
 from qgs.weyl import COND_LIMIT, weyl_full
 from qgs.testing import make_random_graph
@@ -325,7 +325,7 @@ def test_sweep_is_bit_equal_to_one_energy_at_a_time(n, block_bytes,
     poles of the first edge, and a negative tolerance turns every other
     point into a reported mismatch."""
     if block_bytes is not None:
-        monkeypatch.setattr(scattering, "BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(weyl, "BLOCK_BYTES", block_bytes)
     g, kappa = _family_graph(n, seed=n)
     l0 = g.edges[0].length
     grid = sorted([0.3 + 0.41 * i for i in range(23)]

@@ -14,9 +14,11 @@ from qgs import (CouplingMatrix, Edge, Eigenvalue, MetricGraph,
                  NumericalError, ScanFailure, Vertex, compact_eigenvalues,
                  compact_spectrum, load_graph, matching_det, matching_matrix,
                  multiplicity_at)
+from qgs import parse_graph, spectra, weyl
 from qgs.rootscan import grow_window, scan_roots
-from qgs.spectra import (_mp_matching_det, _mp_weyl_det_negative,
-                         _mp_weyl_secular, _tangent_refiner, _weyl_matrix_raw,
+from qgs.spectra import (_count_jumps, _mp_matching_det,
+                         _mp_weyl_det_negative, _mp_weyl_secular,
+                         _tangent_refiner, _weyl_matrix_raw,
                          matching_det_negative)
 from qgs.testing import make_random_graph
 
@@ -215,6 +217,105 @@ def test_matching_values_are_reference_eigenvalues(name, z_max):
     for e in compact_spectrum(g, kappa, z_max, "matching"):
         assert min(abs(e.z - want) for want in ref) <= \
             1e-9 * max(1.0, abs(e.z))
+
+
+# --------------------------------------------------------------------------
+# the lockstep count
+# --------------------------------------------------------------------------
+
+def _one_count(graph, kappa, t):
+    """N(t|t|) for one energy, as a 2-D eigvalsh and a per-edge Dirichlet
+    sum."""
+    with np.errstate(all="ignore"):
+        A = _weyl_matrix_raw(graph, kappa, t * abs(t)).real
+    n = int(np.sum(np.linalg.eigvalsh(A) > 0.0))
+    if t > 0.0:
+        n += sum(math.ceil(t * e.length / math.pi) - 1 for e in graph.edges)
+    return n
+
+
+def _depth_first_jumps(graph, kappa, lo, hi):
+    """The jumps of the count, found depth first, one count at a time."""
+    jumps = []
+    stack = [(lo, hi, 0, _one_count(graph, kappa, hi))]
+    while stack:
+        a, b, na, nb = stack.pop()
+        if na == nb:
+            continue
+        m = 0.5 * (a + b)
+        if not a < m < b:
+            jumps.append((m, nb - na))
+            continue
+        nm = _one_count(graph, kappa, m)
+        stack += [(a, m, na, nm), (m, b, nm, nb)]
+    return sorted(jumps)
+
+
+def _count_window(graph, kappa):
+    """-T of compact_spectrum's exact window: no eigenvalue below -T^2."""
+    T = 1.0
+    while _one_count(graph, kappa, -T) > 0:
+        T *= 2.0
+    return -T
+
+
+def _family(n, seed):
+    spec = importlib.util.spec_from_file_location(
+        "inputs", os.path.join(PERFBENCH, "inputs.py"))
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    g = parse_graph(json.dumps(inputs.family_graph(random.Random(seed), n)))
+    return g, CouplingMatrix.from_graph(g)
+
+
+COUNT_CASES = [(name, 10.0) for name, _ in MISSED] + [
+    ("family-20", 3.0), ("family-50", 1.5), ("family-100", 0.6)]
+
+
+def _count_case(name):
+    if name.startswith("family-"):
+        n = int(name.split("-")[1])
+        return _family(n, seed=n)
+    g = load_graph(os.path.join(PERFBENCH, "graphs", name + ".json"))
+    return g, CouplingMatrix.from_graph(g)
+
+
+@pytest.mark.parametrize("name,t_hi", COUNT_CASES)
+def test_lockstep_count_finds_the_depth_first_jumps(name, t_hi):
+    """Halving every live bracket in lockstep, with stacked counts, finds
+    exactly the jumps that halving one bracket at a time does."""
+    g, kappa = _count_case(name)
+    lo = _count_window(g, kappa)
+    want = _depth_first_jumps(g, kappa, lo, t_hi)
+    assert len(want) > 3
+    assert _count_jumps(g, kappa, lo, t_hi) == want
+
+
+def test_count_stacks_stay_within_the_block_budget(monkeypatch):
+    """A round with more brackets than BLOCK_BYTES holds matrices for is
+    counted in several stacks, none larger than the budget, with the same
+    jumps."""
+    g, kappa = _count_case("family-20")
+    lo = _count_window(g, kappa)
+    want = _count_jumps(g, kappa, lo, 3.0)
+    sizes, rounds = [], []
+    eigen_counts = spectra._eigen_counts
+
+    def assembling(graph, kappa, z):
+        sizes.append(np.size(z))
+        return _weyl_matrix_raw(graph, kappa, z)
+
+    def counting(graph, kappa, t):
+        rounds.append(len(t))
+        return eigen_counts(graph, kappa, t)
+
+    monkeypatch.setattr(weyl, "BLOCK_BYTES", 3 * 16 * g.n_vertices ** 2)
+    monkeypatch.setattr(spectra, "_weyl_matrix_raw", assembling)
+    monkeypatch.setattr(spectra, "_eigen_counts", counting)
+    assert _count_jumps(g, kappa, lo, 3.0) == want
+    assert max(sizes) == 3
+    assert max(rounds) > 3
+    assert len(sizes) > len(rounds)
 
 
 # --------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 import cmath
 import math
 import random
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,8 +14,9 @@ from hypothesis import strategies as st
 from qgs import (CouplingMatrix, Edge, MetricGraph, PoleProximity,
                  SingularMatrix, Vertex, external_projector,
                  robin_to_dirichlet, weyl_compact, weyl_full)
+from qgs.kernels import mp_edge_kernels
 from qgs.testing import make_random_graph
-from qgs.weyl import COND_LIMIT, checked_solve
+from qgs.weyl import COND_LIMIT, checked_solve, compact_entries, weyl_stack
 
 graphs = st.integers(min_value=0, max_value=10**9).map(
     lambda seed: make_random_graph(random.Random(seed)))
@@ -298,3 +301,105 @@ def test_stack_with_one_singular_matrix_refuses_that_item_only():
     assert np.isnan(X[2]).all()
     for i in (0, 1, 3):
         assert np.array_equal(X[i], np.linalg.solve(stack[i], B[i]))
+
+
+# --------------------------------------------------------------------------
+# the stacked float assembly
+# --------------------------------------------------------------------------
+
+def _loops_and_parallels():
+    """Two loops, a pair of parallel edges and a short pendant edge, so
+    one energy can put different edges in different kernel regimes."""
+    return MetricGraph(
+        [Vertex("A"), Vertex("B"), Vertex("C"), Vertex("D")],
+        [Edge("A", "B", 1.0), Edge("A", "B", 0.5), Edge("B", "C", 0.7),
+         Edge("C", "C", 1.3), Edge("A", "A", 0.4), Edge("C", "D", 0.05)],
+        leads=["A", "D"])
+
+
+def _assembly_graphs():
+    rng = random.Random(21)
+    return [_loops_and_parallels()] + [
+        make_random_graph(rng, max_vertices=6, max_edges=10)
+        for _ in range(3)]
+
+
+# one list per kernel regime; none of them within 1e-2 of a pole in
+# sqrt(z) l for the graphs above
+REGIMES = {
+    "series": [3e-5, -2e-5, 1e-5 + 2e-5j],
+    "zero": [0.0],
+    "mixed": [2e-4, -3e-3, 0.03],
+    "exponential": [2.7, 11.9, -3.1, -40.0],
+    "underflow": [-1e6, -1e12],
+    "complex": [2.0 + 1.0j, -5.0 + 0.3j, 40.0 - 2.0j, 0.5j],
+}
+
+
+def test_stack_equals_stacks_of_one_bit_for_bit():
+    """An energy's matrix does not depend on the stack it is assembled in,
+    whatever the mix of regimes in the stack; the sweeps rely on this."""
+    z = np.array([z for zs in REGIMES.values() for z in zs], dtype=complex)
+    for g in _assembly_graphs():
+        stack = compact_entries(g, z)
+        assert stack.shape == (len(z), g.n_vertices, g.n_vertices)
+        for zi, M in zip(z, stack):
+            assert np.array_equal(M, compact_entries(g, zi))
+        for full in (False, True):
+            stack, poles = weyl_stack(g, z, full)
+            assert (poles == -1).all()
+            for zi, M in zip(z, stack):
+                (one,), _ = weyl_stack(g, [zi], full)
+                assert np.array_equal(M, one)
+
+
+def _mp_reference(g, z):
+    """The 60-digit mpmath assembly at z, and the scale of each entry: the
+    sum of the moduli of its edge terms."""
+    with mp.workdps(60):
+        ref = compact_entries(g, mp.mpc(z))
+        n = g.n_vertices
+        want = np.array([[complex(ref[i, j]) for j in range(n)]
+                         for i in range(n)])
+        scale = np.zeros((n, n))
+        idx = {vid: i for i, vid in enumerate(g.vertex_ids())}
+        for e in g.edges:
+            i, j = idx[e.u], idx[e.v]
+            c, s, t = map(abs, mp_edge_kernels(mp.mpc(z), e.length))
+            if e.is_loop:
+                scale[i, i] += 2 * t
+                continue
+            scale[i, i] += c
+            scale[j, j] += c
+            scale[i, j] += s
+            scale[j, i] += s
+    return want, scale
+
+
+@pytest.mark.parametrize("regime", sorted(REGIMES))
+def test_float_stack_matches_60_digit_assembly(regime):
+    """Every entry of the float stack is within 1e-13 of the 60-digit
+    mpmath assembly, relative to the moduli of the terms it sums (values
+    below the double range count as zero)."""
+    for g in _assembly_graphs():
+        for l in (e.length for e in g.edges):
+            for z in REGIMES[regime]:
+                k = cmath.sqrt(z)
+                assert abs(z) * l * l < 1e-4 or k.imag * l > 40 or \
+                    abs(cmath.sin(k * l)) > 1e-2, (z, l)
+        stack = compact_entries(g, np.array(REGIMES[regime], dtype=complex))
+        for z, M in zip(REGIMES[regime], stack):
+            want, scale = _mp_reference(g, z)
+            assert (abs(M - want) <= 1e-13 * np.maximum(scale, 1e-300)).all()
+
+
+def test_pole_test_saturates_far_from_the_real_axis():
+    """Where Im(sqrt(z) l) is large, |sin(sqrt(z) l)| overflows a double;
+    the pole test reads it as sqrt|z| / |kcsc|, which underflows instead,
+    and finds no pole."""
+    g = _loops_and_parallels()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        M, poles = weyl_stack(g, [complex(-1e9, 1.0), complex(1e8, 1e8)])
+    assert (poles == -1).all()
+    assert np.isfinite(M).all()
