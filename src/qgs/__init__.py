@@ -17,9 +17,10 @@ from .graphs import (Edge, MetricGraph, SpanningTreePath, ValidationReport,
                      serialize_graph, spanning_tree, validate)
 from .highcontrast import (ConvergenceRow, DispersionTable, HighContrastCell,
                            Quasimomentum, build_dispersion_table,
-                           cell_discriminant, convergence_study, eps_spectrum,
-                           hom_dprime_spectrum, hom_tau_spectrum,
-                           transfer_matrix)
+                           cell_discriminant, convergence_study, eps_spectra,
+                           eps_spectrum, hom_dprime_spectra,
+                           hom_dprime_spectrum, hom_tau_spectra,
+                           hom_tau_spectrum, transfer_matrix)
 from .inverse import (PathSumEstimate, RtDSamples, barycentric,
                       contraction_validation, extract_rtd, f1_contracted,
                       f1_entry, f1_shrunk, f1_via_determinants,
@@ -47,9 +48,11 @@ __all__ = [
     "Vertex", "WeylMatrix", "barycentric", "build_dispersion_table",
     "cell_discriminant", "compact_eigenvalues", "compact_spectrum",
     "contract", "contraction_validation", "convergence_study",
-    "eps_spectrum", "external_factors", "external_projector", "extract_rtd",
-    "f1_contracted", "f1_entry", "f1_shrunk", "f1_via_determinants",
-    "forward_f1_oracle", "hom_dprime_spectrum", "hom_tau_spectrum",
+    "eps_spectra", "eps_spectrum", "external_factors", "external_projector",
+    "extract_rtd", "f1_contracted", "f1_entry", "f1_shrunk",
+    "f1_via_determinants",
+    "forward_f1_oracle", "hom_dprime_spectra", "hom_dprime_spectrum",
+    "hom_tau_spectra", "hom_tau_spectrum",
     "invert_couplings", "lead_matching_oracle", "load_graph", "matching_det",
     "matching_matrix", "multiplicity_at", "parse_graph", "recover_couplings",
     "recover_external_couplings", "recover_path_sums", "robin_to_dirichlet",

@@ -27,7 +27,7 @@ from .errors import GraphError, InconsistentPaths, NumericalError, ParseError
 from .graphs import MetricGraph, load_graph, validate
 from .highcontrast import (HighContrastCell, Quasimomentum,
                            build_dispersion_table, convergence_fit,
-                           eps_spectrum, hom_dprime_spectrum,
+                           eps_spectra, eps_spectrum, hom_dprime_spectrum,
                            hom_tau_spectrum)
 from .inverse import (RtDSamples, forward_f1_oracle, invert_couplings,
                       recover_external_couplings)
@@ -63,7 +63,10 @@ def parse_grid(spec: str) -> list[float]:
         if n < 1:
             raise ValueError(f"empty range {spec!r}")
         return [a + i * step for i in range(n)]
-    return _finite((p for p in spec.split(",") if p.strip() != ""), spec)
+    values = _finite((p for p in spec.split(",") if p.strip() != ""), spec)
+    if not values:
+        raise ValueError(f"empty list {spec!r}")
+    return values
 
 
 def _parse_couplings(spec: str) -> list[complex]:
@@ -326,20 +329,21 @@ def cmd_homog(args) -> int:
     cell = HighContrastCell(args.l1, args.l2, l3, a=args.a)
     taus = parse_grid(args.tau_grid)
     eps_tokens = [t.strip() for t in args.eps_list.split(",") if t.strip()]
+    if not eps_tokens:
+        raise ValueError(f"empty list {args.eps_list!r}")
     eps_values = [float(t) for t in eps_tokens]
     bands = args.bands
 
-    eps_tables = [build_dispersion_table(cell.with_epsilon(e), taus, bands,
-                                         ("eps",)) for e in eps_values]
+    spectra = eps_spectra(cell, eps_values, taus, bands)
     limits = build_dispersion_table(cell, taus, bands, ("hom", "hom-shifted"))
     rows = [(f"eps:{tok}", t, b, z)
-            for tok, table in zip(eps_tokens, eps_tables)
-            for _, t, b, z in table.rows()]
+            for tok, per_tau in zip(eps_tokens, spectra)
+            for t, spectrum in zip(taus, per_tau)
+            for b, z in enumerate(spectrum, start=1)]
     rows += list(limits.rows())
 
     conv = []
     if len(eps_values) >= 3:
-        spectra = [table.eigenvalues["eps"] for table in eps_tables]
         conv = convergence_fit(eps_values, taus, limits.eigenvalues["hom"],
                                spectra)
 

@@ -2,9 +2,10 @@
 
 One unit cell of length 1 carries three layers: a stiff outer pair with
 coefficient a/eps^2 and widths l1, l3 around a soft middle layer with
-coefficient 1 and width l2.  ``eps_spectrum`` computes the Bloch fiber
+coefficient 1 and width l2.  ``eps_spectra`` computes the Bloch fiber
 eigenvalues of -(c u')' = z u at quasimomentum tau from the discriminant
-of the monodromy matrix, D(z) = 2 cos(tau).
+of the monodromy matrix, D(z) = 2 cos(tau), for every (eps, tau) of a
+study at once; ``eps_spectrum`` is its one-(eps, tau) case.
 
 As eps -> 0 the fiber spectra converge (second order in eps) to those of
 a quasimomentum-dependent two-point model on the soft layer alone, whose
@@ -20,19 +21,25 @@ independent code paths so they can be cross-checked band by band.
 
 Fiber eigenvalue n is the only root in band n (Floquet theory: Eastham
 1973; Reed & Simon IV, XIII.16), so each is one bisection to full double
-precision on a bracket known in advance: no grid scan, no derivative.  A
-closed gap's edge is listed once per band: the free medium (a=1, eps=1)
-at tau=0 lists (2 pi n)^2 twice for n >= 1, the two Bloch waves.
+precision on a bracket known in advance: no grid scan, no derivative.
+All three models bisect in one lockstep per band: every (eps, tau)
+bracket of a study, or every tau of a limit model's table, is halved
+together, twice per round on one array evaluation (``_bisect``).  Each
+root is bit for bit the one that a bisection of its bracket alone would
+find.
+A closed gap's edge is listed once per band: the free medium (a=1,
+eps=1) at tau=0 lists (2 pi n)^2 twice for n >= 1, the two Bloch waves.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kernels import entire_cs
+from .kernels import entire_cs_array
 
 SUM_TOL = 1e-12
 
@@ -62,6 +69,24 @@ class HighContrastCell:
             raise ValueError("contrast coefficient a must be positive")
         if self.epsilon is not None and self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
+        if self.epsilon is not None:
+            try:
+                stiff = self.stiff
+            except (OverflowError, ZeroDivisionError):  # eps^2 out of range
+                stiff = math.nan
+            # the Pruefer angle takes sqrt(1/stiff): that must be finite too
+            if not sys.float_info.min <= stiff <= sys.float_info.max:
+                raise ValueError(
+                    "stiff coefficient a/eps^2 must be finite and positive, "
+                    "with a finite reciprocal, got "
+                    f"a={self.a!r}, epsilon={self.epsilon!r}")
+
+    @property
+    def stiff(self) -> float:
+        """a/eps^2, the coefficient of the outer layers."""
+        if self.epsilon is None:
+            raise ValueError("cell carries no epsilon; use with_epsilon")
+        return self.a / self.epsilon ** 2
 
     @property
     def stiff_width(self) -> float:
@@ -102,34 +127,41 @@ def _tau_value(tau) -> float:
 # transfer matrices
 # --------------------------------------------------------------------------
 
-def transfer_matrix(coef: float, length: float, z) -> np.ndarray:
+def transfer_matrix(coef, length, z) -> np.ndarray:
     """Monodromy of -(c u')' = z u across one homogeneous layer.
 
     Acts on the state (u, c u'); entries are entire in z:
         [[cos(kL),        sin(kL)/(k c)],
          [-k c sin(kL),   cos(kL)      ]],   k = sqrt(z / c),
     with determinant identically 1 and the z=0 limit [[1, L/c], [0, 1]].
+    coef, length and z may be arrays that broadcast together; the matrix
+    takes two new last axes.  A real z gives a real matrix; at z >= 0 each
+    entry is bit for bit the one that Python's complex arithmetic gives.
     """
-    C, S = entire_cs(complex(z) / coef, length)
-    return np.array([[C, S / coef], [-complex(z) * S, C]])
+    z = np.asarray(z)
+    C, S = entire_cs_array(z / coef, length)
+    if z.dtype.kind != "c":
+        C, S = C.real, S.real
+    T = np.empty(C.shape + (2, 2), C.dtype)
+    T[..., 0, 0] = T[..., 1, 1] = C
+    T[..., 0, 1] = S / coef
+    T[..., 1, 0] = 0.0 - z * S      # +0.0 at z = 0, as a complex product
+    return T
 
 
-def _layers(cell: HighContrastCell):
-    """(coefficient, width) of the three layers, left to right."""
-    if cell.epsilon is None:
-        raise ValueError("cell carries no epsilon; use with_epsilon")
-    stiff = cell.a / cell.epsilon ** 2
-    return ((stiff, cell.l1), (1.0, cell.l2), (stiff, cell.l3))
-
-
-def _monodromy(layers, z) -> np.ndarray:
-    T1, T2, T3 = (transfer_matrix(c, width, z) for c, width in layers)
-    return T3 @ T2 @ T1
+def _monodromy(cell: HighContrastCell, stiff, z) -> np.ndarray:
+    """Cell monodromies T3 T2 T1, one (2, 2) matrix per item, at energies
+    z of media with stiff coefficients `stiff` (arrays of one shape)."""
+    coefs = np.stack((stiff, np.ones_like(stiff), stiff), -1)
+    T = transfer_matrix(coefs, np.array((cell.l1, cell.l2, cell.l3)),
+                        z[..., None])
+    return T[..., 2, :, :] @ T[..., 1, :, :] @ T[..., 0, :, :]
 
 
 def cell_discriminant(cell: HighContrastCell, z) -> complex:
     """Trace of the three-layer monodromy at spectral parameter z."""
-    return complex(np.trace(_monodromy(_layers(cell), z)))
+    M = _monodromy(cell, np.array(cell.stiff), np.array(z))
+    return complex(M[0, 0] + M[1, 1])
 
 
 # --------------------------------------------------------------------------
@@ -149,78 +181,136 @@ def _folded(tau) -> float:
     return abs(Quasimomentum(t).tau)
 
 
-def _bisect(below, lo: float, hi: float) -> float:
-    """Last double of [lo, hi] at which `below` holds, for a predicate
-    false at hi (not evaluated) that changes once; lo itself when it fails
-    there, an exact hit at the left end."""
-    if not below(lo):
-        return lo
+def _libm(fn):
+    """The two-argument float function fn elementwise: numpy's arctan2 and
+    power round differently from math.atan2 and a float's ** in places."""
+    ufunc = np.frompyfunc(fn, 2, 1)
+    return lambda x, y: ufunc(x, y).astype(float)
+
+
+_atan2 = _libm(math.atan2)
+_pow = _libm(math.pow)
+
+
+def _bisect(below, lo, hi) -> np.ndarray:
+    """Per bracket i, the last double of [lo[i], hi[i]] at which `below`
+    holds, for predicates false at hi (not evaluated) that change once; lo[i]
+    itself when it fails there, an exact hit at the left end.
+
+    below(index, x) evaluates the brackets `index` at the points x.  All
+    live brackets are halved in lockstep, twice per round: one call of
+    `below` takes each bracket's midpoint and the midpoints of both its
+    halves, and the second halving uses the one in the half that the first
+    keeps.  Each bracket sees the midpoints 0.5 (lo + hi) and the stop (no
+    double strictly between lo and hi) of a bisection of its own, so its
+    root does not depend on the brackets beside it.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(np.broadcast_to(hi, lo.shape), dtype=float)
+    live = np.arange(lo.size)
+    if live.size:
+        live = live[below(live, lo)]
     while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
+        l, h = lo[live], hi[live]
+        m = 0.5 * (l + h)
+        inside = (l < m) & (m < h)
+        live, l, h, m = live[inside], l[inside], h[inside], m[inside]
+        if not live.size:
             return lo
-        lo, hi = (mid, hi) if below(mid) else (lo, mid)
+        m_low, m_high = 0.5 * (l + m), 0.5 * (m + h)
+        up, up_low, up_high = below(
+            np.tile(live, 3), np.concatenate((m, m_low, m_high))).reshape(3, -1)
+        l, h = np.where(up, m, l), np.where(up, h, m)
+        m, up = np.where(up, m_high, m_low), np.where(up, up_high, up_low)
+        inside = (l < m) & (m < h)
+        lo[live] = np.where(inside & up, m, l)
+        hi[live] = np.where(inside & ~up, m, h)
+        live = live[inside]
 
 
-def _rotation(cell: HighContrastCell, kappa: float, band: int):
-    """(phi(kappa) - (band - 1) pi, 4 - D^2): the cell's rotation function
-    phi rises from 0 to pi across the band, D = 2 cos(phi), and is flat in
-    the gaps, where 4 - D^2 < 0.  phi = pi n_D + (a, or pi - a for odd n_D):
-    n_D = ceil(theta/pi) - 1 counts Dirichlet eigenvalues below kappa^2 by
-    the Pruefer angle of u(0) = 0, which gains kappa L / sqrt(c) in a layer
-    and at an interface maps psi = theta mod pi to atan2(sqrt(c_new/c_old)
+def _rotation(cell: HighContrastCell, stiff, kappa, band: int):
+    """(phi(kappa) - (band - 1) pi, 4 - D^2) per item, for media with stiff
+    coefficients `stiff`: the cell's rotation function phi rises from 0 to
+    pi across the band, D = 2 cos(phi), and is flat in the gaps, where
+    4 - D^2 < 0.  phi = pi n_D + (a, or pi - a for odd n_D): n_D =
+    ceil(theta/pi) - 1 counts Dirichlet eigenvalues below kappa^2 by the
+    Pruefer angle of u(0) = 0, which gains kappa L / sqrt(c) in a layer and
+    at an interface maps psi = theta mod pi to atan2(sqrt(c_new/c_old)
     sin psi, cos psi); a = atan2(sqrt(4 - D^2), D), with 4 - D^2 formed from
     the monodromy entries so that it stays exact where a gap closes."""
-    layers = _layers(cell)
-    theta, coef = 0.0, layers[0][0]
-    for c, width in layers:
-        turns, psi = divmod(theta, math.pi)
+    root = np.sqrt(stiff)
+    theta = kappa * cell.l1 / root      # the first layer starts at angle 0
+    for ratio, gain in ((np.sqrt(1.0 / stiff), kappa * cell.l2),
+                        (root, kappa * cell.l3 / root)):
+        turns, psi = np.divmod(theta, math.pi)
         theta = (turns * math.pi
-                 + math.atan2(math.sqrt(c / coef) * math.sin(psi), math.cos(psi))
-                 + kappa * width / math.sqrt(c))
-        coef = c
-    n_dirichlet = math.ceil(theta / math.pi) - 1
-    (m11, m12), (m21, m22) = _monodromy(layers, kappa * kappa).real
-    delta = -(m11 - m22) ** 2 - 4.0 * m12 * m21
-    a = math.atan2(math.sqrt(max(delta, 0.0)), m11 + m22)
+                 + _atan2(ratio * np.sin(psi), np.cos(psi)) + gain)
+    n_dirichlet = np.ceil(theta / math.pi) - 1.0
+    M = _monodromy(cell, stiff, kappa * kappa)
+    m11, m12, m21, m22 = M[:, 0, 0], M[:, 0, 1], M[:, 1, 0], M[:, 1, 1]
+    delta = -_pow(m11 - m22, 2.0) - 4.0 * m12 * m21
+    a = _atan2(np.sqrt(np.where(0.0 > delta, 0.0, delta)), m11 + m22)
     return (math.pi * (n_dirichlet - band + 1)
-            + (a if n_dirichlet % 2 == 0 else math.pi - a)), delta
+            + np.where(n_dirichlet % 2 == 0, a, math.pi - a)), delta
 
 
-def eps_spectrum(cell: HighContrastCell, tau, count: int = 8) -> list[float]:
-    """First `count` Bloch eigenvalues of the three-layer medium at tau.
+def eps_spectra(cell: HighContrastCell, eps_values, taus,
+                count: int = 8) -> list:
+    """First `count` Bloch eigenvalues of the three-layer medium at every
+    eps of eps_values and tau of taus: spectra[i][j] is the list at
+    eps_values[i] and taus[j].  ``cell.epsilon`` is not used.
 
     Eigenvalue n solves phi = (n - 1) pi + (t, or pi - t for even n),
     t = |tau| folded into [0, pi], bisected in kappa = sqrt(z) from the
     previous root to n pi / l2, where phi >= n pi: by min-max the n-th
     Dirichlet eigenvalue is at most (n pi / l2)^2.  At a band edge (t = 0
     or pi) the root is the end of phi's flat stretch inside the band; z = 0
-    at tau = 0 is an exact hit at band 1's left end, where D(0) = 2."""
+    at tau = 0 is an exact hit at band 1's left end, where D(0) = 2.  Each
+    band is one lockstep bisection of every (eps, tau) bracket.
+    """
+    stiff = [cell.with_epsilon(e).stiff for e in eps_values]
     _check_bands(count)
-    t = _folded(tau)
-    out, kappa = [], 0.0
+    t = [_folded(tau) for tau in taus]
+    shape = (len(stiff), len(t))
+    stiff, t = np.repeat(stiff, len(t)), np.tile(t, len(stiff))
+    kappa, roots = np.zeros(stiff.size), []
     for n in range(1, count + 1):
         s = t if n % 2 else math.pi - t
 
-        def below(k):  # an open gap at rho = 0 lies under the band
-            rho, delta = _rotation(cell, k, n)
-            return rho < s or (rho <= 0.0 and delta < 0.0)
+        def below(i, k):  # an open gap at rho = 0 lies under the band
+            rho, delta = _rotation(cell, stiff[i], k, n)
+            return (rho < s[i]) | ((rho <= 0.0) & (delta < 0.0))
 
         kappa = _bisect(below, kappa, n * math.pi / cell.l2)
-        out.append(kappa * kappa)
-    return out
+        roots.append(kappa * kappa)
+    return np.reshape(np.transpose(roots), shape + (count,)).tolist()
 
 
-def _limit_spectrum(excess, count: int, l2: float) -> list[float]:
-    """Band roots z = (q / l2)^2 of a limit model: band n is where excess(q,
-    n), >= 0 at q = (n - 1) pi and <= 0 at q = n pi, changes sign."""
+def eps_spectrum(cell: HighContrastCell, tau, count: int = 8) -> list[float]:
+    """First `count` Bloch eigenvalues of the three-layer medium at tau:
+    ``eps_spectra`` at the cell's own epsilon."""
+    return eps_spectra(cell, [cell.epsilon], [tau], count)[0][0]
+
+
+def _limit_spectra(cell: HighContrastCell, params, count: int,
+                   excess) -> list:
+    """Band roots z = (q / l2)^2 of a limit model, one list per entry of
+    params: band n is where excess(p, odd, q), >= 0 at q = (n - 1) pi and
+    <= 0 at q = n pi, changes sign, p the entry and odd whether n is odd.
+    Every (entry, band) bracket is bisected in one lockstep."""
     _check_bands(count)
-    return [(_bisect(lambda q: excess(q, n) > 0.0, (n - 1) * math.pi,
-                     n * math.pi) / l2) ** 2 for n in range(1, count + 1)]
+    p = np.repeat(params, count)
+    n = np.tile(np.arange(1.0, count + 1), len(params))
+    odd = n % 2 == 1
+    q = _bisect(lambda i, q: excess(p[i], odd[i], q) > 0.0,
+                (n - 1.0) * math.pi, n * math.pi)
+    return [[(x / cell.l2) ** 2 for x in row]
+            for row in q.reshape(-1, count).tolist()]
 
 
-def hom_tau_spectrum(cell: HighContrastCell, tau, count: int = 8) -> list[float]:
-    """First `count` eigenvalues of the homogenised fiber model at tau.
+def hom_tau_spectra(cell: HighContrastCell, taus, count: int = 8) -> list:
+    """First `count` eigenvalues of the homogenised fiber model at each
+    tau of taus.
 
     Dispersion: f(q) = cos q - (b q / 2) sin q = cos tau, q = l2 k >= 0;
     f = (-1)^m at q = m pi, so band n is the sign change of
@@ -229,34 +319,45 @@ def hom_tau_spectrum(cell: HighContrastCell, tau, count: int = 8) -> list[float]
     and epsilon.
     """
     b = cell.width_ratio
-    t = _folded(tau)
 
-    def excess(q, n):
+    def excess(t, odd, q):
         # f - cos t, cos q - cos t as a product: exact at small q and t
-        d = (2.0 * math.sin(0.5 * (t + q)) * math.sin(0.5 * (t - q))
-             - 0.5 * b * q * math.sin(q))
-        return d if n % 2 else -d
+        d = (2.0 * np.sin(0.5 * (t + q)) * np.sin(0.5 * (t - q))
+             - 0.5 * b * q * np.sin(q))
+        return np.where(odd, d, -d)
 
-    return _limit_spectrum(excess, count, cell.l2)
+    return _limit_spectra(cell, [_folded(t) for t in taus], count, excess)
+
+
+def hom_tau_spectrum(cell: HighContrastCell, tau, count: int = 8) -> list[float]:
+    """``hom_tau_spectra`` at one tau."""
+    return hom_tau_spectra(cell, [tau], count)[0]
+
+
+def hom_dprime_spectra(cell: HighContrastCell, taus_prime,
+                       count: int = 8) -> list:
+    """The companion homogenised model in the shifted parametrisation, at
+    each tau' of taus_prime.
+
+    Dispersion: g(q) = (b q / 2) sin q - cos q = cos tau', so band n is the
+    sign change of (-1)^n (g - cos tau') on [(n - 1) pi, n pi].  Band by
+    band this reproduces hom_tau_spectra at tau = tau' - pi; the
+    dispersion is evaluated separately so the two routes check each other.
+    """
+    b = cell.width_ratio
+
+    def excess(target, odd, q):
+        g = 0.5 * b * q * np.sin(q) - np.cos(q)
+        return np.where(odd, target - g, g - target)
+
+    return _limit_spectra(cell, [math.cos(_folded(t)) for t in taus_prime],
+                          count, excess)
 
 
 def hom_dprime_spectrum(cell: HighContrastCell, tau_prime,
                         count: int = 8) -> list[float]:
-    """The companion homogenised model in the shifted parametrisation.
-
-    Dispersion: g(q) = (b q / 2) sin q - cos q = cos tau', so band n is the
-    sign change of (-1)^n (g - cos tau') on [(n - 1) pi, n pi].  Band by
-    band this reproduces hom_tau_spectrum at tau = tau' - pi; the
-    dispersion is evaluated separately so the two routes check each other.
-    """
-    b = cell.width_ratio
-    target = math.cos(_folded(tau_prime))
-
-    def excess(q, n):
-        g = 0.5 * b * q * math.sin(q) - math.cos(q)
-        return (target - g) if n % 2 else (g - target)
-
-    return _limit_spectrum(excess, count, cell.l2)
+    """``hom_dprime_spectra`` at one tau'."""
+    return hom_dprime_spectra(cell, [tau_prime], count)[0]
 
 
 # --------------------------------------------------------------------------
@@ -301,13 +402,12 @@ def build_dispersion_table(cell: HighContrastCell, taus, bands: int,
     table: dict = {}
     for model in models:
         if model == "eps":
-            table[model] = [eps_spectrum(cell, t, bands) for t in taus]
+            table[model] = eps_spectra(cell, [cell.epsilon], taus, bands)[0]
         elif model == "hom":
-            table[model] = [hom_tau_spectrum(cell, t, bands) for t in taus]
+            table[model] = hom_tau_spectra(cell, taus, bands)
         elif model == "hom-shifted":
-            table[model] = [
-                hom_dprime_spectrum(cell, Quasimomentum(t).shifted(), bands)
-                for t in taus]
+            table[model] = hom_dprime_spectra(
+                cell, [Quasimomentum(t).shifted() for t in taus], bands)
         else:
             raise ValueError(f"unknown model {model!r}")
     meta = {"l1": cell.l1, "l2": cell.l2, "l3": cell.l3, "a": cell.a,
@@ -356,8 +456,6 @@ def convergence_study(cell: HighContrastCell, eps_list, tau_list,
     ``convergence_fit`` on them."""
     eps_list = [float(e) for e in eps_list]
     limits = build_dispersion_table(cell, tau_list, bands, ("hom",))
-    spectra = [build_dispersion_table(cell.with_epsilon(e), tau_list, bands,
-                                      ("eps",)).eigenvalues["eps"]
-               for e in eps_list]
+    spectra = eps_spectra(cell, eps_list, limits.taus, bands)
     return convergence_fit(eps_list, limits.taus,
                            limits.eigenvalues["hom"], spectra)

@@ -17,18 +17,21 @@ Each kernel has one source, ``_kernels``, instantiated for three
 arithmetics:
 
 * numpy complex arrays: ``edge_kernels`` (kcot, kcsc and ktanhalf of an
-  edge at once), ``kcot``, ``kcsc``, ``ktanhalf`` and ``sqrt_upper_array``
-  work elementwise on energies and lengths that broadcast, e.g. an (N, 1)
-  column of energies against the (E,) edge lengths of a graph.  Where an
-  array mixes the two regimes both forms are evaluated and each element
-  takes its own, so an element's value does not depend on the array it
-  sits in.  Quotients and products round as Python's complex numbers do,
-  so for a real energy every value is bit for bit the scalar one.  Scalar
+  edge at once), ``kcot``, ``kcsc``, ``ktanhalf``, ``sqrt_upper_array``
+  and ``entire_cs_array`` work elementwise on energies and lengths that
+  broadcast, e.g. an (N, 1) column of energies against the (E,) edge
+  lengths of a graph.  Where an array mixes the two regimes both forms
+  are evaluated and each element takes its own, so an element's value
+  does not depend on the array it sits in.  Quotients and products round
+  as Python's complex numbers do, so for a real energy every value is bit
+  for bit the scalar one.  Scalar
   arguments give numpy scalars.  The M-matrix assembly of ``weyl`` calls
-  ``edge_kernels`` once per stack of energies.
-* Python complex scalars: ``sqrt_upper`` and ``entire_cs``, for callers that
-  take one value at a time (the vertex-matching systems and the layer
-  transfer matrices), where numpy's per-call cost would dominate.
+  ``edge_kernels`` once per stack of energies, and the layer transfer
+  matrices of ``highcontrast`` call ``entire_cs_array`` once per stack of
+  (energy, layer) pairs.
+* Python complex scalars: ``sqrt_upper`` and ``entire_cs``, for the
+  vertex-matching systems, which take one energy at a time and where
+  numpy's per-call cost would dominate.
 * mpmath at the working precision (``mp_edge_kernels``, ``mp_kcot``, ...).
   The mpmath versions keep every digit (no dust is zeroed); the 60-digit
   reference determinants of ``spectra`` use them.  The matrix assemblies
@@ -151,9 +154,9 @@ def _kernels(cast, sqrt, exp, cos, sin, where, regime, realify, mul, div,
     and exact(z, u, l) elsewhere (u = z l^2), both a sequence of values.
     realify(z, value) post-processes every returned value; edge_kernels
     hands it its three values at once, which the array arithmetic stacks
-    along a new first axis.  edge_kernels serves the array and mpmath
-    arithmetics, entire_cs (written for one value at a time) the Python
-    and mpmath ones.
+    along a new first axis, and entire_cs its two values one at a time.
+    edge_kernels serves the array and mpmath arithmetics, entire_cs all
+    three.
     """
 
     def sqrt_upper(z):
@@ -199,6 +202,16 @@ def _kernels(cast, sqrt, exp, cos, sin, where, regime, realify, mul, div,
         """sqrt(z) * tan(sqrt(z) * l / 2) — the loop kernel."""
         return edge_kernels(z, l)[2]
 
+    def cs_series(z, v, x):
+        v2 = mul(v, v)
+        v3 = mul(v, v2)     # Python's complex v**3
+        return (1.0 - div(v, 2.0) + div(v2, 24.0) - div(v3, 720.0),
+                x * (1.0 - div(v, 6.0) + div(v2, 120.0) - div(v3, 5040.0)))
+
+    def cs_exact(z, v, x):
+        k = sqrt(z)     # either root: C and S are even in k
+        return cos(k * x), div(sin(k * x), k)
+
     def entire_cs(z, x):
         """The entire basis pair (C, S): C = cos(k x), S = sin(k x)/k, k=sqrt(z).
 
@@ -207,19 +220,14 @@ def _kernels(cast, sqrt, exp, cos, sin, where, regime, realify, mul, div,
         the vertex-matching systems and the layer transfer matrices.
         """
         z = cast(z)
-        v = z * x * x
-        if abs(v) < SERIES_CUTOFF:
-            C = 1.0 - v / 2.0 + v * v / 24.0 - v**3 / 720.0
-            S = x * (1.0 - v / 6.0 + v * v / 120.0 - v**3 / 5040.0)
-        else:   # either root: C and S are even in k
-            k = sqrt(z)
-            C, S = cos(k * x), sin(k * x) / k
+        C, S = regime(cs_series, cs_exact, z, z * x * x, x)
         return realify(z, C), realify(z, S)
 
     return sqrt_upper, edge_kernels, kcot, kcsc, ktanhalf, entire_cs
 
 
-(sqrt_upper_array, edge_kernels, kcot, kcsc, ktanhalf, _) = _kernels(
+(sqrt_upper_array, edge_kernels, kcot, kcsc, ktanhalf,
+ entire_cs_array) = _kernels(
     _as_complex_array, _array_sqrt, np.exp, np.cos, np.sin, np.where,
     _array_regime, _array_realify, _array_multiply, _array_divide,
     _array_quotients)

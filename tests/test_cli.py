@@ -58,6 +58,12 @@ def test_parse_grid_rejects_bad_range():
         parse_grid("1:2:3:4")
 
 
+@pytest.mark.parametrize("spec", ["", ",", " , ", "2:1:1"])
+def test_parse_grid_rejects_empty(spec):
+    with pytest.raises(ValueError, match="empty"):
+        parse_grid(spec)
+
+
 # --------------------------------------------------------------------------
 # spectrum
 # --------------------------------------------------------------------------
@@ -374,10 +380,12 @@ def test_spectrum_overflow_exits_3_without_traceback(interval_file, capsys,
 
 
 def test_homog_computes_each_spectrum_once(tmp_path, monkeypatch):
-    """The convergence fit reuses the spectra of the dispersion rows."""
+    """One lockstep solve for all eps-model spectra, one table of the
+    limit model, and the convergence fit reuses the spectra of the
+    dispersion rows."""
     import qgs.cli
     import qgs.highcontrast
-    calls = {"eps_spectrum": 0, "hom_tau_spectrum": 0}
+    calls = {"eps_spectra": 0, "hom_tau_spectra": 0}
     for name in calls:
         real = getattr(qgs.highcontrast, name)
 
@@ -386,14 +394,15 @@ def test_homog_computes_each_spectrum_once(tmp_path, monkeypatch):
             return _real(*args, **kwargs)
 
         # every binding, so a call from either module counts
-        monkeypatch.setattr(qgs.cli, name, counting)
         monkeypatch.setattr(qgs.highcontrast, name, counting)
+        if hasattr(qgs.cli, name):
+            monkeypatch.setattr(qgs.cli, name, counting)
     rc = main(["homog", "--l1", "0.25", "--l2", "0.5",
                "--eps-list", "0.02,0.01,0.005", "--tau-grid", "0,1.5",
                "--bands", "2", "--out", str(tmp_path / "h.csv")])
     assert rc == 0
     assert "# convergence" in (tmp_path / "h.csv").read_text()
-    assert calls == {"eps_spectrum": 6, "hom_tau_spectrum": 2}
+    assert calls == {"eps_spectra": 1, "hom_tau_spectra": 1}
 
 
 def test_homog_duplicate_eps_is_invalid_input(capsys):
@@ -490,6 +499,28 @@ def test_homog_nan_width_is_invalid_input(capfd):
 
 def test_homog_infinite_contrast_is_invalid_input(capfd):
     _refused(_homog(a="inf"), capfd, "a must be finite")
+
+
+@pytest.mark.parametrize("argv", [
+    _homog(eps="1e-200,0.01,0.005", bands="2"),
+    _homog(eps="1e-160,0.01,0.005", bands="2"),
+    _homog(a="1e308", eps="0.01,0.005,0.0025", bands="2"),
+])
+def test_homog_stiff_coefficient_out_of_range_is_invalid_input(argv, capfd):
+    """a/eps^2 that is infinite used to end in a ZeroDivisionError traceback
+    or in math.ceil's "cannot convert float NaN to integer"."""
+    _refused(argv, capfd, "stiff coefficient a/eps^2")
+
+
+def test_empty_grid_list_is_invalid_input(graph_file, capfd):
+    """An empty list used to print the headers alone (or, for --eps-list,
+    the limit models alone) and exit 0."""
+    _refused(_homog()[:-4] + ["--tau-grid=", "--bands", "1"], capfd,
+             "empty list")
+    _refused(_homog(eps=","), capfd, "empty list")
+    _refused(["smatrix", "--graph", graph_file, "--s="], capfd, "empty list")
+    _refused(["smatrix", "--graph", graph_file, "--s", ","], capfd,
+             "empty list")
 
 
 def test_homog_zero_bands_is_invalid_input(capfd):

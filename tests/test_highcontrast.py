@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgs import (HighContrastCell, Quasimomentum, build_dispersion_table,
-                 cell_discriminant, convergence_study, eps_spectrum,
-                 hom_dprime_spectrum, hom_tau_spectrum, transfer_matrix)
-from qgs.kernels import mp_entire_cs
+                 cell_discriminant, convergence_study, eps_spectra,
+                 eps_spectrum, hom_dprime_spectra, hom_dprime_spectrum,
+                 hom_tau_spectra, hom_tau_spectrum, transfer_matrix)
+from qgs.highcontrast import _bisect, _rotation
+from qgs.kernels import entire_cs, entire_cs_array, mp_entire_cs
 
 CELL = HighContrastCell(0.25, 0.5, 0.25)
 
@@ -34,6 +36,17 @@ def test_cell_geometry_checks():
         HighContrastCell(0.25, 0.5, 0.25, a=0.0)
     with pytest.raises(ValueError):
         HighContrastCell(0.25, 0.5, 0.25, epsilon=-1.0)
+
+
+@pytest.mark.parametrize("a, eps", [(1.0, 1e-200), (1.0, 1e-160),
+                                    (1e308, 0.01), (1.0, 1e200),
+                                    (5e-324, 2.0), (1e-310, 1.0)])
+def test_stiff_coefficient_out_of_range_is_refused(a, eps):
+    """a/eps^2 that overflows, divides by an eps^2 of 0, or is so small
+    that its reciprocal overflows would leave nan and inf in the rotation
+    function and the transfer matrices."""
+    with pytest.raises(ValueError, match="stiff coefficient"):
+        HighContrastCell(0.25, 0.5, 0.25, a=a, epsilon=eps)
 
 
 def test_cell_derived_quantities():
@@ -165,6 +178,13 @@ def test_non_finite_tau_is_refused(tau):
                            (hom_tau_spectrum, CELL), (hom_dprime_spectrum, CELL)):
         with pytest.raises(ValueError, match="tau must be finite"):
             spectrum(cell, tau, 2)
+
+
+def test_eps_spectra_rows_are_the_single_spectra():
+    eps, taus = [0.3, 0.05], [0.0, 2.0, -0.4]
+    spectra = eps_spectra(CELL, eps, taus, 3)
+    assert spectra == [[eps_spectrum(CELL.with_epsilon(e), t, 3) for t in taus]
+                       for e in eps]
 
 
 def test_spectrum_accepts_quasimomentum_object():
@@ -351,3 +371,221 @@ def test_dispersion_table_shifted_model():
 def test_dispersion_table_needs_epsilon_for_eps_model():
     with pytest.raises(ValueError):
         build_dispersion_table(CELL, [0.0], 2, models=("eps",))
+
+
+# --------------------------------------------------------------------------
+# lockstep bisection against the scalar bisection, bit for bit
+# --------------------------------------------------------------------------
+
+# The per-bracket bisection that the lockstep replaced, kept as the
+# reference: one kappa at a time, on transfer matrices in Python's complex
+# arithmetic multiplied as complex (2, 2) matrices.
+
+def _ref_transfer(coef, length, z):
+    C, S = entire_cs(complex(z) / coef, length)
+    return np.array([[C, S / coef], [-complex(z) * S, C]])
+
+
+def _ref_layers(cell):
+    stiff = cell.a / cell.epsilon ** 2
+    return ((stiff, cell.l1), (1.0, cell.l2), (stiff, cell.l3))
+
+
+def _ref_monodromy(layers, z):
+    T1, T2, T3 = (_ref_transfer(c, width, z) for c, width in layers)
+    return T3 @ T2 @ T1
+
+
+def _ref_bisect(below, lo, hi):
+    if not below(lo):
+        return lo
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo
+        lo, hi = (mid, hi) if below(mid) else (lo, mid)
+
+
+def _ref_rotation(cell, kappa, band):
+    layers = _ref_layers(cell)
+    theta, coef = 0.0, layers[0][0]
+    for c, width in layers:
+        turns, psi = divmod(theta, math.pi)
+        theta = (turns * math.pi
+                 + math.atan2(math.sqrt(c / coef) * math.sin(psi), math.cos(psi))
+                 + kappa * width / math.sqrt(c))
+        coef = c
+    n_dirichlet = math.ceil(theta / math.pi) - 1
+    (m11, m12), (m21, m22) = _ref_monodromy(layers, kappa * kappa).real
+    delta = -(m11 - m22) ** 2 - 4.0 * m12 * m21
+    a = math.atan2(math.sqrt(max(delta, 0.0)), m11 + m22)
+    return (math.pi * (n_dirichlet - band + 1)
+            + (a if n_dirichlet % 2 == 0 else math.pi - a)), delta
+
+
+def _ref_eps_spectrum(cell, tau, count):
+    t = abs(Quasimomentum(tau).tau)
+    out, kappa = [], 0.0
+    for n in range(1, count + 1):
+        s = t if n % 2 else math.pi - t
+
+        def below(k):
+            rho, delta = _ref_rotation(cell, k, n)
+            return rho < s or (rho <= 0.0 and delta < 0.0)
+
+        kappa = _ref_bisect(below, kappa, n * math.pi / cell.l2)
+        out.append(kappa * kappa)
+    return out
+
+
+def _ref_limit_spectrum(excess, count, l2):
+    return [(_ref_bisect(lambda q: excess(q, n) > 0.0, (n - 1) * math.pi,
+                         n * math.pi) / l2) ** 2 for n in range(1, count + 1)]
+
+
+def _ref_hom_tau(cell, tau, count):
+    b, t = cell.width_ratio, abs(Quasimomentum(tau).tau)
+
+    def excess(q, n):
+        d = (2.0 * math.sin(0.5 * (t + q)) * math.sin(0.5 * (t - q))
+             - 0.5 * b * q * math.sin(q))
+        return d if n % 2 else -d
+
+    return _ref_limit_spectrum(excess, count, cell.l2)
+
+
+def _ref_hom_dprime(cell, tau_prime, count):
+    b = cell.width_ratio
+    target = math.cos(abs(Quasimomentum(tau_prime).tau))
+
+    def excess(q, n):
+        g = 0.5 * b * q * math.sin(q) - math.cos(q)
+        return (target - g) if n % 2 else (g - target)
+
+    return _ref_limit_spectrum(excess, count, cell.l2)
+
+
+def _bits(values):
+    """The IEEE bit patterns, so that -0.0 and 0.0 differ too."""
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+# band edges, the small-tau corner where band 1 is tiny, and a uniform grid
+LOCKSTEP_TAUS = ([0.0, math.pi, -math.pi, 1e-4, -3e-4, 1e-3]
+                 + list(np.linspace(-3.0, 3.0, 5)))
+
+
+@pytest.mark.parametrize("a", [0.4, 1.0, 2.5])
+def test_eps_lockstep_matches_scalar_bisection(a):
+    """Every (eps, tau) root is bit for bit the one its own scalar
+    bisection finds; a = 1, eps = 1 is the free medium with closed gaps."""
+    cell = HighContrastCell(0.3, 0.45, 0.25, a=a)
+    eps = [1.0, 0.2, 0.02, 0.0025]
+    got = eps_spectra(cell, eps, LOCKSTEP_TAUS, 4)
+    for e, per_tau in zip(eps, got):
+        for tau, spectrum in zip(LOCKSTEP_TAUS, per_tau):
+            ref = _ref_eps_spectrum(cell.with_epsilon(e), tau, 4)
+            assert _bits(spectrum) == _bits(ref), (a, e, tau)
+
+
+def test_eps_lockstep_matches_scalar_bisection_to_eight_bands():
+    cell = HighContrastCell(0.25, 0.5, 0.25)
+    taus = [0.0, 1e-4, 1.1, -math.pi]
+    got = eps_spectra(cell, [1.0, 0.05], taus, 8)
+    for e, per_tau in zip([1.0, 0.05], got):
+        for tau, spectrum in zip(taus, per_tau):
+            ref = _ref_eps_spectrum(cell.with_epsilon(e), tau, 8)
+            assert _bits(spectrum) == _bits(ref), (e, tau)
+    # the exact hit at band 1's left end, and the free medium's doubled
+    # closed-gap edge (2 pi)^2
+    assert _bits(got[0][0][:1]) == _bits(got[1][0][:1]) == _bits([0.0])
+    assert got[0][0][1] == got[0][0][2]
+
+
+@pytest.mark.parametrize("a", [0.4, 1.0, 2.5])
+def test_rotation_matches_scalar_rotation(a):
+    """The rotation function and 4 - D^2 of each item, bit for bit, at
+    kappa = 0 and across bands."""
+    cell = HighContrastCell(0.3, 0.45, 0.25, a=a)
+    kappa = np.concatenate([[0.0, 1e-9], np.random.default_rng(3).uniform(
+        0.0, 25.0, 150)])
+    for eps in (1.0, 0.2, 0.02, 0.0025):
+        stiff = np.full(kappa.size, cell.with_epsilon(eps).stiff)
+        for band in (1, 3):
+            rho, delta = _rotation(cell, stiff, kappa, band)
+            ref = [_ref_rotation(cell.with_epsilon(eps), k, band)
+                   for k in kappa.tolist()]
+            assert _bits(rho) == _bits([r for r, _ in ref]), (eps, band)
+            assert _bits(delta) == _bits([d for _, d in ref]), (eps, band)
+
+
+def test_rotation_squares_as_the_scalar_code():
+    """4 - D^2 takes the square (m11 - m22)^2 as a float's ** does (libm
+    pow), which at these kappa rounds differently from (m11 - m22) times
+    itself, and the difference reaches delta and, where delta > 0, rho."""
+    cell = HighContrastCell(0.3, 0.45, 0.25).with_epsilon(0.2)
+    kappa = [17.906611863872303, 24.78439923284484]
+    for k in kappa:    # the data tells the two squares apart
+        (m11, m12), (m21, m22) = _ref_monodromy(_ref_layers(cell),
+                                                k * k).real
+        d = m11 - m22
+        assert -d ** 2 - 4.0 * m12 * m21 != -(d * d) - 4.0 * m12 * m21
+    rho, delta = _rotation(cell, np.full(2, cell.stiff), np.array(kappa), 1)
+    ref = [_ref_rotation(cell, k, 1) for k in kappa]
+    assert _bits(delta) == _bits([d for _, d in ref])
+    assert _bits(rho) == _bits([r for r, _ in ref])
+
+
+@pytest.mark.parametrize("count", [1, 3, 8])
+def test_limit_lockstep_matches_scalar_bisection(count):
+    cell = HighContrastCell(0.3, 0.45, 0.25)
+    shifted = [Quasimomentum(t).shifted() for t in LOCKSTEP_TAUS]
+    for got, ref in ((hom_tau_spectra(cell, LOCKSTEP_TAUS, count),
+                      [_ref_hom_tau(cell, t, count) for t in LOCKSTEP_TAUS]),
+                     (hom_dprime_spectra(cell, shifted, count),
+                      [_ref_hom_dprime(cell, t.tau, count) for t in shifted])):
+        assert [_bits(row) for row in got] == [_bits(row) for row in ref]
+
+
+def test_bisect_brackets_finish_in_their_own_rounds():
+    """A bracket with no double inside stops at once, an exact hit at the
+    left end is never halved, and a narrow bracket finishes before a wide
+    one, without changing the roots of the others.  A predicate that
+    holds at hi, against the contract, still ends below hi."""
+    lo = np.array([0.0, 0.0, 1.0, 0.5, 0.0, 0.0])
+    hi = np.array([1.0, 2.0 ** -40, math.nextafter(1.0, 2.0), 2.0, 3.0, 1.0])
+    roots = np.array([1 / 3, 2.0 ** -41 / 3, 1.5, 0.25, math.e, 5.0])
+    live_sizes = []
+
+    def below(i, x):
+        live_sizes.append(len(i))
+        return x < roots[i]
+
+    got = _bisect(below, lo, hi)
+    ref = [_ref_bisect(lambda x, r=r: x < r, float(l), float(h))
+           for l, h, r in zip(lo, hi, roots)]
+    assert _bits(got) == _bits(ref)
+    assert got[3] == 0.5                        # below fails at lo: a hit
+    assert got[5] == math.nextafter(1.0, 0.0)
+    # all six at lo, then three points for each bracket but the hit and
+    # the one with no double inside; the rest finish apart
+    assert live_sizes[:2] == [6, 3 * 4]
+    assert len(set(live_sizes[1:])) > 1
+    assert _bits(_bisect(below, np.empty(0), 1.0)) == []
+    assert live_sizes.count(0) == 0             # no round on no brackets
+
+
+def test_entire_cs_array_matches_scalar():
+    """Real z >= 0 through both regimes in one array, z = 0 included."""
+    rng = np.random.default_rng(7)
+    z = np.concatenate([[0.0, 1e-300], rng.uniform(0.0, 3e-4, 200),
+                        10.0 ** rng.uniform(-12.0, 4.0, 400)])
+    rng.shuffle(z)
+    for x in (0.25, 0.45, 1.3):
+        C, S = entire_cs_array(z, x)
+        ref = np.array([entire_cs(v, x) for v in z.tolist()])
+        for got, want in ((C, ref[:, 0]), (S, ref[:, 1])):
+            assert _bits(got.real) == _bits(want.real)
+            assert _bits(got.imag) == _bits(want.imag)
+    C, S = entire_cs_array(np.array([0.0]), 0.7)
+    assert (C[0], S[0]) == entire_cs(0.0, 0.7) == (1.0, 0.7)

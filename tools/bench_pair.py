@@ -11,11 +11,14 @@ tree, for the run_seconds of BENCHMARK.json and one process at a time,
 base first in even pairs and change first in odd ones, so that a drift of
 the machine's load falls on both sides alike.
 
-Writes BENCH_<workload>.json at the root of the checkout: the
-environment and, per seed, every run's JSON line with its pair, position
-and loadavg, per side and metric the median and quartiles of the runs,
-and the number of pairs in which the change was better (lower: every
-end-to-end metric of run.py is better lower).
+Writes BENCH_<workload>.json at the root of the checkout: the revision
+and git tree of each side, the environment and, per seed, every run's
+JSON line with its pair, position and loadavg, per side and metric the
+median and quartiles of the runs, and the number of pairs in which the
+change was better (lower: every end-to-end metric of run.py is better
+lower).  The change side's tree is that of the working tree when the
+runs start, so it differs from the base's whenever the two sides ran
+different files.
 """
 
 from __future__ import annotations
@@ -28,15 +31,27 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORK = os.path.join(ROOT, "tools", ".bench-work")
 
 
-def git(*args) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+def git(*args, cwd=ROOT, env=None) -> str:
+    return subprocess.run(["git", *args], cwd=cwd, env=env, check=True,
                           capture_output=True, text=True).stdout.strip()
+
+
+def worktree_tree(root: str = ROOT) -> str:
+    """The git tree of the files in root as they are now: tracked files
+    with their uncommitted edits and untracked files that .gitignore does
+    not exclude.  They are staged in a scratch index, so the repository's
+    own index is left as it is."""
+    with tempfile.TemporaryDirectory() as tmp:
+        env = dict(os.environ, GIT_INDEX_FILE=os.path.join(tmp, "index"))
+        git("add", "--all", ".", cwd=root, env=env)
+        return git("write-tree", cwd=root, env=env)
 
 
 def extract(rev: str, dest: str):
@@ -132,6 +147,11 @@ def main(argv=None) -> int:
         p.error("--pairs must be at least 1")
     seeds = args.seed or [1]
 
+    revisions = {
+        "base": {"rev": git("rev-parse", args.base),
+                 "tree": git("rev-parse", f"{args.base}^{{tree}}")},
+        "change": {"rev": git("rev-parse", "HEAD"), "tree": worktree_tree()},
+    }
     base_tree = os.path.join(WORK, "base")
     extract(args.base, base_tree)
     trees = {"base": base_tree, "change": ROOT}
@@ -144,10 +164,7 @@ def main(argv=None) -> int:
     report = {
         "workload": args.workload, "pairs": args.pairs,
         "seconds": run_seconds(),
-        "base": {"rev": git("rev-parse", args.base)},
-        "change": {"rev": git("rev-parse", "HEAD"),
-                   "dirty": bool(git("status", "--porcelain",
-                                     "--untracked-files=no"))},
+        **revisions,
         "environment": environment(),
         "finished": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "seeds": by_seed,
