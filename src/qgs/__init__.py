@@ -24,8 +24,9 @@ from .highcontrast import (ConvergenceRow, DispersionTable, HighContrastCell,
 from .inverse import (PathSumEstimate, RtDSamples, barycentric,
                       contraction_validation, extract_rtd, f1_contracted,
                       f1_entry, f1_shrunk, f1_via_determinants,
-                      forward_f1_oracle, invert_couplings, recover_couplings,
-                      recover_external_couplings, recover_path_sums)
+                      forward_f1_oracle, invert_couplings, ladder_tau0,
+                      recover_couplings, recover_external_couplings,
+                      recover_path_sums)
 from .scattering import (ScatteringMatrix, external_factors,
                          lead_matching_oracle, sigma_external, sigma_full,
                          sigma_projected, sigma_sweep)
@@ -53,7 +54,7 @@ __all__ = [
     "f1_via_determinants",
     "forward_f1_oracle", "hom_dprime_spectra", "hom_dprime_spectrum",
     "hom_tau_spectra", "hom_tau_spectrum",
-    "invert_couplings", "lead_matching_oracle", "load_graph", "matching_det",
+    "invert_couplings", "ladder_tau0", "lead_matching_oracle", "load_graph", "matching_det",
     "matching_matrix", "multiplicity_at", "parse_graph", "recover_couplings",
     "recover_external_couplings", "recover_path_sums", "robin_to_dirichlet",
     "serialize_graph", "sigma_external", "sigma_full", "sigma_projected",

@@ -29,8 +29,8 @@ from .highcontrast import (HighContrastCell, Quasimomentum,
                            build_dispersion_table, convergence_fit,
                            eps_spectra, eps_spectrum, hom_dprime_spectrum,
                            hom_tau_spectrum)
-from .inverse import (RtDSamples, forward_f1_oracle, invert_couplings,
-                      recover_external_couplings)
+from .inverse import (TAU0, RtDSamples, forward_f1_oracle, invert_couplings,
+                      ladder_tau0, recover_external_couplings)
 from .scattering import sigma_external, sigma_sweep
 from .spectra import MERGE_TOL, compact_spectrum
 from .weyl import CouplingMatrix
@@ -274,14 +274,16 @@ def cmd_invert(args) -> int:
                 f"(canonical order {', '.join(topo.vertex_ids())})")
         hidden = CouplingMatrix.from_values(topo, vals)
         oracle = forward_f1_oracle(topo, hidden)
+        tau0 = ladder_tau0(topo) if args.tau0 is None else args.tau0
         couplings, estimates = invert_couplings(
-            topo, oracle, tau0=args.tau0, levels=args.levels,
+            topo, oracle, tau0=tau0, levels=args.levels,
             fit_tol=args.fit_tol)
     elif args.rtd_samples:
         samples = _read_rtd_csv(args.rtd_samples,
                                 len(topo.external_ids()))
+        tau0 = TAU0 if args.tau0 is None else args.tau0
         couplings = recover_external_couplings(
-            samples, topo, tau0=args.tau0, levels=args.levels,
+            samples, topo, tau0=tau0, levels=args.levels,
             fit_tol=args.fit_tol)
     else:
         raise GraphError("invert needs --oracle forward or --rtd-samples")
@@ -291,7 +293,7 @@ def cmd_invert(args) -> int:
                       for vid in sorted(couplings)},
         "metadata": {
             "graph_topology": args.graph_topology,
-            "tau0": args.tau0,
+            "tau0": tau0,
             "levels": args.levels,
             "fit_tol": args.fit_tol,
             "mode": "forward-oracle" if args.oracle == "forward"
@@ -581,7 +583,10 @@ def build_parser() -> argparse.ArgumentParser:
     iv.add_argument("--rtd-samples",
                     help="CSV of response-map samples (experimental; "
                          "recovers external-vertex couplings only)")
-    iv.add_argument("--tau0", type=float, default=32.0)
+    iv.add_argument("--tau0", type=float,
+                    help="start of the probe ladder tau0 * 2^j (default: "
+                         "max(32, 32/l_min) for --oracle forward, with "
+                         "l_min the shortest edge; 32 for --rtd-samples)")
     iv.add_argument("--levels", type=int, default=7)
     iv.add_argument("--fit-tol", type=float, default=1e-3)
     iv.add_argument("--residuals-out", help="per-path residual CSV")

@@ -325,32 +325,57 @@ def validate(graph: MetricGraph) -> ValidationReport:
 # contraction
 # --------------------------------------------------------------------------
 
-def contract(graph: MetricGraph, edge_id: str) -> MetricGraph:
-    """Contract a non-loop edge: glue its endpoints into one vertex.
+def contract(graph: MetricGraph, edge_ids) -> MetricGraph:
+    """Contract non-loop edges: glue the endpoints of each into one vertex.
 
-    The merged vertex is named ``(U|V)`` after the ordered endpoints of the
-    contracted edge; its coupling is the sum of the endpoint couplings.  Any
-    other edge joining U and V becomes a loop at the merged vertex with its
-    own length.  Vertex count drops by exactly 1, edge count by exactly 1.
+    ``edge_ids`` is one edge id, or a sequence of ids of edges that form a
+    tree.  The result is that of contracting them one at a time in the
+    given order, built as one graph.  Each step names its merged vertex
+    ``(U|V)`` after the ordered endpoints of its edge, as the steps before
+    have named them, and gives it the sum of their couplings.  Any other
+    edge between two vertices glued into one becomes a loop there, with
+    its own length.
+    Vertex and edge counts drop by exactly the number of ids.
 
-    Raises LoopContraction for loops and UnknownEdge for a missing id.
+    Raises LoopContraction for a loop, or for an edge that the steps before
+    have made one (the ids close a cycle), UnknownEdge for a missing id,
+    and GraphError when a merged vertex id already exists.
     """
-    target = graph.edge_by_id(edge_id)
-    if target.is_loop:
-        raise LoopContraction(
-            f"edge {edge_id} is a loop at {target.u!r}; cannot contract")
-    merged = f"({target.u}|{target.v})"
-    if any(v.id == merged for v in graph.vertices):
-        raise GraphError(f"merged vertex id {merged!r} already exists")
+    ids = [edge_ids] if isinstance(edge_ids, str) else list(edge_ids)
+    by_id = {e.id: e for e in graph.edges}
+    coupling = {}   # id of each vertex after the steps so far -> coupling
+    for v in graph.vertices:
+        coupling.setdefault(v.id, v.coupling)
+    members = {}    # merged vertex -> the given vertices glued into it
+    name = {}       # given vertex glued into a merged one -> that one
 
     def rename(vid):
-        return merged if vid in (target.u, target.v) else vid
+        return name.get(vid, vid)
 
-    a_merged = graph.vertex(target.u).coupling + graph.vertex(target.v).coupling
-    vertices = [v for v in graph.vertices if v.id not in (target.u, target.v)]
-    vertices.append(Vertex(merged, a_merged))
+    for edge_id in ids:
+        if edge_id not in by_id:
+            raise UnknownEdge(f"no edge with id {edge_id!r}")
+        target = by_id[edge_id]
+        u, v = rename(target.u), rename(target.v)
+        if u == v:
+            raise LoopContraction(
+                f"edge {edge_id} is a loop at {u!r}; cannot contract")
+        merged = f"({u}|{v})"
+        if merged in coupling:
+            raise GraphError(f"merged vertex id {merged!r} already exists")
+        for end in (u, v):
+            if end not in coupling:
+                raise GraphError(f"unknown vertex id {end!r}")
+        coupling[merged] = coupling.pop(u) + coupling.pop(v)
+        members[merged] = members.pop(u, [u]) + members.pop(v, [v])
+        for vid in members[merged]:
+            name[vid] = merged
+
+    vertices = [v for v in graph.vertices if v.id not in name]
+    vertices += [Vertex(vid, coupling[vid]) for vid in members]
+    gone = set(ids)
     edges = [Edge(rename(e.u), rename(e.v), e.length)
-             for e in graph.edges if e.id != edge_id]
+             for e in graph.edges if e.id not in gone]
     leads = tuple(rename(l) for l in graph.leads)
     return MetricGraph(vertices, edges, leads)
 

@@ -22,11 +22,15 @@ The chain implemented here:
    contracted graph returns the *sum* of couplings along the path; the
    known degree drift tau * (sum deg - 2*(edges contracted)) is removed
    and the remainder fitted against c0 + c1/tau + c2/tau^2 over a
-   doubling ladder of tau values.
+   doubling ladder of tau values.  The neglected terms decay like
+   exp(-tau l_min), so ``ladder_tau0`` scales the ladder's start to the
+   shortest edge.
 
-   Every probe is a call ``oracle(z, path)``, all energies of one path
-   before the next; ``forward_f1_oracle`` builds such an oracle from known
-   couplings and contracts each path once.
+   The oracle is called once per path, as ``oracle(z, path)`` with the
+   1-D array z of the path's ladder energies, and returns the array of
+   its values.  ``forward_f1_oracle`` builds such an oracle from known
+   couplings: each call contracts the path with one ``contract`` call and
+   evaluates every energy with one stacked ``f1_entry``.
 
 3. ``recover_couplings`` — the path sums over a prefix-closed family of
    tree paths form a triangular system: each vertex coupling is the sum
@@ -40,19 +44,20 @@ limits recovery to couplings at the external vertices — see
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ExtrapolationDiverged, InconsistentPaths, ScanResolution,
-                     SingularBracket, SingularMatrix, UnknownEdge)
+from .errors import (ExtrapolationDiverged, InconsistentPaths, PoleProximity,
+                     ScanResolution, SingularBracket, SingularMatrix,
+                     UnknownEdge)
 from .graphs import (Edge, MetricGraph, SpanningTreePath, contract,
                      spanning_tree)
 from .scattering import external_block, scattering_solves_at
-from .weyl import COND_LIMIT, CouplingMatrix, checked_inverse, weyl_compact
+from .weyl import (COND_LIMIT, CouplingMatrix, checked_inverse, stack_size,
+                   weyl_compact, weyl_stack)
 
 TAU0 = 32.0
 LEVELS = 7
@@ -122,11 +127,13 @@ def extract_rtd(sigma_e_oracle, graph_topology: MetricGraph,
             warnings.warn(f"topology factor singular at s={s:g}; "
                           "point dropped", SingularBracket)
             continue
-        if np.linalg.cond(F2) > COND_LIMIT:
+        try:
+            F2_inverse = checked_inverse(F2, s, "topology factor")
+        except SingularMatrix:
             warnings.warn(f"topology factor ill-conditioned at s={s:g}; "
                           "point dropped", SingularBracket)
             continue
-        product = sig @ np.linalg.inv(F2)
+        product = sig @ F2_inverse
         bracket = eye + product
         # cond() alone misses the 1x1 case (cond of any scalar is 1), so
         # also compare the smallest singular value against the natural
@@ -157,59 +164,105 @@ def _probe_vertex(graph: MetricGraph, vertex: str | None) -> str:
 
 
 def f1_entry(graph: MetricGraph, kappa: CouplingMatrix, z,
-             vertex: str | None = None) -> complex:
-    """Diagonal response-map entry at one vertex (default: first external).
+             vertex: str | None = None):
+    """Diagonal response-map entry at one vertex (default: first external),
+    at one energy z or at each of a 1-D array of energies.
 
     This is the (v, v) entry of (M_compact(z) - K)^-1, the quantity whose
     negative-axis asymptotics drive the recovery chain, read from the
-    inverse that the condition gate computes.
+    inverse that the condition gate computes.  The energies are assembled
+    by weyl_stack and gated in stacks of stack_size(n).  Real matrices (z
+    <= 0 with real couplings) are inverted in real arithmetic, each run of
+    them in a stack together, so each entry is the one its energy gives
+    alone, bit for bit.  The first energy, in the order given, that lies
+    within POLE_TOL of a pole or whose matrix the gate refuses raises
+    PoleProximity or SingularMatrix, as a loop over the energies would.
+
+    Returns a complex number for a scalar z, a complex array for an array.
     """
     i = graph.vertex_index(_probe_vertex(graph, vertex))
-    A = weyl_compact(graph, z).entries - kappa.as_array()
-    return complex(checked_inverse(A, z, "M_compact - coupling")[i, i])
+    z = np.asarray(z)
+    energies = z.reshape(-1)
+    K = np.diag(np.asarray(kappa.diagonal, dtype=complex))
+    f = np.empty(len(energies), dtype=complex)
+    size = stack_size(graph.n_vertices)
+    for start in range(0, len(energies), size):
+        block = energies[start:start + size]
+        M, poles = weyl_stack(graph, block)
+        hit = np.flatnonzero(poles >= 0)
+        p = hit[0] if hit.size else len(block)    # gate up to the first pole
+        A = M[:p] - K
+        real = ~A.imag.any(axis=(1, 2))
+        # each run of real matrices is inverted in real arithmetic
+        cuts = [0, *(np.flatnonzero(np.diff(real)) + 1).tolist(), p]
+        for a, b in zip(cuts, cuts[1:]):
+            run = A[a:b].real if real[a:b].all() else A[a:b]
+            f[start + a:start + b] = checked_inverse(
+                run, block[a:b].tolist(), "M_compact - coupling")[:, i, i]
+        if p < len(block):
+            raise PoleProximity(complex(block[p]), graph.edges[poles[p]].id)
+    return complex(f[0]) if z.ndim == 0 else f
 
 
 def f1_via_determinants(graph: MetricGraph, kappa: CouplingMatrix, z,
                         vertex: str | None = None) -> complex:
-    """Same entry through the cofactor ratio — independent cross-check."""
+    """Same entry through the cofactor ratio — independent cross-check.
+
+    The two determinants are taken as sign and log-modulus (slogdet), so
+    the ratio holds where either determinant alone over- or underflows.
+    """
     i = graph.vertex_index(_probe_vertex(graph, vertex))
     A = weyl_compact(graph, z).entries - kappa.as_array()
     keep = [j for j in range(A.shape[0]) if j != i]
-    minor = A[np.ix_(keep, keep)]
-    det = np.linalg.det(A)
-    if det == 0:
+    sign, logdet = np.linalg.slogdet(A)
+    if sign == 0:
         raise SingularMatrix(z, "M_compact - coupling")
-    return complex(np.linalg.det(minor) / det)
+    minor_sign, minor_logdet = np.linalg.slogdet(A[np.ix_(keep, keep)])
+    return complex(minor_sign / sign * np.exp(minor_logdet - logdet))
 
 
-def _find_edge(graph: MetricGraph, u: str, v: str, length: float) -> str:
+def _path_edges(graph: MetricGraph, path: SpanningTreePath):
+    """(edge ids, merged id) of the path's edges, as contracting them into
+    the root one at a time picks and names them.  Each step takes the first
+    edge, in the edge order of the graph contracted so far, of the step's
+    length between the merged vertex and the next path vertex."""
+    between = {}
     for e in graph.edges:
-        if {e.u, e.v} == {u, v} and abs(e.length - length) <= 1e-12 * max(
-                1.0, length):
-            return e.id
-    raise UnknownEdge(f"no edge {u!r}-{v!r} of length {length!r}")
+        between.setdefault(frozenset((e.u, e.v)), []).append(e)
+    merged, glued, ids = path.root, {path.root}, []
+
+    def key(e):     # the edge's place in the graph contracted so far
+        return (merged if e.u in glued else e.u,
+                merged if e.v in glued else e.v, e.length)
+
+    for vertex, length in zip(path.vertices_on_path[1:],
+                              path.ordered_edge_lengths):
+        found = [e for w in glued for e in between.get(
+                     frozenset((w, vertex)), ())
+                 if abs(e.length - length) <= 1e-12 * max(1.0, length)]
+        if not found:
+            raise UnknownEdge(
+                f"no edge {merged!r}-{vertex!r} of length {length!r}")
+        edge = min(found, key=key)
+        u, v, _ = key(edge)
+        ids.append(edge.id)
+        merged = f"({u}|{v})"
+        glued.add(vertex)
+    return ids, merged
 
 
-def _contract_along(graph: MetricGraph, kappa: CouplingMatrix,
-                    path: SpanningTreePath):
-    """Contract the path into its root; returns (graph', couplings',
-    merged id).  A root path leaves graph and couplings as they are.
+def _contract_along(graph: MetricGraph, path: SpanningTreePath):
+    """Contract the path into its root, with one contract call; returns
+    (graph', couplings', merged id).  A root path leaves the graph as it
+    is.
 
-    Couplings ride on the vertices so that contraction adds them up, and
-    are read back off the result.
+    Couplings ride on the vertices of `graph` so that contraction adds
+    them up, and are read back off the result.
     """
     if path.vertex_count == 1:
-        return graph, kappa, path.root
-    g = graph.with_couplings(kappa.diagonal)
-    merged = path.vertices_on_path[0]
-    for next_vertex, length in zip(path.vertices_on_path[1:],
-                                   path.ordered_edge_lengths):
-        eid = _find_edge(g, merged, next_vertex, length)
-        old_ids = set(g.vertex_ids())
-        g = contract(g, eid)
-        new_ids = set(g.vertex_ids()) - old_ids
-        assert len(new_ids) == 1
-        merged = new_ids.pop()
+        return graph, CouplingMatrix.from_graph(graph), path.root
+    ids, merged = _path_edges(graph, path)
+    g = contract(graph, ids)
     return g, CouplingMatrix.from_graph(g), merged
 
 
@@ -222,7 +275,8 @@ def f1_contracted(graph: MetricGraph, kappa: CouplingMatrix,
     at the merged vertex.  ``contraction_validation`` offers the slow
     shrinking-edge route for checking this identity.
     """
-    g, k, merged = _contract_along(graph, kappa, path)
+    g, k, merged = _contract_along(graph.with_couplings(kappa.diagonal),
+                                   path)
     return f1_entry(g, k, z, vertex=merged)
 
 
@@ -234,9 +288,7 @@ def f1_shrunk(graph: MetricGraph, kappa: CouplingMatrix,
     exists to validate the contraction identity numerically.
     """
     g = graph.with_couplings(kappa.diagonal)
-    on_path = path.vertices_on_path
-    shrink = {_find_edge(g, u, v, length) for u, v, length
-              in zip(on_path, on_path[1:], path.ordered_edge_lengths)}
+    shrink = set(_path_edges(g, path)[0])
     new_edges = []
     for e in g.edges:
         scale = delta if e.id in shrink else 1.0
@@ -269,23 +321,34 @@ def forward_f1_oracle(graph: MetricGraph, kappa: CouplingMatrix):
 
     This is the oracle handed to the recovery pipeline in round-trip tests
     and by the command-line ``invert --oracle forward`` mode: the recovery
-    code sees only its values, never the couplings.  The recovery probes
-    one path at all its energies before the next, so the oracle contracts
-    each path once and keeps only the current path's contracted graph.
+    code sees only its values, never the couplings.  The recovery calls it
+    once per path with the 1-D array of the path's ladder energies, so
+    each call contracts its path once and hands the whole array to
+    f1_entry, which returns an array of entries.
     """
-    contracted = functools.lru_cache(maxsize=1)(
-        functools.partial(_contract_along, graph, kappa))
+    coupled = graph.with_couplings(kappa.diagonal)
 
     def oracle(z, path: SpanningTreePath):
-        g, k, merged = contracted(path)
+        g, k, merged = _contract_along(coupled, path)
         return f1_entry(g, k, z, vertex=merged)
 
     return oracle
 
 
+def ladder_tau0(graph: MetricGraph) -> float:
+    """The probe ladder's start scaled to the graph: max(TAU0, TAU0/l_min).
+
+    The probes carry terms of order exp(-tau * l_min), which the fit's
+    model c0 + c1/tau + c2/tau^2 cannot absorb; starting at tau0 * l_min
+    >= TAU0 keeps them below exp(-TAU0) on graphs with short edges.
+    """
+    return max([TAU0] + [TAU0 / e.length for e in graph.edges])
+
+
 def _ladder_fit(sample, tau0, levels, fit_tol, label):
     """(c0, residual) of the least-squares fit sample(tau) ~ c0 + c1/tau +
-    c2/tau^2 over the ladder tau_j = tau0 * 2^j, j < levels.
+    c2/tau^2 over the ladder tau_j = tau0 * 2^j, j < levels.  sample takes
+    the ladder as one 1-D array and returns the samples in its order.
 
     A residual above fit_tol * (1 + |c0|) raises ExtrapolationDiverged
     naming `label`, the path target or vertex.  tau0 must be finite and
@@ -302,7 +365,7 @@ def _ladder_fit(sample, tau0, levels, fit_tol, label):
     taus = np.array([tau0 * 2.0 ** j for j in range(levels)])
     design = np.column_stack([np.ones_like(taus), 1.0 / taus,
                               1.0 / taus ** 2]).astype(complex)
-    samples = np.asarray([sample(tau) for tau in taus], dtype=complex)
+    samples = np.asarray(sample(taus), dtype=complex)
     coef, *_ = np.linalg.lstsq(design, samples, rcond=None)
     fit = design @ coef
     residual = float(np.max(np.abs(fit - samples)))
@@ -324,8 +387,9 @@ def recover_path_sums(graph_topology: MetricGraph, rtd_oracle, paths,
         D = sum of lead-free degrees - 2*(l-1),
 
     so subtracting the degree drift and fitting c0 + c1/tau + c2/tau^2
-    over tau_j = tau0 * 2^j leaves the sum in c0.  Each path is probed at
-    all its energies before the next, so an oracle contracts it once.  A
+    over tau_j = tau0 * 2^j leaves the sum in c0.  The oracle is called
+    once per path, as rtd_oracle(z, path) with the 1-D array z of all the
+    path's ladder energies, and returns the array of its values.  A
     fit residual above fit_tol * (1 + |c0|) raises ExtrapolationDiverged —
     the signature of a wrong topology, a bad oracle, or tau0 too small for
     the edge lengths.
@@ -334,9 +398,14 @@ def recover_path_sums(graph_topology: MetricGraph, rtd_oracle, paths,
     for path in paths:
         D = sum(graph_topology.degree(v) for v in path.vertices_on_path)
         D -= 2 * (path.vertex_count - 1)
-        value, residual = _ladder_fit(
-            lambda tau: -1.0 / rtd_oracle(-(tau * tau), path) - tau * D,
-            tau0, levels, fit_tol, path.target)
+
+        def sample(taus):
+            values = rtd_oracle(-(taus * taus), path)
+            return [-1.0 / complex(f) - tau * D
+                    for tau, f in zip(taus.tolist(), values)]
+
+        value, residual = _ladder_fit(sample, tau0, levels, fit_tol,
+                                      path.target)
         if abs(value.imag) < 1e-12 * (1.0 + abs(value.real)):
             value = complex(value.real, 0.0)
         estimates.append(PathSumEstimate(path, value, residual))
@@ -441,6 +510,7 @@ def recover_external_couplings(samples: RtDSamples,
         interp = barycentric(samples.grid, samples.values[:, j, j])
         D = graph_topology.degree(vid)
         couplings[vid], _ = _ladder_fit(
-            lambda tau: -1.0 / interp(-(tau * tau)) - tau * D,
+            lambda taus: [-1.0 / interp(-(tau * tau)) - tau * D
+                          for tau in taus.tolist()],
             tau0, levels, fit_tol, vid)
     return couplings

@@ -119,6 +119,17 @@ def _norm1(A):
     return np.abs(A).sum(axis=-2).max(axis=-1)
 
 
+def _inverse(A):
+    """np.linalg.inv(A), for one matrix or each of a stack, with NaN in
+    place of the inverse of an exactly singular matrix."""
+    try:
+        return np.linalg.inv(A)
+    except np.linalg.LinAlgError:
+        if A.ndim == 2:
+            return np.full_like(A, np.nan)
+        return np.stack([_inverse(a) for a in A])
+
+
 def _cond_gate(A):
     """(refused, inverse): np.linalg.cond(A) > COND_LIMIT, for one matrix or
     each of a stack, and np.linalg.inv(A), which the decision is made from
@@ -128,16 +139,13 @@ def _cond_gate(A):
     kappa_1/n <= cond(A) <= n kappa_1 (Golub & Van Loan, Matrix
     Computations, 2.3).  A matrix whose bracket lies below or above
     COND_LIMIT with a factor GATE_SLACK to spare, for the rounding of the
-    computed inverse, is decided by it; only the rest go to the SVD of
-    np.linalg.cond, so every decision is the SVD's.  (Higham's 1-norm
-    estimator, ACM TOMS 14, 1988, would need the LU factors, which numpy
-    does not expose.)
+    computed inverse, is decided by it; only the rest, exactly singular
+    ones included, go to the SVD of np.linalg.cond, so every decision is
+    the SVD's.  (Higham's 1-norm estimator, ACM TOMS 14, 1988, would need
+    the LU factors, which numpy does not expose.)
     """
     n = A.shape[-1]
-    try:
-        inverse = np.linalg.inv(A)
-    except np.linalg.LinAlgError:   # exactly singular: all to the SVD
-        inverse = np.full_like(A, np.nan)
+    inverse = _inverse(A)
     with np.errstate(all="ignore"):
         kappa1 = _norm1(A) * _norm1(inverse)
     refused = np.asarray(kappa1 > GATE_SLACK * n * COND_LIMIT)
@@ -171,11 +179,17 @@ def checked_solve(A, B, z, what):
 
 
 def checked_inverse(A, z, what):
-    """np.linalg.inv(A) of one matrix, refused as by checked_solve: raises
-    SingularMatrix(z, what) when np.linalg.cond(A) exceeds COND_LIMIT."""
+    """np.linalg.inv(A), refused as by checked_solve.
+
+    One matrix A: raises SingularMatrix(z, what) when np.linalg.cond(A)
+    exceeds COND_LIMIT.  A stack A (N x n x n) with one energy per matrix
+    in z: raises SingularMatrix(z[i], what) for the first refused A[i].
+    Either way the inverse is np.linalg.inv's, bit for bit.
+    """
     refused, inverse = _cond_gate(A)
-    if refused:
-        raise SingularMatrix(z, what)
+    if refused.any():
+        raise SingularMatrix(z if A.ndim == 2 else z[int(refused.argmax())],
+                             what)
     return inverse
 
 

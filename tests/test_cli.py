@@ -237,6 +237,47 @@ def test_invert_forward_roundtrip(graph_file, tmp_path, capsys):
     assert len(lines) == 5
 
 
+def test_invert_forward_ladder_scales_with_the_shortest_edge(tmp_path,
+                                                              capsys):
+    """A 0.3-long loop leaves terms of order exp(-0.3 tau) in the probes.
+    The default ladder starts at tau0 = 32/0.3 and recovers every coupling
+    to 1e-8; --tau0 32 still starts where it says, and misses by far more."""
+    g = MetricGraph(
+        [Vertex("V1"), Vertex("V2"), Vertex("V3"), Vertex("V4")],
+        [Edge("V1", "V2", 1.0), Edge("V2", "V2", 0.3),
+         Edge("V2", "V3", math.sqrt(2)), Edge("V3", "V4", math.sqrt(3))],
+        leads=["V1"])
+    path = tmp_path / "short-loop.json"
+    path.write_text(serialize_graph(g))
+    true = [0.5, -1.25, 0.75, 1.5]
+    argv = ["invert", "--graph-topology", str(path), "--oracle", "forward",
+            "--true-couplings", ",".join(map(str, true))]
+
+    def worst_error(payload):
+        return max(abs(complex(*payload["couplings"][vid]) - a)
+                   for vid, a in zip(g.vertex_ids(), true))
+
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["metadata"]["tau0"] == 32.0 / 0.3
+    assert worst_error(payload) < 1e-8
+    assert main(argv + ["--tau0", "32"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["metadata"]["tau0"] == 32.0
+    assert worst_error(payload) > 1e-6
+
+    # sampled data keeps the 32 * 2^j ladder its samples were taken on
+    k = CouplingMatrix.from_values(g, true)
+    csv = tmp_path / "samples.csv"
+    csv.write_text("z,re,im\n" + "".join(
+        f"{z},{v.real},{v.imag}\n"
+        for z in (-((32.0 * 2 ** j) ** 2) for j in range(7))
+        for v in [robin_to_dirichlet(g, k, z)[0, 0]]))
+    assert main(["invert", "--graph-topology", str(path),
+                 "--rtd-samples", str(csv)]) == 0
+    assert json.loads(capsys.readouterr().out)["metadata"]["tau0"] == 32.0
+
+
 def test_invert_needs_a_source(graph_file, capsys):
     rc = main(["invert", "--graph-topology", graph_file])
     assert rc == 2

@@ -171,6 +171,88 @@ def test_contract_unknown_edge():
         contract(g, "nope")
 
 
+def _chained(graph, edge_ids):
+    """The edges contracted one contract call at a time, each found in the
+    graph contracted so far by its endpoints, as renamed, and length."""
+    name = {v.id: v.id for v in graph.vertices}
+    g = graph
+    for edge_id in edge_ids:
+        e = graph.edge_by_id(edge_id)
+        ends = (name[e.u], name[e.v])
+        here = next(f.id for f in g.edges
+                    if (f.u, f.v, f.length) == ends + (e.length,))
+        before = set(g.vertex_ids())
+        g = contract(g, here)
+        (merged,) = set(g.vertex_ids()) - before
+        for vid, now in name.items():
+            if now in ends:
+                name[vid] = merged
+    return g
+
+
+def _assert_same_graph(a, b):
+    assert a.vertex_ids() == b.vertex_ids()
+    # couplings bit for bit: the sums are taken in the same order
+    assert [v.coupling for v in a.vertices] == [v.coupling
+                                                for v in b.vertices]
+    assert [(e.u, e.v, e.length, e.id) for e in a.edges] == [
+        (e.u, e.v, e.length, e.id) for e in b.edges]
+    assert a.leads == b.leads
+
+
+def test_contract_many_equals_chained_single_edges():
+    """Loops, parallel edges (equal-length ones in both orientations on
+    the tree) and ids that sort before '(' (so that merged vertices sort
+    after them), tree edges in several orders."""
+    g = MetricGraph(
+        [Vertex("!a", 0.1 + 0.3j), Vertex("#b", -0.7), Vertex("A", 1e-17),
+         Vertex("B", 0.25), Vertex("C", -1.5 + 0.5j), Vertex("D", 0.3)],
+        [Edge("!a", "#b", 1.0), Edge("#b", "!a", 1.0),
+         Edge("#b", "A", 0.5), Edge("A", "#b", 0.5), Edge("A", "A", 0.7),
+         Edge("A", "B", 0.9), Edge("B", "C", 1.1), Edge("C", "B", 1.3),
+         Edge("C", "D", 0.4), Edge("D", "!a", 2.0), Edge("D", "D", 0.6)],
+        leads=["!a", "C"])
+    by_ends = {(e.u, e.v, e.length): e.id for e in g.edges}
+    tree = [by_ends["!a", "#b", 1.0], by_ends["A", "#b", 0.5],
+            by_ends["A", "B", 0.9], by_ends["C", "B", 1.3],
+            by_ends["C", "D", 0.4]]
+    rng = random.Random(5)
+    for ids in [tree, tree[::-1], [tree[0], tree[3], tree[1], tree[4]],
+                tree[2:3]] + [rng.sample(tree, k) for k in (2, 3, 5, 5)]:
+        one = contract(g, ids)
+        _assert_same_graph(one, _chained(g, ids))
+        assert one.n_vertices == g.n_vertices - len(ids)
+        assert one.n_edges == g.n_edges - len(ids)
+    assert contract(g, tree[2]) == contract(g, tree[2:3])
+
+
+@given(graphs, st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=60, deadline=None)
+def test_contract_spanning_tree_equals_chained(g, seed):
+    paths = spanning_tree(g, g.vertex_ids()[0])
+    parent = {p.target: p.vertices_on_path[-2] for p in paths[1:]}
+    tree = []
+    for p in paths[1:]:    # one tree edge per non-root vertex
+        u, v = parent[p.target], p.target
+        length = p.ordered_edge_lengths[-1]
+        tree.append(next(e.id for e in g.edges if {e.u, e.v} == {u, v}
+                         and e.length == length))
+    ids = random.Random(seed).sample(tree, len(tree))
+    _assert_same_graph(contract(g, ids), _chained(g, ids))
+
+
+def test_contract_refuses_a_cycle_and_unknown_ids():
+    g = MetricGraph([Vertex("A"), Vertex("B"), Vertex("C")],
+                    [Edge("A", "B", 1.0), Edge("B", "C", 1.5),
+                     Edge("C", "A", 2.0)])
+    # e1 glues A and B, e3 = C-A then glues C in, and e2 = B-C is a loop
+    with pytest.raises(LoopContraction, match=r"edge e2 is a loop at "
+                                              r"'\(C\|\(A\|B\)\)'"):
+        contract(g, ["e1", "e3", "e2"])
+    with pytest.raises(UnknownEdge):
+        contract(g, ["e1", "nope"])
+
+
 @given(graphs)
 @settings(max_examples=60, deadline=None)
 def test_contract_invariants(g):

@@ -1,19 +1,39 @@
 """Recovery of vertex couplings from boundary data."""
 
+import json
 import math
+import os
+import random
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 from qgs import (CouplingMatrix, Edge, ExtrapolationDiverged,
-                 InconsistentPaths, MetricGraph, PathSumEstimate, RtDSamples,
-                 SingularBracket, Vertex, barycentric,
+                 InconsistentPaths, MetricGraph, PathSumEstimate,
+                 PoleProximity, RtDSamples, SingularBracket, SingularMatrix,
+                 SpanningTreePath, Vertex, barycentric, contract,
                  contraction_validation, extract_rtd, f1_contracted,
                  f1_entry, f1_via_determinants, forward_f1_oracle,
-                 invert_couplings, recover_couplings,
+                 invert_couplings, parse_graph, recover_couplings,
                  recover_external_couplings, recover_path_sums,
-                 robin_to_dirichlet, sigma_external, spanning_tree)
+                 robin_to_dirichlet, sigma_external, spanning_tree,
+                 weyl_compact)
+from qgs.inverse import _contract_along
+from qgs.weyl import stack_size
+
+
+def family_graph(n, seed):
+    """A perfbench family graph of n vertices, couplings included."""
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench"))
+    try:
+        import inputs
+    finally:
+        sys.path.pop(0)
+    return parse_graph(json.dumps(inputs.family_graph(random.Random(seed),
+                                                      n)))
 
 
 def chain(*couplings, leads=("V1",)):
@@ -73,6 +93,32 @@ def test_extraction_drops_singular_points(lead_interval):
     assert any(issubclass(w.category, SingularBracket) for w in rec)
 
 
+def test_extraction_gates_the_topology_factor_without_an_svd(
+        star3, monkeypatch):
+    """The topology factor's inverse comes from the condition gate: the
+    values are those of np.linalg.cond followed by np.linalg.inv, and a
+    well-conditioned grid point needs no np.linalg.cond."""
+    from qgs.inverse import _topology_factor
+    k = CouplingMatrix.from_values(star3, [0.7, -0.2, 0.4, 0.0])
+    grid = [0.9, 2.7, 8.1, 20.5]
+    want = []
+    for s in grid:
+        F2 = _topology_factor(star3, s)
+        assert np.linalg.cond(F2) < 1e12
+        bracket = np.eye(1) + sigma_external(star3, k, s).entries @ \
+            np.linalg.inv(F2)
+        want.append((2.0 * np.linalg.inv(bracket) - np.eye(1))
+                    / (1j * math.sqrt(s)))
+    conds = []
+    real_cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond",
+                        lambda *a, **kw: conds.append(1) or real_cond(*a,
+                                                                      **kw))
+    samples = extract_rtd(lambda s: sigma_external(star3, k, s), star3, grid)
+    assert conds == []
+    assert np.array_equal(samples.values, np.array(want))
+
+
 def test_samples_container_validation():
     with pytest.raises(ValueError):
         RtDSamples(np.array([1.0, 2.0]), np.zeros((3, 1, 1)))
@@ -110,6 +156,156 @@ def test_f1_contracted_matches_merged_graph():
                      [Edge("W", "V3", math.sqrt(3.0))])
     direct = f1_entry(g2, CouplingMatrix.from_graph(g2), z, vertex="W")
     assert merged == pytest.approx(direct, rel=1e-10)
+
+
+def _one_energy_f1(graph, kappa, z, vertex):
+    """The entry at one energy, from the assembly and inverse of one
+    matrix: weyl_compact, M - K, real when its imaginary part is zero,
+    and np.linalg.inv."""
+    A = weyl_compact(graph, z).entries - kappa.as_array()
+    if not A.imag.any():
+        A = A.real
+    i = graph.vertex_index(vertex)
+    return complex(np.linalg.inv(A)[i, i])
+
+
+def _bits(values):
+    return np.asarray(values, dtype=complex).view(np.int64).tolist()
+
+
+def test_stacked_f1_is_the_one_energy_entry_bit_for_bit(star3):
+    g50 = family_graph(50, seed=3)
+    assert stack_size(g50.n_vertices) < 7
+    ladder = -(32.0 * 2.0 ** np.arange(7)) ** 2
+    mixed = np.array([-4096.0, -1.0, 0.0, 0.75, 2.2, 5.5 + 0.25j, -9.0])
+    cases = [
+        (star3, CouplingMatrix.from_values(star3, [0.7, -0.2, 0.4, 0.0])),
+        (star3, CouplingMatrix.from_values(star3,
+                                           [0.7 + 0.3j, -0.2, 0.4j, 0.0])),
+        (g50, CouplingMatrix.from_graph(g50)),
+        (g50, CouplingMatrix.from_values(
+            g50, [a + 0.1j * (i % 3) for i, a in enumerate(
+                CouplingMatrix.from_graph(g50).diagonal)])),
+    ]
+    for g, k in cases:
+        for z in (ladder, mixed):
+            vertex = g.vertex_ids()[-1]
+            stacked = f1_entry(g, k, z, vertex=vertex)
+            assert stacked.shape == z.shape
+            alone = [f1_entry(g, k, zj, vertex=vertex) for zj in z]
+            assert all(isinstance(f, complex) for f in alone)
+            want = [_one_energy_f1(g, k, zj, vertex) for zj in z]
+            assert _bits(stacked) == _bits(want)
+            assert _bits(alone) == _bits(want)
+
+
+def test_stacked_f1_raises_at_the_first_failing_energy(lead_interval):
+    """The Kirchhoff interval is singular at z = 0 exactly, and has a pole
+    at pi^2; a stack raises what a loop over its energies raises first,
+    in whichever block it falls."""
+    k = CouplingMatrix.zeros(lead_interval)
+
+    def loop_error(zs):
+        with pytest.raises((SingularMatrix, PoleProximity)) as info:
+            for z in zs:
+                f1_entry(lead_interval, k, z)
+        return info.value
+
+    pole = math.pi ** 2
+    for zs in ([-4.0, -1.0, 0.0, -9.0, -16.0], [-1.0, pole, 0.0],
+               [-1.0, 0.0, pole], [2.0, 3.0, pole, 0.0]):
+        want = loop_error(zs)
+        with pytest.raises(type(want)) as info:
+            f1_entry(lead_interval, k, np.array(zs))
+        assert str(info.value) == str(want)
+        assert info.value.z == want.z
+
+
+def test_stacked_f1_raises_in_a_later_block():
+    """A 50-vertex ladder splits into blocks; a refused energy in the
+    second block raises the loop's SingularMatrix."""
+    g = family_graph(50, seed=3)
+    k = CouplingMatrix.from_graph(g)
+    z = -(32.0 * 2.0 ** np.arange(9)) ** 2
+    size = stack_size(g.n_vertices)
+    assert size < 7
+    bad = size + 1
+    # raising the first coupling by s = 1/(A^-1)_00, A = M(z[bad]) - K,
+    # makes det(A - s e0 e0^T) = det(A) (1 - s (A^-1)_00) vanish there
+    A = weyl_compact(g, z[bad]).entries - k.as_array()
+    shift = 1.0 / np.linalg.inv(A)[0, 0]
+    singular = CouplingMatrix.from_values(
+        g, [a + (shift if j == 0 else 0.0) for j, a in enumerate(k.diagonal)])
+    with pytest.raises(SingularMatrix) as loop:
+        for zj in z:
+            f1_entry(g, singular, zj)
+    with pytest.raises(SingularMatrix) as stacked:
+        f1_entry(g, singular, z)
+    assert loop.value.z == stacked.value.z == z[bad]
+    assert str(stacked.value) == str(loop.value)
+
+
+def test_f1_via_determinants_on_a_large_graph():
+    """On 120 vertices deep on the negative axis det(M - K) overflows;
+    the log-determinant ratio still matches the gated inverse."""
+    g = family_graph(120, seed=120)
+    k = CouplingMatrix.from_graph(g)
+    z = -2048.0 ** 2
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(np.linalg.det(
+            weyl_compact(g, z).entries - k.as_array()))
+    a = f1_via_determinants(g, k, z)
+    assert math.isfinite(a.real)
+    assert a == pytest.approx(f1_entry(g, k, z), rel=1e-9)
+
+
+def _sequential_contraction(graph, kappa, path):
+    """The path contracted one edge at a time, each step's edge looked up
+    in the graph contracted so far: (graph, merged id)."""
+    g = graph.with_couplings(kappa.diagonal)
+    merged = path.root
+    for vertex, length in zip(path.vertices_on_path[1:],
+                              path.ordered_edge_lengths):
+        edge = next(e.id for e in g.edges if {e.u, e.v} == {merged, vertex}
+                    and abs(e.length - length) <= 1e-12 * max(1.0, length))
+        before = set(g.vertex_ids())
+        g = contract(g, edge)
+        (merged,) = set(g.vertex_ids()) - before
+    return g, merged
+
+
+def test_path_contraction_equals_the_sequential_one():
+    """Equal-length parallels in both orientations, ids that sort before
+    '(' and a path edge whose length an edge from an earlier path vertex
+    shares: one contract call picks and names what the one-edge-at-a-time
+    contraction does."""
+    g = MetricGraph(
+        [Vertex("Z", 0.5), Vertex("!a", -0.25 + 0.5j), Vertex("#b", 1.5),
+         Vertex("C", -0.75), Vertex("D", 0.125)],
+        [Edge("Z", "!a", 1.0), Edge("!a", "#b", 0.5), Edge("#b", "!a", 0.5),
+         Edge("#b", "C", 0.8), Edge("C", "Z", 0.8), Edge("C", "C", 0.3),
+         Edge("D", "C", 1.7), Edge("Z", "D", math.sqrt(2))],
+        leads=["Z"])
+    k = CouplingMatrix.from_graph(g)
+    coupled = g.with_couplings(k.diagonal)
+    handmade = [SpanningTreePath("Z", target, lengths, len(chain_), chain_)
+                for chain_, lengths, target in [
+                    (("Z", "!a", "#b"), (1.0, 0.5), "#b"),
+                    (("Z", "!a", "#b", "C"), (1.0, 0.5, 0.8), "C"),
+                    (("Z", "!a", "#b", "C", "D"), (1.0, 0.5, 0.8, 1.7), "D")]]
+    for root in ("Z", "!a", "C"):
+        for path in spanning_tree(g, root) + (handmade if root == "Z"
+                                              else []):
+            if path.root != root:
+                continue
+            want, merged = _sequential_contraction(g, k, path)
+            got, got_k, got_merged = _contract_along(
+                coupled if root == "Z" else g.with_couplings(k.diagonal),
+                path)
+            assert got_merged == merged
+            assert got.vertices == want.vertices
+            assert got.edges == want.edges and got.leads == want.leads
+            assert got_k == CouplingMatrix.from_graph(want)
 
 
 def test_contraction_is_first_order(star3):
@@ -203,7 +399,7 @@ def test_diverged_fit_raises():
     clean = forward_f1_oracle(g, k)
 
     def noisy(z, path=None):
-        return clean(z, path) * (1.0 + 1e-3 * math.sin(abs(z)))
+        return clean(z, path) * (1.0 + 1e-3 * np.sin(np.abs(z)))
 
     with pytest.raises(ExtrapolationDiverged):
         invert_couplings(g, noisy, fit_tol=1e-10)
@@ -258,20 +454,30 @@ def test_recover_external_from_samples():
 
 def test_forward_oracle_contracts_each_path_once(star3, monkeypatch):
     import qgs.inverse
-    calls = []
-    real = qgs.inverse.contract
+    calls, entries = [], []
+    real_contract, real_entry = qgs.inverse.contract, qgs.inverse.f1_entry
 
-    def counting(graph, edge_id):
-        calls.append(edge_id)
-        return real(graph, edge_id)
+    def counting(graph, edge_ids):
+        calls.append(list(edge_ids))
+        return real_contract(graph, edge_ids)
+
+    def entry(graph, kappa, z, vertex=None):
+        entries.append(len(z))
+        return real_entry(graph, kappa, z, vertex)
 
     monkeypatch.setattr(qgs.inverse, "contract", counting)
+    monkeypatch.setattr(qgs.inverse, "f1_entry", entry)
     for g in (star3, chain(0.3, -0.4, 0.7, 1.2)):
         calls.clear()
+        entries.clear()
         k = CouplingMatrix.from_values(g, [0.7, -0.2, 0.4, 0.1])
         rec, _ = invert_couplings(g, forward_f1_oracle(g, k))
         paths = spanning_tree(g, g.external_ids()[0])
-        assert len(calls) == sum(p.vertex_count - 1 for p in paths)
+        # one call per non-root path, with all of the path's edges
+        assert [len(ids) for ids in calls] == [p.vertex_count - 1
+                                               for p in paths[1:]]
+        # one stacked entry call per path, with all its ladder energies
+        assert entries == [7] * len(paths)
         for vid, true in zip(g.vertex_ids(), k.diagonal):
             assert abs(rec[vid] - true) < 1e-8
 

@@ -16,7 +16,8 @@ from qgs import (CouplingMatrix, Edge, MetricGraph, PoleProximity,
                  robin_to_dirichlet, weyl_compact, weyl_full)
 from qgs.kernels import mp_edge_kernels
 from qgs.testing import make_random_graph
-from qgs.weyl import COND_LIMIT, checked_solve, compact_entries, weyl_stack
+from qgs.weyl import (COND_LIMIT, _cond_gate, checked_inverse, checked_solve,
+                      compact_entries, weyl_stack)
 
 graphs = st.integers(min_value=0, max_value=10**9).map(
     lambda seed: make_random_graph(random.Random(seed)))
@@ -287,6 +288,35 @@ def test_gate_needs_no_svd_clear_of_the_limit(monkeypatch):
     _, errors = checked_solve(np.concatenate([fine, bad]),
                               np.ones((5, 10, 1)), [1.0] * 5, "probe")
     assert [e is None for e in errors] == [True, True, True, False, False]
+
+
+def test_checked_inverse_of_a_stack_raises_at_the_first_refusal():
+    """A stack's inverse is np.linalg.inv's of each matrix bit for bit,
+    an exactly singular matrix included in the stack; the first refused
+    matrix in stack order names the error."""
+    cases = _gate_cases()
+    for n in (1, 2, 10, 100):
+        stack = np.array([A for A in cases if A.shape[0] == n])
+        refused = [np.linalg.cond(A) > COND_LIMIT for A in stack]
+        assert any(refused)
+        first = refused.index(True)
+        energies = [0.5 * i for i in range(len(stack))]
+        with pytest.raises(SingularMatrix) as info:
+            checked_inverse(stack, energies, "probe")
+        assert info.value.z == energies[first]
+        fine = stack[[not r for r in refused]]
+        inverse = checked_inverse(fine, energies[:len(fine)], "probe")
+        for A, X in zip(fine, inverse):
+            assert np.array_equal(X, np.linalg.inv(A))
+    rng = np.random.default_rng(4)
+    stack = np.array([_with_cond(rng, 5, 10.0) for _ in range(3)])
+    singular = stack.copy()
+    singular[1] = 0.0
+    with pytest.raises(SingularMatrix, match="at z=2"):
+        checked_inverse(singular, [1, 2, 3], "probe")
+    refused, inverse = _cond_gate(singular)
+    assert refused.tolist() == [False, True, False]
+    assert np.array_equal(inverse[::2], np.linalg.inv(stack[::2]))
 
 
 def test_stack_with_one_singular_matrix_refuses_that_item_only():

@@ -16,6 +16,17 @@ files go to tools/.digest-work, emptied first, and jobs name them by paths
 relative to the checkout root, so the paths that outputs echo are the same
 in every checkout: the digests of two checkouts can be compared with diff.
 Nothing under perfbench/ is written.
+
+    python3 tools/output_digest.py --seed 1 --dump /tmp/before
+    python3 tools/output_digest.py --seed 1 --against /tmp/before
+
+--dump DIR writes each job's stdout to DIR/<workload>-<index>-<tag>.out.
+--against DIR reads those files back, from a run of another checkout,
+and appends to the line of each job whose output differs how many of
+its numbers changed and the largest relative change among them.  Numbers
+are found and compared by the rule of tests/test_pinned.py; an output
+whose text around the numbers differs, or that is missing from DIR, is
+reported as such.  A last line counts the jobs that differ.
 """
 
 from __future__ import annotations
@@ -30,6 +41,7 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
+import importlib.util  # noqa: E402
 import io  # noqa: E402
 import runpy  # noqa: E402
 import shutil  # noqa: E402
@@ -41,8 +53,8 @@ WORK = os.path.join("tools", ".digest-work")
 
 
 def run(call) -> tuple[int, str]:
-    """(exit code, sha256 of stdout) of call(), run in this process; call
-    returns the exit code."""
+    """(exit code, stdout) of call(), run in this process; call returns
+    the exit code."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()), \
@@ -54,7 +66,36 @@ def run(call) -> tuple[int, str]:
             rc = exc.code if isinstance(exc.code, int) else 2
         except Exception:  # a traceback out of the call: exit 1
             rc = 1
-    return rc, hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return rc, out.getvalue()
+
+
+def pinned_rule():
+    """tests/test_pinned.py as a module: its _split and _same_number."""
+    path = os.path.join(ROOT, "tests", "test_pinned.py")
+    spec = importlib.util.spec_from_file_location("test_pinned", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def compare(got: str, want: str, rule) -> str:
+    """How got differs from want: '' when equal, else a short report."""
+    if got == want:
+        return ""
+    got_text, got_numbers = rule._split(got)
+    want_text, want_numbers = rule._split(want)
+    if got_text != want_text or len(got_numbers) != len(want_numbers):
+        return "text differs"
+    changed = [(g, w) for g, w in zip(got_numbers, want_numbers)
+               if not (g == w or g != g and w != w)]
+    if not changed:
+        return "numbers written differently"
+    worst = max(abs(g - w) / max(abs(g), abs(w)) for g, w in changed)
+    report = (f"{len(changed)} of {len(got_numbers)} numbers changed, "
+              f"max rel {worst:.2g}")
+    if any(not rule._same_number(g, w) for g, w in changed):
+        report += " (beyond the pinned tolerance)"
+    return report
 
 
 def run_demo(path) -> int:
@@ -66,7 +107,13 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--workload", default="all")
+    p.add_argument("--dump", metavar="DIR",
+                   help="write each job's stdout to DIR")
+    p.add_argument("--against", metavar="DIR",
+                   help="compare each job's stdout with the one in DIR")
     args = p.parse_args(argv)
+    dump = args.dump and os.path.abspath(args.dump)
+    against = args.against and os.path.abspath(args.against)
 
     os.chdir(ROOT)
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
@@ -78,23 +125,46 @@ def main(argv=None) -> int:
     if unknown:
         p.error(f"unknown workload {unknown[0]!r}; choose from "
                 f"{', '.join(inputs.WORKLOADS)} or all")
+    rule = pinned_rule() if against else None
+    if dump:
+        os.makedirs(dump, exist_ok=True)
+    differ = 0
+
+    def report(name, i, tag, call):
+        nonlocal differ
+        rc, text = run(call)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        line = f"{name} {i:03d} {tag} exit={rc} sha256={digest}"
+        base = f"{name}-{i:03d}-{tag}.out"
+        if dump:
+            with open(os.path.join(dump, base), "w") as fh:
+                fh.write(text)
+        if against:
+            try:
+                with open(os.path.join(against, base)) as fh:
+                    change = compare(text, fh.read(), rule)
+            except FileNotFoundError:
+                change = "missing"
+            if change:
+                differ += 1
+                line += f" differs: {change}"
+        print(line, flush=True)
+
     shutil.rmtree(WORK, ignore_errors=True)
     for name in names:
         workdir = os.path.join(WORK, name)
         os.makedirs(workdir)
         jobs = inputs.WORKLOADS[name](inputs.Inputs(workdir, args.seed))
         for i, job in enumerate(jobs):
-            rc, digest = run(lambda: qgs_main(job["argv"]))
-            print(f"{name} {i:03d} {job['tag']} exit={rc} sha256={digest}",
-                  flush=True)
+            report(name, i, job["tag"], lambda: qgs_main(job["argv"]))
     if args.workload == "all":
-        rc, digest = run(lambda: qgs_main(["check"]))
-        print(f"check 000 check exit={rc} sha256={digest}", flush=True)
+        report("check", 0, "check", lambda: qgs_main(["check"]))
         demos = sorted(f for f in os.listdir("demos") if f.endswith(".py"))
         for i, demo in enumerate(demos):
-            rc, digest = run(lambda: run_demo(os.path.join("demos", demo)))
-            print(f"demo {i:03d} {demo} exit={rc} sha256={digest}",
-                  flush=True)
+            report("demo", i, demo,
+                   lambda: run_demo(os.path.join("demos", demo)))
+    if against:
+        print(f"# {differ} outputs differ from {args.against}", flush=True)
     return 0
 
 
