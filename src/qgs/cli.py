@@ -15,6 +15,7 @@ accepted, for compatibility with older command lines, and has no effect.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -282,6 +283,12 @@ def cmd_invert(args) -> int:
         samples = _read_rtd_csv(args.rtd_samples,
                                 len(topo.external_ids()))
         tau0 = TAU0 if args.tau0 is None else args.tau0
+        deep = ladder_tau0(topo)
+        if tau0 < deep:
+            # the fit cannot absorb terms of order exp(-tau0 * l_min)
+            print(f"warning: probe ladder starts at tau0 = {tau0:g}, below "
+                  f"max(32, 32/l_min) = {deep:g} for the shortest edge; "
+                  f"the recovered couplings may be biased", file=sys.stderr)
         couplings = recover_external_couplings(
             samples, topo, tau0=tau0, levels=args.levels,
             fit_tol=args.fit_tol)
@@ -543,7 +550,10 @@ def cmd_check(args) -> int:
 JOBS_HELP = "accepted for compatibility; evaluation is serial"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The qgs argument parser, built once per process: parsing leaves it
+    as it was, and building it costs more than most parses."""
     p = argparse.ArgumentParser(
         prog="qgs",
         description="Spectral toolkit for metric graphs with leads and "

@@ -6,14 +6,20 @@ away from its poles z = (n pi / l_p)^2 the number of eigenvalues below z is
     N(z) = sum_p #{n >= 1 : (n pi / l_p)^2 < z} + #{eig(M(z) - kappa) > 0}
 
 (Friedlander, ARMA 116, 1991; Berkolaiko & Kuchment, Introduction to
-Quantum Graphs, 2013).  The route bisects on N in t = sign(z) sqrt|z| to
-full double precision; a jump's size is its multiplicity.  All live
-brackets are halved in lockstep: each round counts its midpoints with one
+Quantum Graphs, 2013); a jump's size is its multiplicity.  The route
+works in t = sign(z) sqrt|z|, in two phases.  Isolate: bisection on N
+until a bracket holds a single jump of 1 and, within the snap's reach,
+neither 0 nor a pole.  Refine: between poles the eigenvalues of M(z) -
+kappa increase with z, so such a jump is where one of them, continuous
+there, crosses zero; safeguarded Illinois steps on that eigenvalue close
+the bracket to 32 ulps, never in more rounds than bisection.  Every live
+bracket, halving or refining, evaluates one point per round, with one
 stacked M-matrix assembly and one stacked eigvalsh per BLOCK_BYTES of
 matrices.  No scan grid, so no pair of eigenvalues is too close to see.
-N(-T^2) = 0 makes -T^2 an exact lower window.  Near a root on a pole or
-at z = 0 the float count is off (by about 3e-8 in z on a pole), so such
-roots move onto that point.
+N(-T^2) = 0 makes -T^2 an exact lower window.  Jumps of 2 or more and
+roots at z = 0 or on a pole are bisected to adjacent doubles.  Near 0 or
+a pole the float count is off (by about 3e-8 in z on a pole), so a root
+there moves onto that point.
 
 ``matching`` mode is the independent oracle: it builds the (2n)x(2n) linear
 system in per-edge coefficients u_p = A_p*C(z;x) + B_p*S(z;x) from vertex
@@ -47,6 +53,7 @@ from .weyl import CouplingMatrix, compact_entries, stack_size
 MERGE_TOL = 1e-8          # roots closer than this (in z) are one eigenvalue
 KERNEL_REL = 1e-8         # singular-value cutoff for multiplicity
 SNAP_REL = 1e-7           # counted roots this close (in t) snap to 0 or a pole
+REFINE_ULPS = 32          # width (in ulps of t) at which refinement stops
 
 
 @dataclass(frozen=True)
@@ -72,50 +79,176 @@ def _weyl_matrix_raw(graph, kappa, z):
     return M
 
 
-def _eigen_counts(graph, kappa, t):
-    """N(z) at each z = t|t| of the sequence t, as an int array: the
-    Dirichlet count plus the number of positive eigenvalues of M(z) -
-    kappa, with one assembly and one stacked eigvalsh per stack of at most
-    BLOCK_BYTES of matrices."""
-    t = np.asarray(t, dtype=float)
-    lengths = np.array([e.length for e in graph.edges])
-    # ceil(t l / pi) - 1 Dirichlet eigenvalues below t > 0 per edge; the
-    # maximum clears the negative values of t <= 0
+def _dirichlet_counts(lengths, t):
+    """The Dirichlet term of N at each t of the array t: ceil(t l / pi) - 1
+    eigenvalues below t > 0 per edge; the maximum clears the negative
+    values of t <= 0."""
     dirichlet = np.ceil(np.multiply.outer(t, lengths) / math.pi) - 1.0
-    counts = np.maximum(dirichlet, 0.0).sum(axis=1).astype(int)
+    return np.maximum(dirichlet, 0.0).sum(axis=-1).astype(int)
+
+
+def _eigen_counts(graph, kappa, t):
+    """(counts, eigenvalues) at each z = t|t| of the sequence t: N(z) as
+    an int array, the Dirichlet term plus the number of positive
+    eigenvalues of M(z) - kappa, and those eigenvalues in ascending order,
+    one row per energy.  One assembly and one stacked eigvalsh per stack
+    of at most BLOCK_BYTES of matrices."""
+    t = np.asarray(t, dtype=float)
+    counts = _dirichlet_counts(np.array([e.length for e in graph.edges]), t)
+    eigenvalues = np.empty((len(t), graph.n_vertices))
     size = stack_size(graph.n_vertices)
     for start in range(0, len(t), size):
         block = t[start:start + size]
         with np.errstate(all="ignore"):
             A = _weyl_matrix_raw(graph, kappa, block * abs(block)).real
-        counts[start:start + size] += np.sum(np.linalg.eigvalsh(A) > 0.0,
-                                             axis=1)
-    return counts
+        eigenvalues[start:start + size] = np.linalg.eigvalsh(A)
+    counts += np.sum(eigenvalues > 0.0, axis=1)
+    return counts, eigenvalues
+
+
+def _isolated(lengths, a, b, na, nb, ea, eb):
+    """The _Crossing of a bracket (a, b] with counts na, nb and eigenvalue
+    rows ea, eb at its ends, or None while it must still be halved: when
+    its jump is not exactly 1, when 0 or a pole n pi / l lies in it or
+    within the reach of _counted_spectrum's snap (SNAP_REL * max(|t|,
+    1 / l_min)) of it, or when the crossing eigenvalue is not negative at
+    a and positive at b."""
+    if nb - na != 1:
+        return None
+    reach = SNAP_REL * max(-a, b, 1.0 / lengths.min())
+    lo, hi = a - reach, b + reach
+    if not (0.0 < lo or hi < 0.0):
+        return None
+    if lo > 0.0:
+        d_lo, d_hi = _dirichlet_counts(lengths, np.array([lo, hi])).tolist()
+        if d_lo != d_hi:
+            return None
+    j = eb.size - int(np.sum(eb > 0.0))
+    if not ea[j] < 0.0 < eb[j]:
+        return None
+    return _Crossing(a, b, na, nb, ea, eb, j)
+
+
+def _illinois_point(a, b, fa, fb):
+    """The zero of the chord through (a, fa) and (b, fb)."""
+    return (a * fb - b * fa) / (fb - fa)
+
+
+class _Crossing:
+    """An isolated jump of the count: on (a, b] eigenvalue j of
+    M(t|t|) - kappa, continuous and increasing there, crosses zero, and
+    the count steps from na to nb where it does.
+
+    Refined by safeguarded Illinois steps (Dowell & Jarratt, BIT 11,
+    1971): the chord's zero, with the value at an end halved whenever the
+    other end moves twice in a row.  A point closer than tol to the last
+    one moves tol past it, so that a converged side closes the bracket in
+    one step.  As in ITP (Oliveira & Takahashi, ACM TOMS 47, 2021), the
+    point is then moved towards the midpoint just far enough that every
+    step keeps the bracket on a schedule that reaches width 2 * tol within
+    the rounds bisection takes to reach adjacent doubles: steps that fail
+    to halve the bracket use up the slack, after which the points are
+    midpoints.  tol is REFINE_ULPS / 2 ulps of the larger end."""
+
+    def __init__(self, a, b, na, nb, ea, eb, j):
+        self.a, self.b, self.na, self.nb = a, b, na, nb
+        self.ea, self.eb, self.j = ea, eb, j
+        self.fa, self.fb = float(ea[j]), float(eb[j])
+        self.moved = 0              # the end the last step moved, -1 or 1
+        ulp = math.ulp(max(-a, b))
+        self.tol = 0.5 * REFINE_ULPS * ulp
+        # one round fewer than bisection takes to adjacent doubles, so that
+        # rounding in the schedule cannot cost more than bisection
+        self.rounds = math.ceil(math.log2((b - a) / ulp)) - 1
+
+    def point(self):
+        """The next point to evaluate, or None once the bracket is at most
+        2 * tol wide."""
+        a, b = self.a, self.b
+        half = 0.5 * (a + b)
+        if b - a <= 2.0 * self.tol or not a < half < b:
+            return None
+        x = _illinois_point(a, b, self.fa, self.fb)
+        if self.moved:
+            last = b if self.moved == 1 else a
+            if abs(x - last) < self.tol:
+                x = last - self.moved * self.tol
+        radius = self.tol * 2.0 ** self.rounds - 0.5 * (b - a)
+        if not abs(x - half) <= radius:
+            x = half - math.copysign(max(radius, 0.0), half - x)
+        return x if a < x < b else half
+
+    def update(self, x, nx, ex):
+        """Move the end whose count x has; False when nx is neither."""
+        self.rounds -= 1
+        if nx == self.nb:
+            if self.moved == 1:
+                self.fa *= 0.5
+            self.b, self.eb, self.fb, self.moved = x, ex, float(ex[self.j]), 1
+        elif nx == self.na:
+            if self.moved == -1:
+                self.fb *= 0.5
+            self.a, self.ea, self.fa, self.moved = x, ex, float(ex[self.j]), -1
+        else:
+            return False
+        return True
 
 
 def _count_jumps(graph, kappa, lo, hi):
-    """(t, jump) for every jump of the count on (lo, hi], given none below
-    lo, in ascending t: each bracket whose end counts differ is halved
-    until its midpoint is no longer a double strictly inside it.  All live
-    brackets are halved in lockstep, with one _eigen_counts call for the
-    midpoints of each round."""
-    jumps = []
-    brackets = [(lo, hi, 0, int(_eigen_counts(graph, kappa, [hi])[0]))]
-    while brackets:
-        live = []
-        for a, b, na, nb in brackets:
+    """(t, jump) for every jump of the count on (lo, hi], in ascending t.
+
+    Isolate: each bracket whose end counts differ is halved until
+    _isolated accepts it or its midpoint is no longer a double strictly
+    inside it; the latter ends a jump of 2 or more, and a root at 0 or on
+    a pole, at adjacent doubles.  Refine: an accepted bracket, one jump of
+    1 clear of 0 and of the poles, is a _Crossing, refined on its crossing
+    eigenvalue to REFINE_ULPS ulps and reported at the final midpoint.
+    Every round evaluates one point per live bracket, halving or
+    refining, in one _eigen_counts call, whose eigenvalue rows give each
+    new crossing its values at both ends at no cost.  A refining step
+    whose count is neither end's (float noise) hands both halves back to
+    halving."""
+    lengths = np.array([e.length for e in graph.edges])
+    counts, eigs = _eigen_counts(graph, kappa, [lo, hi])
+    na, nb = counts.tolist()
+    brackets = [(lo, hi, na, nb, eigs[0], eigs[1])]
+    crossings, jumps = [], []
+    while True:
+        halving = []
+        for a, b, na, nb, ea, eb in brackets:
             if na == nb:
+                continue
+            crossing = _isolated(lengths, a, b, na, nb, ea, eb)
+            if crossing is not None:
+                crossings.append(crossing)
                 continue
             m = 0.5 * (a + b)
             if a < m < b:
-                live.append((a, m, b, na, nb))
+                halving.append((a, m, b, na, nb, ea, eb))
             else:
                 jumps.append((m, nb - na))
-        counts = _eigen_counts(graph, kappa, [m for _, m, _, _, _ in live])
-        brackets = [half for (a, m, b, na, nb), nm
-                    in zip(live, counts.tolist())
-                    for half in ((a, m, na, nm), (m, b, nm, nb))]
-    return sorted(jumps)
+        steps = []
+        for c in crossings:
+            x = c.point()
+            if x is None:
+                jumps.append((0.5 * (c.a + c.b), 1))
+            else:
+                steps.append((c, x))
+        if not halving and not steps:
+            return sorted(jumps)
+        counts, eigs = _eigen_counts(
+            graph, kappa, [h[1] for h in halving] + [x for _, x in steps])
+        counts = counts.tolist()
+        brackets, crossings = [], []
+        for (a, m, b, na, nb, ea, eb), nm, em in zip(halving, counts, eigs):
+            brackets += [(a, m, na, nm, ea, em), (m, b, nm, nb, em, eb)]
+        k = len(halving)
+        for (c, x), nx, ex in zip(steps, counts[k:], eigs[k:]):
+            if c.update(x, nx, ex):
+                crossings.append(c)
+            else:
+                brackets += [(c.a, x, c.na, nx, c.ea, ex),
+                             (x, c.b, nx, c.nb, ex, c.eb)]
 
 
 def _mp_weyl_secular(graph, kappa, k, dps):
@@ -392,7 +525,7 @@ def compact_spectrum(graph: MetricGraph, kappa: CouplingMatrix, z_max,
         return []
 
     T = 1.0  # the exact window: no eigenvalue below -T^2
-    while _eigen_counts(graph, kappa, [-T])[0] > 0:
+    while _eigen_counts(graph, kappa, [-T])[0][0] > 0:
         T *= 2.0
     if mode == "weyl":
         eigenvalues = _counted_spectrum(graph, kappa, T, z_max)

@@ -237,11 +237,11 @@ def test_invert_forward_roundtrip(graph_file, tmp_path, capsys):
     assert len(lines) == 5
 
 
-def test_invert_forward_ladder_scales_with_the_shortest_edge(tmp_path,
-                                                              capsys):
-    """A 0.3-long loop leaves terms of order exp(-0.3 tau) in the probes.
-    The default ladder starts at tau0 = 32/0.3 and recovers every coupling
-    to 1e-8; --tau0 32 still starts where it says, and misses by far more."""
+SHORT_LOOP_COUPLINGS = [0.5, -1.25, 0.75, 1.5]
+
+
+def _short_loop(tmp_path):
+    """A graph with a 0.3-long loop and one lead, and its JSON file."""
     g = MetricGraph(
         [Vertex("V1"), Vertex("V2"), Vertex("V3"), Vertex("V4")],
         [Edge("V1", "V2", 1.0), Edge("V2", "V2", 0.3),
@@ -249,7 +249,27 @@ def test_invert_forward_ladder_scales_with_the_shortest_edge(tmp_path,
         leads=["V1"])
     path = tmp_path / "short-loop.json"
     path.write_text(serialize_graph(g))
-    true = [0.5, -1.25, 0.75, 1.5]
+    return g, path
+
+
+def _ladder_samples(tmp_path, g, couplings):
+    """A CSV of the one-lead response map on the ladder -(32 * 2^j)^2."""
+    k = CouplingMatrix.from_values(g, couplings)
+    csv = tmp_path / "samples.csv"
+    csv.write_text("z,re,im\n" + "".join(
+        f"{z},{v.real},{v.imag}\n"
+        for z in (-((32.0 * 2 ** j) ** 2) for j in range(7))
+        for v in [robin_to_dirichlet(g, k, z)[0, 0]]))
+    return csv
+
+
+def test_invert_forward_ladder_scales_with_the_shortest_edge(tmp_path,
+                                                              capsys):
+    """A 0.3-long loop leaves terms of order exp(-0.3 tau) in the probes.
+    The default ladder starts at tau0 = 32/0.3 and recovers every coupling
+    to 1e-8; --tau0 32 still starts where it says, and misses by far more."""
+    g, path = _short_loop(tmp_path)
+    true = SHORT_LOOP_COUPLINGS
     argv = ["invert", "--graph-topology", str(path), "--oracle", "forward",
             "--true-couplings", ",".join(map(str, true))]
 
@@ -267,15 +287,40 @@ def test_invert_forward_ladder_scales_with_the_shortest_edge(tmp_path,
     assert worst_error(payload) > 1e-6
 
     # sampled data keeps the 32 * 2^j ladder its samples were taken on
-    k = CouplingMatrix.from_values(g, true)
-    csv = tmp_path / "samples.csv"
-    csv.write_text("z,re,im\n" + "".join(
-        f"{z},{v.real},{v.imag}\n"
-        for z in (-((32.0 * 2 ** j) ** 2) for j in range(7))
-        for v in [robin_to_dirichlet(g, k, z)[0, 0]]))
+    csv = _ladder_samples(tmp_path, g, true)
     assert main(["invert", "--graph-topology", str(path),
                  "--rtd-samples", str(csv)]) == 0
     assert json.loads(capsys.readouterr().out)["metadata"]["tau0"] == 32.0
+
+
+def test_invert_rtd_samples_warns_when_the_ladder_is_too_shallow(
+        tmp_path, graph_file, capsys):
+    """--rtd-samples keeps tau0 = 32.  On a graph with a 0.3-long loop,
+    where max(32, 32/l_min) is 32/0.3, that ladder is too shallow: stderr
+    says so, while stdout (the sampled-data payload at tau0 = 32) and
+    the exit code 0 stay as they were."""
+    g, path = _short_loop(tmp_path)
+    csv = _ladder_samples(tmp_path, g, SHORT_LOOP_COUPLINGS)
+    argv = ["invert", "--graph-topology", str(path), "--rtd-samples",
+            str(csv)]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err.startswith("warning: probe ladder starts at tau0 = 32, "
+                          "below max(32, 32/l_min) = 106.667")
+    payload = json.loads(out)
+    assert payload["metadata"]["tau0"] == 32.0
+    assert payload["metadata"]["mode"] == "sampled-data"
+    assert set(payload["couplings"]) == {"V1"}
+    # --tau0 at the graph's own ladder start does not warn; the samples
+    # stop short of that ladder, so the fit fails as it did before
+    with pytest.warns(ScanResolution):
+        assert main(argv + ["--tau0", str(32.0 / 0.3)]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure")
+    # a graph whose shortest edge is 1 long keeps quiet
+    csv = _ladder_samples(tmp_path, load_graph(graph_file), [0.5, -0.25, 1.0])
+    assert main(["invert", "--graph-topology", graph_file,
+                 "--rtd-samples", str(csv)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_invert_needs_a_source(graph_file, capsys):
@@ -396,6 +441,41 @@ def test_module_entry_help():
     assert proc.returncode == 0
     for sub in ("spectrum", "smatrix", "invert", "homog", "check"):
         assert sub in proc.stdout
+
+
+def test_main_builds_its_parser_once(graph_file, interval_file, capsys,
+                                     monkeypatch):
+    """main parses every call with one parser; its runs, help and usage
+    errors included, print what a freshly built parser prints, with the
+    same exit codes."""
+    from qgs import cli
+    runs = [
+        ["spectrum", "--graph", interval_file, "--zmax", "10",
+         "--mode", "weyl"],
+        ["smatrix", "--graph", graph_file, "--s", "2.0"],
+        ["spectrum", "--graph", interval_file],          # --zmax missing
+        ["--help"],
+        ["invert", "--help"],
+        ["spectrum", "--graph", interval_file, "--zmax", "10", "--mode",
+         "weyl"],
+    ]
+
+    def outputs():
+        got = []
+        for argv in runs:
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+            got.append((rc, *capsys.readouterr()))
+        return got
+
+    cached = outputs()
+    assert cli.build_parser() is cli.build_parser()
+    assert [rc for rc, _, _ in cached] == [0, 0, 2, 0, 0, 0]
+    assert cached[0] == cached[-1]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert outputs() == cached
 
 
 def test_unknown_subcommand_is_usage_error():

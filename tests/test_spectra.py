@@ -235,11 +235,13 @@ def _one_count(graph, kappa, t):
 
 
 def _depth_first_jumps(graph, kappa, lo, hi):
-    """The jumps of the count, found depth first, one count at a time."""
-    jumps = []
-    stack = [(lo, hi, 0, _one_count(graph, kappa, hi))]
+    """The jumps of the count, found depth first, one count at a time, by
+    bisection to adjacent doubles; and the rounds a lockstep bisection
+    takes, the count at hi included."""
+    jumps, rounds = [], 1
+    stack = [(lo, hi, 0, _one_count(graph, kappa, hi), 1)]
     while stack:
-        a, b, na, nb = stack.pop()
+        a, b, na, nb, depth = stack.pop()
         if na == nb:
             continue
         m = 0.5 * (a + b)
@@ -247,8 +249,9 @@ def _depth_first_jumps(graph, kappa, lo, hi):
             jumps.append((m, nb - na))
             continue
         nm = _one_count(graph, kappa, m)
-        stack += [(a, m, na, nm), (m, b, nm, nb)]
-    return sorted(jumps)
+        rounds = max(rounds, depth + 1)
+        stack += [(a, m, na, nm, depth + 1), (m, b, nm, nb, depth + 1)]
+    return sorted(jumps), rounds
 
 
 def _count_window(graph, kappa):
@@ -268,11 +271,40 @@ def _family(n, seed):
     return g, CouplingMatrix.from_graph(g)
 
 
+def _equilateral_star():
+    """Three unit legs, coupling 0.5 at the centre: every (m + 1/2)^2 pi^2
+    is a double eigenvalue off the poles (m pi)^2."""
+    g = MetricGraph([Vertex("C", 0.5), Vertex("T1"), Vertex("T2"),
+                     Vertex("T3")],
+                    [Edge("C", "T1", 1.0), Edge("C", "T2", 1.0),
+                     Edge("C", "T3", 1.0)])
+    return g, CouplingMatrix.from_graph(g)
+
+
+def _two_parallel_edges():
+    """Eigenvalues (n pi)^2 of multiplicity 2, on the poles."""
+    g = MetricGraph([Vertex("A"), Vertex("B")],
+                    [Edge("A", "B", 1.0), Edge("A", "B", 1.0)])
+    return g, zeros(g)
+
+
+def _neumann_star():
+    """Zero couplings: z = 0 is an eigenvalue."""
+    g = MetricGraph([Vertex("C"), Vertex("T1"), Vertex("T2")],
+                    [Edge("C", "T1", 1.0), Edge("C", "T2", math.sqrt(2))])
+    return g, zeros(g)
+
+
+SPECIAL = {"jump-of-2": _equilateral_star, "on-a-pole": _two_parallel_edges,
+           "at-zero": _neumann_star}
 COUNT_CASES = [(name, 10.0) for name, _ in MISSED] + [
-    ("family-20", 3.0), ("family-50", 1.5), ("family-100", 0.6)]
+    ("family-20", 3.0), ("family-50", 1.5), ("family-100", 0.6),
+    ("jump-of-2", 5.0), ("on-a-pole", 7.0), ("at-zero", 4.0)]
 
 
 def _count_case(name):
+    if name in SPECIAL:
+        return SPECIAL[name]()
     if name.startswith("family-"):
         n = int(name.split("-")[1])
         return _family(n, seed=n)
@@ -280,15 +312,104 @@ def _count_case(name):
     return g, CouplingMatrix.from_graph(g)
 
 
+def _assert_same_jumps(graph, kappa, got, want):
+    """got has want's multiplicities in the same order, each root within
+    1e-12 relative of want's, and the count steps up across each root."""
+    assert [jump for _, jump in got] == [jump for _, jump in want]
+    for (t, _), (t_want, _) in zip(got, want):
+        assert abs(t - t_want) <= 1e-12 * abs(t_want)
+        step = 1e-12 * abs(t)
+        assert _one_count(graph, kappa, t - step) < \
+            _one_count(graph, kappa, t + step)
+
+
 @pytest.mark.parametrize("name,t_hi", COUNT_CASES)
 def test_lockstep_count_finds_the_depth_first_jumps(name, t_hi):
-    """Halving every live bracket in lockstep, with stacked counts, finds
-    exactly the jumps that halving one bracket at a time does."""
+    """Isolating each jump by halving and refining it on its crossing
+    eigenvalue finds the jumps that bisection to adjacent doubles does,
+    one bracket at a time: the same multiplicities, in the same order, at
+    the same roots to 1e-12.  Jumps of 2, roots on a pole and at z = 0
+    are bisected, so they are where bisection puts them."""
     g, kappa = _count_case(name)
     lo = _count_window(g, kappa)
-    want = _depth_first_jumps(g, kappa, lo, t_hi)
+    want, _ = _depth_first_jumps(g, kappa, lo, t_hi)
     assert len(want) > 3
-    assert _count_jumps(g, kappa, lo, t_hi) == want
+    got = _count_jumps(g, kappa, lo, t_hi)
+    _assert_same_jumps(g, kappa, got, want)
+    if name in SPECIAL:
+        on_poles = [t for t, _ in want
+                    if abs(t - round(t / math.pi) * math.pi) < 1e-7]
+        special = {"jump-of-2": [t for t, jump in want if jump == 2],
+                   "on-a-pole": [t for t in on_poles if t > 1.0],
+                   "at-zero": [t for t, _ in want if abs(t) < 1e-6]}[name]
+        assert special
+        assert set(special) <= {t for t, _ in got}
+
+
+def test_stalled_refinement_ends_within_bisection_rounds(monkeypatch):
+    """Steps that never come near the root leave the refinement on
+    bisection's schedule: the same jumps, in no more rounds than lockstep
+    bisection to adjacent doubles takes."""
+    g, kappa = _count_case("missed-06")
+    lo = _count_window(g, kappa)
+    want, bisection_rounds = _depth_first_jumps(g, kappa, lo, 10.0)
+    rounds = []
+    eigen_counts = spectra._eigen_counts
+
+    def counting(graph, kappa, t):
+        rounds.append(len(t))
+        return eigen_counts(graph, kappa, t)
+
+    monkeypatch.setattr(spectra, "_eigen_counts", counting)
+    _count_jumps(g, kappa, lo, 10.0)
+    refined_rounds = len(rounds)
+    rounds.clear()
+    monkeypatch.setattr(spectra, "_illinois_point",
+                        lambda a, b, fa, fb: a + 1e-6 * (b - a))
+    got = _count_jumps(g, kappa, lo, 10.0)
+    _assert_same_jumps(g, kappa, got, want)
+    assert refined_rounds < len(rounds) <= bisection_rounds
+
+
+def test_count_noise_while_refining_neither_loses_nor_adds(monkeypatch):
+    """A refining step whose count is neither end's hands its halves back
+    to halving: one count above both ends' changes no eigenvalue and no
+    multiplicity."""
+    g, kappa = _count_case("missed-13")
+    want = compact_spectrum(g, kappa, 30.0, "weyl")
+    update = spectra._Crossing.update
+    calls = []
+
+    def noisy(self, x, nx, ex):
+        calls.append(x)
+        return update(self, x, self.nb + 1 if len(calls) == 5 else nx, ex)
+
+    monkeypatch.setattr(spectra._Crossing, "update", noisy)
+    got = compact_spectrum(g, kappa, 30.0, "weyl")
+    assert len(calls) > 5
+    assert [e.multiplicity for e in got] == [e.multiplicity for e in want]
+    for e, w in zip(got, want):
+        assert e.z == pytest.approx(w.z, rel=1e-12, abs=1e-12)
+
+
+def test_refinement_counts_few_energies_per_root(monkeypatch):
+    """ladder-n50 up to z = 20: 91 eigenvalues at fewer than 20 counted
+    energies each, in at most 32 lockstep rounds (bisection to adjacent
+    doubles takes about 48 and 60)."""
+    g, kappa = _count_case("ladder-n50")
+    energies = []
+    eigen_counts = spectra._eigen_counts
+
+    def counting(graph, kappa, t):
+        energies.append(len(t))
+        return eigen_counts(graph, kappa, t)
+
+    monkeypatch.setattr(spectra, "_eigen_counts", counting)
+    eigs = compact_spectrum(g, kappa, 20.0, "weyl")
+    roots = sum(e.multiplicity for e in eigs)
+    assert roots == 91
+    assert sum(energies) <= 20 * roots
+    assert len(energies) <= 32
 
 
 def test_count_stacks_stay_within_the_block_budget(monkeypatch):

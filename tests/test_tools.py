@@ -1,8 +1,10 @@
-"""The benchmark pair script's record of what each side ran."""
+"""The benchmark tools: what each side ran, output digests, scaling runs."""
 
 import importlib.util
+import json
 import os
 import subprocess
+import sys
 
 import pytest
 
@@ -101,3 +103,47 @@ def test_digest_dump_and_against(tmp_path, monkeypatch, capsys,
     assert against()[0].endswith(" differs: text differs")
     first.unlink()
     assert against()[0].endswith(" differs: missing")
+
+
+def test_scaling_records_the_weyl_route_run(tmp_path, monkeypatch, capsys,
+                                            bench_pair):
+    """tools/scaling.py times the weyl route in a fresh process on this
+    checkout and writes one record: the eigenvalues counted, the time, the
+    energies counted per eigenvalue and the git tree of what ran."""
+    path = os.path.join(ROOT, "tools", "scaling.py")
+    spec = importlib.util.spec_from_file_location("scaling", path)
+    scaling = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scaling)
+    monkeypatch.setattr(scaling, "OUT_DIR", str(tmp_path))
+    assert scaling.main(["--n", "8"]) == 0
+    assert "evaluations per eigenvalue" in capsys.readouterr().out
+    with open(tmp_path / "BENCH_spectrum-8.json") as fh:
+        report = json.load(fh)
+    assert report["n"] == 8 and report["z_max"] == scaling.Z_MAX == 100.0
+    assert report["graph"] == "family_graph(random.Random(8), 8)"
+    assert "base" not in report
+    change = report["change"]
+    assert set(change) == {"rev", "tree", "eigenvalues", "distinct",
+                           "wall_s", "evaluations", "evaluations_per_root"}
+    assert change["tree"] == bench_pair.worktree_tree(ROOT)
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    import random
+
+    import inputs
+    from qgs import CouplingMatrix, compact_spectrum, parse_graph
+    g = parse_graph(json.dumps(inputs.family_graph(random.Random(8), 8)))
+    eigs = compact_spectrum(g, CouplingMatrix.from_graph(g), 100.0)
+    assert change["distinct"] == len(eigs) > 0
+    assert change["eigenvalues"] == sum(e.multiplicity for e in eigs)
+    monkeypatch.setattr(sys, "path", list(sys.path))   # measure() adds one
+    assert scaling.measure(8)["spectrum"] == \
+        [[e.z, e.multiplicity] for e in eigs]
+    assert scaling.compare([[0.0, 1], [2.0, 2]], [[0.0, 1], [2.0, 2]]) == {
+        "same_multiplicities": True, "max_rel_change": 0.0}
+    moved = scaling.compare([[0.0, 1], [2.0, 2]], [[0.0, 1], [2.0 + 2e-13, 2]])
+    assert moved["max_rel_change"] == pytest.approx(1e-13)
+    assert scaling.compare([[0.0, 1], [2.0, 2]], [[0.0, 2], [2.0, 1]]) == {
+        "same_multiplicities": False, "max_rel_change": None}
+    assert change["wall_s"] > 0.0
+    assert {"python", "numpy", "cpu"} <= set(report["environment"])
+
