@@ -32,9 +32,8 @@ from .scattering import (ScatteringMatrix, external_factors,
                          sigma_projected, sigma_sweep)
 from .spectra import (Eigenvalue, compact_eigenvalues, compact_spectrum,
                       matching_det, matching_matrix, multiplicity_at)
-from .weyl import (CouplingMatrix, SpectralPoint, WeylMatrix,
-                   external_projector, robin_to_dirichlet, weyl_compact,
-                   weyl_full)
+from .weyl import (CouplingMatrix, external_projector, robin_to_dirichlet,
+                   weyl_compact, weyl_full)
 
 __version__ = "0.1.0"
 
@@ -45,8 +44,8 @@ __all__ = [
     "MetricGraph", "NumericalError", "ParseError", "PathSumEstimate",
     "PoleProximity", "QGSError", "Quasimomentum", "RtDSamples",
     "ScanFailure", "ScanResolution", "ScatteringMatrix", "SingularBracket", "SingularMatrix",
-    "SpanningTreePath", "SpectralPoint", "UnknownEdge", "ValidationReport",
-    "Vertex", "WeylMatrix", "barycentric", "build_dispersion_table",
+    "SpanningTreePath", "UnknownEdge", "ValidationReport",
+    "Vertex", "barycentric", "build_dispersion_table",
     "cell_discriminant", "compact_eigenvalues", "compact_spectrum",
     "contract", "contraction_validation", "convergence_study",
     "eps_spectra", "eps_spectrum", "external_factors", "external_projector",

@@ -431,9 +431,9 @@ def cmd_check(args) -> int:
     def check_herglotz():
         for g in graphs:
             z = complex(rng.uniform(0.5, 5), rng.uniform(0.2, 2))
-            M = weyl_full(g, z).entries
+            M = weyl_full(g, z)
             assert np.linalg.norm(M - M.T) < 1e-10
-            Mc = weyl_full(g, z.conjugate()).entries
+            Mc = weyl_full(g, z.conjugate())
             assert np.linalg.norm(Mc - M.conj()) < 1e-10
             im = (M - M.conj().T) / 2j
             assert min(np.linalg.eigvalsh(im)) > -1e-10
@@ -441,7 +441,7 @@ def cmd_check(args) -> int:
     def check_jump():
         for g in graphs:
             s = 2.3
-            M = weyl_full(g, s).entries
+            M = weyl_full(g, s)
             jump = M - M.conj().T
             target = 2j * math.sqrt(s) * external_projector(g)
             assert np.linalg.norm(jump - target) < 1e-12
@@ -481,7 +481,7 @@ def cmd_check(args) -> int:
         samples = extract_rtd(lambda s: sigma_external(g, k, s), g, [2.0])
         order = g.vertex_ids()
         ext = [order.index(v) for v in g.external_ids()]
-        Mi = weyl_compact(g, 2.0).entries
+        Mi = weyl_compact(g, 2.0)
         direct = np.linalg.inv(Mi - k.as_array())[np.ix_(ext, ext)]
         assert np.linalg.norm(samples.values[0] - direct) < 1e-9
 

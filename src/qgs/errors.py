@@ -93,10 +93,10 @@ class ExtrapolationDiverged(NumericalError):
 
 
 class ScanFailure(NumericalError):
-    """A root scan could not finish: its function stayed undefined (NaN or
-    infinite) around a grid point, or a growing window never held the
-    requested number of roots.  Carries the abscissa ``x`` where it gave
-    up."""
+    """A root scan could not finish or came up short: its function stayed
+    undefined (NaN or infinite) around a grid point, or the route listed
+    fewer eigenvalues than the count proves lie in its window.  Carries the
+    abscissa ``x`` where it gave up, or the window's edge."""
 
     def __init__(self, message, x):
         self.x = x

@@ -212,7 +212,7 @@ def f1_via_determinants(graph: MetricGraph, kappa: CouplingMatrix, z,
     the ratio holds where either determinant alone over- or underflows.
     """
     i = graph.vertex_index(_probe_vertex(graph, vertex))
-    A = weyl_compact(graph, z).entries - kappa.as_array()
+    A = weyl_compact(graph, z) - kappa.as_array()
     keep = [j for j in range(A.shape[0]) if j != i]
     sign, logdet = np.linalg.slogdet(A)
     if sign == 0:
@@ -275,9 +275,7 @@ def f1_contracted(graph: MetricGraph, kappa: CouplingMatrix,
     at the merged vertex.  ``contraction_validation`` offers the slow
     shrinking-edge route for checking this identity.
     """
-    g, k, merged = _contract_along(graph.with_couplings(kappa.diagonal),
-                                   path)
-    return f1_entry(g, k, z, vertex=merged)
+    return forward_f1_oracle(graph, kappa)(z, path)
 
 
 def f1_shrunk(graph: MetricGraph, kappa: CouplingMatrix,

@@ -12,8 +12,8 @@ fiber spectra of ``highcontrast`` bisect band by band).  Two root flavours:
 
 Evaluations returning NaN or inf (e.g. an overflowing determinant) are
 retried at a slightly shifted abscissa; when every retry fails too, the
-scan raises ScanFailure.  ``grow_window`` is the one loop that
-widens a scan window until it holds enough roots.
+scan raises ScanFailure.  A scan has a fixed window: the eigenvalue count
+of ``spectra`` chooses it.
 """
 
 import math
@@ -151,21 +151,3 @@ def scan_roots(f, lo, hi, step, df=None, refine_tangent=None,
                 f"step ({step:.3g})", ScanResolution)
             break
     return deduped
-
-
-def grow_window(collect, hi, count, factor, tries, what):
-    """First `count` values of collect(hi), widening the window as needed.
-
-    collect(hi) returns the sorted values found below the window edge hi
-    (ScanResolution warnings are silenced: a coarse step is expected while
-    the window is still small).  hi is multiplied by `factor` until the
-    list holds `count` values; ScanFailure after `tries` windows.
-    """
-    for _ in range(tries):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ScanResolution)
-            values = collect(hi)
-        if len(values) >= count:
-            return values[:count]
-        hi *= factor
-    raise ScanFailure(f"could not collect {count} {what} below x={hi:g}", hi)

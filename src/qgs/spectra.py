@@ -28,6 +28,12 @@ for sign changes (for z < 0 in the count's window).  The basis kernels
 C, S are entire in z, so this determinant needs no pole handling at all --
 which is what makes the two modes genuinely independent checks.
 
+``compact_eigenvalues`` wants the first `count` eigenvalues: it doubles
+z_max from a Weyl-law guess until N(z_max) >= count and lists the
+spectrum below z_max once.  A route that lists fewer than N(z_max) -- a
+matching scan that missed a member of a close pair -- raises ScanFailure,
+so every list it returns is complete.
+
 The kernel test: z is an eigenvalue where a pole-free, bounded matrix
 loses rank, by its multiplicity -- M(z) - kappa for z < 0, the matching
 matrix for z >= 0.  Multiplicity counts its relative singular values below
@@ -40,14 +46,16 @@ from __future__ import annotations
 
 import cmath
 import math
+import warnings
 from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
 
+from .errors import ScanFailure, ScanResolution
 from .graphs import MetricGraph
 from .kernels import entire_cs, is_mp, mp_entire_cs, sqrt_upper
-from .rootscan import grow_window, scan_roots
+from .rootscan import scan_roots
 from .weyl import CouplingMatrix, compact_entries, stack_size
 
 MERGE_TOL = 1e-8          # roots closer than this (in z) are one eigenvalue
@@ -360,24 +368,13 @@ def matching_matrix(graph: MetricGraph, kappa: CouplingMatrix, z,
     return A
 
 
-def matching_det(graph: MetricGraph, kappa: CouplingMatrix):
-    """Matching determinant as a callable of k (z = k^2, sign(k^2)=sign arg).
-
-    Called with k > 0 for positive energies; use matching_det_negative for
-    z < 0.
-    """
-    def f(k):
+def matching_det(graph: MetricGraph, kappa: CouplingMatrix, sign=1.0):
+    """Matching determinant as a callable of x > 0 at z = sign * x^2:
+    x = sqrt(z) for positive energies (sign 1), x = sqrt(-z) for negative
+    ones (sign -1)."""
+    def f(x):
         with np.errstate(all="ignore"):
-            A = matching_matrix(graph, kappa, k * k)
-            return np.linalg.det(A).real
-
-    return f
-
-
-def matching_det_negative(graph: MetricGraph, kappa: CouplingMatrix):
-    def f(q):
-        with np.errstate(all="ignore"):
-            A = matching_matrix(graph, kappa, -q * q)
+            A = matching_matrix(graph, kappa, sign * x * x)
             return np.linalg.det(A).real
 
     return f
@@ -486,13 +483,13 @@ def _matching_spectrum(graph, kappa, T, z_max):
     determinant in sqrt|z| on (0, T] (z < 0) and (0, sqrt(z_max)], with
     multiplicities from the kernel test; z = 0 from the kernel test alone."""
     dk = math.pi / (8.0 * graph.total_length())
-    halves = ((-1.0, T, matching_det_negative),
-              (1.0, math.sqrt(max(z_max, 0.0)), matching_det))
+    halves = ((-1.0, T), (1.0, math.sqrt(max(z_max, 0.0))))
     found = []  # (raw z value, 1)
-    for sign, x_hi, make_f in halves:
+    for sign, x_hi in halves:
         refine = _tangent_refiner(graph, kappa, sign)
-        for root in scan_roots(make_f(graph, kappa), min(1e-6, dk / 100),
-                               x_hi, dk, refine_tangent=refine):
+        for root in scan_roots(matching_det(graph, kappa, sign),
+                               min(1e-6, dk / 100), x_hi, dk,
+                               refine_tangent=refine):
             found.append((sign * root.x * root.x, 1))
 
     zero_mult = multiplicity_at(graph, kappa, 0.0)
@@ -537,15 +534,27 @@ def compact_spectrum(graph: MetricGraph, kappa: CouplingMatrix, z_max,
 
 def compact_eigenvalues(graph: MetricGraph, kappa: CouplingMatrix, count: int,
                         mode: str = "weyl") -> list[float]:
-    """First `count` eigenvalues (multiplicity expanded), growing the window
-    until enough are found."""
+    """First `count` eigenvalues (multiplicity expanded).
+
+    The window z_max starts from a Weyl-law guess and doubles until the
+    count N(z_max) is at least `count`; the route then lists the spectrum
+    below z_max once.  Raises ScanFailure when it lists fewer than
+    N(z_max) eigenvalues.
+    """
     total = graph.total_length()
     # Weyl-type counting: about total_length/pi eigenvalues per unit of k
     k_guess = (count + 2) * math.pi / total + 2.0 / min(e.length for e in graph.edges)
-
-    def collect(z_max):
+    z_max = k_guess * k_guess
+    n = _eigen_counts(graph, kappa, [math.sqrt(z_max)])[0][0]
+    while n < count:
+        z_max *= 2.0
+        n = _eigen_counts(graph, kappa, [math.sqrt(z_max)])[0][0]
+    # the count proves the list complete, so a coarse scan step is no news
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ScanResolution)
         eigs = compact_spectrum(graph, kappa, z_max, mode)
-        return [e.z for e in eigs for _ in range(e.multiplicity)]
-
-    return grow_window(collect, k_guess * k_guess, count, 2.0, 20,
-                       "eigenvalues")
+    values = [e.z for e in eigs for _ in range(e.multiplicity)]
+    if len(values) < n:
+        raise ScanFailure(f"the {mode} route listed {len(values)} of the "
+                          f"{n} eigenvalues below z={z_max:g}", z_max)
+    return values[:count]

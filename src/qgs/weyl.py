@@ -16,8 +16,9 @@ array of energies by edge lengths and their values scattered into the
 entries by index arrays built on the graph's first assembly.  The pole
 test reads the same arrays.  Each entry sums its edges' terms in edge
 order, so a matrix does not depend on the stack it is assembled in; a
-single energy is a stack of one.  Stacks of many energies are cut to
-BLOCK_BYTES of matrices by their callers.
+single energy is a stack of one: weyl_compact and weyl_full return the
+n x n matrix of such a stack, or raise PoleProximity.  Stacks of many
+energies are cut to BLOCK_BYTES of matrices by their callers.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from .errors import PoleProximity, SingularMatrix
 from .graphs import MetricGraph
 from .kernels import (SERIES_CUTOFF, edge_kernels, is_mp, mp_edge_kernels,
-                      sqrt_upper, sqrt_upper_array)
+                      sqrt_upper_array)
 
 POLE_TOL = 1e-12
 COND_LIMIT = 1e12
@@ -44,30 +45,6 @@ def stack_size(n_vertices: int) -> int:
     """Energies per stack: as many n x n complex matrices as fit in
     BLOCK_BYTES, and at least one."""
     return max(1, BLOCK_BYTES // max(1, 16 * n_vertices ** 2))
-
-
-@dataclass(frozen=True)
-class SpectralPoint:
-    """Energy z together with its upper-branch square root (Im >= 0)."""
-
-    z: complex
-    sqrt_z: complex
-
-    @classmethod
-    def of(cls, z) -> "SpectralPoint":
-        if isinstance(z, SpectralPoint):
-            return z
-        z = complex(z)
-        return cls(z, sqrt_upper(z))
-
-
-@dataclass(frozen=True)
-class WeylMatrix:
-    """M-matrix sample: entries at one spectral point, compact or full."""
-
-    at: SpectralPoint
-    entries: np.ndarray
-    kind: str  # "compact" | "full"
 
 
 @dataclass(frozen=True)
@@ -317,28 +294,27 @@ def compact_entries(graph: MetricGraph, z):
     return M
 
 
-def _weyl_matrix(graph, z, full):
-    sp = SpectralPoint.of(z)
-    (M,), (p,) = weyl_stack(graph, [sp.z], full)
-    if p >= 0:
-        raise PoleProximity(sp.z, graph.edges[p].id)
-    return WeylMatrix(at=sp, entries=M, kind="full" if full else "compact")
-
-
-def weyl_compact(graph: MetricGraph, z) -> WeylMatrix:
-    """Compact M-matrix (leads ignored) at energy z.
+def weyl_compact(graph: MetricGraph, z) -> np.ndarray:
+    """Compact M-matrix (leads ignored) at energy z, the n x n matrix of a
+    one-energy weyl_stack.
 
     Raises PoleProximity when z sits within 1e-12 of a trigonometric pole
     |sin(sqrt(z) l_p)| of any edge; callers wanting a boundary value from
     the upper half-plane retry at z + 1e-8j.
     """
-    return _weyl_matrix(graph, z, full=False)
+    (M,), (p,) = weyl_stack(graph, [z])
+    if p >= 0:
+        raise PoleProximity(complex(z), graph.edges[p].id)
+    return M
 
 
-def weyl_full(graph: MetricGraph, z) -> WeylMatrix:
+def weyl_full(graph: MetricGraph, z) -> np.ndarray:
     """Full M-matrix: compact part plus i*sqrt(z) on external diagonals.
     Raises PoleProximity as weyl_compact does."""
-    return _weyl_matrix(graph, z, full=True)
+    (M,), (p,) = weyl_stack(graph, [z], full=True)
+    if p >= 0:
+        raise PoleProximity(complex(z), graph.edges[p].id)
+    return M
 
 
 def external_projector(graph: MetricGraph) -> np.ndarray:
@@ -359,7 +335,7 @@ def robin_to_dirichlet(graph: MetricGraph, kappa: CouplingMatrix, z) -> np.ndarr
     Raises SingularMatrix when cond(M_compact - kappa) exceeds 1e12, i.e.
     when z is (numerically) an eigenvalue of the compact-graph operator.
     """
-    A = weyl_compact(graph, z).entries - kappa.as_array()
+    A = weyl_compact(graph, z) - kappa.as_array()
     ext = graph.external_indices()
     rhs = np.zeros((graph.n_vertices, len(ext)), dtype=complex)
     for col, i in enumerate(ext):

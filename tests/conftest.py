@@ -1,6 +1,25 @@
+import importlib
+import os
+import sys
+
 import pytest
 
 from qgs import CouplingMatrix, Edge, MetricGraph, Vertex
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench")
+
+
+def perfbench(name):
+    """The benchmark module perfbench/<name>.py, imported the way the
+    benchmark's own scripts import each other: by its plain name, with
+    perfbench on sys.path, so that inputs finds reference.  Every call
+    returns the same module object."""
+    sys.path.insert(0, PERFBENCH)
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(PERFBENCH)
 
 
 @pytest.fixture

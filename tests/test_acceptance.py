@@ -57,15 +57,15 @@ def test_boundary_map_structure():
         for _ in range(20):
             g = make_random_graph(rng, max_vertices=5, max_edges=8)
             z = complex(rng.uniform(0.2, 40.0), rng.uniform(0.1, 5.0))
-            M = weyl_full(g, z).entries
-            Mc = weyl_full(g, z.conjugate()).entries
+            M = weyl_full(g, z)
+            Mc = weyl_full(g, z.conjugate())
             worst_conj = max(worst_conj,
                              float(np.abs(Mc - M.conj()).max()))
             im_part = np.linalg.eigvalsh((M - M.conj().T) / 2j)
             worst_herglotz = max(worst_herglotz, float(-im_part.min()))
 
             s = rng.uniform(0.3, 60.0)
-            Ms = weyl_full(g, s).entries
+            Ms = weyl_full(g, s)
             jump = Ms - Ms.conj().T
             target = 2j * math.sqrt(s) * external_projector(g)
             worst_jump = max(worst_jump, float(np.abs(jump - target).max()))

@@ -14,8 +14,7 @@ from qgs import (CouplingMatrix, Edge, MetricGraph, ScanResolution, Vertex,
                  serialize_graph)
 from qgs.cli import main, parse_grid
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "perfbench")
+from conftest import PERFBENCH
 
 
 @pytest.fixture
@@ -491,7 +490,7 @@ def test_spectrum_overflow_exits_3_without_traceback(interval_file, capsys,
     numerical failure."""
     import qgs.spectra
     monkeypatch.setattr(qgs.spectra, "matching_det",
-                        lambda graph, kappa: lambda k: math.inf)
+                        lambda graph, kappa, sign=1.0: lambda x: math.inf)
     rc = main(["spectrum", "--graph", interval_file, "--zmax", "1",
                "--mode", "matching"])
     err = capsys.readouterr().err

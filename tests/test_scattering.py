@@ -1,12 +1,9 @@
 """External scattering matrices and their two factorised routes."""
 
 import cmath
-import importlib
 import json
 import math
-import os
 import random
-import sys
 
 import numpy as np
 import pytest
@@ -21,6 +18,8 @@ from qgs import weyl
 from qgs.scattering import external_block, scattering_solves_at
 from qgs.weyl import COND_LIMIT, weyl_full
 from qgs.testing import make_random_graph
+
+from conftest import perfbench
 
 # frozen regression: interval with a lead at V1, kappa = diag(1, 0), s = 1,
 # computed independently at 50 significant digits
@@ -268,12 +267,7 @@ def test_external_forms_share_one_solve_bit_for_bit():
 def _family_graph(n, seed):
     """A perfbench family graph of n vertices and 6 leads, couplings
     included."""
-    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "perfbench"))
-    try:
-        inputs = importlib.import_module("inputs")
-    finally:
-        sys.path.pop(0)
+    inputs = perfbench("inputs")
     g = parse_graph(json.dumps(inputs.family_graph(random.Random(seed), n,
                                                    n_leads=6)))
     return g, CouplingMatrix.from_graph(g)
@@ -292,7 +286,7 @@ def _per_energy_reference(graph, kappa, grid, check_tol):
     matrices, skipped = [], []
     for s in grid:
         try:
-            M = weyl_full(graph, s).entries
+            M = weyl_full(graph, s)
             Ms = M.conj().T
             factors = []
             for A, B, what in ((M - K, Ms - K, "M - coupling"),

@@ -1,6 +1,5 @@
 """Compact spectra along two independent routes."""
 
-import importlib.util
 import json
 import math
 import os
@@ -15,15 +14,13 @@ from qgs import (CouplingMatrix, Edge, Eigenvalue, MetricGraph,
                  compact_spectrum, load_graph, matching_det, matching_matrix,
                  multiplicity_at)
 from qgs import parse_graph, spectra, weyl
-from qgs.rootscan import grow_window, scan_roots
+from qgs.rootscan import scan_roots
 from qgs.spectra import (_count_jumps, _mp_matching_det,
                          _mp_weyl_det_negative, _mp_weyl_secular,
-                         _tangent_refiner, _weyl_matrix_raw,
-                         matching_det_negative)
+                         _tangent_refiner, _weyl_matrix_raw)
 from qgs.testing import make_random_graph
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "perfbench")
+from conftest import PERFBENCH, perfbench
 
 
 def zeros(graph):
@@ -175,16 +172,6 @@ def test_fan_bound_state(mode):
     assert eigs[0].z == pytest.approx(float(-q * q), rel=1e-11)
 
 
-def _reference():
-    """perfbench/reference.py: an eigenvalue count in plain numpy that
-    imports nothing from qgs."""
-    spec = importlib.util.spec_from_file_location(
-        "reference", os.path.join(PERFBENCH, "reference.py"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 MISSED = [(f"missed-{i}", 100.0) for i in ("03", "06", "13", "21", "28", "39")]
 
 
@@ -193,7 +180,9 @@ def _fixed(name, z_max):
     below z_max."""
     path = os.path.join(PERFBENCH, "graphs", name + ".json")
     with open(path) as fh:
-        ref = _reference().eigenvalues(json.load(fh), z_max)
+        # perfbench/reference.py: an eigenvalue count in plain numpy that
+        # imports nothing from qgs
+        ref = perfbench("reference").eigenvalues(json.load(fh), z_max)
     g = load_graph(path)
     return g, CouplingMatrix.from_graph(g), ref
 
@@ -217,6 +206,19 @@ def test_matching_values_are_reference_eigenvalues(name, z_max):
     for e in compact_spectrum(g, kappa, z_max, "matching"):
         assert min(abs(e.z - want) for want in ref) <= \
             1e-9 * max(1.0, abs(e.z))
+
+
+def test_compact_eigenvalues_fails_a_list_shorter_than_the_count():
+    """On missed-06 the first 22 eigenvalues need a window past the close
+    pair at 77.61/77.79.  The weyl route lists the reference values; the
+    matching scan misses a member of the pair, and the count turns its
+    shifted list into a ScanFailure."""
+    g, kappa, ref = _fixed("missed-06", 100.0)
+    assert len(ref) >= 22
+    got = compact_eigenvalues(g, kappa, 22, "weyl")
+    assert got == pytest.approx(ref[:22], rel=1e-9, abs=1e-9)
+    with pytest.raises(ScanFailure):
+        compact_eigenvalues(g, kappa, 22, "matching")
 
 
 # --------------------------------------------------------------------------
@@ -263,10 +265,7 @@ def _count_window(graph, kappa):
 
 
 def _family(n, seed):
-    spec = importlib.util.spec_from_file_location(
-        "inputs", os.path.join(PERFBENCH, "inputs.py"))
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
+    inputs = perfbench("inputs")
     g = parse_graph(json.dumps(inputs.family_graph(random.Random(seed), n)))
     return g, CouplingMatrix.from_graph(g)
 
@@ -541,7 +540,7 @@ def test_float_and_mp_secular_functions_agree():
     poles they agree to 1e-8."""
     for g, kappa in _random_cases():
         match_pos = matching_det(g, kappa)
-        match_neg = matching_det_negative(g, kappa)
+        match_neg = matching_det(g, kappa, -1.0)
         for k in (0.37, 1.3, 2.9, 4.1):
             if min(abs(math.sin(k * e.length)) for e in g.edges) < 1e-3:
                 continue  # too near a pole for the float M-matrix
@@ -562,9 +561,3 @@ def test_scan_failure_is_a_numerical_error():
     assert isinstance(info.value, NumericalError)
     assert info.value.x == 0.0
 
-
-def test_window_that_never_fills_is_a_scan_failure():
-    with pytest.raises(ScanFailure):
-        grow_window(lambda hi: [1.0], 1.0, 3, 2.0, 4, "roots")
-    assert grow_window(lambda hi: list(range(int(hi))), 1.0, 3, 2.0, 4,
-                       "roots") == [0, 1, 2]

@@ -25,7 +25,7 @@ graphs = st.integers(min_value=0, max_value=10**9).map(
 
 def test_interval_entries(interval):
     # single edge of length 1 at z = 1 (k = 1)
-    M = weyl_compact(interval, 1.0).entries
+    M = weyl_compact(interval, 1.0)
     assert M[0, 0] == pytest.approx(-1.0 / math.tan(1.0))
     assert M[1, 1] == pytest.approx(-1.0 / math.tan(1.0))
     assert M[0, 1] == pytest.approx(1.0 / math.sin(1.0))
@@ -35,7 +35,7 @@ def test_interval_entries(interval):
 def test_loop_adds_tangent_term(loop_tadpole):
     z = 2.0
     k = math.sqrt(z)
-    M = weyl_compact(loop_tadpole, z).entries
+    M = weyl_compact(loop_tadpole, z)
     i = loop_tadpole.vertex_index("P")
     expected = 2.0 * k * math.tan(k * 1.3 / 2.0) - k / math.tan(k * 0.7)
     assert M[i, i] == pytest.approx(expected)
@@ -46,15 +46,15 @@ def test_parallel_edges_accumulate():
                     [Edge("A", "B", 1.0), Edge("A", "B", 0.5)])
     z = 3.0
     k = math.sqrt(z)
-    M = weyl_compact(g, z).entries
+    M = weyl_compact(g, z)
     assert M[0, 1] == pytest.approx(k / math.sin(k) + k / math.sin(k * 0.5))
     assert M[0, 0] == pytest.approx(-k / math.tan(k) - k / math.tan(k * 0.5))
 
 
 def test_full_adds_external_halfline(lead_interval):
     s = 4.0
-    Mc = weyl_compact(lead_interval, s).entries
-    Mf = weyl_full(lead_interval, s).entries
+    Mc = weyl_compact(lead_interval, s)
+    Mf = weyl_full(lead_interval, s)
     diff = Mf - Mc
     assert diff[0, 0] == pytest.approx(2.0j)  # i * sqrt(4) on the lead vertex
     assert abs(diff[1, 1]) == 0.0
@@ -82,7 +82,7 @@ def test_pole_has_context(interval):
 
 def test_zero_energy_is_removable(interval):
     # z=0 is not a pole: entries go to the +-1/l limits
-    M = weyl_compact(interval, 0.0).entries
+    M = weyl_compact(interval, 0.0)
     assert M[0, 0] == pytest.approx(-1.0)
     assert M[0, 1] == pytest.approx(1.0)
 
@@ -91,9 +91,9 @@ def test_zero_energy_is_removable(interval):
 @settings(max_examples=50, deadline=None)
 def test_symmetry_and_conjugation(g):
     z = 2.7 + 1.1j
-    M = weyl_full(g, z).entries
+    M = weyl_full(g, z)
     assert np.linalg.norm(M - M.T) < 1e-10 * (1 + np.linalg.norm(M))
-    Mbar = weyl_full(g, z.conjugate()).entries
+    Mbar = weyl_full(g, z.conjugate())
     assert np.linalg.norm(Mbar - M.conj()) < 1e-10 * (1 + np.linalg.norm(M))
 
 
@@ -102,7 +102,7 @@ def test_symmetry_and_conjugation(g):
 @settings(max_examples=50, deadline=None)
 def test_herglotz_upper_halfplane(g, re_z, im_z):
     """Im M(z) is positive semidefinite for Im z > 0."""
-    M = weyl_full(g, complex(re_z, im_z)).entries
+    M = weyl_full(g, complex(re_z, im_z))
     im_part = (M - M.conj().T) / 2j
     eigs = np.linalg.eigvalsh(im_part)
     assert eigs.min() > -1e-9 * max(1.0, eigs.max())
@@ -113,7 +113,7 @@ def test_herglotz_upper_halfplane(g, re_z, im_z):
 def test_jump_across_positive_axis(g, s):
     """M(s) - M(s)^* = 2i sqrt(s) P_e on the positive axis."""
     try:
-        M = weyl_full(g, s).entries
+        M = weyl_full(g, s)
     except PoleProximity:
         return
     jump = M - M.conj().T
@@ -124,7 +124,7 @@ def test_jump_across_positive_axis(g, s):
 def test_negative_axis_is_real(lead_interval):
     # below the spectrum even the full matrix is real: the half-line
     # contribution i*sqrt(z) = -tau is real there
-    M = weyl_full(lead_interval, -9.0).entries
+    M = weyl_full(lead_interval, -9.0)
     assert np.linalg.norm(M.imag) == 0.0
     assert M[0, 0] == pytest.approx(-3.0 - 3.0 / math.tanh(3.0))
 
@@ -170,7 +170,7 @@ def test_rtd_block_is_schur_inverse(lead_interval):
     z = -4.0
     k = CouplingMatrix.from_values(lead_interval, [0.5, -0.3])
     R = robin_to_dirichlet(lead_interval, k, z)
-    A = weyl_compact(lead_interval, z).entries - k.as_array()
+    A = weyl_compact(lead_interval, z) - k.as_array()
     full_inv = np.linalg.inv(A)
     assert R.shape == (1, 1)
     assert R[0, 0] == pytest.approx(full_inv[0, 0], rel=1e-12)
@@ -190,13 +190,6 @@ def test_rtd_singular_at_eigenvalue(interval):
     # z=0 is a Neumann eigenvalue: M(0) - 0 is singular
     with pytest.raises(SingularMatrix):
         robin_to_dirichlet(interval, CouplingMatrix.zeros(interval), 0.0)
-
-
-def test_weyl_matrix_record_carries_kind(interval):
-    assert weyl_compact(interval, 1.0).kind == "compact"
-    assert weyl_full(interval, 1.0).kind == "full"
-    sp = weyl_full(interval, -1.0).at
-    assert sp.sqrt_z == pytest.approx(cmath.sqrt(-1.0 + 0j))
 
 
 # --------------------------------------------------------------------------
