@@ -24,13 +24,22 @@ The chain implemented here:
    and the remainder fitted against c0 + c1/tau + c2/tau^2 over a
    doubling ladder of tau values.  The neglected terms decay like
    exp(-tau l_min), so ``ladder_tau0`` scales the ladder's start to the
-   shortest edge.
+   shortest edge; it is the default start of ``recover_path_sums`` and
+   ``invert_couplings``.  ``recover_external_couplings`` keeps TAU0, the
+   ladder that sample files are written on.
 
-   The oracle is called once per path, as ``oracle(z, path)`` with the
-   1-D array z of the path's ladder energies, and returns the array of
-   its values.  ``forward_f1_oracle`` builds such an oracle from known
-   couplings: each call contracts the path with one ``contract`` call and
-   evaluates every energy with one stacked ``f1_entry``.
+   The oracle is called once per ladder, as ``oracle(z, paths)`` with the
+   1-D array z of the ladder energies and the list of paths, and returns
+   the (len(paths), len(z)) array of their values.  ``forward_f1_oracle``
+   builds such an oracle from known couplings without contracting
+   anything: gluing a path's vertices is a finite-rank change of
+   A = M_compact(z) - K, and Krein's formula for it is, on a finite
+   matrix, a Schur complement.  Per energy A is assembled and gated once,
+   G = A^-1, and each path's entry is 1/s with
+   s = b - u.w + w_S^T G_SS^-1 w_S, w = G u (see ``_glued_schur``), at
+   O(n^2) per path.  A gate refusal of A, or an s the contracted graph's
+   gate would refuse, raises SingularMatrix.  ``f1_contracted`` keeps the
+   contraction itself, as the independent cross-check.
 
 3. ``recover_couplings`` — the path sums over a prefix-closed family of
    tree paths form a triangular system: each vertex coupling is the sum
@@ -50,14 +59,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ExtrapolationDiverged, InconsistentPaths, PoleProximity,
-                     ScanResolution, SingularBracket, SingularMatrix,
-                     UnknownEdge)
+from .errors import (ExtrapolationDiverged, GraphError, InconsistentPaths,
+                     PoleProximity, ScanResolution, SingularBracket,
+                     SingularMatrix, UnknownEdge)
 from .graphs import (Edge, MetricGraph, SpanningTreePath, contract,
                      spanning_tree)
+from .kernels import edge_kernels
 from .scattering import external_block, scattering_solves_at
-from .weyl import (COND_LIMIT, CouplingMatrix, checked_inverse, stack_size,
-                   weyl_compact, weyl_stack)
+from .weyl import (COND_LIMIT, CouplingMatrix, _inverse, checked_inverse,
+                   stack_size, weyl_compact, weyl_stack)
 
 TAU0 = 32.0
 LEVELS = 7
@@ -163,6 +173,39 @@ def _probe_vertex(graph: MetricGraph, vertex: str | None) -> str:
     return ext[0] if ext else graph.vertex_ids()[0]
 
 
+def _gated_inverses(graph: MetricGraph, kappa: CouplingMatrix, z):
+    """(at, energies, A, G) for each run of the 1-D energy array z, in
+    order: A = M_compact - K at the energies z[at] and G its gated inverse.
+
+    The energies are assembled by weyl_stack and gated by checked_inverse
+    in stacks of stack_size(n).  A run is a stretch of real matrices (z <=
+    0 with real couplings), which are inverted in real arithmetic, or of
+    complex ones, so each inverse is the one its energy gives alone, bit
+    for bit.  The first energy, in the order given, that lies within
+    POLE_TOL of a pole or whose matrix the gate refuses raises
+    PoleProximity or SingularMatrix, after the runs before it are yielded.
+    """
+    K = np.diag(np.asarray(kappa.diagonal, dtype=complex))
+    size = stack_size(graph.n_vertices)
+    for start in range(0, len(z), size):
+        block = z[start:start + size]
+        M, poles = weyl_stack(graph, block)
+        hit = np.flatnonzero(poles >= 0)
+        p = hit[0] if hit.size else len(block)    # gate up to the first pole
+        A = M[:p] - K
+        real = ~A.imag.any(axis=(1, 2))
+        cuts = [0, *(np.flatnonzero(np.diff(real)) + 1).tolist(), p] if p \
+            else []
+        for a, b in zip(cuts, cuts[1:]):
+            run = A[a:b].real if real[a:b].all() else A[a:b]
+            energies = block[a:b]
+            yield (slice(start + a, start + b), energies, run,
+                   checked_inverse(run, energies.tolist(),
+                                   "M_compact - coupling"))
+        if p < len(block):
+            raise PoleProximity(complex(block[p]), graph.edges[poles[p]].id)
+
+
 def f1_entry(graph: MetricGraph, kappa: CouplingMatrix, z,
              vertex: str | None = None):
     """Diagonal response-map entry at one vertex (default: first external),
@@ -170,37 +213,20 @@ def f1_entry(graph: MetricGraph, kappa: CouplingMatrix, z,
 
     This is the (v, v) entry of (M_compact(z) - K)^-1, the quantity whose
     negative-axis asymptotics drive the recovery chain, read from the
-    inverse that the condition gate computes.  The energies are assembled
-    by weyl_stack and gated in stacks of stack_size(n).  Real matrices (z
-    <= 0 with real couplings) are inverted in real arithmetic, each run of
-    them in a stack together, so each entry is the one its energy gives
-    alone, bit for bit.  The first energy, in the order given, that lies
-    within POLE_TOL of a pole or whose matrix the gate refuses raises
-    PoleProximity or SingularMatrix, as a loop over the energies would.
+    inverse that the condition gate computes (see _gated_inverses: stacks
+    of stack_size(n), real runs in real arithmetic, each entry the one its
+    energy gives alone, bit for bit).  The first energy, in the order
+    given, that lies within POLE_TOL of a pole or whose matrix the gate
+    refuses raises PoleProximity or SingularMatrix, as a loop over the
+    energies would.
 
     Returns a complex number for a scalar z, a complex array for an array.
     """
     i = graph.vertex_index(_probe_vertex(graph, vertex))
     z = np.asarray(z)
-    energies = z.reshape(-1)
-    K = np.diag(np.asarray(kappa.diagonal, dtype=complex))
-    f = np.empty(len(energies), dtype=complex)
-    size = stack_size(graph.n_vertices)
-    for start in range(0, len(energies), size):
-        block = energies[start:start + size]
-        M, poles = weyl_stack(graph, block)
-        hit = np.flatnonzero(poles >= 0)
-        p = hit[0] if hit.size else len(block)    # gate up to the first pole
-        A = M[:p] - K
-        real = ~A.imag.any(axis=(1, 2))
-        # each run of real matrices is inverted in real arithmetic
-        cuts = [0, *(np.flatnonzero(np.diff(real)) + 1).tolist(), p]
-        for a, b in zip(cuts, cuts[1:]):
-            run = A[a:b].real if real[a:b].all() else A[a:b]
-            f[start + a:start + b] = checked_inverse(
-                run, block[a:b].tolist(), "M_compact - coupling")[:, i, i]
-        if p < len(block):
-            raise PoleProximity(complex(block[p]), graph.edges[poles[p]].id)
+    f = np.empty(z.size, dtype=complex)
+    for at, _, _, G in _gated_inverses(graph, kappa, z.reshape(-1)):
+        f[at] = G[:, i, i]
     return complex(f[0]) if z.ndim == 0 else f
 
 
@@ -221,14 +247,22 @@ def f1_via_determinants(graph: MetricGraph, kappa: CouplingMatrix, z,
     return complex(minor_sign / sign * np.exp(minor_logdet - logdet))
 
 
-def _path_edges(graph: MetricGraph, path: SpanningTreePath):
-    """(edge ids, merged id) of the path's edges, as contracting them into
-    the root one at a time picks and names them.  Each step takes the first
-    edge, in the edge order of the graph contracted so far, of the step's
-    length between the merged vertex and the next path vertex."""
+def _edges_between(graph: MetricGraph):
+    """{frozenset of the two ends: the edges between them, in edge order}."""
     between = {}
     for e in graph.edges:
         between.setdefault(frozenset((e.u, e.v)), []).append(e)
+    return between
+
+
+def _path_edges(graph: MetricGraph, path: SpanningTreePath, between=None):
+    """(edge ids, merged id) of the path's edges, as contracting them into
+    the root one at a time picks and names them.  Each step takes the first
+    edge, in the edge order of the graph contracted so far, of the step's
+    length between the merged vertex and the next path vertex.  between is
+    _edges_between(graph), built here when not given."""
+    if between is None:
+        between = _edges_between(graph)
     merged, glued, ids = path.root, {path.root}, []
 
     def key(e):     # the edge's place in the graph contracted so far
@@ -272,10 +306,14 @@ def f1_contracted(graph: MetricGraph, kappa: CouplingMatrix,
 
     Uses the contraction identity directly: merge the path vertices (their
     couplings add), drop the traversed edges, evaluate the diagonal entry
-    at the merged vertex.  ``contraction_validation`` offers the slow
-    shrinking-edge route for checking this identity.
+    at the merged vertex with f1_entry.  It builds the contracted graph,
+    so it checks the glued Schur complements of forward_f1_oracle, which
+    never does; ``contraction_validation`` offers the slow shrinking-edge
+    route for checking the identity itself.
     """
-    return forward_f1_oracle(graph, kappa)(z, path)
+    g, k, merged = _contract_along(graph.with_couplings(kappa.diagonal),
+                                   path)
+    return f1_entry(g, k, z, vertex=merged)
 
 
 def f1_shrunk(graph: MetricGraph, kappa: CouplingMatrix,
@@ -313,22 +351,109 @@ def contraction_validation(graph: MetricGraph, kappa: CouplingMatrix,
     return diffs, slope
 
 
+def _glued_paths(graph: MetricGraph, paths):
+    """What gluing each path into one vertex needs, for len(paths) = P.
+
+    Returns (glued, contracted, lengths, groups).  Column p of glued (n, P)
+    is 1 on the vertices of path p.  The U edges that contracting some
+    path drops have the given lengths, and column p of contracted (U, P)
+    is 1 on those of path p.  groups lists, per number c of path vertices,
+    the (P_c, c) vertex indices of those paths and their (P_c,) columns.
+    """
+    between = _edges_between(graph)
+    index = {vid: i for i, vid in enumerate(graph.vertex_ids())}
+    position = {e.id: p for p, e in enumerate(graph.edges)}
+    glued = np.zeros((graph.n_vertices, len(paths)))
+    contracted = np.zeros((graph.n_edges, len(paths)))
+    by_count = {}
+    for p, path in enumerate(paths):
+        try:
+            vertices = [index[v] for v in path.vertices_on_path]
+        except KeyError as exc:
+            raise GraphError(f"unknown vertex id {exc.args[0]!r}") from None
+        glued[vertices, p] = 1.0
+        if len(vertices) > 1:
+            ids = _path_edges(graph, path, between)[0]
+            contracted[[position[i] for i in ids], p] = 1.0
+        by_count.setdefault(len(vertices), []).append((vertices, p))
+    used = np.flatnonzero(contracted.any(axis=1))
+    lengths = np.array([graph.edges[p].length for p in used])
+    groups = [(np.array([v for v, _ in members]),
+               np.array([p for _, p in members]))
+              for members in by_count.values()]
+    return glued, contracted[used], lengths, groups
+
+
+def _glued_schur(A, G, energies, glued, contracted, lengths, groups):
+    """(s, b): s = 1/f1 of each path glued into one vertex, b its diagonal
+    entry of the glued matrix, at each energy of a gated run, (N, P) each.
+
+    For the path's vertex set S, b sums A over S x S less 2(kcsc - kcot) of
+    each contracted edge, which leaves every other edge between path
+    vertices as the loop term 2 ktanhalf.  u is the sum of the columns of
+    S with its entries on S set to zero, w = G u, and the Schur complement
+    of the glued matrix is s = b - u.w + w_S^T G_SS^-1 w_S, since
+    A_RR^-1 = G_RR - G_RS G_SS^-1 G_SR for R outside S and G is symmetric.
+    An exactly singular G_SS makes s NaN.
+    """
+    sums = A @ glued                                  # (N, n, P)
+    b = (sums * glued).sum(axis=1)
+    if lengths.size:
+        terms = edge_kernels(energies[:, None], lengths)
+        if not np.iscomplexobj(A):
+            terms = terms.real
+        b = b - 2.0 * (terms[1] - terms[0]) @ contracted
+    u = sums * (1.0 - glued)
+    w = G @ u
+    s = b - (u * w).sum(axis=1)
+    for vertices, cols in groups:
+        G_SS = G[:, vertices[:, :, None], vertices[:, None, :]]
+        w_S = w[:, vertices, cols[:, None]]           # (N, P_c, c)
+        s[:, cols] += (w_S[..., None, :] @ _inverse(G_SS)
+                       @ w_S[..., None])[..., 0, 0]
+    return s, b
+
+
 def forward_f1_oracle(graph: MetricGraph, kappa: CouplingMatrix):
-    """Oracle (z, path) -> f1_contracted(graph, kappa, path, z), with the
-    couplings baked in.
+    """Oracle (z, paths) -> f1_contracted(graph, kappa, path, z) for each
+    path, with the couplings baked in, as a (len(paths), len(z)) array.
 
     This is the oracle handed to the recovery pipeline in round-trip tests
     and by the command-line ``invert --oracle forward`` mode: the recovery
-    code sees only its values, never the couplings.  The recovery calls it
-    once per path with the 1-D array of the path's ladder energies, so
-    each call contracts its path once and hands the whole array to
-    f1_entry, which returns an array of entries.
-    """
-    coupled = graph.with_couplings(kappa.diagonal)
+    code sees only its values, never the couplings.  It builds no
+    contracted graph.  Gluing a path's vertices S into one vertex m is a
+    finite-rank change of A = M_compact(z) - K, so by Krein's formula
+    (on a finite matrix, a Schur complement) the entry at m is 1/s with
 
-    def oracle(z, path: SpanningTreePath):
-        g, k, merged = _contract_along(coupled, path)
-        return f1_entry(g, k, z, vertex=merged)
+        s = b - u.w + w_S^T G_SS^-1 w_S,  G = A^-1,  w = G u,
+
+    where b is the glued block's sum over S x S less the contracted edges
+    and u the sum of the columns of S off S (_glued_schur).  The energies
+    are taken in stacks of stack_size(n), each with all paths, so each
+    energy's A is assembled and gated once, for every path, and a stack's
+    (N, n, P) arrays stay within BLOCK_BYTES for P <= n paths.
+
+    A gate refusal of A raises SingularMatrix, a pole PoleProximity, as
+    f1_entry does, at the first such energy.  A path whose s is not finite
+    or has |s| <= |b| / COND_LIMIT raises SingularMatrix too: since cond of
+    the glued matrix is at least |b|/|s|, the gate of the contracted graph
+    would refuse it as well.
+    """
+    def oracle(z, paths):
+        paths = list(paths)
+        glued, contracted, lengths, groups = _glued_paths(graph, paths)
+        z = np.asarray(z).reshape(-1)
+        f = np.empty((len(paths), len(z)), dtype=complex)
+        for at, energies, A, G in _gated_inverses(graph, kappa, z):
+            s, b = _glued_schur(A, G, energies, glued, contracted, lengths,
+                                groups)
+            refused = ~np.isfinite(s) | (abs(s) <= abs(b) / COND_LIMIT)
+            if refused.any():
+                raise SingularMatrix(
+                    energies.tolist()[refused.any(axis=1).argmax()],
+                    "glued M_compact - coupling")
+            f[:, at] = (1.0 / s).T
+        return f
 
     return oracle
 
@@ -343,16 +468,13 @@ def ladder_tau0(graph: MetricGraph) -> float:
     return max([TAU0] + [TAU0 / e.length for e in graph.edges])
 
 
-def _ladder_fit(sample, tau0, levels, fit_tol, label):
-    """(c0, residual) of the least-squares fit sample(tau) ~ c0 + c1/tau +
-    c2/tau^2 over the ladder tau_j = tau0 * 2^j, j < levels.  sample takes
-    the ladder as one 1-D array and returns the samples in its order.
+def _ladder(tau0, levels, fit_tol):
+    """The ladder tau_j = tau0 * 2^j, j < levels, as a 1-D array.
 
-    A residual above fit_tol * (1 + |c0|) raises ExtrapolationDiverged
-    naming `label`, the path target or vertex.  tau0 must be finite and
-    positive, and levels at least 4: with only three levels the three
-    coefficients fit exactly, so the residual could never flag a
-    divergence.  A NaN fit_tol, which no residual can exceed, is refused.
+    tau0 must be finite and positive, and levels at least 4: with only
+    three levels the three coefficients of the fit fit exactly, so its
+    residual could never flag a divergence.  A NaN fit_tol, which no
+    residual can exceed, is refused.
     """
     if math.isnan(fit_tol):
         raise ValueError("fit_tol must be a number, got nan")
@@ -360,10 +482,19 @@ def _ladder_fit(sample, tau0, levels, fit_tol, label):
         raise ValueError(f"tau0 must be finite and positive, got {tau0!r}")
     if levels < 4:
         raise ValueError(f"the ladder fit needs levels >= 4, got {levels}")
-    taus = np.array([tau0 * 2.0 ** j for j in range(levels)])
+    return np.array([tau0 * 2.0 ** j for j in range(levels)])
+
+
+def _ladder_fit(taus, samples, fit_tol, label):
+    """(c0, residual) of the least-squares fit samples ~ c0 + c1/tau +
+    c2/tau^2 over the ladder taus.
+
+    A residual above fit_tol * (1 + |c0|) raises ExtrapolationDiverged
+    naming `label`, the path target or vertex.
+    """
     design = np.column_stack([np.ones_like(taus), 1.0 / taus,
                               1.0 / taus ** 2]).astype(complex)
-    samples = np.asarray(sample(taus), dtype=complex)
+    samples = np.asarray(samples, dtype=complex)
     coef, *_ = np.linalg.lstsq(design, samples, rcond=None)
     fit = design @ coef
     residual = float(np.max(np.abs(fit - samples)))
@@ -374,7 +505,7 @@ def _ladder_fit(sample, tau0, levels, fit_tol, label):
 
 
 def recover_path_sums(graph_topology: MetricGraph, rtd_oracle, paths,
-                      tau0: float = TAU0, levels: int = LEVELS,
+                      tau0: float | None = None, levels: int = LEVELS,
                       fit_tol: float = FIT_TOL) -> list[PathSumEstimate]:
     """Fit the coupling sum along each path from deep negative-axis probes.
 
@@ -385,25 +516,31 @@ def recover_path_sums(graph_topology: MetricGraph, rtd_oracle, paths,
         D = sum of lead-free degrees - 2*(l-1),
 
     so subtracting the degree drift and fitting c0 + c1/tau + c2/tau^2
-    over tau_j = tau0 * 2^j leaves the sum in c0.  The oracle is called
-    once per path, as rtd_oracle(z, path) with the 1-D array z of all the
-    path's ladder energies, and returns the array of its values.  A
-    fit residual above fit_tol * (1 + |c0|) raises ExtrapolationDiverged —
-    the signature of a wrong topology, a bad oracle, or tau0 too small for
-    the edge lengths.
+    over tau_j = tau0 * 2^j leaves the sum in c0.  tau0 defaults to
+    ladder_tau0(graph_topology).  The oracle is called once, as
+    rtd_oracle(z, paths) with the 1-D array z of the ladder energies and
+    the list of paths, and returns the (len(paths), len(z)) array of
+    their values.  A fit residual above fit_tol * (1 + |c0|) raises
+    ExtrapolationDiverged — the signature of a wrong topology, a bad
+    oracle, or tau0 too small for the edge lengths.
     """
+    if tau0 is None:
+        tau0 = ladder_tau0(graph_topology)
+    taus = _ladder(tau0, levels, fit_tol)
+    paths = list(paths)
+    values = np.asarray(rtd_oracle(-(taus * taus), paths))
+    if values.shape != (len(paths), len(taus)):
+        raise ValueError(f"the oracle returned shape {values.shape} for "
+                         f"{len(paths)} paths at {len(taus)} energies")
+    degree = {v: graph_topology.degree(v)
+              for v in graph_topology.vertex_ids()}
     estimates = []
-    for path in paths:
-        D = sum(graph_topology.degree(v) for v in path.vertices_on_path)
+    for path, row in zip(paths, values.tolist()):
+        D = sum(degree[v] for v in path.vertices_on_path)
         D -= 2 * (path.vertex_count - 1)
-
-        def sample(taus):
-            values = rtd_oracle(-(taus * taus), path)
-            return [-1.0 / complex(f) - tau * D
-                    for tau, f in zip(taus.tolist(), values)]
-
-        value, residual = _ladder_fit(sample, tau0, levels, fit_tol,
-                                      path.target)
+        samples = [-1.0 / complex(f) - tau * D
+                   for tau, f in zip(taus.tolist(), row)]
+        value, residual = _ladder_fit(taus, samples, fit_tol, path.target)
         if abs(value.imag) < 1e-12 * (1.0 + abs(value.real)):
             value = complex(value.real, 0.0)
         estimates.append(PathSumEstimate(path, value, residual))
@@ -446,13 +583,14 @@ def recover_couplings(estimates) -> dict[str, complex]:
 
 
 def invert_couplings(graph_topology: MetricGraph, rtd_oracle,
-                     root: str | None = None, tau0: float = TAU0,
+                     root: str | None = None, tau0: float | None = None,
                      levels: int = LEVELS, fit_tol: float = FIT_TOL):
     """Full recovery: spanning tree, path sums, triangular solve.
 
     Returns (couplings dict over all vertices, estimates).  The root
     defaults to the first external vertex (the natural probe point), or
-    the first vertex if the graph has no leads.
+    the first vertex if the graph has no leads; tau0 defaults to
+    ladder_tau0(graph_topology).
     """
     paths = spanning_tree(graph_topology, _probe_vertex(graph_topology, root))
     estimates = recover_path_sums(graph_topology, rtd_oracle, paths,
@@ -498,7 +636,8 @@ def recover_external_couplings(samples: RtDSamples,
     are rationally interpolated, so a log-spaced grid enclosing the ladder
     works, and exact ladder nodes work best.
     """
-    z_lo = -(max(tau0 * 2.0 ** j for j in range(levels)) ** 2)
+    taus = _ladder(tau0, levels, fit_tol)
+    z_lo = -(taus[-1] ** 2)
     if samples.grid.min() > z_lo:
         warnings.warn(
             f"sample grid reaches only z={samples.grid.min():g}, ladder "
@@ -508,7 +647,6 @@ def recover_external_couplings(samples: RtDSamples,
         interp = barycentric(samples.grid, samples.values[:, j, j])
         D = graph_topology.degree(vid)
         couplings[vid], _ = _ladder_fit(
-            lambda taus: [-1.0 / interp(-(tau * tau)) - tau * D
-                          for tau in taus.tolist()],
-            tau0, levels, fit_tol, vid)
+            taus, [-1.0 / interp(-(tau * tau)) - tau * D
+                   for tau in taus.tolist()], fit_tol, vid)
     return couplings

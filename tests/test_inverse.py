@@ -8,16 +8,17 @@ import warnings
 import numpy as np
 import pytest
 
-from qgs import (CouplingMatrix, Edge, ExtrapolationDiverged,
+from qgs import (CouplingMatrix, Edge, ExtrapolationDiverged, GraphError,
                  InconsistentPaths, MetricGraph, PathSumEstimate,
                  PoleProximity, RtDSamples, SingularBracket, SingularMatrix,
-                 SpanningTreePath, Vertex, barycentric, contract,
+                 SpanningTreePath, UnknownEdge, Vertex, barycentric, contract,
                  contraction_validation, extract_rtd, f1_contracted,
                  f1_entry, f1_via_determinants, forward_f1_oracle,
-                 invert_couplings, parse_graph, recover_couplings,
-                 recover_external_couplings, recover_path_sums,
-                 robin_to_dirichlet, sigma_external, spanning_tree,
-                 weyl_compact)
+                 invert_couplings, ladder_tau0, parse_graph,
+                 recover_couplings, recover_external_couplings,
+                 recover_path_sums, robin_to_dirichlet, serialize_graph,
+                 sigma_external, spanning_tree, weyl_compact)
+from qgs.cli import main
 from qgs.inverse import _contract_along
 from qgs.weyl import stack_size
 
@@ -393,8 +394,8 @@ def test_diverged_fit_raises():
     k = CouplingMatrix.from_graph(g)
     clean = forward_f1_oracle(g, k)
 
-    def noisy(z, path=None):
-        return clean(z, path) * (1.0 + 1e-3 * np.sin(np.abs(z)))
+    def noisy(z, paths):
+        return clean(z, paths) * (1.0 + 1e-3 * np.sin(np.abs(z)))
 
     with pytest.raises(ExtrapolationDiverged):
         invert_couplings(g, noisy, fit_tol=1e-10)
@@ -444,47 +445,233 @@ def test_recover_external_from_samples():
 
 
 # --------------------------------------------------------------------------
-# oracle protocol and the work done per path
+# oracle protocol, the work done per ladder, and refusals
 # --------------------------------------------------------------------------
 
-def test_forward_oracle_contracts_each_path_once(star3, monkeypatch):
+def test_forward_oracle_gates_each_ladder_energy_once(star3, monkeypatch):
+    """One oracle call per ladder; it builds no contracted graph and
+    assembles and gates each energy once, in stacks of stack_size(n), for
+    all paths together."""
     import qgs.inverse
-    calls, entries = [], []
-    real_contract, real_entry = qgs.inverse.contract, qgs.inverse.f1_entry
+    contracted, stacks = [], []
+    real_inverse = qgs.inverse.checked_inverse
 
-    def counting(graph, edge_ids):
-        calls.append(list(edge_ids))
-        return real_contract(graph, edge_ids)
+    def gate(A, z, what):
+        stacks.append(len(A))
+        return real_inverse(A, z, what)
 
-    def entry(graph, kappa, z, vertex=None):
-        entries.append(len(z))
-        return real_entry(graph, kappa, z, vertex)
+    monkeypatch.setattr(qgs.inverse, "contract",
+                        lambda *args: contracted.append(args))
+    monkeypatch.setattr(qgs.inverse, "f1_entry",
+                        lambda *args: contracted.append(args))
+    monkeypatch.setattr(qgs.inverse, "checked_inverse", gate)
+    g70 = family_graph(70, seed=7)
+    assert stack_size(g70.n_vertices) == 3
+    for g, want in ((star3, [7]), (chain(0.3, -0.4, 0.7, 1.2), [7]),
+                    (g70, [3, 3, 1])):
+        stacks.clear()
+        k = CouplingMatrix.from_graph(g) if g is g70 else \
+            CouplingMatrix.from_values(g, [0.7, -0.2, 0.4, 0.1])
+        oracle = forward_f1_oracle(g, k)
+        calls = []
 
-    monkeypatch.setattr(qgs.inverse, "contract", counting)
-    monkeypatch.setattr(qgs.inverse, "f1_entry", entry)
-    for g in (star3, chain(0.3, -0.4, 0.7, 1.2)):
-        calls.clear()
-        entries.clear()
-        k = CouplingMatrix.from_values(g, [0.7, -0.2, 0.4, 0.1])
-        rec, _ = invert_couplings(g, forward_f1_oracle(g, k))
-        paths = spanning_tree(g, g.external_ids()[0])
-        # one call per non-root path, with all of the path's edges
-        assert [len(ids) for ids in calls] == [p.vertex_count - 1
-                                               for p in paths[1:]]
-        # one stacked entry call per path, with all its ladder energies
-        assert entries == [7] * len(paths)
+        def counted(z, paths):
+            calls.append((len(z), len(paths)))
+            return oracle(z, paths)
+
+        rec, _ = invert_couplings(g, counted)
+        assert calls == [(7, g.n_vertices)]
+        assert stacks == want
         for vid, true in zip(g.vertex_ids(), k.diagonal):
             assert abs(rec[vid] - true) < 1e-8
+    assert contracted == []
+
+
+def test_recover_path_sums_refuses_an_oracle_of_the_wrong_shape():
+    g = chain(0.3, -0.4, 0.7)
+    clean = forward_f1_oracle(g, CouplingMatrix.from_graph(g))
+    with pytest.raises(ValueError, match=r"shape \(7,\) for 3 paths"):
+        invert_couplings(g, lambda z, paths: clean(z, paths)[0])
+
+
+def test_forward_oracle_refuses_a_path_off_the_graph():
+    g = chain(0.3, -0.4, 0.7)
+    oracle = forward_f1_oracle(g, CouplingMatrix.from_graph(g))
+    stray = SpanningTreePath("V1", "X", (1.0,), 2, ("V1", "X"))
+    with pytest.raises(GraphError, match="'X'"):
+        oracle([-1024.0], [stray])
+    too_long = SpanningTreePath("V1", "V2", (1.0,), 2, ("V1", "V2"))
+    with pytest.raises(UnknownEdge):
+        oracle([-1024.0], [too_long])
+
+
+def _chorded_multigraph():
+    """Equal-length parallel edges in both orientations, a loop on a path
+    vertex, chords between path vertices (one as long as a path edge) and
+    complex couplings."""
+    g = MetricGraph(
+        [Vertex("Z", 0.5), Vertex("!a", -0.25 + 0.5j), Vertex("#b", 1.5),
+         Vertex("C", -0.75), Vertex("D", 0.125 - 0.25j), Vertex("E", 0.3)],
+        [Edge("Z", "!a", 1.0), Edge("!a", "#b", 0.5), Edge("#b", "!a", 0.5),
+         Edge("#b", "C", 0.8), Edge("C", "Z", 0.8), Edge("C", "C", 0.3),
+         Edge("D", "C", 1.7), Edge("Z", "D", math.sqrt(2)),
+         Edge("E", "D", 0.45), Edge("E", "!a", 1.1)],
+        leads=["Z"])
+    handmade = [SpanningTreePath("Z", chain_[-1], lengths, len(chain_),
+                                 chain_)
+                for chain_, lengths in [
+                    (("Z", "!a", "#b"), (1.0, 0.5)),
+                    (("Z", "!a", "#b", "C"), (1.0, 0.5, 0.8)),
+                    (("Z", "!a", "#b", "C", "D", "E"),
+                     (1.0, 0.5, 0.8, 1.7, 0.45))]]
+    return g, handmade
+
+
+@pytest.mark.parametrize("n", [10, 20, 50, 100, "chorded"])
+def test_forward_oracle_matches_the_contracted_graph(n):
+    """On every path the glued Schur complement equals the entry of the
+    contracted graph to 1e-13 at the ladder energies; on the multigraph,
+    from several roots and at energies off the axis too."""
+    if n == "chorded":
+        g, paths = _chorded_multigraph()
+        for root in ("!a", "C", "E"):
+            paths += spanning_tree(g, root)
+    else:
+        g = family_graph(n, seed=n + 1)
+        paths = spanning_tree(g, g.vertex_ids()[0])
+    k = CouplingMatrix.from_graph(g)
+    z = -(ladder_tau0(g) * 2.0 ** np.arange(7)) ** 2
+    if n == "chorded":
+        z = np.concatenate([z, [-16.0, -1.0, 0.75, 2.2, 5.5 + 0.25j]])
+    got = forward_f1_oracle(g, k)(z, paths)
+    assert got.shape == (len(paths), len(z))
+    for path, row in zip(paths, got):
+        want = f1_contracted(g, k, path, z)
+        assert np.max(np.abs(row - want) / np.abs(want)) <= 1e-13
+
+
+def _singular_at(graph, kappa, z, vertex=0):
+    """kappa with the coupling at `vertex` raised by s = 1/(A^-1)_vv, A =
+    M(z) - K, which makes det(A - s e_v e_v^T) = det(A)(1 - s (A^-1)_vv)
+    vanish at z."""
+    A = weyl_compact(graph, z) - kappa.as_array()
+    shift = 1.0 / np.linalg.inv(A)[vertex, vertex]
+    return CouplingMatrix.from_values(graph, [
+        a + (shift.real if j == vertex else 0.0)
+        for j, a in enumerate(kappa.diagonal)])
+
+
+def _invert_forward(tmp_path, graph, kappa, *extra):
+    """argv of qgs invert --oracle forward on the graph's topology, saved
+    in tmp_path, with the real couplings kappa."""
+    topo = tmp_path / "topology.json"
+    topo.write_text(serialize_graph(graph.with_couplings(
+        [0.0] * graph.n_vertices)))
+    return ["invert", "--graph-topology", str(topo), "--oracle", "forward",
+            "--true-couplings=" + ",".join(repr(a.real)
+                                           for a in kappa.diagonal), *extra]
+
+
+def _exits_3(argv, capsys):
+    """qgs exits 3 with a message, no traceback and nothing on stdout."""
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numerical failure")
+    assert "Traceback" not in err
+
+
+def test_forward_oracle_refuses_a_singular_matrix_at_a_ladder_energy(
+        tmp_path, capsys):
+    """Couplings that make M - K singular at the first energy of the
+    second stack: the library raises SingularMatrix there, the CLI exits
+    3."""
+    g = family_graph(50, seed=3)
+    z = -(ladder_tau0(g) * 2.0 ** np.arange(7)) ** 2
+    bad = stack_size(g.n_vertices)
+    assert bad < 7
+    k = _singular_at(g, CouplingMatrix.from_graph(g), z[bad])
+    with pytest.raises(SingularMatrix):
+        f1_entry(g, k, z[bad])
+    with pytest.raises(SingularMatrix) as info:
+        invert_couplings(g, forward_f1_oracle(g, k))
+    assert info.value.z == z[bad]
+    _exits_3(_invert_forward(tmp_path, g, k), capsys)
+
+
+def test_forward_oracle_refuses_a_singular_glued_matrix(tmp_path, capsys):
+    """Couplings that make the chain singular at z = -1 once V1 and V2 are
+    glued, but not before: only that path is refused, as the gate of the
+    contracted graph refuses it."""
+    g = chain(0.5, -0.25, 0.0)
+    paths = spanning_tree(g, "V1")
+    glued, k_glued, _ = _contract_along(g, paths[1])
+    k_glued = _singular_at(glued, k_glued, -1.0, glued.vertex_index("V3"))
+    k = CouplingMatrix.from_values(g, [0.5, -0.25, k_glued.diagonal[-1]])
+    f1_entry(g, k, -1.0)
+    with pytest.raises(SingularMatrix):
+        f1_contracted(g, k, paths[1], -1.0)
+    oracle = forward_f1_oracle(g, k)
+    assert np.isfinite(oracle([-1.0], [paths[0], paths[2]])).all()
+    with pytest.raises(SingularMatrix) as info:
+        oracle([-1.0], paths)
+    assert info.value.z == -1.0
+    with pytest.raises(SingularMatrix):
+        invert_couplings(g, oracle, tau0=1.0)
+    _exits_3(_invert_forward(tmp_path, g, k, "--tau0", "1"), capsys)
+
+
+def test_forward_oracle_refuses_an_exactly_singular_G_SS(lead_interval,
+                                                         tmp_path, capsys):
+    """With M_ii - K_ii = 0 at z = -1 the interval's A is [[0, u], [u, 0]]:
+    well conditioned, but (A^-1)_11 = 0 exactly, so the root path's G_SS,
+    a 1 x 1 zero, has no inverse; that is a SingularMatrix, not a
+    LinAlgError, and f1 = 0 leaves no 1/f1 to fit."""
+    M = weyl_compact(lead_interval, -1.0)
+    k = CouplingMatrix.from_values(lead_interval, M.diagonal().real)
+    assert f1_entry(lead_interval, k, -1.0) == 0.0
+    with pytest.raises(SingularMatrix) as info:
+        invert_couplings(lead_interval, forward_f1_oracle(lead_interval, k),
+                         tau0=1.0)
+    assert info.value.z == -1.0
+    _exits_3(_invert_forward(tmp_path, lead_interval, k, "--tau0", "1"),
+             capsys)
+
+
+def test_library_ladder_scales_with_the_shortest_edge():
+    """On a family graph with a 0.3-long loop the probes carry terms of
+    order exp(-0.3 tau).  invert_couplings and recover_path_sums start
+    their ladder at ladder_tau0 = 32/0.3 by default and recover every
+    coupling to 1e-9; tau0 = 32 misses by far more."""
+    data = perfbench("inputs").family_graph(random.Random(20), 20,
+                                            n_leads=1)
+    loop = data["vertices"][10]["id"]
+    data["edges"].append({"from": loop, "to": loop, "length": 0.3})
+    g = parse_graph(json.dumps(data))
+    assert ladder_tau0(g) == 32.0 / 0.3
+    k = CouplingMatrix.from_graph(g)
+    oracle = forward_f1_oracle(g, k)
+
+    def worst_error(**kwargs):
+        rec, _ = invert_couplings(g, oracle, **kwargs)
+        return max(abs(rec[v] - a) for v, a in zip(g.vertex_ids(),
+                                                     k.diagonal))
+
+    assert worst_error() < 1e-9
+    assert worst_error(tau0=32.0) > 1e-6
+    paths = spanning_tree(g, g.external_ids()[0])
+    assert recover_path_sums(g, oracle, paths) == recover_path_sums(
+        g, oracle, paths, tau0=ladder_tau0(g))
 
 
 def test_oracle_type_error_is_not_relabelled():
     g = chain(0.3, -0.4, 0.7)
     clean = forward_f1_oracle(g, CouplingMatrix.from_graph(g))
 
-    def faulty(z, path):
-        if path.vertex_count > 1:
+    def faulty(z, paths):
+        if any(path.vertex_count > 1 for path in paths):
             raise TypeError("boom")
-        return clean(z, path)
+        return clean(z, paths)
 
     with pytest.raises(TypeError) as info:
         invert_couplings(g, faulty)

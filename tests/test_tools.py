@@ -147,3 +147,35 @@ def test_scaling_records_the_weyl_route_run(tmp_path, monkeypatch, capsys,
     assert change["wall_s"] > 0.0
     assert {"python", "numpy", "cpu"} <= set(report["environment"])
 
+
+
+def test_scaling_records_the_invert_run(tmp_path, monkeypatch, capsys,
+                                        bench_pair):
+    """--mode invert times the forward-oracle inversion of the one-lead
+    family graph in a fresh process and records the time, the largest
+    coupling error and the git tree of what ran."""
+    path = os.path.join(ROOT, "tools", "scaling.py")
+    spec = importlib.util.spec_from_file_location("scaling", path)
+    scaling = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scaling)
+    monkeypatch.setattr(scaling, "OUT_DIR", str(tmp_path))
+    assert scaling.main(["--mode", "invert", "--n", "8"]) == 0
+    assert "max coupling error" in capsys.readouterr().out
+    with open(tmp_path / "BENCH_invert-8.json") as fh:
+        report = json.load(fh)
+    assert report["n"] == 8 and "z_max" not in report
+    assert report["graph"] == "family_graph(random.Random(8), 8, n_leads=1)"
+    assert "base" not in report
+    change = report["change"]
+    assert set(change) == {"rev", "tree", "wall_s", "max_coupling_error"}
+    assert change["tree"] == bench_pair.worktree_tree(ROOT)
+    assert 0.0 < change["max_coupling_error"] < 1e-9
+    assert change["wall_s"] > 0.0
+    monkeypatch.setattr(sys, "path", list(sys.path))   # measure adds one
+    couplings = scaling.measure_invert(8)["couplings"]
+    assert len(couplings) == 8
+    assert scaling.compare_invert(couplings, couplings) == {
+        "max_coupling_change": 0.0}
+    moved = [[a + 1e-12, b] for a, b in couplings]
+    assert scaling.compare_invert(couplings, moved)[
+        "max_coupling_change"] == pytest.approx(1e-12, rel=1e-3)
