@@ -214,12 +214,11 @@ def cmd_smatrix(args) -> int:
                 header += [f"re_{i}_{j}", f"im_{i}_{j}"]
         header.append("unitarity_defect")
         fh.write(",".join(header) + "\n")
+        row = ",".join(["%.17g"] * len(header)) + "\n"    # _fmt's format
         for sm in matrices:
-            row = [_fmt(sm.at_s)]
-            for v in sm.entries.flat:
-                row += [_fmt(v.real), _fmt(v.imag)]
-            row.append(_fmt(sm.unitarity_defect))
-            fh.write(",".join(row) + "\n")
+            # complex entries as float pairs: re, im, in row-major order
+            parts = sm.entries.ravel().view(float).tolist()
+            fh.write(row % (sm.at_s, *parts, sm.unitarity_defect))
         for s, exc in skipped:
             fh.write(f"# skipped s={_fmt(s)} reason={type(exc).__name__}\n")
     if skipped:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,11 +109,27 @@ class MetricGraph:
         """Vertex ids in the canonical (sorted) matrix order."""
         return [v.id for v in self.vertices]
 
+    def _cached(self, key, build):
+        """build(), computed on the first call and kept on the graph (a
+        MetricGraph is immutable, so the value stays valid)."""
+        value = vars(self).get(key)
+        if value is None:
+            value = vars(self)[key] = build()
+        return value
+
+    def _index(self) -> dict[str, int]:
+        """Vertex id -> matrix index (the first of a repeated id)."""
+        def build():
+            index = {}
+            for i, v in enumerate(self.vertices):
+                index.setdefault(v.id, i)
+            return index
+        return self._cached("_vertex_index", build)
+
     def vertex_index(self, vid: str) -> int:
-        ids = self.vertex_ids()
         try:
-            return ids.index(vid)
-        except ValueError:
+            return self._index()[vid]
+        except KeyError:
             raise GraphError(f"unknown vertex id {vid!r}") from None
 
     def vertex(self, vid: str) -> Vertex:
@@ -128,16 +144,10 @@ class MetricGraph:
         return sorted(set(self.leads))
 
     def external_indices(self) -> list[int]:
-        """Matrix indices of the external vertices, in external order."""
-        index = {}
-        for i, v in enumerate(self.vertices):
-            index.setdefault(v.id, i)
-        ext = []
-        for vid in self.external_ids():
-            if vid not in index:
-                raise GraphError(f"unknown vertex id {vid!r}")
-            ext.append(index[vid])
-        return ext
+        """Matrix indices of the external vertices, in external order (a
+        new list on each call)."""
+        return list(self._cached("_external_indices", lambda: tuple(
+            self.vertex_index(vid) for vid in self.external_ids())))
 
     def edge_by_id(self, edge_id: str) -> Edge:
         for e in self.edges:
@@ -147,13 +157,13 @@ class MetricGraph:
 
     def degree(self, vid: str) -> int:
         """Degree in the compact part: loops count twice, leads do not count."""
-        d = 0
-        for e in self.edges:
-            if e.u == vid:
-                d += 1
-            if e.v == vid:
-                d += 1
-        return d
+        def build():
+            degrees = Counter()
+            for e in self.edges:
+                degrees[e.u] += 1
+                degrees[e.v] += 1
+            return degrees
+        return self._cached("_degrees", build)[vid]
 
     def couplings(self) -> list[complex]:
         """Coupling constants in canonical vertex order."""

@@ -65,7 +65,7 @@ from .errors import (ExtrapolationDiverged, GraphError, InconsistentPaths,
 from .graphs import (Edge, MetricGraph, SpanningTreePath, contract,
                      spanning_tree)
 from .kernels import edge_kernels
-from .scattering import external_block, scattering_solves_at
+from .scattering import scattering_solves_at
 from .weyl import (COND_LIMIT, CouplingMatrix, _inverse, checked_inverse,
                    stack_size, weyl_compact, weyl_stack)
 
@@ -107,7 +107,8 @@ class PathSumEstimate:
 
 def _topology_factor(graph: MetricGraph, s: float) -> np.ndarray:
     """F2 = Pe (M*)^-1 M Pe — coupling-free."""
-    return scattering_solves_at(graph, None, s)[1][external_block(graph)]
+    ext = graph.external_indices()
+    return scattering_solves_at(graph, None, s, ext)[1][ext, :]
 
 
 def extract_rtd(sigma_e_oracle, graph_topology: MetricGraph,

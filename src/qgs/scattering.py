@@ -19,13 +19,27 @@ Two independent constructions live here:
   that only happens when an inversion is badly conditioned.  Note F2
   does not depend on the couplings at all.  Every form is built from
   ``scattering_solves``, which assembles the M-matrices of a block of
-  energies in one stacked call and solves each factor once per block, as
-  one stacked solve; a single energy is a block of one, and
-  ``sigma_sweep`` cuts its grid into blocks of at most ``weyl.BLOCK_BYTES``
-  of M-matrices.  The projected form is checked as the external rows of
-  the left factor times the external columns of the right one, without
-  the n x n product.  Energies s <= 0 are refused with ValueError: no wave
-  propagates on a lead there.
+  energies in one stacked call and returns only the rows of the left
+  factor and the columns of the right one that a form reads (the external
+  ones, or every one for ``sigma_full``).  Per energy that costs the two
+  inverses of the condition gate, on M - K and on M*, and one solve with
+  a right-hand side per wanted row.  The columns come from the gate's own
+  inverse of M*, since
+
+      (M*)^-1 M = I + (M*)^-1 (M - M*),
+
+  with M - M* = 2i Im M exact (at real s, 2i sqrt(s) on the lead
+  diagonals and 0 elsewhere: a finite-rank change, as in Krein's
+  resolvent formula).  The rows are the wanted rows of (M - K)^-1, from
+  one solve with the transpose of M - K, times M* - K.  (Rows read off
+  the gate's inverse of M - K are not backward stable: near a resonance
+  of a 10-vertex graph, at cond 4.3e4, they made the projected-vs-
+  factorised defect 2.6e-9, against 8.4e-13 from the solve.)  A single
+  energy is a block of one, and ``sigma_sweep`` cuts its grid into blocks
+  of at most ``weyl.BLOCK_BYTES`` of M-matrices.  The projected form is
+  checked as the external rows of the left factor times the external
+  columns of the right one, without the n x n product.  Energies s <= 0
+  are refused with ValueError: no wave propagates on a lead there.
 
 * ``lead_matching_oracle`` — plane-wave matching.  For a unit incoming
   wave e^{-ikx} on one lead, solve the (2n + n_leads) linear system of
@@ -44,10 +58,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FactorisationMismatch, NumericalError, PoleProximity
+from .errors import (FactorisationMismatch, NumericalError, PoleProximity,
+                     SingularMatrix)
 from .graphs import MetricGraph
 from .spectra import matching_matrix
-from .weyl import CouplingMatrix, checked_solve, stack_size, weyl_stack
+from .weyl import (CouplingMatrix, _cond_gate, checked_solve, stack_size,
+                   weyl_stack)
 
 FACTOR_TOL = 1e-10
 
@@ -74,17 +90,22 @@ def external_block(graph: MetricGraph):
 
 
 def scattering_solves(graph: MetricGraph, kappa: CouplingMatrix | None,
-                      s_values):
-    """The two factors of the full product at each energy of a block.
+                      s_values, idx):
+    """The idx rows of the left factor and the idx columns of the right one
+    at each energy of a block.
 
-    Returns (left, right, errors): stacks of (M - K)^-1 (M* - K) and
-    (M*)^-1 M, one n x n matrix per energy, with M the full M-matrix.  The
-    block's M-matrices are one stacked assembly and each factor is one
-    batched solve over the block, gated by cond <= COND_LIMIT.  errors[i]
-    is None, or the first NumericalError that refused energy i (a pole of
-    M, then the left solve, then the right one), whose matrices are then
-    NaN.  With kappa None only
-    the coupling-free right factor is solved and left is None.  Raises
+    Returns (rows, cols, errors): stacks of [(M - K)^-1 (M* - K)][idx, :]
+    and [(M*)^-1 M][:, idx], one per energy, with M the full M-matrix and
+    idx a list of vertex indices.  The block's M-matrices are one stacked
+    assembly, and the condition gate (cond <= COND_LIMIT) runs on M - K
+    and on M*.  The columns come from the gate's own inverse of M*:
+    (M*)^-1 M = I + (M*)^-1 (M - M*), where M - M* = 2i Im M is exact.
+    The rows are one thin solve with the transpose, Y = (M - K)^-T E with
+    E the idx columns of the identity, times M* - K; M - K is symmetric,
+    so that solve is gated on M - K itself.  errors[i] is None, or the
+    first NumericalError that refused energy i (a pole of M, then M - K,
+    then M*), whose rows and columns are then NaN.  With kappa None only
+    the coupling-free columns are computed and rows is None.  Raises
     ValueError for an energy s <= 0.
     """
     for s in s_values:
@@ -93,52 +114,58 @@ def scattering_solves(graph: MetricGraph, kappa: CouplingMatrix | None,
     M, poles = weyl_stack(graph, np.asarray(s_values, dtype=float), full=True)
     errors = [None if p < 0 else PoleProximity(complex(s), graph.edges[p].id)
               for s, p in zip(s_values, poles)]
-    M[poles >= 0] = np.eye(graph.n_vertices)    # a placeholder the solves pass
+    M[poles >= 0] = np.eye(graph.n_vertices)    # a placeholder the gates pass
     Ms = M.conj().swapaxes(1, 2)
-    left = None
+    E = np.eye(graph.n_vertices)[:, idx]
+    rows = None
     if kappa is not None:
         K = kappa.as_array()
-        left, refused = checked_solve(M - K, Ms - K, s_values, "M - coupling")
+        Y, refused = checked_solve((M - K).swapaxes(1, 2),
+                                   np.broadcast_to(E, (len(M),) + E.shape),
+                                   s_values, "M - coupling")
         errors = [exc or r for exc, r in zip(errors, refused)]
-    right, refused = checked_solve(Ms, M, s_values, "M*")
-    errors = [exc or r for exc, r in zip(errors, refused)]
+        rows = Y.swapaxes(1, 2) @ (Ms - K)
+    refused, G = _cond_gate(Ms)
+    errors = [exc or (SingularMatrix(s, "M*") if r else None)
+              for s, exc, r in zip(s_values, errors, refused)]
+    cols = E + G @ (M[:, :, idx] - Ms[:, :, idx])
     failed = [exc is not None for exc in errors]
-    for X in (left, right):
+    for X in (rows, cols):
         if X is not None:
             X[failed] = np.nan
-    return left, right, errors
+    return rows, cols, errors
 
 
 def scattering_solves_at(graph: MetricGraph, kappa: CouplingMatrix | None,
-                         s: float):
-    """scattering_solves at the one energy s: (left, right), n x n each,
-    or the NumericalError that refused s, raised."""
-    left, right, (error,) = scattering_solves(graph, kappa, [s])
+                         s: float, idx):
+    """scattering_solves at the one energy s: (rows, cols), or the
+    NumericalError that refused s, raised."""
+    rows, cols, (error,) = scattering_solves(graph, kappa, [s], idx)
     if error is not None:
         raise error
-    return (None if left is None else left[0]), right[0]
+    return (None if rows is None else rows[0]), cols[0]
 
 
 def sigma_full(graph: MetricGraph, kappa: CouplingMatrix, s: float) -> np.ndarray:
     """Full vertex-space scattering product at energy s (n x n)."""
-    left, right = scattering_solves_at(graph, kappa, s)
+    left, right = scattering_solves_at(graph, kappa, s,
+                                       list(range(graph.n_vertices)))
     return left @ right
 
 
 def external_factors(graph: MetricGraph, kappa: CouplingMatrix, s: float):
     """(F1, F2) external blocks whose product is the external scattering
     matrix.  F2 is coupling-independent."""
-    ext = external_block(graph)
-    left, right = scattering_solves_at(graph, kappa, s)
-    return left[ext], right[ext]
+    ext = graph.external_indices()
+    rows, cols = scattering_solves_at(graph, kappa, s, ext)
+    return rows[:, ext], cols[ext, :]
 
 
 def _sigma_block(graph, kappa, s_values, check_tol):
     """sigma_external at each energy of one block: per energy, the
     ScatteringMatrix or the NumericalError that refused it."""
     ext = graph.external_indices()
-    left, right, errors = scattering_solves(graph, kappa, s_values)
-    rows, cols = left[:, ext, :], right[:, :, ext]
+    rows, cols, errors = scattering_solves(graph, kappa, s_values, ext)
     factorised = rows[:, :, ext] @ cols[:, ext, :]
     # the external block of the full product, without forming the product
     projected = rows @ cols

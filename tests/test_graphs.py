@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgs import (Disconnected, Edge, LoopContraction, MetricGraph, ParseError,
-                 UnknownEdge, Vertex, contract, parse_graph, serialize_graph,
-                 spanning_tree, validate)
+from qgs import (Disconnected, Edge, GraphError, LoopContraction, MetricGraph,
+                 ParseError, UnknownEdge, Vertex, contract, parse_graph,
+                 serialize_graph, spanning_tree, validate)
 from qgs.testing import make_random_graph
 
 graphs = st.integers(min_value=0, max_value=10**9).map(
@@ -31,6 +31,31 @@ def test_degree_ignores_leads():
                     leads=["A"])
     assert g.degree("A") == 1
     assert g.external("A") and not g.external("B")
+
+
+def test_index_maps_are_kept_on_the_graph_and_not_shared():
+    """vertex_index, external_indices and degree read maps built once per
+    graph; a caller that changes a returned list does not change the next
+    answer, and unknown ids still raise (or have degree 0) every time."""
+    g = MetricGraph([Vertex("C"), Vertex("B"), Vertex("A")],
+                    [Edge("A", "B", 1.0), Edge("B", "B", 0.5),
+                     Edge("B", "C", 2.0)], leads=["C", "A"])
+    ext = g.external_indices()
+    assert ext == [0, 2]
+    ext.append(1)
+    ext[0] = 7
+    assert g.external_indices() == [0, 2]
+    assert [g.vertex_index(v) for v in "ABC"] == [0, 1, 2]
+    assert [g.degree(v) for v in "ABC"] == [1, 4, 1]
+    for _ in range(2):
+        with pytest.raises(GraphError, match="'D'"):
+            g.vertex_index("D")
+        assert g.degree("D") == 0
+    orphan = MetricGraph([Vertex("A")], [], leads=["A", "Z"])
+    for _ in range(2):
+        with pytest.raises(GraphError, match="'Z'"):
+            orphan.external_indices()
+    assert g == MetricGraph(g.vertices, g.edges, g.leads)
 
 
 def test_canonical_vertex_order_is_sorted():

@@ -5,6 +5,7 @@ import json
 import math
 import random
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,8 +16,8 @@ from qgs import (CouplingMatrix, Edge, FactorisationMismatch, MetricGraph,
                  external_factors, lead_matching_oracle, parse_graph,
                  sigma_external, sigma_full, sigma_projected, sigma_sweep)
 from qgs import weyl
-from qgs.scattering import external_block, scattering_solves_at
-from qgs.weyl import COND_LIMIT, weyl_full
+from qgs.scattering import FACTOR_TOL, external_block, scattering_solves_at
+from qgs.weyl import COND_LIMIT, compact_entries, weyl_full
 from qgs.testing import make_random_graph
 
 from conftest import perfbench
@@ -244,8 +245,10 @@ def test_external_forms_share_one_solve_bit_for_bit():
     """sigma_external's entries are, bit for bit, the product of
     external_factors, and the projection it checks them against is, bit for
     bit, the external rows of the left factor times the external columns of
-    the right one: the external block of sigma_full, up to rounding (a
-    negative tolerance makes it report the defect it measured)."""
+    the right one, as scattering_solves gives them for the external index
+    set: the external block of sigma_full, which takes every row and
+    column, up to rounding (a negative tolerance makes it report the
+    defect it measured)."""
     rng = random.Random(3)
     for _ in range(6):
         g = make_random_graph(rng, n_leads=2)
@@ -254,8 +257,10 @@ def test_external_forms_share_one_solve_bit_for_bit():
         for s in (0.7, 2.3, 11.0):
             F1, F2 = external_factors(g, kappa, s)
             assert np.array_equal(sigma_external(g, kappa, s).entries, F1 @ F2)
-            left, right = scattering_solves_at(g, kappa, s)
-            projected = left[ext, :] @ right[:, ext]
+            rows, cols = scattering_solves_at(g, kappa, s, ext)
+            assert np.array_equal(rows[:, ext], F1)
+            assert np.array_equal(cols[ext, :], F2)
+            projected = rows @ cols
             assert np.allclose(projected, sigma_full(g, kappa, s)[
                 external_block(g)], rtol=0, atol=1e-13)
             with pytest.raises(FactorisationMismatch) as info:
@@ -306,18 +311,24 @@ def _per_energy_reference(graph, kappa, grid, check_tol):
     return matrices, skipped
 
 
+SWEEP_TOL = 1e-11   # entries against the full-solve reference, absolute
+
+
 @pytest.mark.parametrize("n", [5, 50, 100])
 @pytest.mark.parametrize("block_bytes", [None, 7 * 16 * 5 * 5])
 def test_sweep_is_bit_equal_to_one_energy_at_a_time(n, block_bytes,
                                                     monkeypatch):
-    """A sweep's matrices equal, bit for bit, those of the per-energy
-    computation it replaced, and it skips the same energies for the same
-    reasons (a mismatch's defect is measured on a different product, so
-    only its kind is compared).  The default block budget takes the
-    5-vertex grid in one block and the 50-vertex one in blocks of 6; the
-    small one cuts the 5-vertex grid into blocks of 7.  The grid holds two
-    poles of the first edge, and a negative tolerance turns every other
-    point into a reported mismatch."""
+    """A sweep's results are, bit for bit, those of a sweep of each energy
+    alone (sigma_external's), so blocks do not change them.  Against the
+    per-energy full-solve computation the sweep replaced, it skips the
+    same energies for the same reasons (a mismatch's defect is measured on
+    a different product, so only its kind is compared), and its matrices
+    agree to SWEEP_TOL: the two take the factors by different arithmetic
+    (on these grids they differ by 3.4e-13 at most).  The default block
+    budget takes the 5-vertex grid in one block and the 50-vertex one in
+    blocks of 6; the small one cuts the 5-vertex grid into blocks of 7.
+    The grid holds two poles of the first edge, and a negative tolerance
+    turns every other point into a reported mismatch."""
     if block_bytes is not None:
         monkeypatch.setattr(weyl, "BLOCK_BYTES", block_bytes)
     g, kappa = _family_graph(n, seed=n)
@@ -326,10 +337,18 @@ def test_sweep_is_bit_equal_to_one_energy_at_a_time(n, block_bytes,
                   + [(math.pi / l0) ** 2, (2 * math.pi / l0) ** 2])
     for tol in (1e-10, -1.0):
         got = sigma_sweep(g, kappa, grid, tol)
+        alone = [sigma_sweep(g, kappa, [s], tol) for s in grid]
+        matrices = [m for ms, _ in alone for m in ms]
+        assert [m.at_s for m in got[0]] == [m.at_s for m in matrices]
+        for m, m_alone in zip(got[0], matrices):
+            assert np.array_equal(m.entries, m_alone.entries)
+        assert [(s, type(e), str(e)) for s, e in got[1]] == [
+            (s, type(e), str(e)) for _, sk in alone for s, e in sk]
+
         want = _per_energy_reference(g, kappa, grid, tol)
         assert [m.at_s for m in got[0]] == [s for s, _ in want[0]]
         for m, (_, entries) in zip(got[0], want[0]):
-            assert np.array_equal(m.entries, entries)
+            assert np.abs(m.entries - entries).max() <= SWEEP_TOL
 
         def reasons(skipped):
             return [(s, type(e), None if isinstance(e, FactorisationMismatch)
@@ -339,6 +358,36 @@ def test_sweep_is_bit_equal_to_one_energy_at_a_time(n, block_bytes,
         assert PoleProximity in kinds
         assert (FactorisationMismatch in kinds) == (tol < 0)
         assert len(got[0]) + len(got[1]) == len(grid)
+
+
+def _mp_sigma_external(graph, kappa, s, dps=30):
+    """The external block of (M - K)^-1 (M* - K) (M*)^-1 M at s, with M
+    assembled and every product taken in mpmath at dps digits."""
+    with mp.workdps(dps):
+        M = compact_entries(graph, mp.mpf(s))
+        ext = graph.external_indices()
+        for i in ext:
+            M[i, i] += 1j * mp.sqrt(mp.mpf(s))
+        K = mp.diag([mp.mpc(a) for a in kappa.diagonal])
+        Ms = M.transpose_conj()
+        S = mp.inverse(M - K) * (Ms - K) * mp.inverse(Ms) * M
+        return np.array([[complex(S[i, j]) for j in ext] for i in ext])
+
+
+@pytest.mark.parametrize("s", [8.312, 8.313])
+def test_sweep_is_as_accurate_as_full_solves_when_ill_conditioned(s):
+    """Near a resonance of a 20-vertex family graph, where cond(M - K)
+    reaches 7.0e6 and 3.5e7, the sweep's S is no further from a 30-digit
+    one than the per-energy full-solve reference's is (within a factor 2
+    and 1e-14)."""
+    g, kappa = _family_graph(20, seed=8)
+    (M,), _ = weyl.weyl_stack(g, [s], full=True)
+    assert np.linalg.cond(M - kappa.as_array()) >= 1e6
+    exact = _mp_sigma_external(g, kappa, s)
+    (got,), _ = sigma_sweep(g, kappa, [s])
+    ((_, want),), _ = _per_energy_reference(g, kappa, [s], FACTOR_TOL)
+    error = np.abs(got.entries - exact).max()
+    assert error <= 2 * np.abs(want - exact).max() + 1e-14
 
 
 @pytest.mark.parametrize("s", [-4.0, -1.0, 0.0])

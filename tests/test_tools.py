@@ -91,18 +91,35 @@ def test_digest_dump_and_against(tmp_path, monkeypatch, capsys,
     assert against()[-1] == f"# 0 outputs differ from {dump}"
     numbers = output_digest.pinned_rule()._split(text)[1]
     value = next(x for x in numbers if abs(x) > 0.1)    # a coupling
-    first.write_text(text.replace(repr(value), repr(value * (1 + 1e-12)),
-                                  1))
+    moved = value * (1 + 1e-12)
+    first.write_text(text.replace(repr(value), repr(moved), 1))
     lines = against()
     assert lines[0].endswith(f" differs: 1 of {len(numbers)} numbers "
-                             "changed, max rel 1e-12 (beyond the pinned "
-                             "tolerance)")
+                             f"changed, max abs {abs(value - moved):.2g}, "
+                             "max rel 1e-12 (beyond the pinned tolerance)")
     assert "differs" not in lines[1]
     assert lines[-1] == f"# 1 outputs differ from {dump}"
     first.write_text(text.replace("couplings", "coupling", 1))
     assert against()[0].endswith(" differs: text differs")
     first.unlink()
     assert against()[0].endswith(" differs: missing")
+
+
+def test_digest_reports_the_largest_absolute_change_beside_the_relative(
+        output_digest):
+    """A last-bit change of a number near 0, such as a unitarity defect,
+    reads large relative but small absolute; the report gives both, each
+    the largest over every changed number, and whether any change is
+    beyond the pinned tolerance."""
+    rule = output_digest.pinned_rule()
+    want = "s,re,defect\n0.5,0.25,2.2e-14\n1.5,-0.75,3e-15\n"
+    got = "s,re,defect\n0.5,0.25000000000000006,1.7e-14\n1.5,-0.75,3e-15\n"
+    assert output_digest.compare(got, want, rule) == (
+        "2 of 6 numbers changed, max abs 5e-15, max rel 0.23")
+    got = got.replace("-0.75", "-0.7500000001")
+    assert output_digest.compare(got, want, rule) == (
+        "3 of 6 numbers changed, max abs 1e-10, max rel 0.23 (beyond the "
+        "pinned tolerance)")
 
 
 def test_scaling_records_the_weyl_route_run(tmp_path, monkeypatch, capsys,

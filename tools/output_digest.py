@@ -23,7 +23,9 @@ Nothing under perfbench/ is written.
 --dump DIR writes each job's stdout to DIR/<workload>-<index>-<tag>.out.
 --against DIR reads those files back, from a run of another checkout,
 and appends to the line of each job whose output differs how many of
-its numbers changed and the largest relative change among them.  Numbers
+its numbers changed and the largest absolute and relative changes among
+them (each taken over every changed number, so a last-bit change of a
+number near 0 reads large relative and small absolute).  Numbers
 are found and compared by the rule of tests/test_pinned.py; an output
 whose text around the numbers differs, or that is missing from DIR, is
 reported as such.  A last line counts the jobs that differ.
@@ -90,9 +92,10 @@ def compare(got: str, want: str, rule) -> str:
                if not (g == w or g != g and w != w)]
     if not changed:
         return "numbers written differently"
-    worst = max(abs(g - w) / max(abs(g), abs(w)) for g, w in changed)
+    worst_abs = max(abs(g - w) for g, w in changed)
+    worst_rel = max(abs(g - w) / max(abs(g), abs(w)) for g, w in changed)
     report = (f"{len(changed)} of {len(got_numbers)} numbers changed, "
-              f"max rel {worst:.2g}")
+              f"max abs {worst_abs:.2g}, max rel {worst_rel:.2g}")
     if any(not rule._same_number(g, w) for g, w in changed):
         report += " (beyond the pinned tolerance)"
     return report
