@@ -15,6 +15,7 @@ accepted, for compatibility with older command lines, and has no effect.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import logging
@@ -107,20 +108,9 @@ def _coupling_from_args(graph: MetricGraph, spec: str | None,
     return kappa
 
 
-class _Out:
-    """stdout or a file, with deterministic newline handling."""
-
-    def __init__(self, path: str | None):
-        self.path = path
-
-    def __enter__(self):
-        self.fh = open(self.path, "w") if self.path else sys.stdout
-        return self.fh
-
-    def __exit__(self, *exc):
-        if self.path:
-            self.fh.close()
-        return False
+def _out(path: str | None):
+    """The file at path, opened for writing, or stdout (left open)."""
+    return open(path, "w") if path else contextlib.nullcontext(sys.stdout)
 
 
 # --------------------------------------------------------------------------
@@ -149,7 +139,7 @@ def cmd_spectrum(args) -> int:
     modes = ["weyl", "matching"] if args.mode == "both" else [args.mode]
     results = {m: compact_spectrum(graph, kappa, args.zmax, m) for m in modes}
 
-    with _Out(args.out) as fh:
+    with _out(args.out) as fh:
         fh.write("# qgs spectrum\n")
         fh.write(f"# graph={args.graph}\n")
         fh.write(f"# zmax={_fmt(args.zmax)}\n")
@@ -199,11 +189,11 @@ def cmd_smatrix(args) -> int:
             "form": sm.form,
             "metadata": {"graph": args.graph, "factor_tol": args.factor_tol},
         }
-        with _Out(args.out) as fh:
+        with _out(args.out) as fh:
             fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
         return 0
 
-    with _Out(args.out) as fh:
+    with _out(args.out) as fh:
         fh.write("# qgs smatrix\n")
         fh.write(f"# graph={args.graph}\n")
         fh.write("# external_order=%s\n" % ",".join(ext))
@@ -313,7 +303,7 @@ def cmd_invert(args) -> int:
              "value": [est.value.real, est.value.imag],
              "residual": est.residual}
             for est in estimates]
-    with _Out(args.out) as fh:
+    with _out(args.out) as fh:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
     if args.residuals_out and estimates:
@@ -374,7 +364,7 @@ def cmd_homog(args) -> int:
                 fh.write(f"{_fmt(r.tau)},{r.band},{_fmt(e)},{_fmt(err)},"
                          f"{order}\n")
 
-    with _Out(args.out) as fh:
+    with _out(args.out) as fh:
         write_dispersion(fh)
         if conv and not args.orders_out:
             fh.write("# convergence\n")

@@ -449,7 +449,7 @@ def spanning_tree(graph: MetricGraph, root: str) -> list[SpanningTreePath]:
 # file format
 # --------------------------------------------------------------------------
 
-def _coupling_from_json(value, line_hint=None):
+def _coupling_from_json(value):
     if isinstance(value, (int, float)):
         return complex(value)
     if (isinstance(value, list) and len(value) == 2

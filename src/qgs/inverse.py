@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ExtrapolationDiverged, GraphError, InconsistentPaths,
+from .errors import (ExtrapolationDiverged, InconsistentPaths,
                      PoleProximity, ScanResolution, SingularBracket,
                      SingularMatrix, UnknownEdge)
 from .graphs import (Edge, MetricGraph, SpanningTreePath, contract,
@@ -362,16 +362,12 @@ def _glued_paths(graph: MetricGraph, paths):
     the (P_c, c) vertex indices of those paths and their (P_c,) columns.
     """
     between = _edges_between(graph)
-    index = {vid: i for i, vid in enumerate(graph.vertex_ids())}
     position = {e.id: p for p, e in enumerate(graph.edges)}
     glued = np.zeros((graph.n_vertices, len(paths)))
     contracted = np.zeros((graph.n_edges, len(paths)))
     by_count = {}
     for p, path in enumerate(paths):
-        try:
-            vertices = [index[v] for v in path.vertices_on_path]
-        except KeyError as exc:
-            raise GraphError(f"unknown vertex id {exc.args[0]!r}") from None
+        vertices = [graph.vertex_index(v) for v in path.vertices_on_path]
         glued[vertices, p] = 1.0
         if len(vertices) > 1:
             ids = _path_edges(graph, path, between)[0]
@@ -475,7 +471,8 @@ def _ladder(tau0, levels, fit_tol):
     tau0 must be finite and positive, and levels at least 4: with only
     three levels the three coefficients of the fit fit exactly, so its
     residual could never flag a divergence.  A NaN fit_tol, which no
-    residual can exceed, is refused.
+    residual can exceed, is refused, and so is a ladder whose deepest
+    energy -(tau0 * 2^(levels - 1))^2 overflows.
     """
     if math.isnan(fit_tol):
         raise ValueError("fit_tol must be a number, got nan")
@@ -483,7 +480,13 @@ def _ladder(tau0, levels, fit_tol):
         raise ValueError(f"tau0 must be finite and positive, got {tau0!r}")
     if levels < 4:
         raise ValueError(f"the ladder fit needs levels >= 4, got {levels}")
-    return np.array([tau0 * 2.0 ** j for j in range(levels)])
+    try:
+        math.ldexp(tau0, levels - 1) ** 2
+    except OverflowError:
+        raise ValueError(
+            f"the deepest ladder energy -(tau0 * 2^(levels - 1))^2 overflows "
+            f"at tau0 = {tau0!r}, levels = {levels}") from None
+    return np.array([math.ldexp(tau0, j) for j in range(levels)])
 
 
 def _ladder_fit(taus, samples, fit_tol, label):

@@ -192,25 +192,23 @@ class _Plan(NamedTuple):
 def _plan(graph: MetricGraph) -> _Plan:
     """The graph's assembly plan, built on its first assembly and kept on
     it (a MetricGraph is immutable, so the plan stays valid)."""
-    plan = vars(graph).get("_weyl_plan")
-    if plan is not None:
-        return plan
+    return graph._cached("_weyl_plan", lambda: _build_plan(graph))
+
+
+def _build_plan(graph: MetricGraph) -> _Plan:
     n = graph.n_vertices
-    idx = {vid: i for i, vid in enumerate(graph.vertex_ids())}
     slots = []      # (kernel, edge, scale, flat entry)
     for p, e in enumerate(graph.edges):
-        i, j = idx[e.u], idx[e.v]
+        i, j = graph.vertex_index(e.u), graph.vertex_index(e.v)
         if e.is_loop:
             slots.append((2, p, 2.0, i * n + i))
         else:
             slots += [(0, p, -1.0, i * n + i), (0, p, -1.0, j * n + j),
                       (1, p, 1.0, i * n + j), (1, p, 1.0, j * n + i)]
     kernel, edge, scale, index = np.array(slots).reshape(-1, 4).T
-    plan = _Plan(n, np.array([e.length for e in graph.edges]),
+    return _Plan(n, np.array([e.length for e in graph.edges]),
                  kernel.astype(np.intp), edge.astype(np.intp), scale,
                  index.astype(np.intp))
-    vars(graph)["_weyl_plan"] = plan
-    return plan
 
 
 def _assemble(graph, z, full):

@@ -572,6 +572,16 @@ def test_invert_three_levels_is_invalid_input(graph_file, capfd):
               "--true-couplings", "0.5,-0.25,1.0", "--levels", "3"], capfd)
 
 
+def test_invert_overflowing_ladder_is_invalid_input(graph_file, capfd):
+    """A ladder whose deepest energy -(tau0 * 2^(levels - 1))^2 is no
+    finite double is refused before any probe, by many levels or by a
+    large tau0."""
+    argv = ["invert", "--graph-topology", graph_file, "--oracle", "forward",
+            "--true-couplings", "0.5,-0.25,1.0"]
+    _refused(argv + ["--levels", "1100"], capfd, "levels")
+    _refused(argv + ["--tau0", "1e160"], capfd, "tau0")
+
+
 def test_smatrix_nonpositive_energy_is_invalid_input(graph_file, capfd):
     """No wave propagates on a lead at s <= 0; such energies used to print
     the identity with unitarity defect 0, or a skipped SingularMatrix."""
