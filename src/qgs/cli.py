@@ -269,6 +269,9 @@ def cmd_invert(args) -> int:
             topo, oracle, tau0=tau0, levels=args.levels,
             fit_tol=args.fit_tol)
     elif args.rtd_samples:
+        if args.residuals_out:
+            raise GraphError("--residuals-out needs --oracle forward: "
+                             "sampled data give no path-sum residuals")
         samples = _read_rtd_csv(args.rtd_samples,
                                 len(topo.external_ids()))
         tau0 = TAU0 if args.tau0 is None else args.tau0
@@ -306,7 +309,7 @@ def cmd_invert(args) -> int:
     with _out(args.out) as fh:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
-    if args.residuals_out and estimates:
+    if args.residuals_out:
         with open(args.residuals_out, "w") as fh:
             fh.write("# qgs invert residuals\n")
             fh.write("target,path_length,value_re,value_im,residual\n")
@@ -588,7 +591,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "l_min the shortest edge; 32 for --rtd-samples)")
     iv.add_argument("--levels", type=int, default=7)
     iv.add_argument("--fit-tol", type=float, default=1e-3)
-    iv.add_argument("--residuals-out", help="per-path residual CSV")
+    iv.add_argument("--residuals-out",
+                    help="per-path residual CSV (--oracle forward)")
     iv.add_argument("--out")
     iv.set_defaults(fn=cmd_invert)
 

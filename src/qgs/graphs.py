@@ -78,14 +78,7 @@ class MetricGraph:
     def __init__(self, vertices, edges, leads=()):
         vs = tuple(sorted((Vertex(v.id, v.coupling) if isinstance(v, Vertex)
                            else Vertex(*v) for v in vertices), key=lambda v: v.id))
-        raw = []
-        for e in edges:
-            if isinstance(e, Edge):
-                raw.append((e.u, e.v, float(e.length)))
-            else:
-                u, v, length = e
-                raw.append((u, v, float(length)))
-        raw.sort(key=lambda t: (t[0], t[1], t[2]))
+        raw = sorted((e.u, e.v, float(e.length)) for e in edges)
         es = tuple(Edge(u, v, length, f"e{i+1}") for i, (u, v, length) in enumerate(raw))
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "edges", es)
@@ -131,9 +124,6 @@ class MetricGraph:
             return self._index()[vid]
         except KeyError:
             raise GraphError(f"unknown vertex id {vid!r}") from None
-
-    def vertex(self, vid: str) -> Vertex:
-        return self.vertices[self.vertex_index(vid)]
 
     def external(self, vid: str) -> bool:
         """True iff the vertex carries a lead (derived from ``leads``)."""

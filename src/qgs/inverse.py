@@ -22,11 +22,13 @@ The chain implemented here:
    contracted graph returns the *sum* of couplings along the path; the
    known degree drift tau * (sum deg - 2*(edges contracted)) is removed
    and the remainder fitted against c0 + c1/tau + c2/tau^2 over a
-   doubling ladder of tau values.  The neglected terms decay like
-   exp(-tau l_min), so ``ladder_tau0`` scales the ladder's start to the
-   shortest edge; it is the default start of ``recover_path_sums`` and
-   ``invert_couplings``.  ``recover_external_couplings`` keeps TAU0, the
-   ladder that sample files are written on.
+   doubling ladder of tau values: the one ladder fit, for both modes.
+   The neglected terms decay like exp(-tau l_min), so ``ladder_tau0``
+   scales the ladder's start to the shortest edge; it is the default
+   start of ``recover_path_sums`` and ``invert_couplings``.
+   ``recover_external_couplings`` keeps TAU0, the ladder that sample
+   files are written on.  A ladder so deep that one ulp of the drift
+   exceeds the fit's tolerance keeps no digit of the sum and is refused.
 
    The oracle is called once per ladder, as ``oracle(z, paths)`` with the
    1-D array z of the ladder energies and the list of paths, and returns
@@ -47,8 +49,9 @@ The chain implemented here:
 
 ``invert_couplings`` wires the three stages together.  For sampled data
 (no forward oracle available) only root paths can be probed, which
-limits recovery to couplings at the external vertices — see
-``recover_external_couplings``.
+limits recovery to couplings at the external vertices:
+``recover_external_couplings`` hands the interpolated diagonal entries
+to ``recover_path_sums`` as its oracle, one root path per vertex.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ from .errors import (ExtrapolationDiverged, InconsistentPaths,
 from .graphs import (Edge, MetricGraph, SpanningTreePath, contract,
                      spanning_tree)
 from .kernels import edge_kernels
-from .scattering import scattering_solves_at
+from .scattering import external_factors
 from .weyl import (COND_LIMIT, CouplingMatrix, _inverse, checked_inverse,
                    stack_size, weyl_compact, weyl_stack)
 
@@ -106,9 +109,9 @@ class PathSumEstimate:
 # --------------------------------------------------------------------------
 
 def _topology_factor(graph: MetricGraph, s: float) -> np.ndarray:
-    """F2 = Pe (M*)^-1 M Pe — coupling-free."""
-    ext = graph.external_indices()
-    return scattering_solves_at(graph, None, s, ext)[1][ext, :]
+    """F2 = Pe (M*)^-1 M Pe, which does not depend on the couplings, so it
+    is read off the factors of the coupling-free graph."""
+    return external_factors(graph, CouplingMatrix.zeros(graph), s)[1]
 
 
 def extract_rtd(sigma_e_oracle, graph_topology: MetricGraph,
@@ -133,15 +136,10 @@ def extract_rtd(sigma_e_oracle, graph_topology: MetricGraph,
         sig = sigma_e_oracle(s)
         sig = np.asarray(getattr(sig, "entries", sig), dtype=complex)
         try:
-            F2 = _topology_factor(graph_topology, s)
+            F2_inverse = checked_inverse(_topology_factor(graph_topology, s),
+                                         s, "topology factor")
         except SingularMatrix:
             warnings.warn(f"topology factor singular at s={s:g}; "
-                          "point dropped", SingularBracket)
-            continue
-        try:
-            F2_inverse = checked_inverse(F2, s, "topology factor")
-        except SingularMatrix:
-            warnings.warn(f"topology factor ill-conditioned at s={s:g}; "
                           "point dropped", SingularBracket)
             continue
         product = sig @ F2_inverse
@@ -472,7 +470,8 @@ def _ladder(tau0, levels, fit_tol):
     three levels the three coefficients of the fit fit exactly, so its
     residual could never flag a divergence.  A NaN fit_tol, which no
     residual can exceed, is refused, and so is a ladder whose deepest
-    energy -(tau0 * 2^(levels - 1))^2 overflows.
+    energy -(tau0 * 2^(levels - 1))^2 overflows, or whose 1/tau0^2, the
+    largest entry of the fit's design matrix, does.
     """
     if math.isnan(fit_tol):
         raise ValueError("fit_tol must be a number, got nan")
@@ -482,30 +481,13 @@ def _ladder(tau0, levels, fit_tol):
         raise ValueError(f"the ladder fit needs levels >= 4, got {levels}")
     try:
         math.ldexp(tau0, levels - 1) ** 2
+        (1.0 / tau0) ** 2
     except OverflowError:
         raise ValueError(
-            f"the deepest ladder energy -(tau0 * 2^(levels - 1))^2 overflows "
-            f"at tau0 = {tau0!r}, levels = {levels}") from None
+            f"the deepest ladder energy -(tau0 * 2^(levels - 1))^2 or "
+            f"1/tau0^2 overflows at tau0 = {tau0!r}, levels = {levels}"
+        ) from None
     return np.array([math.ldexp(tau0, j) for j in range(levels)])
-
-
-def _ladder_fit(taus, samples, fit_tol, label):
-    """(c0, residual) of the least-squares fit samples ~ c0 + c1/tau +
-    c2/tau^2 over the ladder taus.
-
-    A residual above fit_tol * (1 + |c0|) raises ExtrapolationDiverged
-    naming `label`, the path target or vertex.
-    """
-    design = np.column_stack([np.ones_like(taus), 1.0 / taus,
-                              1.0 / taus ** 2]).astype(complex)
-    samples = np.asarray(samples, dtype=complex)
-    coef, *_ = np.linalg.lstsq(design, samples, rcond=None)
-    fit = design @ coef
-    residual = float(np.max(np.abs(fit - samples)))
-    threshold = fit_tol * (1.0 + abs(coef[0]))
-    if residual > threshold:
-        raise ExtrapolationDiverged(residual, threshold, path=label)
-    return complex(coef[0]), residual
 
 
 def recover_path_sums(graph_topology: MetricGraph, rtd_oracle, paths,
@@ -525,8 +507,10 @@ def recover_path_sums(graph_topology: MetricGraph, rtd_oracle, paths,
     rtd_oracle(z, paths) with the 1-D array z of the ladder energies and
     the list of paths, and returns the (len(paths), len(z)) array of
     their values.  A fit residual above fit_tol * (1 + |c0|) raises
-    ExtrapolationDiverged — the signature of a wrong topology, a bad
-    oracle, or tau0 too small for the edge lengths.
+    ExtrapolationDiverged naming the path's target — the signature of a
+    wrong topology, a bad oracle, or tau0 too small for the edge lengths.
+    So does one ulp of the deepest drift tau * D above that bound: that
+    sample keeps no digit of the sum, and the error reports the ulp.
     """
     if tau0 is None:
         tau0 = ladder_tau0(graph_topology)
@@ -538,13 +522,22 @@ def recover_path_sums(graph_topology: MetricGraph, rtd_oracle, paths,
                          f"{len(paths)} paths at {len(taus)} energies")
     degree = {v: graph_topology.degree(v)
               for v in graph_topology.vertex_ids()}
+    design = np.column_stack([np.ones_like(taus), 1.0 / taus,
+                              1.0 / taus ** 2]).astype(complex)
     estimates = []
     for path, row in zip(paths, values.tolist()):
         D = sum(degree[v] for v in path.vertices_on_path)
         D -= 2 * (path.vertex_count - 1)
-        samples = [-1.0 / complex(f) - tau * D
-                   for tau, f in zip(taus.tolist(), row)]
-        value, residual = _ladder_fit(taus, samples, fit_tol, path.target)
+        samples = np.array([-1.0 / complex(f) - tau * D
+                            for tau, f in zip(taus.tolist(), row)])
+        coef, *_ = np.linalg.lstsq(design, samples, rcond=None)
+        residual = float(np.max(np.abs(design @ coef - samples)))
+        threshold = fit_tol * (1.0 + abs(coef[0]))
+        lost = math.ulp(float(taus[-1]) * D)
+        if residual > threshold or lost > threshold:
+            raise ExtrapolationDiverged(max(residual, lost), threshold,
+                                        path=path.target)
+        value = complex(coef[0])
         if abs(value.imag) < 1e-12 * (1.0 + abs(value.real)):
             value = complex(value.real, 0.0)
         estimates.append(PathSumEstimate(path, value, residual))
@@ -638,7 +631,8 @@ def recover_external_couplings(samples: RtDSamples,
     internal couplings are out of reach from sampled data.  The samples
     must cover the probe ladder z = -(tau0 * 2^j)^2 — values in between
     are rationally interpolated, so a log-spaced grid enclosing the ladder
-    works, and exact ladder nodes work best.
+    works, and exact ladder nodes work best.  The interpolants are
+    recover_path_sums' oracle.
     """
     taus = _ladder(tau0, levels, fit_tol)
     z_lo = -(taus[-1] ** 2)
@@ -646,11 +640,14 @@ def recover_external_couplings(samples: RtDSamples,
         warnings.warn(
             f"sample grid reaches only z={samples.grid.min():g}, ladder "
             f"needs z={z_lo:g}; extrapolating", ScanResolution)
-    couplings = {}
-    for j, vid in enumerate(graph_topology.external_ids()):
-        interp = barycentric(samples.grid, samples.values[:, j, j])
-        D = graph_topology.degree(vid)
-        couplings[vid], _ = _ladder_fit(
-            taus, [-1.0 / interp(-(tau * tau)) - tau * D
-                   for tau in taus.tolist()], fit_tol, vid)
-    return couplings
+    ext = graph_topology.external_ids()
+    entries = {vid: barycentric(samples.grid, samples.values[:, j, j])
+               for j, vid in enumerate(ext)}
+
+    def oracle(z, paths):
+        return [[entries[p.root](x) for x in z.tolist()] for p in paths]
+
+    paths = [SpanningTreePath(vid, vid, (), 1, (vid,)) for vid in ext]
+    return {est.path.target: est.value
+            for est in recover_path_sums(graph_topology, oracle, paths,
+                                         tau0, levels, fit_tol)}

@@ -17,14 +17,14 @@ Two independent constructions live here:
   which agree identically in exact arithmetic.  ``sigma_external``
   evaluates both and refuses to return silently if they drift apart —
   that only happens when an inversion is badly conditioned.  Note F2
-  does not depend on the couplings at all.  Every form is built from
-  ``scattering_solves``, which assembles the M-matrices of a block of
-  energies in one stacked call and returns only the rows of the left
-  factor and the columns of the right one that a form reads (the external
-  ones, or every one for ``sigma_full``).  Per energy that costs the two
-  inverses of the condition gate, on M - K and on M*, and one solve with
-  a right-hand side per wanted row.  The columns come from the gate's own
-  inverse of M*, since
+  does not depend on the couplings at all, though every solve takes them.
+  Every form is built from ``scattering_solves``, which assembles the
+  M-matrices of a block of energies in one stacked call and returns only
+  the rows of the left factor and the columns of the right one that a
+  form reads (the external ones, or every one for ``sigma_full``).  Per
+  energy that costs the two inverses of the condition gate, on M - K and
+  on M*, and one solve with a right-hand side per wanted row.  The
+  columns come from the gate's own inverse of M*, since
 
       (M*)^-1 M = I + (M*)^-1 (M - M*),
 
@@ -89,8 +89,8 @@ def external_block(graph: MetricGraph):
     return np.ix_(ext, ext)
 
 
-def scattering_solves(graph: MetricGraph, kappa: CouplingMatrix | None,
-                      s_values, idx):
+def scattering_solves(graph: MetricGraph, kappa: CouplingMatrix, s_values,
+                      idx):
     """The idx rows of the left factor and the idx columns of the right one
     at each energy of a block.
 
@@ -104,9 +104,9 @@ def scattering_solves(graph: MetricGraph, kappa: CouplingMatrix | None,
     E the idx columns of the identity, times M* - K; M - K is symmetric,
     so that solve is gated on M - K itself.  errors[i] is None, or the
     first NumericalError that refused energy i (a pole of M, then M - K,
-    then M*), whose rows and columns are then NaN.  With kappa None only
-    the coupling-free columns are computed and rows is None.  Raises
-    ValueError for an energy s <= 0.
+    then M*), whose rows and columns are then NaN.  The columns do not
+    depend on kappa, so a caller that wants only them passes
+    CouplingMatrix.zeros.  Raises ValueError for an energy s <= 0.
     """
     for s in s_values:
         if not s > 0:
@@ -117,33 +117,30 @@ def scattering_solves(graph: MetricGraph, kappa: CouplingMatrix | None,
     M[poles >= 0] = np.eye(graph.n_vertices)    # a placeholder the gates pass
     Ms = M.conj().swapaxes(1, 2)
     E = np.eye(graph.n_vertices)[:, idx]
-    rows = None
-    if kappa is not None:
-        K = kappa.as_array()
-        Y, refused = checked_solve((M - K).swapaxes(1, 2),
-                                   np.broadcast_to(E, (len(M),) + E.shape),
-                                   s_values, "M - coupling")
-        errors = [exc or r for exc, r in zip(errors, refused)]
-        rows = Y.swapaxes(1, 2) @ (Ms - K)
+    K = kappa.as_array()
+    Y, refused = checked_solve((M - K).swapaxes(1, 2),
+                               np.broadcast_to(E, (len(M),) + E.shape),
+                               s_values, "M - coupling")
+    errors = [exc or r for exc, r in zip(errors, refused)]
+    rows = Y.swapaxes(1, 2) @ (Ms - K)
     refused, G = _cond_gate(Ms)
     errors = [exc or (SingularMatrix(s, "M*") if r else None)
               for s, exc, r in zip(s_values, errors, refused)]
     cols = E + G @ (M[:, :, idx] - Ms[:, :, idx])
     failed = [exc is not None for exc in errors]
-    for X in (rows, cols):
-        if X is not None:
-            X[failed] = np.nan
+    rows[failed] = np.nan
+    cols[failed] = np.nan
     return rows, cols, errors
 
 
-def scattering_solves_at(graph: MetricGraph, kappa: CouplingMatrix | None,
-                         s: float, idx):
+def scattering_solves_at(graph: MetricGraph, kappa: CouplingMatrix, s: float,
+                         idx):
     """scattering_solves at the one energy s: (rows, cols), or the
     NumericalError that refused s, raised."""
     rows, cols, (error,) = scattering_solves(graph, kappa, [s], idx)
     if error is not None:
         raise error
-    return (None if rows is None else rows[0]), cols[0]
+    return rows[0], cols[0]
 
 
 def sigma_full(graph: MetricGraph, kappa: CouplingMatrix, s: float) -> np.ndarray:

@@ -322,6 +322,36 @@ def test_invert_rtd_samples_warns_when_the_ladder_is_too_shallow(
     assert capsys.readouterr().err == ""
 
 
+def test_invert_ladder_too_deep_for_doubles_diverges(graph_file, capsys):
+    """At tau0 = 1e16 one ulp of the deepest drift tau * D is 256, so the
+    samples keep no digit of the coupling sums: exit 3 naming the path,
+    where the fit used to return every coupling as 0 with exit 0.  A
+    ladder at tau0 = 1e10 still recovers the couplings."""
+    argv = ["invert", "--graph-topology", graph_file, "--oracle", "forward",
+            "--true-couplings", "0.5,-0.25,1.0"]
+    assert main(argv + ["--tau0", "1e16"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("numerical failure: extrapolation residual 2.560e+02 > "
+                   "1.000e-03 for path to 'V1'\n")
+    assert main(argv + ["--tau0", "1e10"]) == 0
+    couplings = json.loads(capsys.readouterr().out)["couplings"]
+    for vid, want in [("V1", 0.5), ("V2", -0.25), ("V3", 1.0)]:
+        assert couplings[vid][0] == pytest.approx(want, abs=1e-6)
+
+
+def test_invert_residuals_need_the_forward_oracle(tmp_path, capfd):
+    """Sampled data give no path-sum residuals, so --residuals-out with
+    --rtd-samples is refused, where it used to write nothing and exit 0."""
+    g, path = _short_loop(tmp_path)
+    csv = _ladder_samples(tmp_path, g, SHORT_LOOP_COUPLINGS)
+    res = tmp_path / "residuals.csv"
+    _refused(["invert", "--graph-topology", str(path), "--rtd-samples",
+              str(csv), "--residuals-out", str(res)], capfd,
+             "--residuals-out needs --oracle forward")
+    assert not res.exists()
+
+
 def test_invert_needs_a_source(graph_file, capsys):
     rc = main(["invert", "--graph-topology", graph_file])
     assert rc == 2
@@ -580,6 +610,9 @@ def test_invert_overflowing_ladder_is_invalid_input(graph_file, capfd):
             "--true-couplings", "0.5,-0.25,1.0"]
     _refused(argv + ["--levels", "1100"], capfd, "levels")
     _refused(argv + ["--tau0", "1e160"], capfd, "tau0")
+    # 1/tau0^2 in the fit's design matrix overflows too: refused by name,
+    # before numpy warns of a division by zero and LAPACK fails
+    _refused(argv + ["--tau0", "1e-300"], capfd, "tau0 = 1e-300")
 
 
 def test_smatrix_nonpositive_energy_is_invalid_input(graph_file, capfd):

@@ -115,6 +115,43 @@ def test_extraction_gates_the_topology_factor_without_an_svd(
     assert np.array_equal(samples.values, np.array(want))
 
 
+@pytest.mark.parametrize("gate", ["M*", "topology factor"])
+def test_extraction_drops_a_point_whose_topology_factor_is_refused(
+        star3, monkeypatch, gate):
+    """A refusal of the topology factor, by the gate of M* in its solve or
+    by the gate of its own inverse, drops that grid point with one
+    SingularBracket warning and keeps the others as they were."""
+    import qgs.inverse
+    import qgs.scattering
+    k = CouplingMatrix.from_values(star3, [0.7, -0.2, 0.4, 0.0])
+    grid = [0.9, 2.7, 8.1]
+    sigma = {s: sigma_external(star3, k, s) for s in grid}
+    want = extract_rtd(sigma.get, star3, grid)
+    if gate == "M*":    # the second grid point's solve, in grid order
+        real_gate, calls = qgs.scattering._cond_gate, []
+
+        def refuse(A):
+            calls.append(A)
+            refused, inverse = real_gate(A)
+            return refused | (len(calls) == 2), inverse
+        monkeypatch.setattr(qgs.scattering, "_cond_gate", refuse)
+    else:
+        real_inverse = qgs.inverse.checked_inverse
+
+        def refuse(A, z, what):
+            if z == 2.7:
+                raise SingularMatrix(z, what)
+            return real_inverse(A, z, what)
+        monkeypatch.setattr(qgs.inverse, "checked_inverse", refuse)
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        samples = extract_rtd(sigma.get, star3, grid)
+    assert [(w.category, str(w.message)) for w in rec] == [
+        (SingularBracket, "topology factor singular at s=2.7; point dropped")]
+    assert list(samples.grid) == [0.9, 8.1]
+    assert np.array_equal(samples.values, want.values[[0, 2]])
+
+
 def test_samples_container_validation():
     with pytest.raises(ValueError):
         RtDSamples(np.array([1.0, 2.0]), np.zeros((3, 1, 1)))
@@ -442,6 +479,45 @@ def test_recover_external_from_samples():
     assert set(rec) == {"A", "C"}
     assert abs(rec["A"] - 0.9) < 1e-6
     assert abs(rec["C"] - 0.2) < 1e-6
+
+
+def test_recover_external_refuses_a_ladder_too_deep_for_doubles():
+    """Exact samples on the ladder from tau0 = 1e16: one ulp of the deepest
+    drift tau * D is 128, so the samples keep no digit of the coupling.
+    The fit refuses, naming the vertex, where it used to return 0; from
+    tau0 = 1e10 it still recovers the coupling."""
+    g = chain(0.9, -0.7)
+    k = CouplingMatrix.from_graph(g)
+
+    def samples(tau0):
+        grid = ladder_grid(tau0)
+        return RtDSamples(np.array(grid), np.array(
+            [robin_to_dirichlet(g, k, z) for z in grid]))
+
+    rec = recover_external_couplings(samples(1e10), g, tau0=1e10)
+    assert rec["V1"] == pytest.approx(0.9, abs=1e-4)
+    with pytest.raises(ExtrapolationDiverged,
+                       match="1.280e[+]02 > .* for path to 'V1'$"):
+        recover_external_couplings(samples(1e16), g, tau0=1e16)
+
+
+def test_recover_external_from_samples_of_another_topology_diverges():
+    """Samples of a graph with one more A-B edge than the topology: A's
+    degree, and so the drift tau * D, is one short, which no term of the
+    fit absorbs.  The fit of A's root path refuses, naming A."""
+    vertices = [Vertex("A", 0.9), Vertex("B", -0.7), Vertex("C", 0.2)]
+    edges = [Edge("A", "B", 1.0), Edge("B", "C", 2 ** 0.5)]
+    topology = MetricGraph(vertices, edges, leads=["A", "C"])
+    truth = MetricGraph(vertices, edges + [Edge("A", "B", 3 ** 0.5)],
+                        leads=["A", "C"])
+    k = CouplingMatrix.from_graph(truth)
+    grid = ladder_grid()
+    samples = RtDSamples(np.array(grid), np.array(
+        [robin_to_dirichlet(truth, k, z) for z in grid]))
+    assert recover_external_couplings(samples, truth)["A"] == \
+        pytest.approx(0.9, abs=1e-6)
+    with pytest.raises(ExtrapolationDiverged, match="for path to 'A'$"):
+        recover_external_couplings(samples, topology)
 
 
 # --------------------------------------------------------------------------
