@@ -11,7 +11,8 @@ from .errors import (Disconnected, ExtrapolationDiverged,
                      FactorisationMismatch, GraphError, InconsistentPaths,
                      LoopContraction, NumericalError, ParseError,
                      PoleProximity, QGSError, ScanFailure, ScanResolution,
-                     SingularBracket, SingularMatrix, UnknownEdge)
+                     SingularBracket, SingularMatrix, UnconfirmedRoot,
+                     UnknownEdge)
 from .graphs import (Edge, MetricGraph, SpanningTreePath, ValidationReport,
                      Vertex, contract, load_graph, parse_graph,
                      serialize_graph, spanning_tree, validate)
@@ -31,9 +32,13 @@ from .scattering import (ScatteringMatrix, external_factors,
                          lead_matching_oracle, sigma_external, sigma_full,
                          sigma_projected, sigma_sweep)
 from .spectra import (Eigenvalue, compact_eigenvalues, compact_spectrum,
-                      matching_det, matching_matrix, multiplicity_at)
+                      kernel_margins, matching_matrix, multiplicity_at)
 from .weyl import (CouplingMatrix, external_projector, robin_to_dirichlet,
                    weyl_compact, weyl_full)
+
+# Nothing in the package scans any more; the benchmark's layer tracer
+# looks up qgs.rootscan.scan_roots when it installs.
+from . import rootscan  # noqa: F401,E402
 
 __version__ = "0.1.0"
 
@@ -44,7 +49,7 @@ __all__ = [
     "MetricGraph", "NumericalError", "ParseError", "PathSumEstimate",
     "PoleProximity", "QGSError", "Quasimomentum", "RtDSamples",
     "ScanFailure", "ScanResolution", "ScatteringMatrix", "SingularBracket", "SingularMatrix",
-    "SpanningTreePath", "UnknownEdge", "ValidationReport",
+    "SpanningTreePath", "UnconfirmedRoot", "UnknownEdge", "ValidationReport",
     "Vertex", "barycentric", "build_dispersion_table",
     "cell_discriminant", "compact_eigenvalues", "compact_spectrum",
     "contract", "contraction_validation", "convergence_study",
@@ -53,8 +58,9 @@ __all__ = [
     "f1_via_determinants",
     "forward_f1_oracle", "hom_dprime_spectra", "hom_dprime_spectrum",
     "hom_tau_spectra", "hom_tau_spectrum",
-    "invert_couplings", "ladder_tau0", "lead_matching_oracle", "load_graph", "matching_det",
-    "matching_matrix", "multiplicity_at", "parse_graph", "recover_couplings",
+    "invert_couplings", "kernel_margins", "ladder_tau0",
+    "lead_matching_oracle", "load_graph", "matching_matrix",
+    "multiplicity_at", "parse_graph", "recover_couplings",
     "recover_external_couplings", "recover_path_sums", "robin_to_dirichlet",
     "serialize_graph", "sigma_external", "sigma_full", "sigma_projected",
     "sigma_sweep", "spanning_tree", "transfer_matrix", "validate",

@@ -34,7 +34,7 @@ from .highcontrast import (HighContrastCell, Quasimomentum,
 from .inverse import (TAU0, RtDSamples, forward_f1_oracle, invert_couplings,
                       ladder_tau0, recover_external_couplings)
 from .scattering import sigma_external, sigma_sweep
-from .spectra import MERGE_TOL, compact_spectrum
+from .spectra import compact_spectrum, kernel_margins
 from .weyl import CouplingMatrix
 
 log = logging.getLogger("qgs")
@@ -117,27 +117,14 @@ def _out(path: str | None):
 # spectrum
 # --------------------------------------------------------------------------
 
-def _paired_rows(ws, ms):
-    """(weyl, matching) eigenvalue rows in ascending order: values that
-    agree within MERGE_TOL relative to max(1, |z|) share a row, a value the
-    other route lacks gets None."""
-    rows, ws, ms = [], list(ws), list(ms)
-    while ws or ms:
-        w, m = (ws or [None])[0], (ms or [None])[0]
-        if w and m and abs(w.z - m.z) <= MERGE_TOL * max(1.0, abs(w.z)):
-            rows.append((ws.pop(0), ms.pop(0)))
-        elif w and (not m or w.z < m.z):
-            rows.append((ws.pop(0), None))
-        else:
-            rows.append((None, ms.pop(0)))
-    return rows
-
-
 def cmd_spectrum(args) -> int:
     graph = _load_valid_graph(args.graph)
     kappa = _coupling_from_args(graph, args.kappa, require_real=True)
-    modes = ["weyl", "matching"] if args.mode == "both" else [args.mode]
-    results = {m: compact_spectrum(graph, kappa, args.zmax, m) for m in modes}
+    eig = compact_spectrum(graph, kappa, args.zmax)
+    # matching and both: the matching kernel confirms the count's one list,
+    # and each row ends with the margin of its check
+    checked = args.mode != "weyl"
+    margins = kernel_margins(graph, kappa, eig) if checked else []
 
     with _out(args.out) as fh:
         fh.write("# qgs spectrum\n")
@@ -147,21 +134,20 @@ def cmd_spectrum(args) -> int:
         fh.write("# kappa=%s\n" % ",".join(
             _fmt(c.real) for c in kappa.diagonal))
         if args.mode == "both":
-            ws, ms = results["weyl"], results["matching"]
-            rows = _paired_rows(ws, ms)
-            if not len(ws) == len(ms) == len(rows):
-                log.warning("mode disagreement: %d weyl vs %d matching "
-                            "eigenvalues in %d rows", len(ws), len(ms),
-                            len(rows))
-            fh.write("index,eigenvalue_weyl,eigenvalue_matching,multiplicity\n")
-            for i, (w, m) in enumerate(rows):
-                zw, zm = (_fmt(e.z) if e else "nan" for e in (w, m))
-                fh.write(f"{i},{zw},{zm},{(m or w).multiplicity}\n")
+            fh.write("index,eigenvalue_weyl,eigenvalue_matching,multiplicity,"
+                     "kernel_sv\n")
+            for i, (e, sv) in enumerate(zip(eig, margins)):
+                z = _fmt(e.z)
+                fh.write(f"{i},{z},{z},{e.multiplicity},{_fmt(sv)}\n")
+        elif checked:
+            fh.write("index,eigenvalue,multiplicity,mode,kernel_sv\n")
+            for i, (e, sv) in enumerate(zip(eig, margins)):
+                fh.write(f"{i},{_fmt(e.z)},{e.multiplicity},matching,"
+                         f"{_fmt(sv)}\n")
         else:
-            eig = results[args.mode]
             fh.write("index,eigenvalue,multiplicity,mode\n")
             for i, e in enumerate(eig):
-                fh.write(f"{i},{_fmt(e.z)},{e.multiplicity},{args.mode}\n")
+                fh.write(f"{i},{_fmt(e.z)},{e.multiplicity},weyl\n")
     return 0
 
 
@@ -444,13 +430,12 @@ def cmd_check(args) -> int:
         exact = [0.0] + [(n * math.pi) ** 2 for n in (1, 2, 3)]
         assert max(abs(a - b) for a, b in zip(eig, exact)) < 1e-8
 
-    def check_mode_agreement():
+    def check_kernel_confirmation():
         g = graphs[0]
         k = CouplingMatrix.from_values(
             g, [v.coupling.real for v in g.vertices])
-        ew = compact_eigenvalues(g, k, 6, "weyl")
-        em = compact_eigenvalues(g, k, 6, "matching")
-        assert max(abs(a - b) for a, b in zip(ew, em)) < 1e-8
+        # raises UnconfirmedRoot, naming the root, where the check fails
+        compact_eigenvalues(g, k, 6, "matching")
 
     def check_unitarity():
         for g in graphs[:3]:
@@ -520,7 +505,8 @@ def cmd_check(args) -> int:
     run("m-matrix symmetry/conjugation/herglotz", check_herglotz)
     run("external jump 2i sqrt(s) Pe", check_jump)
     run("neumann interval spectrum", check_neumann)
-    run("weyl/matching mode agreement", check_mode_agreement)
+    run("matching kernel confirms every counted root",
+        check_kernel_confirmation)
     run("scattering unitarity", check_unitarity)
     run("identity scattering at zero coupling", check_identity_at_zero_coupling)
     run("response-map extraction", check_extraction)
@@ -557,7 +543,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--graph", required=True, help="graph JSON file")
     sp.add_argument("--zmax", type=float, required=True)
     sp.add_argument("--mode", choices=["weyl", "matching", "both"],
-                    default="both")
+                    default="both",
+                    help="weyl: the eigenvalue count's roots; matching: the "
+                         "same roots, each confirmed by the matching "
+                         "kernel test, with its margin as kernel_sv; both: "
+                         "the confirmed roots in both columns (default)")
     sp.add_argument("--kappa", help="couplings, comma list in canonical "
                     "vertex order (default: from the graph file)")
     sp.add_argument("--out")

@@ -103,6 +103,20 @@ class ScanFailure(NumericalError):
         super().__init__(message)
 
 
+class UnconfirmedRoot(NumericalError):
+    """The matching kernel test does not confirm a counted root: at the
+    eigenvalue ``z`` the count reports with multiplicity ``multiplicity``,
+    the matching matrix has ``nullity`` singular values below the cutoff."""
+
+    def __init__(self, z, multiplicity, nullity):
+        self.z = z
+        self.multiplicity = multiplicity
+        self.nullity = nullity
+        super().__init__(
+            f"matching kernel does not confirm the counted root z={z!r} of "
+            f"multiplicity {multiplicity}: nullity {nullity}")
+
+
 class InconsistentPaths(QGSError):
     """Path-sum system references an ancestor that has not been solved yet
     (paths must be ordered with non-decreasing vertex count)."""

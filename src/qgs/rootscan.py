@@ -1,12 +1,15 @@
 """Grid scan + bisection root finder for real secular functions.
 
-Only the matching route scans now (its vertex-matching determinant; the
-fiber spectra of ``highcontrast`` bisect band by band).  Two root flavours:
+Nothing in the package scans any more: the matching route confirms the
+eigenvalue count's roots, and the fiber spectra of ``highcontrast``
+bisect band by band.  The module stays only because the benchmark's layer
+tracer (perfbench/layers.py) looks up ``scan_roots`` when it installs.
+Two root flavours:
 
 * crossings  — sign changes, refined by plain bisection;
 * tangencies — double roots touching zero without a sign change, seen as a
   deep local minimum of |f| and refined by a ``refine_tangent(a, b)``
-  callback (the matching route's golden section on its kernel test).
+  callback.
 
 Evaluations returning NaN or inf (e.g. an overflowing determinant) are
 retried at a slightly shifted abscissa; when every retry fails too, the

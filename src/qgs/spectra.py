@@ -21,47 +21,49 @@ roots at z = 0 or on a pole are bisected to adjacent doubles.  Near 0 or
 a pole the float count is off (by about 3e-8 in z on a pole), so a root
 there moves onto that point.
 
-``matching`` mode is the independent oracle: it builds the (2n)x(2n) linear
-system in per-edge coefficients u_p = A_p*C(z;x) + B_p*S(z;x) from vertex
-continuity and the delta conditions, and scans its determinant in sqrt|z|
-for sign changes (for z < 0 in the count's window).  The basis kernels
-C, S are entire in z, so this determinant needs no pole handling at all --
-which is what makes the two modes genuinely independent checks.
+``matching`` mode is the independent check.  It lists the count's roots
+and confirms each one, z <= 0 included, on the (2n)x(2n) linear system
+in per-edge coefficients from vertex continuity and the delta conditions
+(the secular system in Berkolaiko & Kuchment's book): at a root of
+multiplicity m the system must have exactly m singular values below
+KERNEL_REL relative to max(sigma_max, 1), or the route raises
+UnconfirmedRoot.  The system is built from edge solutions that are entire
+in z, or decay away from the edge's ends, and never touches the M-matrix
+or its poles -- which is what keeps the check independent.  It confirms
+roots; it does not find them, so completeness rests on the count.
 
 ``compact_eigenvalues`` wants the first `count` eigenvalues: it doubles
 z_max from a Weyl-law guess until N(z_max) >= count and lists the
-spectrum below z_max once.  A route that lists fewer than N(z_max) -- a
-matching scan that missed a member of a close pair -- raises ScanFailure,
-so every list it returns is complete.
+spectrum below z_max once.  A list shorter than N(z_max) raises
+ScanFailure.
 
-The kernel test: z is an eigenvalue where a pole-free, bounded matrix
-loses rank, by its multiplicity -- M(z) - kappa for z < 0, the matching
-matrix for z >= 0.  Multiplicity counts its relative singular values below
-1e-8; it gives the matching route its multiplicities, tangent roots (by a
-golden section on the smallest) and z = 0, and gates the weyl route's
-snap.  mpmath remains only in three 60-digit reference determinants.
+Multiplicity: z is an eigenvalue where a pole-free, bounded matrix loses
+rank, by its multiplicity -- M(z) - kappa for z < 0, the matching matrix
+for z >= 0.  multiplicity_at counts its relative singular values below
+1e-8 and gates the weyl route's snap onto 0 and the poles.  mpmath
+remains only in three 60-digit reference determinants.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
 
-from .errors import ScanFailure, ScanResolution
+from .errors import ScanFailure, UnconfirmedRoot
 from .graphs import MetricGraph
-from .kernels import entire_cs, is_mp, mp_entire_cs, sqrt_upper
-from .rootscan import scan_roots
+from .kernels import (entire_cs, is_mp, mp_entire_cs, mp_sqrt_upper,
+                      sqrt_upper)
 from .weyl import CouplingMatrix, compact_entries, stack_size
 
 MERGE_TOL = 1e-8          # roots closer than this (in z) are one eigenvalue
 KERNEL_REL = 1e-8         # singular-value cutoff for multiplicity
 SNAP_REL = 1e-7           # counted roots this close (in t) snap to 0 or a pole
 REFINE_ULPS = 32          # width (in ulps of t) at which refinement stops
+DECAY_FROM = 1.0          # Im(sqrt z) * l from which edges decay
 
 
 @dataclass(frozen=True)
@@ -279,30 +281,26 @@ def _mp_weyl_det_negative(graph, kappa, q):
 # --------------------------------------------------------------------------
 
 def _edge_end_data(z, l):
-    """Column-scaled end data for one edge: value/derivative coefficients.
+    """Value and inward-derivative coefficients of one edge's basis pair at
+    its two ends: (u_end, v_end), each ((cA_val, cB_val), (cA_der,
+    cB_der)).
 
-    Returns (u_end, v_end) where each end is ((cA_val, cB_val),
-    (cA_der, cB_der)).  When Im(sqrt(z)) * l is large (deeply negative z),
-    cosh-type growth would overflow a float determinant, so both columns
-    of the edge are divided by exp(Im(sqrt(z)) * l) — a positive factor that
-    moves no zeros and flips no signs.  An mpmath z cannot overflow and is
-    never scaled.
+    While b = Im(sqrt(z)) * l < DECAY_FROM the pair is the entire C(z;x),
+    S(z;x).  Beyond it C and S grow like e^b and their combinations cancel,
+    so the edge takes the two solutions that decay away from its ends,
+    e^{ikx} and e^{ik(l-x)}, which are bounded by 1.  The change of basis
+    is invertible (for real z < 0 its determinant 2 q e^{-ql} is
+    positive), so it moves no zero and keeps the kernel's dimension.  The
+    arithmetic follows z.
     """
-    if is_mp(z):
-        C, S = mp_entire_cs(z, l)
+    mp_z = is_mp(z)
+    k = (mp_sqrt_upper if mp_z else sqrt_upper)(z)
+    if abs(k.imag) * l < DECAY_FROM:
+        C, S = (mp_entire_cs if mp_z else entire_cs)(z, l)
         return ((1.0, 0.0), (0.0, 1.0)), ((C, S), (z * S, -C))
-    k = sqrt_upper(z)
-    b = abs(k.imag) * l
-    if b < 40.0:
-        C, S = entire_cs(z, l)
-        return ((1.0, 0.0), (0.0, 1.0)), ((C, S), (z * S, -C))
-    # scaled branch: divide the column by sigma = e^{b};  e^{-ikl} dominates
-    ph = cmath.exp(1j * k.real * l)
-    small = cmath.exp(2j * k * l)          # |.| = e^{-2b}, underflows safely
-    Cs = 0.5 * (small / ph + 1.0 / ph)     # cos(kl)/sigma
-    Ss = (small / ph - 1.0 / ph) / (2j * k)  # sin(kl)/(k sigma)
-    us = math.exp(-b) if b < 700.0 else 0.0  # 1/sigma for the u-end rows
-    return ((us, 0.0), (0.0, us)), ((Cs, Ss), (z * Ss, -Cs))
+    ik = 1j * k
+    E = (mp.exp if mp_z else cmath.exp)(ik * l)    # |E| = e^{-b}
+    return ((1.0, E), (ik, -ik * E)), ((E, 1.0), (-ik * E, ik))
 
 
 def matching_matrix(graph: MetricGraph, kappa: CouplingMatrix, z,
@@ -310,14 +308,14 @@ def matching_matrix(graph: MetricGraph, kappa: CouplingMatrix, z,
     """Vertex-matching system in per-edge coefficients (A_p, B_p).
 
     Edge p hosts u_p(x) = A_p C(z;x) + B_p S(z;x) on [0, l_p] with x=0 at
-    its 'from' end.  Rows: per vertex, (number of ends - 1) continuity
-    equations plus one delta condition  sum of inward derivatives =
-    coupling * value.  Derivative rows are scaled by 1/max(1, |k|) to keep
-    the determinant well-conditioned at large z (a positive continuous
-    factor, so zeros and sign changes are unaffected), and edge columns
-    carry the scaling of _edge_end_data.  The arithmetic follows z: a numpy
-    complex matrix for a Python number, an mpmath matrix for an mpmath
-    number.
+    its 'from' end, or A_p e^{ikx} + B_p e^{ik(l_p - x)} where the edge
+    is long against Im k (see _edge_end_data).  Rows: per vertex, (number
+    of ends - 1) continuity equations plus one delta condition  sum of
+    inward derivatives = coupling * value.  Derivative rows are scaled by
+    1/max(1, |k|) to keep the system well-conditioned at large z (a
+    positive continuous factor, so zeros and sign changes are unaffected).
+    The arithmetic follows z: a numpy complex matrix for a Python number,
+    an mpmath matrix for an mpmath number.
 
     Without leads the system is square, (2n)x(2n).  Each vertex id in
     `leads` adds one lead end to that vertex: one more row and, after the
@@ -368,18 +366,6 @@ def matching_matrix(graph: MetricGraph, kappa: CouplingMatrix, z,
     return A
 
 
-def matching_det(graph: MetricGraph, kappa: CouplingMatrix, sign=1.0):
-    """Matching determinant as a callable of x > 0 at z = sign * x^2:
-    x = sqrt(z) for positive energies (sign 1), x = sqrt(-z) for negative
-    ones (sign -1)."""
-    def f(x):
-        with np.errstate(all="ignore"):
-            A = matching_matrix(graph, kappa, sign * x * x)
-            return np.linalg.det(A).real
-
-    return f
-
-
 def _mp_matching_det(graph, kappa, z, dps):
     """Reference: the matching determinant at z in dps-digit mpmath."""
     with mp.workdps(dps):
@@ -387,7 +373,7 @@ def _mp_matching_det(graph, kappa, z, dps):
 
 
 # --------------------------------------------------------------------------
-# kernel test: multiplicities and tangent roots
+# kernel tests: multiplicities and the matching route's check
 # --------------------------------------------------------------------------
 
 def _kernel_values(graph, kappa, z):
@@ -409,32 +395,29 @@ def multiplicity_at(graph: MetricGraph, kappa: CouplingMatrix, z) -> int:
     return int(np.sum(_kernel_values(graph, kappa, z) < KERNEL_REL))
 
 
-def _tangent_refiner(graph, kappa, sign):
-    """refine_tangent(a, b) for a scan in x = sqrt(|z|), z = sign * x^2:
-    golden section on the smallest value of _kernel_values until no double
-    is left between its points, accepted as a root only below KERNEL_REL,
-    so a near-closed gap stays rejected."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+def kernel_margins(graph: MetricGraph, kappa: CouplingMatrix,
+                   eigenvalues) -> list[float]:
+    """The matching route's check of counted roots: at each root (z, m) of
+    `eigenvalues` the matching matrix must have exactly m singular values
+    below KERNEL_REL relative to max(sigma_max, 1), at every z, z <= 0
+    included.  Each row of the matrix holds a term of size about 1, so the
+    floor at 1 lets a matrix whose every entry cancels -- a tunnelling
+    pair split below double precision -- read as rank-deficient.
 
-    def smallest(x):
-        return _kernel_values(graph, kappa, sign * x * x)[-1]
-
-    def refine(a, b):
-        x1, x2 = b - invphi * (b - a), a + invphi * (b - a)
-        f1, f2 = smallest(x1), smallest(x2)
-        while a < x1 < x2 < b:
-            if f1 < f2:
-                b, x2, f2 = x2, x1, f1
-                x1 = b - invphi * (b - a)
-                f1 = smallest(x1)
-            else:
-                a, x1, f1 = x1, x2, f2
-                x2 = a + invphi * (b - a)
-                f2 = smallest(x2)
-        x, fx = (x1, f1) if f1 < f2 else (x2, f2)
-        return x if fx < KERNEL_REL else None
-
-    return refine
+    Returns each root's m-th smallest relative singular value, the margin
+    of its check; raises UnconfirmedRoot at a root whose nullity is not m.
+    """
+    margins = []
+    for e in eigenvalues:
+        A = matching_matrix(graph, kappa, e.z)
+        # real at a real z, where a real SVD takes 60 % of a complex one
+        sv = np.linalg.svd(A if A.imag.any() else A.real, compute_uv=False)
+        rel = sv[::-1] / max(sv[0], 1.0)
+        nullity = int(np.sum(rel < KERNEL_REL))
+        if nullity != e.multiplicity:
+            raise UnconfirmedRoot(e.z, e.multiplicity, nullity)
+        margins.append(float(rel[nullity - 1]))
+    return margins
 
 
 # --------------------------------------------------------------------------
@@ -478,39 +461,13 @@ def _counted_spectrum(graph, kappa, T, z_max):
     return eigenvalues
 
 
-def _matching_spectrum(graph, kappa, T, z_max):
-    """The matching route: sign changes and tangent roots of the matching
-    determinant in sqrt|z| on (0, T] (z < 0) and (0, sqrt(z_max)], with
-    multiplicities from the kernel test; z = 0 from the kernel test alone."""
-    dk = math.pi / (8.0 * graph.total_length())
-    halves = ((-1.0, T), (1.0, math.sqrt(max(z_max, 0.0))))
-    found = []  # (raw z value, 1)
-    for sign, x_hi in halves:
-        refine = _tangent_refiner(graph, kappa, sign)
-        for root in scan_roots(matching_det(graph, kappa, sign),
-                               min(1e-6, dk / 100), x_hi, dk,
-                               refine_tangent=refine):
-            found.append((sign * root.x * root.x, 1))
-
-    zero_mult = multiplicity_at(graph, kappa, 0.0)
-    eigenvalues = [Eigenvalue(0.0, zero_mult)] if zero_mult else []
-    for cluster in _clusters(found):
-        zc = sum(z for z, _ in cluster) / len(cluster)
-        if abs(zc) <= MERGE_TOL and zero_mult:
-            continue  # already counted by the kernel test
-        mult = max(len(cluster), multiplicity_at(graph, kappa, zc))
-        eigenvalues.append(Eigenvalue(zc, mult))
-    return eigenvalues
-
-
 def compact_spectrum(graph: MetricGraph, kappa: CouplingMatrix, z_max,
                      mode: str = "weyl") -> list[Eigenvalue]:
-    """Eigenvalues of the compact graph in (-inf, z_max], sorted ascending.
-
-    mode "weyl": jumps of the eigenvalue count, multiplicity the jump;
-    mode "matching": zeros of the vertex-matching determinant, tangent
-    roots and multiplicities from the kernel test of _kernel_values.
-    In both modes nearby roots are merged within 1e-8.  Leads are ignored.
+    """Eigenvalues of the compact graph in (-inf, z_max], sorted ascending,
+    as the jumps of the eigenvalue count, multiplicity the jump; roots
+    within 1e-8 are merged.  Mode "matching" lists the same roots after
+    kernel_margins has confirmed every one, and raises UnconfirmedRoot
+    where it does not.  Leads are ignored.
     """
     if mode not in ("weyl", "matching"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -524,12 +481,11 @@ def compact_spectrum(graph: MetricGraph, kappa: CouplingMatrix, z_max,
     T = 1.0  # the exact window: no eigenvalue below -T^2
     while _eigen_counts(graph, kappa, [-T])[0][0] > 0:
         T *= 2.0
-    if mode == "weyl":
-        eigenvalues = _counted_spectrum(graph, kappa, T, z_max)
-    else:
-        eigenvalues = _matching_spectrum(graph, kappa, T, z_max)
-    eigenvalues.sort(key=lambda e: e.z)
-    return [e for e in eigenvalues if e.z <= z_max + MERGE_TOL]
+    eigenvalues = [e for e in _counted_spectrum(graph, kappa, T, z_max)
+                   if e.z <= z_max + MERGE_TOL]
+    if mode == "matching":
+        kernel_margins(graph, kappa, eigenvalues)
+    return eigenvalues
 
 
 def compact_eigenvalues(graph: MetricGraph, kappa: CouplingMatrix, count: int,
@@ -549,10 +505,7 @@ def compact_eigenvalues(graph: MetricGraph, kappa: CouplingMatrix, count: int,
     while n < count:
         z_max *= 2.0
         n = _eigen_counts(graph, kappa, [math.sqrt(z_max)])[0][0]
-    # the count proves the list complete, so a coarse scan step is no news
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ScanResolution)
-        eigs = compact_spectrum(graph, kappa, z_max, mode)
+    eigs = compact_spectrum(graph, kappa, z_max, mode)
     values = [e.z for e in eigs for _ in range(e.multiplicity)]
     if len(values) < n:
         raise ScanFailure(f"the {mode} route listed {len(values)} of the "

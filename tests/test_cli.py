@@ -72,11 +72,13 @@ def test_spectrum_both_modes(interval_file, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     lines = [ln for ln in out.splitlines() if not ln.startswith("#")]
-    assert lines[0] == "index,eigenvalue_weyl,eigenvalue_matching,multiplicity"
+    assert lines[0] == ("index,eigenvalue_weyl,eigenvalue_matching,"
+                        "multiplicity,kernel_sv")
     rows = [ln.split(",") for ln in lines[1:]]
     assert len(rows) == 4
     for row in rows:
-        assert float(row[1]) == pytest.approx(float(row[2]), abs=1e-8)
+        assert row[1] == row[2]
+        assert 0.0 <= float(row[4]) < 1e-8
     assert float(rows[1][1]) == pytest.approx(math.pi ** 2, abs=1e-8)
 
 
@@ -86,37 +88,46 @@ def test_spectrum_single_mode_columns(interval_file, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     lines = [ln for ln in out.splitlines() if not ln.startswith("#")]
-    assert lines[0] == "index,eigenvalue,multiplicity,mode"
-    assert lines[1].endswith(",matching")
+    assert lines[0] == "index,eigenvalue,multiplicity,mode,kernel_sv"
+    assert lines[1].split(",")[3] == "matching"
+    assert main(["spectrum", "--graph", interval_file, "--zmax", "50",
+                 "--mode", "weyl"]) == 0
+    weyl = [ln for ln in capsys.readouterr().out.splitlines()
+            if not ln.startswith("#")]
+    assert weyl[0] == "index,eigenvalue,multiplicity,mode"
+    # the same rows, less the margin column
+    assert [ln.rsplit(",", 1)[0].replace("matching", "weyl")
+            for ln in lines[1:]] == weyl[1:]
 
 
-def test_spectrum_both_pairs_rows_by_eigenvalue(capsys):
-    """On missed-06 the matching scan misses members of close pairs that
-    the weyl count finds: each row holds one eigenvalue, with nan for a
-    route that lacks it and that route's multiplicity otherwise."""
+def test_spectrum_both_pairs_rows_by_eigenvalue(capsys, monkeypatch):
+    """On missed-06, whose close pairs a scan in sqrt|z| used to miss,
+    --mode both counts once and checks that one list: each row holds one
+    counted eigenvalue in both columns, its multiplicity and the margin of
+    its matching kernel check, and no cell reads nan."""
+    import qgs.cli
     path = os.path.join(PERFBENCH, "graphs", "missed-06.json")
     g = load_graph(path)
     kappa = CouplingMatrix.from_graph(g)
     ws = compact_spectrum(g, kappa, 100.0, "weyl")
-    ms = compact_spectrum(g, kappa, 100.0, "matching")
+    counts = []
+    real = qgs.cli.compact_spectrum
+
+    def counting(*args, **kwargs):
+        counts.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(qgs.cli, "compact_spectrum", counting)
     rc = main(["spectrum", "--graph", path, "--zmax", "100"])
     rows = [line.split(",") for line in capsys.readouterr().out.splitlines()
             if line[:1].isdigit()]
     assert rc == 0
-    assert [r[1] for r in rows if r[1] != "nan"] == ["%.17g" % e.z for e in ws]
-    assert [r[2] for r in rows if r[2] != "nan"] == ["%.17g" % e.z for e in ms]
-    assert any(r[2] == "nan" for r in rows)
-    mult = {("%.17g" % e.z, col): e.multiplicity
-            for col, route in ((1, ws), (2, ms)) for e in route}
-    values = []
-    for r in rows:
-        zw, zm = float(r[1]), float(r[2])
-        if not math.isnan(zw) and not math.isnan(zm):
-            assert abs(zw - zm) <= 1e-8 * max(1.0, abs(zw))
-        col = 1 if math.isnan(zm) else 2
-        assert int(r[3]) == mult[r[col], col]
-        values.append(float(r[col]))
-    assert values == sorted(values)
+    assert len(counts) == 1
+    assert "nan" not in {cell for r in rows for cell in r}
+    assert [r[1] for r in rows] == ["%.17g" % e.z for e in ws]
+    assert [r[2] for r in rows] == [r[1] for r in rows]
+    assert [int(r[3]) for r in rows] == [e.multiplicity for e in ws]
+    assert all(0.0 <= float(r[4]) < 1e-8 for r in rows)
 
 
 def test_spectrum_kappa_override(interval_file, capsys):
@@ -513,19 +524,23 @@ def test_unknown_subcommand_is_usage_error():
     assert proc.returncode == 2
 
 
-def test_spectrum_overflow_exits_3_without_traceback(interval_file, capsys,
-                                                     monkeypatch):
-    """A float matching determinant that overflows at every point: the
-    scan gives up with a ScanFailure, which the CLI reports as a
-    numerical failure."""
+def test_spectrum_unconfirmed_root_exits_3_without_traceback(
+        interval_file, capsys, monkeypatch):
+    """A matching system that is well-conditioned at every energy confirms
+    no counted root: the route raises UnconfirmedRoot, which the CLI
+    reports on one line as a numerical failure, with nothing on stdout."""
     import qgs.spectra
-    monkeypatch.setattr(qgs.spectra, "matching_det",
-                        lambda graph, kappa, sign=1.0: lambda x: math.inf)
+    monkeypatch.setattr(qgs.spectra, "matching_matrix",
+                        lambda graph, kappa, z, leads=(): np.eye(2))
     rc = main(["spectrum", "--graph", interval_file, "--zmax", "1",
                "--mode", "matching"])
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert rc == 3
-    assert "numerical failure: secular function undefined" in err
+    assert out == ""
+    assert err.startswith("numerical failure: matching kernel does not "
+                          "confirm the counted root z=")
+    assert err.endswith("of multiplicity 1: nullity 0\n")
+    assert err.count("\n") == 1
     assert "Traceback" not in err
 
 

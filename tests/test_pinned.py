@@ -5,9 +5,9 @@ Non-numeric text must match exactly and every number to 1e-13 relative,
 so a refactor that changes an answer fails here.  Numbers below 1e-14 in
 magnitude (rounding noise such as a unitarity defect of 4e-16) are
 compared to that absolute floor instead.  The spectrum run has
-double eigenvalues of the equilateral star, which the matching route
-finds as tangent roots and the weyl route as jumps of two in its count,
-so both are pinned too.
+double eigenvalues of the equilateral star, which the count finds as
+jumps of two and the matching kernel confirms with nullity two, so both
+are pinned too, with the margins of the kernel checks.
 Regenerate a file only when an answer is meant to change:
 
     cd tests/pinned && PYTHONPATH=../../src python -m qgs <argv> > <name>.txt

@@ -1,5 +1,5 @@
-"""The grid scan and bisection of the matching route (qgs.rootscan) on
-functions whose roots are known exactly."""
+"""The grid scan and bisection of qgs.rootscan, which the matching route
+no longer uses, on functions whose roots are known exactly."""
 
 from qgs.rootscan import Root, bisect, scan_roots
 

@@ -10,14 +10,14 @@ import numpy as np
 import pytest
 
 from qgs import (CouplingMatrix, Edge, Eigenvalue, MetricGraph,
-                 NumericalError, ScanFailure, Vertex, compact_eigenvalues,
-                 compact_spectrum, load_graph, matching_det, matching_matrix,
-                 multiplicity_at)
+                 NumericalError, ScanFailure, UnconfirmedRoot, Vertex,
+                 compact_eigenvalues, compact_spectrum, kernel_margins,
+                 load_graph, matching_matrix, multiplicity_at)
 from qgs import parse_graph, spectra, weyl
 from qgs.rootscan import scan_roots
 from qgs.spectra import (_count_jumps, _mp_matching_det,
                          _mp_weyl_det_negative, _mp_weyl_secular,
-                         _tangent_refiner, _weyl_matrix_raw)
+                         _weyl_matrix_raw)
 from qgs.testing import make_random_graph
 
 from conftest import PERFBENCH, perfbench
@@ -136,8 +136,7 @@ def test_deep_well(interval, mode):
 
 def test_deep_well_kernel_is_empty_away_from_the_root(interval):
     """M(z) - kappa is bounded on the negative axis, so its kernel test
-    sees no eigenvalue at -1500, where the matching matrix is scaled by
-    cosh(39)."""
+    sees no eigenvalue at -1500, and two at the double root -1600."""
     k = CouplingMatrix.from_values(interval, [-40.0, -40.0])
     assert multiplicity_at(interval, k, -1500.0) == 0
     assert multiplicity_at(interval, k, -1600.0) == 2
@@ -160,9 +159,8 @@ def test_zero_membership(interval):
 @pytest.mark.parametrize("mode", ["weyl", "matching"])
 def test_fan_bound_state(mode):
     """24 parallel unit edges, coupling -20 at one end: the ground state
-    is the same on every edge, so z = -q^2 with 24 q tanh q = 20.  It lies
-    inside the exact window T = 2, where the float matching determinant
-    stays finite."""
+    is the same on every edge, so z = -q^2 with 24 q tanh q = 20, and the
+    matching kernel confirms it on the 48 x 48 system."""
     g = MetricGraph([Vertex("A", -20.0), Vertex("B")],
                     [Edge("A", "B", 1.0) for _ in range(24)])
     with mp.workdps(30):
@@ -199,26 +197,27 @@ def test_weyl_route_lists_every_reference_eigenvalue(name, z_max):
 
 @pytest.mark.parametrize("name,z_max", MISSED + [("ladder-n30m", 1.0)])
 def test_matching_values_are_reference_eigenvalues(name, z_max):
-    """The matching scan may miss members of close pairs, but reports no
-    other value.  On ladder-n30m (45 edges) its float determinant stays
-    finite only inside the count's exact negative window."""
+    """The matching route confirms every counted root, the members of
+    close pairs and, on ladder-n30m (45 edges), the negative ones
+    included: its list is the reference list."""
     g, kappa, ref = _fixed(name, z_max)
-    for e in compact_spectrum(g, kappa, z_max, "matching"):
-        assert min(abs(e.z - want) for want in ref) <= \
-            1e-9 * max(1.0, abs(e.z))
+    got = flatten(compact_spectrum(g, kappa, z_max, "matching"))
+    assert got == pytest.approx(ref, rel=1e-9, abs=1e-9)
 
 
-def test_compact_eigenvalues_fails_a_list_shorter_than_the_count():
+def test_matching_route_confirms_all_22_values():
     """On missed-06 the first 22 eigenvalues need a window past the close
-    pair at 77.61/77.79.  The weyl route lists the reference values; the
-    matching scan misses a member of the pair, and the count turns its
-    shifted list into a ScanFailure."""
+    pairs at 26.45/26.99 and 77.61/77.79, which a scan in sqrt|z| stepped
+    too coarsely to see.  The matching route confirms all 22 counted
+    values, each with its margin below KERNEL_REL."""
     g, kappa, ref = _fixed("missed-06", 100.0)
     assert len(ref) >= 22
-    got = compact_eigenvalues(g, kappa, 22, "weyl")
+    got = compact_eigenvalues(g, kappa, 22, "matching")
+    assert got == compact_eigenvalues(g, kappa, 22, "weyl")
     assert got == pytest.approx(ref[:22], rel=1e-9, abs=1e-9)
-    with pytest.raises(ScanFailure):
-        compact_eigenvalues(g, kappa, 22, "matching")
+    eigs = compact_spectrum(g, kappa, got[-1], "weyl")
+    assert sum(e.multiplicity for e in eigs) == 22
+    assert max(kernel_margins(g, kappa, eigs)) < spectra.KERNEL_REL
 
 
 # --------------------------------------------------------------------------
@@ -449,8 +448,9 @@ def test_matching_matrix_shape(star3):
 
 
 def test_matching_det_vanishes_at_eigenvalue(interval):
-    f = matching_det(interval, zeros(interval))
-    assert abs(f(math.pi)) < 1e-8 * abs(f(math.pi + 0.3))
+    def det(z):
+        return np.linalg.det(matching_matrix(interval, zeros(interval), z))
+    assert abs(det(math.pi ** 2)) < 1e-8 * abs(det((math.pi + 0.3) ** 2))
 
 
 def test_multiplicity_at_double():
@@ -460,14 +460,38 @@ def test_multiplicity_at_double():
     assert multiplicity_at(g, zeros(g), 2.0) == 0
 
 
-def test_tangent_refiner_finds_the_double_root():
-    """Two parallel unit edges: pi^2 is a double eigenvalue, a tangent root
-    of the scanned determinants, located to the double nearest pi."""
+def test_matching_kernel_sees_deep_wells_in_the_decaying_basis(interval):
+    """Coupling -40 at one end: one bound state near -1600, which the
+    matching kernel confirms as simple.  In the basis C, S its system
+    subtracts terms of size cosh(40) and cannot tell a root from its
+    neighbours; in the decaying basis it has nullity 1 there and 0 at
+    -1500.  With -40 at both ends the even and odd states split by
+    about 1e-14, below double precision at z = -1600, and the kernel
+    reads 2, as the count does."""
+    one = CouplingMatrix.from_values(interval, [-40.0, 0.0])
+    eigs = compact_spectrum(interval, one, 1.0, "matching")
+    assert [e.multiplicity for e in eigs] == [1]
+    assert eigs[0].z == pytest.approx(-1600.0, rel=1e-12)
+    assert kernel_margins(interval, one, eigs)[0] < 1e-14
+    with pytest.raises(UnconfirmedRoot):
+        kernel_margins(interval, one, [Eigenvalue(-1500.0, 1)])
+    both = CouplingMatrix.from_values(interval, [-40.0, -40.0])
+    eigs = compact_spectrum(interval, both, 1.0, "matching")
+    assert [e.multiplicity for e in eigs] == [2]
+
+
+def test_unconfirmed_root_names_the_root_and_the_nullity():
+    """A root listed with the wrong multiplicity, or where there is none,
+    is refused with z, the listed multiplicity and the nullity found."""
     g = MetricGraph([Vertex("A"), Vertex("B")],
                     [Edge("A", "B", 1.0), Edge("A", "B", 1.0)])
-    refine = _tangent_refiner(g, zeros(g), 1.0)
-    assert refine(3.0, 3.3) == pytest.approx(math.pi, rel=1e-15)
-    assert refine(2.0, 2.5) is None  # no eigenvalue in (4, 6.25)
+    for z, m, nullity in ((math.pi ** 2, 1, 2), (2.0, 1, 0)):
+        with pytest.raises(UnconfirmedRoot) as info:
+            kernel_margins(g, zeros(g), [Eigenvalue(z, m)])
+        err = info.value
+        assert isinstance(err, NumericalError)
+        assert (err.z, err.multiplicity, err.nullity) == (z, m, nullity)
+        assert f"z={z!r}" in str(err) and f"nullity {nullity}" in str(err)
 
 
 def test_eigenvalue_record():
@@ -534,24 +558,26 @@ def _weyl_det(g, kappa, z):
     return d
 
 
+def _matching_det(g, kappa, z):
+    return np.linalg.det(matching_matrix(g, kappa, z)).real
+
+
 def test_float_and_mp_secular_functions_agree():
-    """The float count, the float matching scan and their 60-digit
-    references share one M-matrix and one matching assembly; away from
-    poles they agree to 1e-8."""
+    """The float count, the float matching determinant and their 60-digit
+    references share one M-matrix and one matching assembly, with the
+    same edge bases; away from poles they agree to 1e-8."""
     for g, kappa in _random_cases():
-        match_pos = matching_det(g, kappa)
-        match_neg = matching_det(g, kappa, -1.0)
         for k in (0.37, 1.3, 2.9, 4.1):
             if min(abs(math.sin(k * e.length)) for e in g.edges) < 1e-3:
                 continue  # too near a pole for the float M-matrix
             assert _rel(_weyl_det(g, kappa, k * k),
                         _mp_weyl_secular(g, kappa, k, 60)) < 1e-8
-            assert _rel(match_pos(k),
+            assert _rel(_matching_det(g, kappa, k * k),
                         float(_mp_matching_det(g, kappa, k * k, 60))) < 1e-8
         for q in (0.4, 1.7, 3.3):
             exact = float(mp.re(_mp_weyl_det_negative(g, kappa, q)))
             assert _rel(_weyl_det(g, kappa, -q * q), exact) < 1e-8
-            assert _rel(match_neg(q),
+            assert _rel(_matching_det(g, kappa, -q * q),
                         float(_mp_matching_det(g, kappa, -q * q, 60))) < 1e-8
 
 

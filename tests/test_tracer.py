@@ -25,9 +25,10 @@ def _functions():
 def test_tracer_changes_no_output(monkeypatch, capsys):
     """One pinned run of each subcommand, made as perfbench/run.py makes
     it (through qgs.cli.main), prints the same with the tracer installed.
-    install looks up every traced name; the matching scan of spectrum
-    --mode both goes through its scan_roots wrapper, which passes df=.
-    uninstall puts every original back."""
+    install looks up every traced name, qgs.rootscan.scan_roots included;
+    spectrum --mode both checks its roots through the traced
+    matching_matrix and numpy.linalg.svd.  uninstall puts every original
+    back."""
     monkeypatch.chdir(PINNED)
     runs = [CASES[name] for name in ("spectrum-both", "smatrix-poles",
                                      "invert-forward", "homog-study")]
@@ -47,7 +48,8 @@ def test_tracer_changes_no_output(monkeypatch, capsys):
         tracer.uninstall()
     assert traced == plain
     assert tracer.calls["cli"] == len(runs)
-    assert tracer.calls["rootscan.scan_roots"] > 0
+    assert tracer.calls["spectra.matching_matrix"] > 0
+    assert tracer.calls["linalg.svd"] > 0
     after = _functions()
     assert after.keys() == before.keys()
     assert [key for key in before if after[key] is not before[key]] == []
