@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kernels import entire_cs_array
+from .kernels import entire_cs_array, entire_cs_real
 
 SUM_TOL = 1e-12
 
@@ -135,11 +135,16 @@ def transfer_matrix(coef, length, z) -> np.ndarray:
          [-k c sin(kL),   cos(kL)      ]],   k = sqrt(z / c),
     with determinant identically 1 and the z=0 limit [[1, L/c], [0, 1]].
     coef, length and z may be arrays that broadcast together; the matrix
-    takes two new last axes.  A real z gives a real matrix; at z >= 0 each
-    entry is bit for bit the one that Python's complex arithmetic gives.
+    takes two new last axes.  A real z gives a real matrix.  Where z/coef
+    is real and nowhere negative, the entries come from the real kernels
+    (entire_cs_real); otherwise from the complex ones, whose real parts are
+    taken for a real z.  At z >= 0 each entry is, either way, bit for bit
+    the one that Python's complex arithmetic gives.
     """
     z = np.asarray(z)
-    C, S = entire_cs_array(z / coef, length)
+    w = z / coef
+    real = w.dtype.kind != "c" and not (w < 0).any()
+    C, S = (entire_cs_real if real else entire_cs_array)(w, length)
     if z.dtype.kind != "c":
         C, S = C.real, S.real
     T = np.empty(C.shape + (2, 2), C.dtype)

@@ -13,7 +13,7 @@ square-root branch fixed by Im sqrt(z) >= 0.  Three evaluation regimes:
 * exactly-real z -> the same formulas, with the ~1e-16 imaginary dust
   zeroed, so real-symmetric invariants hold exactly.
 
-Each kernel has one source, ``_kernels``, instantiated for three
+Each kernel has one source, ``_kernels``, instantiated for four
 arithmetics:
 
 * numpy complex arrays: ``edge_kernels`` (kcot, kcsc and ktanhalf of an
@@ -28,7 +28,14 @@ arithmetics:
   arguments give numpy scalars.  The M-matrix assembly of ``weyl`` calls
   ``edge_kernels`` once per stack of energies, and the layer transfer
   matrices of ``highcontrast`` call ``entire_cs_array`` once per stack of
-  (energy, layer) pairs.
+  (energy, layer) pairs with a complex or negative energy among them.
+* numpy float arrays: ``entire_cs_real``, the same pair for real z >= 0,
+  where k = sqrt(z) is real and so are cos(k x) and sin(k x)/k.  It
+  takes real square roots, cosines, sines, products and quotients, which
+  round as the complex ones do on a zero imaginary part, so its values
+  are bit for bit the real parts of ``entire_cs_array``'s.  The layer
+  transfer matrices call it for every stack of energies z >= 0, which is
+  every stack of the fiber bisections.
 * Python complex scalars: ``sqrt_upper`` and ``entire_cs``, for the
   vertex-matching systems, which take one energy at a time and where
   numpy's per-call cost would dominate.
@@ -95,6 +102,10 @@ def _array_sqrt(z):
     return np.sqrt(_as_complex_array(z))
 
 
+def _as_float_array(z):
+    return np.asarray(z, dtype=float)
+
+
 # numpy's complex loops round differently from Python's complex numbers: a
 # quotient multiplies by the reciprocal of the divisor, and a product may
 # fuse a multiply-add.  The array arithmetic divides, and multiplies two
@@ -155,8 +166,8 @@ def _kernels(cast, sqrt, exp, cos, sin, where, regime, realify, mul, div,
     realify(z, value) post-processes every returned value; edge_kernels
     hands it its three values at once, which the array arithmetic stacks
     along a new first axis, and entire_cs its two values one at a time.
-    edge_kernels serves the array and mpmath arithmetics, entire_cs all
-    three.
+    edge_kernels serves the complex array and mpmath arithmetics,
+    entire_cs all four.
     """
 
     def sqrt_upper(z):
@@ -231,6 +242,11 @@ def _kernels(cast, sqrt, exp, cos, sin, where, regime, realify, mul, div,
     _as_complex_array, _array_sqrt, np.exp, np.cos, np.sin, np.where,
     _array_regime, _array_realify, _array_multiply, _array_divide,
     _array_quotients)
+# real arrays, for energies z >= 0: only entire_cs, whose k is real there,
+# so the edge kernels (complex at every z) and their quotients are left out
+_, _, _, _, _, entire_cs_real = _kernels(
+    _as_float_array, np.sqrt, np.exp, np.cos, np.sin, np.where,
+    _array_regime, lambda z, value: value, np.multiply, np.divide, None)
 sqrt_upper, _, _, _, _, entire_cs = _kernels(
     complex, cmath.sqrt, cmath.exp, cmath.cos, cmath.sin, _scalar_where,
     _scalar_regime, _realify, operator.mul, operator.truediv,

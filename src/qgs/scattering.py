@@ -22,24 +22,28 @@ Two independent constructions live here:
   M-matrices of a block of energies in one stacked call and returns only
   the rows of the left factor and the columns of the right one that a
   form reads (the external ones, or every one for ``sigma_full``).  Per
-  energy that costs the two inverses of the condition gate, on M - K and
-  on M*, and one solve with a right-hand side per wanted row.  The
-  columns come from the gate's own inverse of M*, since
+  energy that costs the two inverses of the condition gate, on the
+  transpose of M - K and on M*, and no further solve.  The columns come
+  from the gate's own inverse of M*, since
 
       (M*)^-1 M = I + (M*)^-1 (M - M*),
 
   with M - M* = 2i Im M exact (at real s, 2i sqrt(s) on the lead
   diagonals and 0 elsewhere: a finite-rank change, as in Krein's
-  resolvent formula).  The rows are the wanted rows of (M - K)^-1, from
-  one solve with the transpose of M - K, times M* - K.  (Rows read off
-  the gate's inverse of M - K are not backward stable: near a resonance
-  of a 10-vertex graph, at cond 4.3e4, they made the projected-vs-
-  factorised defect 2.6e-9, against 8.4e-13 from the solve.)  A single
-  energy is a block of one, and ``sigma_sweep`` cuts its grid into blocks
-  of at most ``weyl.BLOCK_BYTES`` of M-matrices.  The projected form is
-  checked as the external rows of the left factor times the external
-  columns of the right one, without the n x n product.  Energies s <= 0
-  are refused with ValueError: no wave propagates on a lead there.
+  resolvent formula).  The rows are the wanted rows of (M - K)^-1, times
+  M* - K, read as the wanted columns of the gate's inverse of the
+  transpose of M - K.  numpy inverts by LAPACK's gesv with the identity
+  for right-hand side, so those columns are, bit for bit, the backward
+  stable solves with the transpose and the wanted columns of the
+  identity.  (Rows read off an inverse of M - K itself are not backward
+  stable: near a resonance of a 10-vertex graph, at cond 4.3e4, they
+  made the projected-vs-factorised defect 2.6e-9, against 8.4e-13 from
+  the solve.)  A single energy is a block of one, and ``sigma_sweep``
+  cuts its grid into blocks of at most ``weyl.BLOCK_BYTES`` of
+  M-matrices.  The projected form is checked as the external rows of the
+  left factor times the external columns of the right one, without the
+  n x n product.  Energies s <= 0 are refused with ValueError: no wave
+  propagates on a lead there.
 
 * ``lead_matching_oracle`` — plane-wave matching.  For a unit incoming
   wave e^{-ikx} on one lead, solve the (2n + n_leads) linear system of
@@ -62,8 +66,8 @@ from .errors import (FactorisationMismatch, NumericalError, PoleProximity,
                      SingularMatrix)
 from .graphs import MetricGraph
 from .spectra import matching_matrix
-from .weyl import (CouplingMatrix, _cond_gate, checked_solve, stack_size,
-                   weyl_stack)
+from .weyl import (CouplingMatrix, _cond_gate, checked_inverses,
+                   checked_solve, stack_size, weyl_stack)
 
 FACTOR_TOL = 1e-10
 
@@ -97,16 +101,17 @@ def scattering_solves(graph: MetricGraph, kappa: CouplingMatrix, s_values,
     Returns (rows, cols, errors): stacks of [(M - K)^-1 (M* - K)][idx, :]
     and [(M*)^-1 M][:, idx], one per energy, with M the full M-matrix and
     idx a list of vertex indices.  The block's M-matrices are one stacked
-    assembly, and the condition gate (cond <= COND_LIMIT) runs on M - K
-    and on M*.  The columns come from the gate's own inverse of M*:
-    (M*)^-1 M = I + (M*)^-1 (M - M*), where M - M* = 2i Im M is exact.
-    The rows are one thin solve with the transpose, Y = (M - K)^-T E with
-    E the idx columns of the identity, times M* - K; M - K is symmetric,
-    so that solve is gated on M - K itself.  errors[i] is None, or the
-    first NumericalError that refused energy i (a pole of M, then M - K,
-    then M*), whose rows and columns are then NaN.  The columns do not
-    depend on kappa, so a caller that wants only them passes
-    CouplingMatrix.zeros.  Raises ValueError for an energy s <= 0.
+    assembly, and the condition gate (cond <= COND_LIMIT) runs on the
+    transpose of M - K and on M*.  The columns come from the gate's own
+    inverse of M*: (M*)^-1 M = I + (M*)^-1 (M - M*), where
+    M - M* = 2i Im M is exact.  The rows are Y^T (M* - K), with Y the idx
+    columns of the gate's inverse of (M - K)^T; numpy computes an inverse
+    as the solve with the identity, so Y is, bit for bit, the thin solve
+    (M - K)^-T E with E the idx columns of the identity.  errors[i] is
+    None, or the first NumericalError that refused energy i (a pole of M,
+    then M - K, then M*), whose rows and columns are then NaN.  The
+    columns do not depend on kappa, so a caller that wants only them
+    passes CouplingMatrix.zeros.  Raises ValueError for an energy s <= 0.
     """
     for s in s_values:
         if not s > 0:
@@ -118,11 +123,10 @@ def scattering_solves(graph: MetricGraph, kappa: CouplingMatrix, s_values,
     Ms = M.conj().swapaxes(1, 2)
     E = np.eye(graph.n_vertices)[:, idx]
     K = kappa.as_array()
-    Y, refused = checked_solve((M - K).swapaxes(1, 2),
-                               np.broadcast_to(E, (len(M),) + E.shape),
-                               s_values, "M - coupling")
+    inverse, refused = checked_inverses((M - K).swapaxes(1, 2), s_values,
+                                        "M - coupling")
     errors = [exc or r for exc, r in zip(errors, refused)]
-    rows = Y.swapaxes(1, 2) @ (Ms - K)
+    rows = inverse[:, :, idx].swapaxes(1, 2) @ (Ms - K)
     refused, G = _cond_gate(Ms)
     errors = [exc or (SingularMatrix(s, "M*") if r else None)
               for s, exc, r in zip(s_values, errors, refused)]

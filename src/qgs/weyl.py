@@ -155,6 +155,20 @@ def checked_solve(A, B, z, what):
                for zi, r in zip(z, refused)]
 
 
+def checked_inverses(A, z, what):
+    """np.linalg.inv of each matrix of a stack A (N x n x n), refused
+    matrix by matrix as by checked_solve's stack form: returns (inverse,
+    errors), where errors[i] is SingularMatrix(z[i], what) for a refused
+    A[i], whose inverse is then NaN, and None otherwise.  numpy's inverse
+    is LAPACK's gesv with the identity for right-hand side, so a column of
+    it is np.linalg.solve's with that column of the identity, bit for bit.
+    """
+    refused, inverse = _cond_gate(A)
+    inverse[refused] = np.nan
+    return inverse, [SingularMatrix(zi, what) if r else None
+                     for zi, r in zip(z, refused)]
+
+
 def checked_inverse(A, z, what):
     """np.linalg.inv(A), refused as by checked_solve.
 

@@ -1,5 +1,6 @@
 """Periodic three-layer chain: fiber spectra and the homogenised limit."""
 
+import cmath
 import math
 
 import mpmath as mp
@@ -13,7 +14,8 @@ from qgs import (HighContrastCell, Quasimomentum, build_dispersion_table,
                  eps_spectrum, hom_dprime_spectra, hom_dprime_spectrum,
                  hom_tau_spectra, hom_tau_spectrum, transfer_matrix)
 from qgs.highcontrast import _bisect, _rotation
-from qgs.kernels import entire_cs, entire_cs_array, mp_entire_cs
+from qgs.kernels import (SERIES_CUTOFF, entire_cs, entire_cs_array,
+                         entire_cs_real, mp_entire_cs)
 
 CELL = HighContrastCell(0.25, 0.5, 0.25)
 
@@ -575,17 +577,75 @@ def test_bisect_brackets_finish_in_their_own_rounds():
     assert live_sizes.count(0) == 0             # no round on no brackets
 
 
-def test_entire_cs_array_matches_scalar():
-    """Real z >= 0 through both regimes in one array, z = 0 included."""
-    rng = np.random.default_rng(7)
+def _both_regimes(seed=7):
+    """Real z >= 0 through both regimes, z = 0 and 1e-300 included, in
+    random order."""
+    rng = np.random.default_rng(seed)
     z = np.concatenate([[0.0, 1e-300], rng.uniform(0.0, 3e-4, 200),
                         10.0 ** rng.uniform(-12.0, 4.0, 400)])
     rng.shuffle(z)
-    for x in (0.25, 0.45, 1.3):
-        C, S = entire_cs_array(z, x)
-        ref = np.array([entire_cs(v, x) for v in z.tolist()])
-        for got, want in ((C, ref[:, 0]), (S, ref[:, 1])):
-            assert _bits(got.real) == _bits(want.real)
-            assert _bits(got.imag) == _bits(want.imag)
-    C, S = entire_cs_array(np.array([0.0]), 0.7)
-    assert (C[0], S[0]) == entire_cs(0.0, 0.7) == (1.0, 0.7)
+    return z
+
+
+def test_entire_cs_array_matches_scalar():
+    """Real z >= 0 through both regimes in one array, z = 0 included: the
+    complex and the real array instances give the scalar values bit for
+    bit (the real one's imaginary parts read +0.0, as the scalar's do)."""
+    z = _both_regimes()
+    for instance in (entire_cs_array, entire_cs_real):
+        for x in (0.25, 0.45, 1.3):
+            C, S = instance(z, x)
+            ref = np.array([entire_cs(v, x) for v in z.tolist()])
+            for got, want in ((C, ref[:, 0]), (S, ref[:, 1])):
+                assert _bits(got.real) == _bits(want.real)
+                assert _bits(got.imag) == _bits(want.imag)
+        C, S = instance(np.array([0.0]), 0.7)
+        assert (C[0], S[0]) == entire_cs(0.0, 0.7) == (1.0, 0.7)
+
+
+def test_entire_cs_real_does_not_depend_on_the_stack():
+    """An element's value is the same alone, in a stack of 7 and in one of
+    1000, whether its stack sits in one regime or mixes the two."""
+    z = np.concatenate([_both_regimes(11), _both_regimes(12)])[:1000]
+    x = np.linspace(0.05, 1.3, z.size)
+    C, S = entire_cs_real(z, x)
+    small = np.abs(z * x * x) < SERIES_CUTOFF
+    stacks = [np.arange(7 * i, 7 * i + 7) for i in range(140)]
+    stacks += [np.flatnonzero(small)[:7], np.flatnonzero(~small)[:7]]
+    assert any(small[i].any() and not small[i].all() for i in stacks)
+    for i in stacks:
+        Ci, Si = entire_cs_real(z[i], x[i])
+        assert _bits(Ci) == _bits(C[i]) and _bits(Si) == _bits(S[i])
+    for j in range(0, z.size, 37):
+        Cj, Sj = entire_cs_real(z[j:j + 1], x[j:j + 1])
+        assert _bits(Cj) == _bits(C[j:j + 1])
+        assert _bits(Sj) == _bits(S[j:j + 1])
+
+
+@pytest.mark.parametrize("z", [-3.0, -250.0, 2.0 + 0.5j, -40.0 - 3.0j,
+                               1e-6j])
+def test_transfer_matrix_off_the_real_arithmetic(z):
+    """Complex z and real z < 0 keep the complex kernels: the matrix is the
+    closed form in q = sqrt(-z / c), with cosh(q L) and sinh(q L), and a
+    real z gives a real matrix."""
+    coef, length = 2.5, 0.7
+    q = cmath.sqrt(-z / coef)
+    ch, sh = cmath.cosh(q * length), cmath.sinh(q * length)
+    want = np.array([[ch, sh / (q * coef)], [q * coef * sh, ch]])
+    T = transfer_matrix(coef, length, z)
+    assert T.dtype == (float if isinstance(z, float) else complex)
+    assert np.allclose(T, want, rtol=1e-13, atol=1e-13)
+
+
+def test_transfer_matrix_of_a_mixed_stack_is_elementwise():
+    """A stack with an energy below 0 takes the complex kernels; its
+    entries at z >= 0 are still, bit for bit, those of each energy alone,
+    which takes the real ones."""
+    z = np.array([0.0, 1e-300, 3e-5, 4.0, 1e4, -2.0, -1e-7])
+    coef = np.array([1.0, 400.0, 1.0])
+    length = np.array([0.25, 0.5, 0.25])
+    T = transfer_matrix(coef, length, z[:, None])
+    assert T.dtype == float
+    for zi, Ti in zip(z, T):
+        assert _bits(Ti) == _bits(transfer_matrix(coef, length, zi))
+        assert _bits(Ti[0]) == _bits(transfer_matrix(coef[0], length[0], zi))

@@ -16,8 +16,9 @@ from qgs import (CouplingMatrix, Edge, FactorisationMismatch, MetricGraph,
                  external_factors, lead_matching_oracle, parse_graph,
                  sigma_external, sigma_full, sigma_projected, sigma_sweep)
 from qgs import weyl
-from qgs.scattering import FACTOR_TOL, external_block, scattering_solves_at
-from qgs.weyl import COND_LIMIT, compact_entries, weyl_full
+from qgs.scattering import (FACTOR_TOL, external_block, scattering_solves,
+                            scattering_solves_at)
+from qgs.weyl import COND_LIMIT, compact_entries, stack_size, weyl_full
 from qgs.testing import make_random_graph
 
 from conftest import perfbench
@@ -358,6 +359,36 @@ def test_sweep_is_bit_equal_to_one_energy_at_a_time(n, block_bytes,
         assert PoleProximity in kinds
         assert (FactorisationMismatch in kinds) == (tol < 0)
         assert len(got[0]) + len(got[1]) == len(grid)
+
+
+@pytest.mark.parametrize("n", [5, 50, 100])
+def test_rows_come_from_the_gates_inverse(n, monkeypatch):
+    """A block of scattering_solves takes two inverses, the gates' of
+    (M - K)^T and of M*, and no solve: its rows are the idx columns of the
+    first inverse, transposed, times M* - K, bit for bit what a thin solve
+    with (M - K)^T and the idx columns of the identity gives."""
+    g, kappa = _family_graph(n, seed=n)
+    ext = g.external_indices()
+    grid = [0.3 + 0.41 * i for i in range(min(stack_size(n), 6))]
+    M, poles = weyl.weyl_stack(g, np.array(grid), full=True)
+    assert (poles < 0).all()
+    K = kappa.as_array()
+    E = np.eye(n)[:, ext]
+    Y = np.linalg.solve((M - K).swapaxes(1, 2),
+                        np.broadcast_to(E, (len(M),) + E.shape))
+    want = Y.swapaxes(1, 2) @ (M.conj().swapaxes(1, 2) - K)
+
+    calls = []
+    for name in ("solve", "inv"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name,
+            lambda *a, name=name, real=real, **kw: calls.append(name)
+            or real(*a, **kw))
+    rows, _, errors = scattering_solves(g, kappa, grid, ext)
+    assert calls == ["inv", "inv"]
+    assert errors == [None] * len(grid)
+    assert rows.tobytes() == want.tobytes()
 
 
 def _mp_sigma_external(graph, kappa, s, dps=30):

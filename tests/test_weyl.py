@@ -16,8 +16,9 @@ from qgs import (CouplingMatrix, Edge, MetricGraph, PoleProximity,
                  robin_to_dirichlet, weyl_compact, weyl_full)
 from qgs.kernels import mp_edge_kernels
 from qgs.testing import make_random_graph
-from qgs.weyl import (COND_LIMIT, _cond_gate, checked_inverse, checked_solve,
-                      compact_entries, weyl_stack)
+from qgs.weyl import (COND_LIMIT, _cond_gate, checked_inverse,
+                      checked_inverses, checked_solve, compact_entries,
+                      weyl_stack)
 
 graphs = st.integers(min_value=0, max_value=10**9).map(
     lambda seed: make_random_graph(random.Random(seed)))
@@ -324,6 +325,25 @@ def test_stack_with_one_singular_matrix_refuses_that_item_only():
     assert np.isnan(X[2]).all()
     for i in (0, 1, 3):
         assert np.array_equal(X[i], np.linalg.solve(stack[i], B[i]))
+
+
+def test_checked_inverses_refuse_matrix_by_matrix():
+    """checked_inverses refuses as checked_solve's stack form does, one
+    error per refused matrix and NaN in its place; the other inverses are
+    np.linalg.inv's, and each of their columns is np.linalg.solve's with
+    that column of the identity, bit for bit."""
+    rng = np.random.default_rng(9)
+    stack = np.array([_with_cond(rng, 6, 10.0) for _ in range(4)]) + 0.5j
+    stack[2] = 0.0
+    inverse, errors = checked_inverses(stack, [0.5, 1.0, 1.5, 2.0], "M*")
+    assert [e is None for e in errors] == [True, True, False, True]
+    assert str(errors[2]) == "M* numerically singular at z=1.5"
+    assert np.isnan(inverse[2]).all()
+    E = np.eye(6)[:, [4, 1]]
+    for i in (0, 1, 3):
+        assert np.array_equal(inverse[i], np.linalg.inv(stack[i]))
+        assert np.array_equal(inverse[i][:, [4, 1]],
+                              np.linalg.solve(stack[i], E))
 
 
 # --------------------------------------------------------------------------
