@@ -16,10 +16,12 @@ the bracket to 32 ulps, never in more rounds than bisection.  Every live
 bracket, halving or refining, evaluates one point per round, with one
 stacked M-matrix assembly and one stacked eigvalsh per BLOCK_BYTES of
 matrices.  No scan grid, so no pair of eigenvalues is too close to see.
-N(-T^2) = 0 makes -T^2 an exact lower window.  Jumps of 2 or more and
-roots at z = 0 or on a pole are bisected to adjacent doubles.  Near 0 or
-a pole the float count is off (by about 3e-8 in z on a pole), so a root
-there moves onto that point.
+N(-T^2) = 0 makes -T^2 an exact lower window.  Jumps of 2 or more are
+bisected to adjacent doubles.  Near 0 or a pole the float count is off
+(by about 3e-8 in z on a pole), so a bracket within the snap's reach of
+such a point stops there, with its whole jump, when the kernel test finds
+an eigenvalue at it; a bracket past t(z_max), as wide as that reach,
+keeps a root on a pole at z_max.
 
 ``matching`` mode is the independent check.  It lists the count's roots
 and confirms each one, z <= 0 included, on the (2n)x(2n) linear system
@@ -89,14 +91,6 @@ def _weyl_matrix_raw(graph, kappa, z):
     return M
 
 
-def _dirichlet_counts(lengths, t):
-    """The Dirichlet term of N at each t of the array t: ceil(t l / pi) - 1
-    eigenvalues below t > 0 per edge; the maximum clears the negative
-    values of t <= 0."""
-    dirichlet = np.ceil(np.multiply.outer(t, lengths) / math.pi) - 1.0
-    return np.maximum(dirichlet, 0.0).sum(axis=-1).astype(int)
-
-
 def _eigen_counts(graph, kappa, t):
     """(counts, eigenvalues) at each z = t|t| of the sequence t: N(z) as
     an int array, the Dirichlet term plus the number of positive
@@ -104,7 +98,11 @@ def _eigen_counts(graph, kappa, t):
     one row per energy.  One assembly and one stacked eigvalsh per stack
     of at most BLOCK_BYTES of matrices."""
     t = np.asarray(t, dtype=float)
-    counts = _dirichlet_counts(np.array([e.length for e in graph.edges]), t)
+    # the Dirichlet term: ceil(t l / pi) - 1 eigenvalues below t > 0 per
+    # edge; the maximum clears the negative values of t <= 0
+    lengths = np.array([e.length for e in graph.edges])
+    dirichlet = np.ceil(np.multiply.outer(t, lengths) / math.pi) - 1.0
+    counts = np.maximum(dirichlet, 0.0).sum(axis=-1).astype(int)
     eigenvalues = np.empty((len(t), graph.n_vertices))
     size = stack_size(graph.n_vertices)
     for start in range(0, len(t), size):
@@ -116,23 +114,29 @@ def _eigen_counts(graph, kappa, t):
     return counts, eigenvalues
 
 
-def _isolated(lengths, a, b, na, nb, ea, eb):
+def _special_point(lengths, a, b):
+    """(p, near, within) for the bracket (a, b] and the array of edge
+    lengths: p is the nearest of 0 and the poles n pi / l to it (the first
+    in edge order on a tie), by one formula, so that a pole is the same
+    float in every bracket that finds it, and 0 is +0.0, so that a root
+    there prints as 0; near says whether p lies within the snap's reach,
+    SNAP_REL * max(|t|, 1 / l_min), of the bracket, and within whether the
+    whole bracket does."""
+    t = 0.5 * (a + b)
+    poles = np.round(max(0.0, t) * lengths / math.pi) * math.pi / lengths
+    p = float(poles[np.argmin(np.abs(t - poles))])
+    reach = SNAP_REL * max(-a, b, 1.0 / lengths.min())
+    return p, a - reach <= p <= b + reach, b - reach <= p <= a + reach
+
+
+def _isolated(near, a, b, na, nb, ea, eb):
     """The _Crossing of a bracket (a, b] with counts na, nb and eigenvalue
     rows ea, eb at its ends, or None while it must still be halved: when
-    its jump is not exactly 1, when 0 or a pole n pi / l lies in it or
-    within the reach of _counted_spectrum's snap (SNAP_REL * max(|t|,
-    1 / l_min)) of it, or when the crossing eigenvalue is not negative at
-    a and positive at b."""
-    if nb - na != 1:
+    its jump is not exactly 1, when 0 or a pole is near it (_special_point),
+    or when the crossing eigenvalue is not negative at a and positive at
+    b."""
+    if nb - na != 1 or near:
         return None
-    reach = SNAP_REL * max(-a, b, 1.0 / lengths.min())
-    lo, hi = a - reach, b + reach
-    if not (0.0 < lo or hi < 0.0):
-        return None
-    if lo > 0.0:
-        d_lo, d_hi = _dirichlet_counts(lengths, np.array([lo, hi])).tolist()
-        if d_lo != d_hi:
-            return None
     j = eb.size - int(np.sum(eb > 0.0))
     if not ea[j] < 0.0 < eb[j]:
         return None
@@ -204,31 +208,42 @@ class _Crossing:
         return True
 
 
-def _count_jumps(graph, kappa, lo, hi):
-    """(t, jump) for every jump of the count on (lo, hi], in ascending t.
+def _count_jumps(graph, kappa, ends):
+    """(t, jump) for every jump of the count on the brackets between
+    consecutive ends, in ascending t.
 
-    Isolate: each bracket whose end counts differ is halved until
-    _isolated accepts it or its midpoint is no longer a double strictly
-    inside it; the latter ends a jump of 2 or more, and a root at 0 or on
-    a pole, at adjacent doubles.  Refine: an accepted bracket, one jump of
-    1 clear of 0 and of the poles, is a _Crossing, refined on its crossing
-    eigenvalue to REFINE_ULPS ulps and reported at the final midpoint.
-    Every round evaluates one point per live bracket, halving or
-    refining, in one _eigen_counts call, whose eigenvalue rows give each
-    new crossing its values at both ends at no cost.  A refining step
-    whose count is neither end's (float noise) hands both halves back to
-    halving."""
+    Isolate: each bracket whose end counts differ is halved until it stops
+    or _isolated accepts it.  A bracket that lies wholly within the snap's
+    reach of its special point p (_special_point) stops at p with its
+    whole jump when the kernel test finds an eigenvalue at p^2, asked once
+    per p; a bracket whose midpoint is no longer a double strictly inside
+    it stops there, which ends a jump of 2 or more, or a root the kernel
+    test does not find at p, at adjacent doubles.  Refine: an accepted
+    bracket, one jump of 1 clear of 0 and of the poles, is a _Crossing,
+    refined on its crossing eigenvalue to REFINE_ULPS ulps and reported at
+    the final midpoint.  Every round evaluates one point per live bracket,
+    halving or refining, in one _eigen_counts call, whose eigenvalue rows
+    give each new crossing its values at both ends at no cost.  A refining
+    step whose count is neither end's (float noise) hands both halves back
+    to halving."""
     lengths = np.array([e.length for e in graph.edges])
-    counts, eigs = _eigen_counts(graph, kappa, [lo, hi])
-    na, nb = counts.tolist()
-    brackets = [(lo, hi, na, nb, eigs[0], eigs[1])]
-    crossings, jumps = [], []
+    counts, eigs = _eigen_counts(graph, kappa, ends)
+    counts = counts.tolist()
+    brackets = list(zip(ends, ends[1:], counts, counts[1:], eigs, eigs[1:]))
+    crossings, jumps, on_point = [], [], {}
     while True:
         halving = []
         for a, b, na, nb, ea, eb in brackets:
             if na == nb:
                 continue
-            crossing = _isolated(lengths, a, b, na, nb, ea, eb)
+            p, near, within = _special_point(lengths, a, b)
+            if within:
+                if p not in on_point:
+                    on_point[p] = multiplicity_at(graph, kappa, p * p) >= 1
+                if on_point[p]:
+                    jumps.append((p, nb - na))
+                    continue
+            crossing = _isolated(near, a, b, na, nb, ea, eb)
             if crossing is not None:
                 crossings.append(crossing)
                 continue
@@ -437,22 +452,15 @@ def _clusters(found):
 
 
 def _counted_spectrum(graph, kappa, T, z_max):
-    """The weyl route: the jumps of the count on (-T, t(z_max + MERGE_TOL)],
-    each moved onto the nearest of 0 and the poles n pi / l_p when the
-    kernel test finds an eigenvalue there and it lies within SNAP_REL *
-    max(|t|, 1 / l_min) (a root at 0 ends ~sqrt(eps) / l_min away, one on a
-    pole ~1e-8 t), then added up per cluster."""
+    """The weyl route: the jumps of the count on (-T, t(z_max + MERGE_TOL)]
+    and on one bracket past it, as wide as the snap's reach there, so that
+    a root on a pole at z_max, whose float jump can land past the window,
+    still stops at its pole; added up per cluster."""
     w = z_max + MERGE_TOL
     t_hi = math.copysign(math.sqrt(abs(w)), w)
-    lengths = [e.length for e in graph.edges]
-    found = []
-    for t, jump in _count_jumps(graph, kappa, -T, t_hi):
-        p = min((max(0, round(t * l / math.pi)) * math.pi / l
-                 for l in lengths), key=lambda p: abs(t - p))
-        if abs(t - p) <= SNAP_REL * max(abs(t), 1.0 / min(lengths)) and \
-                multiplicity_at(graph, kappa, p * p) >= 1:
-            t = p
-        found.append((t * abs(t), jump))
+    reach = SNAP_REL * max(abs(t_hi), 1.0 / min(e.length for e in graph.edges))
+    found = [(t * abs(t), jump) for t, jump in
+             _count_jumps(graph, kappa, [-T, t_hi, t_hi + reach])]
     eigenvalues = []
     for cluster in _clusters(found):
         mult = sum(jump for _, jump in cluster)

@@ -37,7 +37,7 @@ from .kernels import (SERIES_CUTOFF, edge_kernels, is_mp, mp_edge_kernels,
 
 POLE_TOL = 1e-12
 COND_LIMIT = 1e12
-GATE_SLACK = 4.0   # rounding margin of the 1-norm bracket in checked_solve
+GATE_SLACK = 4.0   # rounding margin of the 1-norm bracket in _cond_gate
 BLOCK_BYTES = 256 * 1024   # complex M-matrices held in one stack
 
 
@@ -133,31 +133,19 @@ def _cond_gate(A):
 
 
 def checked_solve(A, B, z, what):
-    """Solve A X = B, refusing A when np.linalg.cond(A) exceeds COND_LIMIT.
-
-    One matrix A (n x n): returns X, or raises SingularMatrix(z, what)
-    (z is the energy, for the message).  A stack A (N x n x n) with B
-    (N x n x m) and one energy per matrix in z: returns (X, errors), where
-    errors[i] is SingularMatrix(z[i], what) for a refused A[i], whose X[i]
-    is then NaN, and None otherwise.  Either way X is np.linalg.solve's,
-    bit for bit.
+    """Solve A X = B for one matrix A (n x n), or raise SingularMatrix(z,
+    what) when np.linalg.cond(A) exceeds COND_LIMIT (z is the energy, for
+    the message).  X is np.linalg.solve's, bit for bit.
     """
     refused, _ = _cond_gate(A)
-    if A.ndim == 2:
-        if refused:
-            raise SingularMatrix(z, what)
-        return np.linalg.solve(A, B)
-    if refused.any():       # identities in their place keep the stack solvable
-        A = np.where(refused[:, None, None], np.eye(A.shape[-1]), A)
-    X = np.linalg.solve(A, B)
-    X[refused] = np.nan
-    return X, [SingularMatrix(zi, what) if r else None
-               for zi, r in zip(z, refused)]
+    if refused:
+        raise SingularMatrix(z, what)
+    return np.linalg.solve(A, B)
 
 
 def checked_inverses(A, z, what):
     """np.linalg.inv of each matrix of a stack A (N x n x n), refused
-    matrix by matrix as by checked_solve's stack form: returns (inverse,
+    matrix by matrix as checked_solve refuses one: returns (inverse,
     errors), where errors[i] is SingularMatrix(z[i], what) for a refused
     A[i], whose inverse is then NaN, and None otherwise.  numpy's inverse
     is LAPACK's gesv with the identity for right-hand side, so a column of

@@ -82,6 +82,24 @@ def test_spectrum_both_modes(interval_file, capsys):
     assert float(rows[1][1]) == pytest.approx(math.pi ** 2, abs=1e-8)
 
 
+def test_spectrum_lists_a_root_on_a_pole_at_zmax(interval_file, capsys):
+    """On the unit interval (7 pi)^2 is an eigenvalue on a pole of M.  With
+    z_max exactly there, the float count's jump lands past the window; the
+    bracket past it stops at the pole, so the library and the CLI both
+    list it, with multiplicity 1."""
+    z_max = (7 * math.pi) ** 2
+    g = MetricGraph([Vertex("A"), Vertex("B")], [Edge("A", "B", 1.0)])
+    eigs = compact_spectrum(g, CouplingMatrix.zeros(g), z_max)
+    assert (eigs[-1].z, eigs[-1].multiplicity) == (483.61061565337855, 1)
+    rc = main(["spectrum", "--graph", interval_file, "--zmax",
+               "%.17g" % z_max])
+    assert rc == 0
+    rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines()
+            if not ln.startswith("#")][1:]
+    assert len(rows) == 8
+    assert rows[-1][1:4] == ["483.61061565337855"] * 2 + ["1"]
+
+
 def test_spectrum_single_mode_columns(interval_file, capsys):
     rc = main(["spectrum", "--graph", interval_file, "--zmax", "50",
                "--mode", "matching"])

@@ -310,13 +310,39 @@ def _count_case(name):
     return g, CouplingMatrix.from_graph(g)
 
 
-def _assert_same_jumps(graph, kappa, got, want):
+def _special_points(graph, t_hi):
+    """0 and the poles n pi / l up to t_hi, the same floats as the count's."""
+    return {0.0} | {n * math.pi / e.length for e in graph.edges
+                    for n in range(1, int(t_hi * e.length / math.pi) + 1)}
+
+
+def _assert_same_jumps(graph, kappa, got, want, points=frozenset()):
     """got has want's multiplicities in the same order, each root within
-    1e-12 relative of want's, and the count steps up across each root."""
-    assert [jump for _, jump in got] == [jump for _, jump in want]
-    for (t, _), (t_want, _) in zip(got, want):
-        assert abs(t - t_want) <= 1e-12 * abs(t_want)
-        step = 1e-12 * abs(t)
+    1e-12 relative of want's, and the count steps up across each root.  A
+    root of got in points (0 and the poles) stands for the jumps of want
+    within the snap's reach of it: it is that point exactly, with their
+    summed multiplicity, and the count steps up across that reach."""
+    floor = 1.0 / min(e.length for e in graph.edges)
+
+    def reach(t):
+        return spectra.SNAP_REL * max(abs(t), floor)
+
+    stops = [t for t, _ in got if t in points]
+    merged = []
+    for t_want, jump in want:
+        stop = [p for p in stops if abs(t_want - p) <= reach(p)]
+        if stop and merged and merged[-1][0] == stop[0]:
+            merged[-1] = (stop[0], merged[-1][1] + jump)
+        else:
+            merged.append((stop[0] if stop else t_want, jump))
+    assert [jump for _, jump in got] == [jump for _, jump in merged]
+    for (t, _), (t_want, _) in zip(got, merged):
+        if t in points:
+            assert t == t_want
+            step = reach(t)
+        else:
+            assert abs(t - t_want) <= 1e-12 * abs(t_want)
+            step = 1e-12 * abs(t)
         assert _one_count(graph, kappa, t - step) < \
             _one_count(graph, kappa, t + step)
 
@@ -326,22 +352,44 @@ def test_lockstep_count_finds_the_depth_first_jumps(name, t_hi):
     """Isolating each jump by halving and refining it on its crossing
     eigenvalue finds the jumps that bisection to adjacent doubles does,
     one bracket at a time: the same multiplicities, in the same order, at
-    the same roots to 1e-12.  Jumps of 2, roots on a pole and at z = 0
-    are bisected, so they are where bisection puts them."""
+    the same roots to 1e-12.  Jumps of 2 away from 0 and the poles are
+    bisected, so they are where bisection puts them.  Roots at z = 0 and
+    on a pole stop there: exactly at 0 or n pi / l, with the summed
+    multiplicity of bisection's jumps within the snap's reach."""
     g, kappa = _count_case(name)
     lo = _count_window(g, kappa)
     want, _ = _depth_first_jumps(g, kappa, lo, t_hi)
     assert len(want) > 3
-    got = _count_jumps(g, kappa, lo, t_hi)
-    _assert_same_jumps(g, kappa, got, want)
+    got = _count_jumps(g, kappa, [lo, t_hi])
+    _assert_same_jumps(g, kappa, got, want, _special_points(g, t_hi))
     if name in SPECIAL:
-        on_poles = [t for t, _ in want
-                    if abs(t - round(t / math.pi) * math.pi) < 1e-7]
         special = {"jump-of-2": [t for t, jump in want if jump == 2],
-                   "on-a-pole": [t for t in on_poles if t > 1.0],
-                   "at-zero": [t for t, _ in want if abs(t) < 1e-6]}[name]
+                   "on-a-pole": [math.pi, 2.0 * math.pi],
+                   "at-zero": [0.0]}[name]
         assert special
         assert set(special) <= {t for t, _ in got}
+
+
+@pytest.mark.parametrize("name,z_max", MISSED + [("unit-interval", 10.0)])
+def test_count_stops_at_special_points_in_few_rounds(name, z_max, interval,
+                                                     monkeypatch):
+    """A bracket at z = 0 or on a pole stops at that point once it lies
+    within the snap's reach, instead of halving on to adjacent doubles:
+    each compact_spectrum call below takes at most 30 counts (56 or 57 on
+    the missed-* graphs, and 83 on the unit interval, when such roots were
+    bisected to adjacent doubles)."""
+    g, kappa = (interval, zeros(interval)) if name == "unit-interval" \
+        else _count_case(name)
+    rounds = []
+    eigen_counts = spectra._eigen_counts
+
+    def counting(graph, kappa, t):
+        rounds.append(len(t))
+        return eigen_counts(graph, kappa, t)
+
+    monkeypatch.setattr(spectra, "_eigen_counts", counting)
+    assert compact_spectrum(g, kappa, z_max, "weyl")
+    assert len(rounds) <= 30
 
 
 def test_stalled_refinement_ends_within_bisection_rounds(monkeypatch):
@@ -359,12 +407,12 @@ def test_stalled_refinement_ends_within_bisection_rounds(monkeypatch):
         return eigen_counts(graph, kappa, t)
 
     monkeypatch.setattr(spectra, "_eigen_counts", counting)
-    _count_jumps(g, kappa, lo, 10.0)
+    _count_jumps(g, kappa, [lo, 10.0])
     refined_rounds = len(rounds)
     rounds.clear()
     monkeypatch.setattr(spectra, "_illinois_point",
                         lambda a, b, fa, fb: a + 1e-6 * (b - a))
-    got = _count_jumps(g, kappa, lo, 10.0)
+    got = _count_jumps(g, kappa, [lo, 10.0])
     _assert_same_jumps(g, kappa, got, want)
     assert refined_rounds < len(rounds) <= bisection_rounds
 
@@ -416,7 +464,7 @@ def test_count_stacks_stay_within_the_block_budget(monkeypatch):
     jumps."""
     g, kappa = _count_case("family-20")
     lo = _count_window(g, kappa)
-    want = _count_jumps(g, kappa, lo, 3.0)
+    want = _count_jumps(g, kappa, [lo, 3.0])
     sizes, rounds = [], []
     eigen_counts = spectra._eigen_counts
 
@@ -431,7 +479,7 @@ def test_count_stacks_stay_within_the_block_budget(monkeypatch):
     monkeypatch.setattr(weyl, "BLOCK_BYTES", 3 * 16 * g.n_vertices ** 2)
     monkeypatch.setattr(spectra, "_weyl_matrix_raw", assembling)
     monkeypatch.setattr(spectra, "_eigen_counts", counting)
-    assert _count_jumps(g, kappa, lo, 3.0) == want
+    assert _count_jumps(g, kappa, [lo, 3.0]) == want
     assert max(sizes) == 3
     assert max(rounds) > 3
     assert len(sizes) > len(rounds)

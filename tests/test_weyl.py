@@ -194,7 +194,7 @@ def test_rtd_singular_at_eigenvalue(interval):
 
 
 # --------------------------------------------------------------------------
-# the condition gate of checked_solve
+# the condition gate of checked_solve and checked_inverses
 # --------------------------------------------------------------------------
 
 def _with_cond(rng, n, kappa):
@@ -240,9 +240,10 @@ def _gate_cases():
 
 
 def test_gate_decides_as_the_svd_condition_number():
-    """One matrix at a time and as stacks of equal size, the gate refuses
-    exactly the matrices with np.linalg.cond(A) > COND_LIMIT, and what it
-    solves is np.linalg.solve's answer bit for bit."""
+    """One matrix at a time (checked_solve) and as stacks of equal size
+    (checked_inverses), the gate refuses exactly the matrices with
+    np.linalg.cond(A) > COND_LIMIT; what it solves is np.linalg.solve's
+    answer, and what it inverts np.linalg.inv's, bit for bit."""
     cases = _gate_cases()
     for A in cases:
         B = np.arange(A.shape[0] * 2).reshape(-1, 2) + 1j
@@ -254,17 +255,17 @@ def test_gate_decides_as_the_svd_condition_number():
                                   np.linalg.solve(A, B))
     for n in (1, 2, 10, 100):
         stack = np.array([A for A in cases if A.shape[0] == n])
-        B = np.ones((len(stack), n, 3), dtype=complex)
-        X, errors = checked_solve(stack, B, list(range(len(stack))), "probe")
+        inverse, errors = checked_inverses(stack, list(range(len(stack))),
+                                           "probe")
         want = [np.linalg.cond(A) > COND_LIMIT for A in stack]
         assert [e is not None for e in errors] == want
         for i, (A, refused) in enumerate(zip(stack, want)):
             if refused:
                 assert isinstance(errors[i], SingularMatrix)
                 assert errors[i].z == i
-                assert np.isnan(X[i]).all()
+                assert np.isnan(inverse[i]).all()
             else:
-                assert np.array_equal(X[i], np.linalg.solve(A, B[i]))
+                assert np.array_equal(inverse[i], np.linalg.inv(A))
     assert any(np.linalg.cond(A) > COND_LIMIT for A in cases)
 
 
@@ -279,8 +280,8 @@ def test_gate_needs_no_svd_clear_of_the_limit(monkeypatch):
         raise AssertionError("np.linalg.cond called")
 
     monkeypatch.setattr(np.linalg, "cond", no_svd)
-    _, errors = checked_solve(np.concatenate([fine, bad]),
-                              np.ones((5, 10, 1)), [1.0] * 5, "probe")
+    _, errors = checked_inverses(np.concatenate([fine, bad]), [1.0] * 5,
+                                 "probe")
     assert [e is None for e in errors] == [True, True, True, False, False]
 
 
@@ -313,23 +314,9 @@ def test_checked_inverse_of_a_stack_raises_at_the_first_refusal():
     assert np.array_equal(inverse[::2], np.linalg.inv(stack[::2]))
 
 
-def test_stack_with_one_singular_matrix_refuses_that_item_only():
-    rng = np.random.default_rng(9)
-    stack = np.array([_with_cond(rng, 6, 10.0) for _ in range(4)])
-    stack[2] = 0.0
-    B = rng.standard_normal((4, 6, 2)) + 0j
-    X, errors = checked_solve(stack, B, [0.5, 1.0, 1.5, 2.0], "M*")
-    assert [e is None for e in errors] == [True, True, False, True]
-    assert isinstance(errors[2], SingularMatrix)
-    assert str(errors[2]) == "M* numerically singular at z=1.5"
-    assert np.isnan(X[2]).all()
-    for i in (0, 1, 3):
-        assert np.array_equal(X[i], np.linalg.solve(stack[i], B[i]))
-
-
 def test_checked_inverses_refuse_matrix_by_matrix():
-    """checked_inverses refuses as checked_solve's stack form does, one
-    error per refused matrix and NaN in its place; the other inverses are
+    """checked_inverses refuses matrix by matrix, one error per refused
+    matrix and NaN in its place; the other inverses are
     np.linalg.inv's, and each of their columns is np.linalg.solve's with
     that column of the identity, bit for bit."""
     rng = np.random.default_rng(9)
