@@ -226,6 +226,8 @@ def _read_rtd_csv(path: str, n_ext: int) -> RtDSamples:
                 nums = [float(p) for p in parts]
             except ValueError as exc:
                 raise ParseError(str(exc), line=line_no) from exc
+            if not all(map(math.isfinite, nums)):
+                raise ParseError("samples must be finite", line=line_no)
             grid.append(nums[0])
             flat = nums[1:]
             mat = np.array([complex(flat[2 * k], flat[2 * k + 1])

@@ -135,22 +135,28 @@ def transfer_matrix(coef, length, z) -> np.ndarray:
          [-k c sin(kL),   cos(kL)      ]],   k = sqrt(z / c),
     with determinant identically 1 and the z=0 limit [[1, L/c], [0, 1]].
     coef, length and z may be arrays that broadcast together; the matrix
-    takes two new last axes.  A real z gives a real matrix.  Where z/coef
-    is real and nowhere negative, the entries come from the real kernels
-    (entire_cs_real); otherwise from the complex ones, whose real parts are
-    taken for a real z.  At z >= 0 each entry is, either way, bit for bit
-    the one that Python's complex arithmetic gives.
+    takes two new last axes.  A real z gives a real matrix.  The kernels
+    are chosen element by element, so that a matrix does not depend on the
+    stack it sits in: the real ones (entire_cs_real) wherever z/coef is
+    real and >= 0, the complex ones elsewhere, whose real parts are taken
+    for a real z.
     """
     z = np.asarray(z)
     w = z / coef
-    real = w.dtype.kind != "c" and not (w < 0).any()
-    C, S = (entire_cs_real if real else entire_cs_array)(w, length)
+    if w.dtype.kind == "c" or not (real := w >= 0.0).any():
+        C, S = entire_cs_array(w, length)
+    elif real.all():
+        C, S = entire_cs_real(w, length)
+    else:   # a mixed stack: both sets, and each element takes its own
+        (C, S), (Cc, Sc) = (entire_cs_real(np.where(real, w, 0.0), length),
+                            entire_cs_array(w, length))
+        C, S = np.where(real, C, Cc.real), np.where(real, S, Sc.real)
     if z.dtype.kind != "c":
         C, S = C.real, S.real
     T = np.empty(C.shape + (2, 2), C.dtype)
     T[..., 0, 0] = T[..., 1, 1] = C
     T[..., 0, 1] = S / coef
-    T[..., 1, 0] = 0.0 - z * S      # +0.0 at z = 0, as a complex product
+    T[..., 1, 0] = 0.0 - z * S      # +0.0, not -0.0, at z = 0
     return T
 
 
@@ -184,17 +190,6 @@ def _folded(tau) -> float:
     if not math.isfinite(t):  # a nan target would pass every band as a hit
         raise ValueError(f"tau must be finite, got {t!r}")
     return abs(Quasimomentum(t).tau)
-
-
-def _libm(fn):
-    """The two-argument float function fn elementwise: numpy's arctan2 and
-    power round differently from math.atan2 and a float's ** in places."""
-    ufunc = np.frompyfunc(fn, 2, 1)
-    return lambda x, y: ufunc(x, y).astype(float)
-
-
-_atan2 = _libm(math.atan2)
-_pow = _libm(math.pow)
 
 
 def _bisect(below, lo, hi) -> np.ndarray:
@@ -249,12 +244,12 @@ def _rotation(cell: HighContrastCell, stiff, kappa, band: int):
                         (root, kappa * cell.l3 / root)):
         turns, psi = np.divmod(theta, math.pi)
         theta = (turns * math.pi
-                 + _atan2(ratio * np.sin(psi), np.cos(psi)) + gain)
+                 + np.arctan2(ratio * np.sin(psi), np.cos(psi)) + gain)
     n_dirichlet = np.ceil(theta / math.pi) - 1.0
     M = _monodromy(cell, stiff, kappa * kappa)
     m11, m12, m21, m22 = M[:, 0, 0], M[:, 0, 1], M[:, 1, 0], M[:, 1, 1]
-    delta = -_pow(m11 - m22, 2.0) - 4.0 * m12 * m21
-    a = _atan2(np.sqrt(np.where(0.0 > delta, 0.0, delta)), m11 + m22)
+    delta = -np.square(m11 - m22) - 4.0 * m12 * m21
+    a = np.arctan2(np.sqrt(np.where(0.0 > delta, 0.0, delta)), m11 + m22)
     return (math.pi * (n_dirichlet - band + 1)
             + np.where(n_dirichlet % 2 == 0, a, math.pi - a)), delta
 

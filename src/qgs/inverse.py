@@ -506,11 +506,14 @@ def recover_path_sums(graph_topology: MetricGraph, rtd_oracle, paths,
     ladder_tau0(graph_topology).  The oracle is called once, as
     rtd_oracle(z, paths) with the 1-D array z of the ladder energies and
     the list of paths, and returns the (len(paths), len(z)) array of
-    their values.  A fit residual above fit_tol * (1 + |c0|) raises
+    their values.  The samples -1/f - tau * D are one numpy array, fitted
+    by one least-squares solve with a column per path.  A fit residual
+    above fit_tol * (1 + |c0|), or not a number, raises
     ExtrapolationDiverged naming the path's target — the signature of a
-    wrong topology, a bad oracle, or tau0 too small for the edge lengths.
-    So does one ulp of the deepest drift tau * D above that bound: that
-    sample keeps no digit of the sum, and the error reports the ulp.
+    wrong topology, a bad oracle (a zero or non-finite value, say), or
+    tau0 too small for the edge lengths.  So does one ulp of the deepest
+    drift tau * D above that bound: that sample keeps no digit of the
+    sum, and the error reports the ulp.
     """
     if tau0 is None:
         tau0 = ladder_tau0(graph_topology)
@@ -520,21 +523,24 @@ def recover_path_sums(graph_topology: MetricGraph, rtd_oracle, paths,
     if values.shape != (len(paths), len(taus)):
         raise ValueError(f"the oracle returned shape {values.shape} for "
                          f"{len(paths)} paths at {len(taus)} energies")
-    degree = {v: graph_topology.degree(v)
-              for v in graph_topology.vertex_ids()}
+    drift = [sum(graph_topology.degree(v) for v in path.vertices_on_path)
+             - 2 * (path.vertex_count - 1) for path in paths]
+    with np.errstate(all="ignore"):     # a zero or non-finite sample
+        samples = (-1.0 / values - np.multiply.outer(drift, taus)).T
     design = np.column_stack([np.ones_like(taus), 1.0 / taus,
                               1.0 / taus ** 2]).astype(complex)
+    # the solver scales all columns by the largest entry: a non-finite
+    # column is fitted as zeros, and its residual stays non-finite
+    finite = np.isfinite(samples).all(axis=0)
+    coefs, *_ = np.linalg.lstsq(design, np.where(finite, samples, 0.0),
+                                rcond=None)
+    residuals = np.max(np.abs(design @ coefs - samples), axis=0)
     estimates = []
-    for path, row in zip(paths, values.tolist()):
-        D = sum(degree[v] for v in path.vertices_on_path)
-        D -= 2 * (path.vertex_count - 1)
-        samples = np.array([-1.0 / complex(f) - tau * D
-                            for tau, f in zip(taus.tolist(), row)])
-        coef, *_ = np.linalg.lstsq(design, samples, rcond=None)
-        residual = float(np.max(np.abs(design @ coef - samples)))
+    for path, D, coef, residual in zip(paths, drift, coefs.T,
+                                       residuals.tolist()):
         threshold = fit_tol * (1.0 + abs(coef[0]))
         lost = math.ulp(float(taus[-1]) * D)
-        if residual > threshold or lost > threshold:
+        if not residual <= threshold or lost > threshold:
             raise ExtrapolationDiverged(max(residual, lost), threshold,
                                         path=path.target)
         value = complex(coef[0])

@@ -430,6 +430,35 @@ def test_invert_rejects_malformed_csv(graph_file, tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("column", [0, 1, 2])
+def test_invert_refuses_nan_samples(graph_file, tmp_path, capfd, column):
+    """A nan grid point or sample value is refused with the line named,
+    where it used to print nan couplings, which is not JSON, and exit 0."""
+    csv = _ladder_samples(tmp_path, load_graph(graph_file), [0.5, -0.25, 1.0])
+    rows = csv.read_text().splitlines()
+    fields = rows[3].split(",")
+    fields[column] = "nan"
+    rows[3] = ",".join(fields)
+    csv.write_text("\n".join(rows) + "\n")
+    _refused(["invert", "--graph-topology", graph_file, "--rtd-samples",
+              str(csv)], capfd, "(line 4)")
+
+
+def test_invert_zero_sample_diverges(graph_file, tmp_path, capsys):
+    """A 0.0 sample at a ladder node, where -1/f is infinite, exits 3
+    naming the path, where it used to end in a ZeroDivisionError."""
+    csv = _ladder_samples(tmp_path, load_graph(graph_file), [0.5, -0.25, 1.0])
+    rows = csv.read_text().splitlines()
+    rows[3] = rows[3].split(",")[0] + ",0.0,0.0"
+    csv.write_text("\n".join(rows) + "\n")
+    assert main(["invert", "--graph-topology", graph_file,
+                 "--rtd-samples", str(csv)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numerical failure: extrapolation residual")
+    assert err.endswith("for path to 'V1'\n")
+
+
 # --------------------------------------------------------------------------
 # homog
 # --------------------------------------------------------------------------

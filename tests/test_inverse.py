@@ -438,6 +438,24 @@ def test_diverged_fit_raises():
         invert_couplings(g, noisy, fit_tol=1e-10)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+def test_non_finite_samples_diverge_on_their_path(bad):
+    """An oracle value that makes a sample -1/f - tau D nan or infinite
+    fails that path's fit, named, whatever the other paths hold."""
+    g = chain(0.3, -0.4, 0.7)
+    clean = forward_f1_oracle(g, CouplingMatrix.from_graph(g))
+    paths = spanning_tree(g, "V1")
+
+    def spoiled(z, paths):
+        values = clean(z, paths)
+        values[2, 3] = bad
+        return values
+
+    with pytest.raises(ExtrapolationDiverged,
+                       match=f"for path to {paths[2].target!r}$"):
+        recover_path_sums(g, spoiled, paths)
+
+
 # --------------------------------------------------------------------------
 # sampled-data route
 # --------------------------------------------------------------------------

@@ -134,35 +134,65 @@ def test_kernels_accept_complex():
         < 1e-12
 
 
-def _python_edge_kernels(z, l):
-    """kcot, kcsc, ktanhalf in Python's complex arithmetic, one value at a
-    time: the reference the array arithmetic rounds like."""
-    z = complex(z)
-    u = z * l * l
-    if abs(u) < SERIES_CUTOFF:
-        values = ((1.0 - u / 3.0 - u * u / 45.0 - 2.0 * u**3 / 945.0) / l,
-                  (1.0 + u / 6.0 + 7.0 * u * u / 360.0
-                   + 31.0 * u**3 / 15120.0) / l,
-                  (u / 2.0 + u * u / 24.0 + u**3 / 240.0) / l)
-    else:
-        k = cmath.sqrt(z)
-        if k.imag < 0:
-            k = -k
-        q, p = cmath.exp(2j * k * l), cmath.exp(1j * k * l)
-        values = (1j * k * (q + 1.0) / (q - 1.0), 2j * k * p / (p * p - 1.0),
-                  -1j * k * (p - 1.0) / (p + 1.0))
-    return [complex(v.real, 0.0) for v in values]
+def _mp_edge_kernels(z, l):
+    """kcot, kcsc, ktanhalf of a real energy from their definitions, in
+    40-digit mpmath: k cot kl, k csc kl and k tan(kl/2) with k = sqrt(z),
+    Im k >= 0, and their limits 1/l, 1/l and 0 at z = 0."""
+    with mp.workdps(40):
+        k, l = mp.sqrt(mp.mpf(z)), mp.mpf(l)
+        if z == 0:
+            return [float(1 / l), float(1 / l), 0.0]
+        return [float(mp.re(v)) for v in
+                (k * mp.cot(k * l), k * mp.csc(k * l), k * mp.tan(k * l / 2))]
 
 
-def test_array_kernels_of_real_energies_round_as_python():
+# the worst error of the array kernels against _mp_edge_kernels on the
+# points below, relative to max(1, |value|), is 5.3e-14, at z = 123.4,
+# l = 1.7, where sin(kl) = 0.03; kernels that round as Python's complex
+# numbers do show the same 5.3e-14 there
+EDGE_KERNELS_TOL = 1e-13
+
+
+def test_array_kernels_of_real_energies_match_their_definitions():
     """For real energies in every regime -- series, z = 0, both forms in
     one array, the exponential form, underflowing q -- the array kernels
-    equal Python's complex arithmetic bit for bit, so a stacked assembly
-    reproduces one built value by value."""
+    are real and within EDGE_KERNELS_TOL of the definitions."""
     z = np.array([0.0, 3e-6, -2e-5, 4e-4, -3e-3, 0.7, 2.7, 11.9, 123.4,
                   -3.1, -40.0, -1e6, -1e12])
     l = np.array([0.05, 0.4, 1.0, 1.3, 1.7])
     got = edge_kernels(z[:, None], l)
-    for i, zi in enumerate(z):
-        for j, lj in enumerate(l):
-            assert list(got[:, i, j]) == _python_edge_kernels(zi, lj)
+    assert not got.imag.any()
+    for i, zi in enumerate(z.tolist()):
+        for j, lj in enumerate(l.tolist()):
+            want = np.array(_mp_edge_kernels(zi, lj))
+            err = abs(got[:, i, j].real - want) / np.maximum(1.0, abs(want))
+            assert err.max() <= EDGE_KERNELS_TOL, (zi, lj)
+
+
+def _bits(values):
+    """The IEEE bit patterns of real and imaginary parts, so that -0.0
+    and 0.0 differ too."""
+    values = np.asarray(values, dtype=complex)
+    return np.stack((values.real, values.imag)).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("z_imag", [0.0, 0.5])
+def test_edge_kernels_do_not_depend_on_the_stack(z_imag):
+    """An element's kernels are the same in a stack of 1, of 7 and of 1000
+    that mixes the regimes, on the real axis and off it: for energies
+    paired with lengths, and for a column of energies against a row of
+    lengths, as the assemblies call them."""
+    rng = np.random.default_rng(5)
+    z = np.concatenate([[0.0, 1e-300, -1e-300],
+                        rng.uniform(-3e-4, 3e-4, 297),
+                        10.0 ** rng.uniform(-12.0, 6.0, 350),
+                        -10.0 ** rng.uniform(-12.0, 12.0, 350)])
+    rng.shuffle(z)
+    z = z + 1j * z_imag * abs(z)
+    l = rng.uniform(0.05, 2.0, z.size)
+    row = np.array([0.01, 0.3, 1.0, 1.7, 2.0])
+    paired, crossed = edge_kernels(z, l), edge_kernels(z[:, None], row)
+    stacks = [np.arange(i, i + 7) for i in range(0, z.size - 6, 7)]
+    for at in stacks + [np.array([i]) for i in range(z.size)]:
+        assert _bits(edge_kernels(z[at], l[at])) == _bits(paired[:, at])
+        assert _bits(edge_kernels(z[at, None], row)) == _bits(crossed[:, at])

@@ -64,7 +64,8 @@ def test_digest_dump_and_against(tmp_path, monkeypatch, capsys,
                                  output_digest):
     """--dump writes each job's output; --against reports, per job whose
     output differs from the dumped one, how many numbers changed and by
-    how much at most, or that the text or the file differs."""
+    how much at most, or that the text or the file differs, and then the
+    same per workload."""
     monkeypatch.chdir(ROOT)     # the tool works from the checkout root
     monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
     import inputs
@@ -88,7 +89,8 @@ def test_digest_dump_and_against(tmp_path, monkeypatch, capsys,
         assert output_digest.main(argv + ["--against", str(dump)]) == 0
         return capsys.readouterr().out.splitlines()
 
-    assert against()[-1] == f"# 0 outputs differ from {dump}"
+    assert against()[-2:] == ["# tiny: 0 of 2 outputs differ",
+                              f"# 0 outputs differ from {dump}"]
     numbers = output_digest.pinned_rule()._split(text)[1]
     value = next(x for x in numbers if abs(x) > 0.1)    # a coupling
     moved = value * (1 + 1e-12)
@@ -98,11 +100,18 @@ def test_digest_dump_and_against(tmp_path, monkeypatch, capsys,
                              f"changed, max abs {abs(value - moved):.2g}, "
                              "max rel 1e-12 (beyond the pinned tolerance)")
     assert "differs" not in lines[1]
-    assert lines[-1] == f"# 1 outputs differ from {dump}"
+    assert lines[-2:] == [f"# tiny: 1 of 2 outputs differ, max abs "
+                          f"{abs(value - moved):.2g}, max rel 1e-12",
+                          f"# 1 outputs differ from {dump}"]
     first.write_text(text.replace("couplings", "coupling", 1))
-    assert against()[0].endswith(" differs: text differs")
+    other = "# tiny: 1 of 2 outputs differ, 1 in their text or missing"
+    lines = against()
+    assert lines[0].endswith(" differs: text differs")
+    assert lines[-2] == other
     first.unlink()
-    assert against()[0].endswith(" differs: missing")
+    lines = against()
+    assert lines[0].endswith(" differs: missing")
+    assert lines[-2] == other
 
 
 def test_digest_reports_the_largest_absolute_change_beside_the_relative(

@@ -28,7 +28,11 @@ them (each taken over every changed number, so a last-bit change of a
 number near 0 reads large relative and small absolute).  Numbers
 are found and compared by the rule of tests/test_pinned.py; an output
 whose text around the numbers differs, or that is missing from DIR, is
-reported as such.  A last line counts the jobs that differ.
+reported as such.  The report ends with one line per workload (check
+and the demos included): how many of its outputs differ, the largest
+absolute and relative changes of a number among them, and how many differ
+in their text or are missing; a last line counts all the jobs that
+differ.
 """
 
 from __future__ import annotations
@@ -80,22 +84,35 @@ def pinned_rule():
     return module
 
 
+def changes(got: str, want: str, rule):
+    """The (got, want) pairs of numbers that differ, or None when the text
+    around the numbers differs."""
+    got_text, got_numbers = rule._split(got)
+    want_text, want_numbers = rule._split(want)
+    if got_text != want_text or len(got_numbers) != len(want_numbers):
+        return None
+    return [(g, w) for g, w in zip(got_numbers, want_numbers)
+            if not (g == w or g != g and w != w)]
+
+
+def worst(changed) -> tuple[float, float]:
+    """The largest absolute and relative change among changed pairs."""
+    return (max(abs(g - w) for g, w in changed),
+            max(abs(g - w) / max(abs(g), abs(w)) for g, w in changed))
+
+
 def compare(got: str, want: str, rule) -> str:
     """How got differs from want: '' when equal, else a short report."""
     if got == want:
         return ""
-    got_text, got_numbers = rule._split(got)
-    want_text, want_numbers = rule._split(want)
-    if got_text != want_text or len(got_numbers) != len(want_numbers):
+    changed = changes(got, want, rule)
+    if changed is None:
         return "text differs"
-    changed = [(g, w) for g, w in zip(got_numbers, want_numbers)
-               if not (g == w or g != g and w != w)]
     if not changed:
         return "numbers written differently"
-    worst_abs = max(abs(g - w) for g, w in changed)
-    worst_rel = max(abs(g - w) / max(abs(g), abs(w)) for g, w in changed)
-    report = (f"{len(changed)} of {len(got_numbers)} numbers changed, "
-              f"max abs {worst_abs:.2g}, max rel {worst_rel:.2g}")
+    worst_abs, worst_rel = worst(changed)
+    report = (f"{len(changed)} of {len(rule._split(got)[1])} numbers "
+              f"changed, max abs {worst_abs:.2g}, max rel {worst_rel:.2g}")
     if any(not rule._same_number(g, w) for g, w in changed):
         report += " (beyond the pinned tolerance)"
     return report
@@ -131,10 +148,9 @@ def main(argv=None) -> int:
     rule = pinned_rule() if against else None
     if dump:
         os.makedirs(dump, exist_ok=True)
-    differ = 0
+    tally = {}      # per workload, as the report's last lines give it
 
     def report(name, i, tag, call):
-        nonlocal differ
         rc, text = run(call)
         digest = hashlib.sha256(text.encode()).hexdigest()
         line = f"{name} {i:03d} {tag} exit={rc} sha256={digest}"
@@ -143,14 +159,23 @@ def main(argv=None) -> int:
             with open(os.path.join(dump, base), "w") as fh:
                 fh.write(text)
         if against:
+            counts = tally.setdefault(
+                name, {"outputs": 0, "differ": 0, "numbers": [], "text": 0})
+            counts["outputs"] += 1
             try:
                 with open(os.path.join(against, base)) as fh:
-                    change = compare(text, fh.read(), rule)
+                    want = fh.read()
+                change = compare(text, want, rule)
             except FileNotFoundError:
-                change = "missing"
+                want, change = None, "missing"
             if change:
-                differ += 1
+                counts["differ"] += 1
                 line += f" differs: {change}"
+                changed = None if want is None else changes(text, want, rule)
+                if changed is None:
+                    counts["text"] += 1
+                else:
+                    counts["numbers"] += changed
         print(line, flush=True)
 
     shutil.rmtree(WORK, ignore_errors=True)
@@ -166,7 +191,17 @@ def main(argv=None) -> int:
         for i, demo in enumerate(demos):
             report("demo", i, demo,
                    lambda: run_demo(os.path.join("demos", demo)))
+    for name, counts in tally.items():
+        line = (f"# {name}: {counts['differ']} of {counts['outputs']} "
+                "outputs differ")
+        if counts["numbers"]:
+            line += ", max abs {:.2g}, max rel {:.2g}".format(
+                *worst(counts["numbers"]))
+        if counts["text"]:
+            line += f", {counts['text']} in their text or missing"
+        print(line, flush=True)
     if against:
+        differ = sum(counts["differ"] for counts in tally.values())
         print(f"# {differ} outputs differ from {args.against}", flush=True)
     return 0
 
