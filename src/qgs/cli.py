@@ -576,7 +576,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="hidden couplings for --oracle forward")
     iv.add_argument("--rtd-samples",
                     help="CSV of response-map samples (experimental; "
-                         "recovers external-vertex couplings only)")
+                         "recovers external-vertex couplings only); the "
+                         "grid must reach -(tau0 * 2^(levels - 1))^2")
     iv.add_argument("--tau0", type=float,
                     help="start of the probe ladder tau0 * 2^j (default: "
                          "max(32, 32/l_min) for --oracle forward, with "

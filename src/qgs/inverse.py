@@ -39,9 +39,11 @@ The chain implemented here:
    matrix, a Schur complement.  Per energy A is assembled and gated once,
    G = A^-1, and each path's entry is 1/s with
    s = b - u.w + w_S^T G_SS^-1 w_S, w = G u (see ``_glued_schur``), at
-   O(n^2) per path.  A gate refusal of A, or an s the contracted graph's
-   gate would refuse, raises SingularMatrix.  ``f1_contracted`` keeps the
-   contraction itself, as the independent cross-check.
+   O(n^2) per path.  The assembly's pole verdicts and the gate's
+   (``weyl.gated_inverses``) come per energy; the first in energy order
+   is raised, PoleProximity or SingularMatrix, and so is SingularMatrix
+   for an s the contracted graph's gate would refuse.  ``f1_contracted``
+   keeps the contraction itself, as the independent cross-check.
 
 3. ``recover_couplings`` — the path sums over a prefix-closed family of
    tree paths form a triangular system: each vertex coupling is the sum
@@ -51,7 +53,9 @@ The chain implemented here:
 (no forward oracle available) only root paths can be probed, which
 limits recovery to couplings at the external vertices:
 ``recover_external_couplings`` hands the interpolated diagonal entries
-to ``recover_path_sums`` as its oracle, one root path per vertex.
+to ``recover_path_sums`` as its oracle, one root path per vertex.  A
+sample grid that does not reach the ladder's deepest energy is refused
+with ValueError: the interpolants would extrapolate there.
 """
 
 from __future__ import annotations
@@ -63,13 +67,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ExtrapolationDiverged, InconsistentPaths,
-                     PoleProximity, ScanResolution, SingularBracket,
-                     SingularMatrix, UnknownEdge)
+                     SingularBracket, SingularMatrix, UnknownEdge)
 from .graphs import (Edge, MetricGraph, SpanningTreePath, contract,
                      spanning_tree)
 from .kernels import edge_kernels
 from .scattering import external_factors
-from .weyl import (COND_LIMIT, CouplingMatrix, _inverse, checked_inverse,
+from .weyl import (COND_LIMIT, CouplingMatrix, _inverse, gated_inverses,
                    stack_size, weyl_compact, weyl_stack)
 
 TAU0 = 32.0
@@ -136,9 +139,13 @@ def extract_rtd(sigma_e_oracle, graph_topology: MetricGraph,
         sig = sigma_e_oracle(s)
         sig = np.asarray(getattr(sig, "entries", sig), dtype=complex)
         try:
-            F2_inverse = checked_inverse(_topology_factor(graph_topology, s),
-                                         s, "topology factor")
-        except SingularMatrix:
+            F2 = _topology_factor(graph_topology, s)
+        except SingularMatrix as exc:   # the gate of M* in the factor
+            error = exc
+        else:
+            (F2_inverse,), (error,) = gated_inverses(F2[None], [s],
+                                                     "topology factor")
+        if error is not None:
             warnings.warn(f"topology factor singular at s={s:g}; "
                           "point dropped", SingularBracket)
             continue
@@ -176,33 +183,35 @@ def _gated_inverses(graph: MetricGraph, kappa: CouplingMatrix, z):
     """(at, energies, A, G) for each run of the 1-D energy array z, in
     order: A = M_compact - K at the energies z[at] and G its gated inverse.
 
-    The energies are assembled by weyl_stack and gated by checked_inverse
+    The energies are assembled by weyl_stack and gated by gated_inverses
     in stacks of stack_size(n).  A run is a stretch of real matrices (z <=
     0 with real couplings), which are inverted in real arithmetic, or of
     complex ones, so each inverse is the one its energy gives alone, bit
-    for bit.  The first energy, in the order given, that lies within
-    POLE_TOL of a pole or whose matrix the gate refuses raises
-    PoleProximity or SingularMatrix, after the runs before it are yielded.
+    for bit.  A stack with an energy that lies within POLE_TOL of a pole
+    or whose matrix the gate refuses raises the first such PoleProximity
+    or SingularMatrix, in the order given (a pole before a refusal at the
+    same energy), after the stacks before it are yielded.
     """
     K = np.diag(np.asarray(kappa.diagonal, dtype=complex))
     size = stack_size(graph.n_vertices)
     for start in range(0, len(z), size):
         block = z[start:start + size]
-        M, poles = weyl_stack(graph, block)
-        hit = np.flatnonzero(poles >= 0)
-        p = hit[0] if hit.size else len(block)    # gate up to the first pole
-        A = M[:p] - K
+        M, errors = weyl_stack(graph, block)
+        A = M - K
         real = ~A.imag.any(axis=(1, 2))
-        cuts = [0, *(np.flatnonzero(np.diff(real)) + 1).tolist(), p] if p \
-            else []
+        cuts = [0, *(np.flatnonzero(np.diff(real)) + 1).tolist(), len(block)]
+        runs = []
         for a, b in zip(cuts, cuts[1:]):
-            run = A[a:b].real if real[a:b].all() else A[a:b]
+            run = A[a:b].real if real[a] else A[a:b]
             energies = block[a:b]
-            yield (slice(start + a, start + b), energies, run,
-                   checked_inverse(run, energies.tolist(),
-                                   "M_compact - coupling"))
-        if p < len(block):
-            raise PoleProximity(complex(block[p]), graph.edges[poles[p]].id)
+            G, refused = gated_inverses(run, energies.tolist(),
+                                        "M_compact - coupling")
+            errors[a:b] = [e or r for e, r in zip(errors[a:b], refused)]
+            runs.append((slice(start + a, start + b), energies, run, G))
+        error = next((e for e in errors if e is not None), None)
+        if error is not None:
+            raise error
+        yield from runs
 
 
 def f1_entry(graph: MetricGraph, kappa: CouplingMatrix, z,
@@ -637,15 +646,15 @@ def recover_external_couplings(samples: RtDSamples,
     internal couplings are out of reach from sampled data.  The samples
     must cover the probe ladder z = -(tau0 * 2^j)^2 — values in between
     are rationally interpolated, so a log-spaced grid enclosing the ladder
-    works, and exact ladder nodes work best.  The interpolants are
+    works, and exact ladder nodes work best.  A grid that does not reach
+    the deepest ladder energy raises ValueError.  The interpolants are
     recover_path_sums' oracle.
     """
     taus = _ladder(tau0, levels, fit_tol)
     z_lo = -(taus[-1] ** 2)
-    if samples.grid.min() > z_lo:
-        warnings.warn(
-            f"sample grid reaches only z={samples.grid.min():g}, ladder "
-            f"needs z={z_lo:g}; extrapolating", ScanResolution)
+    if not samples.grid.min() <= z_lo:
+        raise ValueError(f"sample grid reaches only z={samples.grid.min():g}; "
+                         f"the probe ladder needs z={z_lo:g}")
     ext = graph_topology.external_ids()
     entries = {vid: barycentric(samples.grid, samples.values[:, j, j])
                for j, vid in enumerate(ext)}

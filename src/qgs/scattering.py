@@ -22,8 +22,10 @@ Two independent constructions live here:
   M-matrices of a block of energies in one stacked call and returns only
   the rows of the left factor and the columns of the right one that a
   form reads (the external ones, or every one for ``sigma_full``).  Per
-  energy that costs the two inverses of the condition gate, on the
-  transpose of M - K and on M*, and no further solve.  The columns come
+  energy that costs the two inverses of the condition gate
+  (``weyl.gated_inverses``), on the transpose of M - K and on M*, and no
+  further solve; an energy's error is the first of the assembly's pole
+  verdict and the two gates' refusals.  The columns come
   from the gate's own inverse of M*, since
 
       (M*)^-1 M = I + (M*)^-1 (M - M*),
@@ -62,12 +64,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (FactorisationMismatch, NumericalError, PoleProximity,
-                     SingularMatrix)
+from .errors import FactorisationMismatch, NumericalError
 from .graphs import MetricGraph
 from .spectra import matching_matrix
-from .weyl import (CouplingMatrix, _cond_gate, checked_inverses,
-                   checked_solve, stack_size, weyl_stack)
+from .weyl import CouplingMatrix, gated_inverses, stack_size, weyl_stack
 
 FACTOR_TOL = 1e-10
 
@@ -117,20 +117,16 @@ def scattering_solves(graph: MetricGraph, kappa: CouplingMatrix, s_values,
         if not s > 0:
             raise ValueError(f"scattering needs s > 0, got s={s:g}")
     M, poles = weyl_stack(graph, np.asarray(s_values, dtype=float), full=True)
-    errors = [None if p < 0 else PoleProximity(complex(s), graph.edges[p].id)
-              for s, p in zip(s_values, poles)]
-    M[poles >= 0] = np.eye(graph.n_vertices)    # a placeholder the gates pass
     Ms = M.conj().swapaxes(1, 2)
     E = np.eye(graph.n_vertices)[:, idx]
     K = kappa.as_array()
-    inverse, refused = checked_inverses((M - K).swapaxes(1, 2), s_values,
-                                        "M - coupling")
-    errors = [exc or r for exc, r in zip(errors, refused)]
+    inverse, refused = gated_inverses((M - K).swapaxes(1, 2), s_values,
+                                      "M - coupling")
     rows = inverse[:, :, idx].swapaxes(1, 2) @ (Ms - K)
-    refused, G = _cond_gate(Ms)
-    errors = [exc or (SingularMatrix(s, "M*") if r else None)
-              for s, exc, r in zip(s_values, errors, refused)]
+    G, refused_star = gated_inverses(Ms, s_values, "M*")
     cols = E + G @ (M[:, :, idx] - Ms[:, :, idx])
+    errors = [pole or r or r_star
+              for pole, r, r_star in zip(poles, refused, refused_star)]
     failed = [exc is not None for exc in errors]
     rows[failed] = np.nan
     cols[failed] = np.nan
@@ -228,8 +224,11 @@ def lead_matching_oracle(graph: MetricGraph, kappa: CouplingMatrix,
     lead0 = 2 * graph.n_edges
     unknown = list(range(lead0)) + list(range(lead0, A.shape[1], 2))
     B = -A[:, lead0 + 1::2]
-    return checked_solve(A[:, unknown], B, s,
-                         "lead matching system")[lead0:, :]
+    A = A[:, unknown]
+    _, (error,) = gated_inverses(A[None], [s], "lead matching system")
+    if error is not None:
+        raise error
+    return np.linalg.solve(A, B)[lead0:, :]
 
 
 def sigma_sweep(graph: MetricGraph, kappa: CouplingMatrix, s_values,

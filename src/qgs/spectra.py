@@ -39,11 +39,13 @@ z_max from a Weyl-law guess until N(z_max) >= count and lists the
 spectrum below z_max once.  A list shorter than N(z_max) raises
 ScanFailure.
 
-Multiplicity: z is an eigenvalue where a pole-free, bounded matrix loses
-rank, by its multiplicity -- M(z) - kappa for z < 0, the matching matrix
-for z >= 0.  multiplicity_at counts its relative singular values below
-1e-8 and gates the weyl route's snap onto 0 and the poles.  mpmath
-remains only in three 60-digit reference determinants.
+Multiplicity: z is an eigenvalue where the matching matrix, pole-free
+and bounded, loses rank, by its multiplicity.  One kernel test reads it:
+the matrix's singular values below KERNEL_REL relative to
+max(sigma_max, 1).  kernel_margins confirms the count's roots with it,
+and multiplicity_at, which counts them, gates the weyl route's snap onto
+0 and the poles.  mpmath remains only in three 60-digit reference
+determinants.
 """
 
 from __future__ import annotations
@@ -392,21 +394,20 @@ def _mp_matching_det(graph, kappa, z, dps):
 # --------------------------------------------------------------------------
 
 def _kernel_values(graph, kappa, z):
-    """Descending singular values of the kernel-test matrix at real z over
-    its scale: M(z) - kappa over ||M(z)|| + ||kappa|| (max row sums) for
-    z < 0, the matching matrix over its largest singular value for z >= 0."""
-    if z < 0:
-        M = compact_entries(graph, z)
-        sv = np.linalg.svd(M - np.diag(kappa.diagonal), compute_uv=False)
-        return sv / (np.linalg.norm(M, np.inf) + max(map(abs, kappa.diagonal)))
-    sv = np.linalg.svd(matching_matrix(graph, kappa, z), compute_uv=False)
-    return sv / sv[0] if sv.size else sv
+    """Ascending singular values of the matching matrix at z over
+    max(sigma_max, 1): the kernel test.  Each row of the matrix holds a
+    term of size about 1, so the floor at 1 lets a matrix whose every
+    entry cancels -- a tunnelling pair split below double precision --
+    read as rank-deficient."""
+    A = matching_matrix(graph, kappa, z)
+    # real at a real z, where a real SVD takes 60 % of a complex one
+    sv = np.linalg.svd(A if A.imag.any() else A.real, compute_uv=False)
+    return sv[::-1] / sv.max(initial=1.0)
 
 
 def multiplicity_at(graph: MetricGraph, kappa: CouplingMatrix, z) -> int:
-    """Numerical kernel dimension at real z: the singular values of
-    M(z) - kappa (z < 0) or of the matching matrix (z >= 0) below
-    KERNEL_REL relative to the matrix's scale."""
+    """Numerical kernel dimension at z: the number of the kernel test's
+    relative singular values below KERNEL_REL."""
     return int(np.sum(_kernel_values(graph, kappa, z) < KERNEL_REL))
 
 
@@ -414,20 +415,15 @@ def kernel_margins(graph: MetricGraph, kappa: CouplingMatrix,
                    eigenvalues) -> list[float]:
     """The matching route's check of counted roots: at each root (z, m) of
     `eigenvalues` the matching matrix must have exactly m singular values
-    below KERNEL_REL relative to max(sigma_max, 1), at every z, z <= 0
-    included.  Each row of the matrix holds a term of size about 1, so the
-    floor at 1 lets a matrix whose every entry cancels -- a tunnelling
-    pair split below double precision -- read as rank-deficient.
+    below KERNEL_REL relative to max(sigma_max, 1) (_kernel_values), at
+    every z, z <= 0 included.
 
     Returns each root's m-th smallest relative singular value, the margin
     of its check; raises UnconfirmedRoot at a root whose nullity is not m.
     """
     margins = []
     for e in eigenvalues:
-        A = matching_matrix(graph, kappa, e.z)
-        # real at a real z, where a real SVD takes 60 % of a complex one
-        sv = np.linalg.svd(A if A.imag.any() else A.real, compute_uv=False)
-        rel = sv[::-1] / max(sv[0], 1.0)
+        rel = _kernel_values(graph, kappa, e.z)
         nullity = int(np.sum(rel < KERNEL_REL))
         if nullity != e.multiplicity:
             raise UnconfirmedRoot(e.z, e.multiplicity, nullity)

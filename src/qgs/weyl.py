@@ -14,11 +14,21 @@ The float assembly, weyl_stack, works on stacks: given N energies it
 returns an (N, n, n) stack, with the kernels evaluated once on an (N, E)
 array of energies by edge lengths and their values scattered into the
 entries by index arrays built on the graph's first assembly.  The pole
-test reads the same arrays.  Each entry sums its edges' terms in edge
-order, so a matrix does not depend on the stack it is assembled in; a
-single energy is a stack of one: weyl_compact and weyl_full return the
-n x n matrix of such a stack, or raise PoleProximity.  Stacks of many
-energies are cut to BLOCK_BYTES of matrices by their callers.
+test reads the same arrays, and its verdict comes with the stack: one
+PoleProximity or None per energy, with the identity in place of a matrix
+at a pole, so that a stack's gates never see an infinite entry.  Each
+entry sums its edges' terms in edge order, so a matrix does not depend
+on the stack it is assembled in; a single energy is a stack of one:
+weyl_compact and weyl_full return the n x n matrix of such a stack, or
+raise its PoleProximity.  Stacks of many energies are cut to BLOCK_BYTES
+of matrices by their callers.
+
+One condition gate, gated_inverses, guards every inverse and solve of
+an M-matrix system, of the scattering topology factor and of the lead
+matching system: a stack of matrices, one energy each, goes in; their
+inverses, np.linalg.inv's bit for bit, and one SingularMatrix or None
+per energy (cond > COND_LIMIT) come out.  A single matrix is a stack of
+one.
 """
 
 from __future__ import annotations
@@ -37,7 +47,7 @@ from .kernels import (SERIES_CUTOFF, edge_kernels, is_mp, mp_edge_kernels,
 
 POLE_TOL = 1e-12
 COND_LIMIT = 1e12
-GATE_SLACK = 4.0   # rounding margin of the 1-norm bracket in _cond_gate
+GATE_SLACK = 4.0   # rounding margin of the 1-norm bracket in gated_inverses
 BLOCK_BYTES = 256 * 1024   # complex M-matrices held in one stack
 
 
@@ -107,10 +117,15 @@ def _inverse(A):
         return np.stack([_inverse(a) for a in A])
 
 
-def _cond_gate(A):
-    """(refused, inverse): np.linalg.cond(A) > COND_LIMIT, for one matrix or
-    each of a stack, and np.linalg.inv(A), which the decision is made from
-    (NaN for an exactly singular A).
+def gated_inverses(A, z, what):
+    """(inverse, errors): np.linalg.inv of each matrix of a stack A
+    (N x n x n), with one energy per matrix in z, and the condition gate's
+    verdict on each.  errors[i] is SingularMatrix(z[i], what) when
+    np.linalg.cond(A[i]) > COND_LIMIT, and inverse[i] is then NaN;
+    otherwise errors[i] is None and inverse[i] is np.linalg.inv's, bit for
+    bit.  A single matrix is a stack of one.  numpy's inverse is LAPACK's
+    gesv with the identity for right-hand side, so a column of it is
+    np.linalg.solve's with that column of the identity, bit for bit.
 
     kappa_1 = ||A||_1 ||A^-1||_1 brackets the 2-norm condition number:
     kappa_1/n <= cond(A) <= n kappa_1 (Golub & Van Loan, Matrix
@@ -125,51 +140,13 @@ def _cond_gate(A):
     inverse = _inverse(A)
     with np.errstate(all="ignore"):
         kappa1 = _norm1(A) * _norm1(inverse)
-    refused = np.asarray(kappa1 > GATE_SLACK * n * COND_LIMIT)
+    refused = kappa1 > GATE_SLACK * n * COND_LIMIT
     band = ~refused & ~(GATE_SLACK * n * kappa1 < COND_LIMIT)
     if band.any():
         refused[band] = np.linalg.cond(A[band]) > COND_LIMIT
-    return refused, inverse
-
-
-def checked_solve(A, B, z, what):
-    """Solve A X = B for one matrix A (n x n), or raise SingularMatrix(z,
-    what) when np.linalg.cond(A) exceeds COND_LIMIT (z is the energy, for
-    the message).  X is np.linalg.solve's, bit for bit.
-    """
-    refused, _ = _cond_gate(A)
-    if refused:
-        raise SingularMatrix(z, what)
-    return np.linalg.solve(A, B)
-
-
-def checked_inverses(A, z, what):
-    """np.linalg.inv of each matrix of a stack A (N x n x n), refused
-    matrix by matrix as checked_solve refuses one: returns (inverse,
-    errors), where errors[i] is SingularMatrix(z[i], what) for a refused
-    A[i], whose inverse is then NaN, and None otherwise.  numpy's inverse
-    is LAPACK's gesv with the identity for right-hand side, so a column of
-    it is np.linalg.solve's with that column of the identity, bit for bit.
-    """
-    refused, inverse = _cond_gate(A)
     inverse[refused] = np.nan
     return inverse, [SingularMatrix(zi, what) if r else None
                      for zi, r in zip(z, refused)]
-
-
-def checked_inverse(A, z, what):
-    """np.linalg.inv(A), refused as by checked_solve.
-
-    One matrix A: raises SingularMatrix(z, what) when np.linalg.cond(A)
-    exceeds COND_LIMIT.  A stack A (N x n x n) with one energy per matrix
-    in z: raises SingularMatrix(z[i], what) for the first refused A[i].
-    Either way the inverse is np.linalg.inv's, bit for bit.
-    """
-    refused, inverse = _cond_gate(A)
-    if refused.any():
-        raise SingularMatrix(z if A.ndim == 2 else z[int(refused.argmax())],
-                             what)
-    return inverse
 
 
 class _Plan(NamedTuple):
@@ -239,31 +216,35 @@ def _assemble(graph, z, full):
 
 
 def weyl_stack(graph: MetricGraph, z, full: bool = False):
-    """(M, poles): M-matrices at the N energies of the 1-D array z, with no
-    pole check, and where their poles are.
+    """(M, errors): M-matrices at the N energies of the 1-D array z, and
+    the pole test's verdict on each.
 
     M is the (N, n, n) stack of compact M-matrices, with i*sqrt(z) added
     on the external diagonals when full.  Every kernel is evaluated once
     on the (N, E) array of energies by edge lengths, and each entry sums
     its edges' terms in edge order, so a matrix does not depend on the
-    stack it sits in.  poles[i] is the index of the first edge with
-    |sin(sqrt(z_i) l)| = sqrt|z_i| / |kcsc(z_i, l)| below POLE_TOL, or -1.
-    z = 0 is removable (series limits 1/l, 1/l, 0), not a pole: genuine
-    poles sit at sqrt(z)*l = n*pi with n >= 1, outside the series region.
+    stack it sits in.  errors[i] is PoleProximity for the first edge, in
+    edge order, with |sin(sqrt(z_i) l)| = sqrt|z_i| / |kcsc(z_i, l)| below
+    POLE_TOL, and M[i] is then the identity, a finite placeholder whose
+    gate verdicts the pole outranks; otherwise errors[i] is None.  z = 0
+    is removable (series limits 1/l, 1/l, 0), not a pole: genuine poles
+    sit at sqrt(z)*l = n*pi with n >= 1, outside the series region.
     """
     z = np.asarray(z, dtype=complex)
     M, terms = _assemble(graph, z, full)
-    poles = np.full(len(z), -1)
+    errors = [None] * len(z)
     if not ((z.real > 0.0) | (z.imag != 0.0)).any():
-        return M, poles     # on z <= 0, |sin(sqrt(z) l)| = sinh(|sqrt(z)| l)
+        return M, errors    # on z <= 0, |sin(sqrt(z) l)| = sinh(|sqrt(z)| l)
     lengths = _plan(graph).lengths
     az = abs(z)[:, None]
     with np.errstate(all="ignore"):
         hit = ((az * lengths * lengths >= SERIES_CUTOFF)
                & (np.sqrt(az) < POLE_TOL * abs(terms[1])))
-    if hit.any():
-        poles = np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
-    return M, poles
+    for i in np.flatnonzero(hit.any(axis=1)).tolist():
+        M[i] = np.eye(M.shape[-1])
+        errors[i] = PoleProximity(complex(z[i]),
+                                  graph.edges[hit[i].argmax()].id)
+    return M, errors
 
 
 def compact_entries(graph: MetricGraph, z):
@@ -302,18 +283,18 @@ def weyl_compact(graph: MetricGraph, z) -> np.ndarray:
     |sin(sqrt(z) l_p)| of any edge; callers wanting a boundary value from
     the upper half-plane retry at z + 1e-8j.
     """
-    (M,), (p,) = weyl_stack(graph, [z])
-    if p >= 0:
-        raise PoleProximity(complex(z), graph.edges[p].id)
+    (M,), (error,) = weyl_stack(graph, [z])
+    if error is not None:
+        raise error
     return M
 
 
 def weyl_full(graph: MetricGraph, z) -> np.ndarray:
     """Full M-matrix: compact part plus i*sqrt(z) on external diagonals.
     Raises PoleProximity as weyl_compact does."""
-    (M,), (p,) = weyl_stack(graph, [z], full=True)
-    if p >= 0:
-        raise PoleProximity(complex(z), graph.edges[p].id)
+    (M,), (error,) = weyl_stack(graph, [z], full=True)
+    if error is not None:
+        raise error
     return M
 
 
@@ -334,10 +315,12 @@ def robin_to_dirichlet(graph: MetricGraph, kappa: CouplingMatrix, z) -> np.ndarr
 
     Raises SingularMatrix when cond(M_compact - kappa) exceeds 1e12, i.e.
     when z is (numerically) an eigenvalue of the compact-graph operator.
+    The block is read off the gate's inverse; its columns are the solves
+    with the external columns of the identity, bit for bit.
     """
     A = weyl_compact(graph, z) - kappa.as_array()
+    (G,), (error,) = gated_inverses(A[None], [z], "M_compact - kappa")
+    if error is not None:
+        raise error
     ext = graph.external_indices()
-    rhs = np.zeros((graph.n_vertices, len(ext)), dtype=complex)
-    for col, i in enumerate(ext):
-        rhs[i, col] = 1.0
-    return checked_solve(A, rhs, z, "M_compact - kappa")[ext, :]
+    return G[np.ix_(ext, ext)]

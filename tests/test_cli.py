@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from qgs import (CouplingMatrix, Edge, MetricGraph, ScanResolution, Vertex,
+from qgs import (CouplingMatrix, Edge, MetricGraph, Vertex,
                  compact_spectrum, load_graph, robin_to_dirichlet,
                  serialize_graph)
 from qgs.cli import main, parse_grid
@@ -340,10 +340,12 @@ def test_invert_rtd_samples_warns_when_the_ladder_is_too_shallow(
     assert payload["metadata"]["mode"] == "sampled-data"
     assert set(payload["couplings"]) == {"V1"}
     # --tau0 at the graph's own ladder start does not warn; the samples
-    # stop short of that ladder, so the fit fails as it did before
-    with pytest.warns(ScanResolution):
-        assert main(argv + ["--tau0", str(32.0 / 0.3)]) == 3
-    assert capsys.readouterr().err.startswith("numerical failure")
+    # stop short of that ladder, so they are refused in one line
+    assert main(argv + ["--tau0", str(32.0 / 0.3)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: sample grid reaches only z=-4.1943e+06; the "
+                   "probe ladder needs z=-4.66034e+07\n")
     # a graph whose shortest edge is 1 long keeps quiet
     csv = _ladder_samples(tmp_path, load_graph(graph_file), [0.5, -0.25, 1.0])
     assert main(["invert", "--graph-topology", graph_file,
@@ -410,16 +412,19 @@ def test_invert_from_samples(graph_file, tmp_path, capsys):
 
 
 def test_invert_diverges_on_bad_samples(graph_file, tmp_path, capsys):
+    """A sample grid that stops far short of the probe ladder is refused
+    with exit 2 and one line, instead of being extrapolated."""
     csv = tmp_path / "coarse.csv"
     rows = ["z,re,im"]
     for z in np.linspace(-10, -1, 12):
         rows.append(f"{z},{1.0 / z},0.0")
     csv.write_text("\n".join(rows) + "\n")
-    with pytest.warns(ScanResolution):  # grid stops far short of the ladder
-        rc = main(["invert", "--graph-topology", graph_file,
-                   "--rtd-samples", str(csv)])
-    assert rc == 3
-    assert "numerical failure" in capsys.readouterr().err
+    rc = main(["invert", "--graph-topology", graph_file,
+               "--rtd-samples", str(csv)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: sample grid reaches only z=-10; the probe ladder needs "
+        "z=-4.1943e+06\n")
 
 
 def test_invert_rejects_malformed_csv(graph_file, tmp_path, capsys):

@@ -127,22 +127,15 @@ def test_extraction_drops_a_point_whose_topology_factor_is_refused(
     grid = [0.9, 2.7, 8.1]
     sigma = {s: sigma_external(star3, k, s) for s in grid}
     want = extract_rtd(sigma.get, star3, grid)
-    if gate == "M*":    # the second grid point's solve, in grid order
-        real_gate, calls = qgs.scattering._cond_gate, []
+    module = qgs.scattering if gate == "M*" else qgs.inverse
+    real_gate = module.gated_inverses
 
-        def refuse(A):
-            calls.append(A)
-            refused, inverse = real_gate(A)
-            return refused | (len(calls) == 2), inverse
-        monkeypatch.setattr(qgs.scattering, "_cond_gate", refuse)
-    else:
-        real_inverse = qgs.inverse.checked_inverse
-
-        def refuse(A, z, what):
-            if z == 2.7:
-                raise SingularMatrix(z, what)
-            return real_inverse(A, z, what)
-        monkeypatch.setattr(qgs.inverse, "checked_inverse", refuse)
+    def refuse(A, z, what):
+        inverse, errors = real_gate(A, z, what)
+        if what == gate and z == [2.7]:
+            errors = [SingularMatrix(2.7, what)]
+        return inverse, errors
+    monkeypatch.setattr(module, "gated_inverses", refuse)
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
         samples = extract_rtd(sigma.get, star3, grid)
@@ -499,6 +492,26 @@ def test_recover_external_from_samples():
     assert abs(rec["C"] - 0.2) < 1e-6
 
 
+def test_recover_external_refuses_samples_short_of_the_ladder():
+    """Samples that stop short of the ladder's deepest energy
+    -(tau0 * 2^(levels - 1))^2 are refused with ValueError, where they used
+    to be extrapolated with a warning; exact samples down to it are
+    fitted."""
+    g = chain(0.9, -0.7)
+    k = CouplingMatrix.from_graph(g)
+    grid = np.array(ladder_grid())
+    samples = RtDSamples(grid, np.array(
+        [robin_to_dirichlet(g, k, z) for z in grid]))
+    assert recover_external_couplings(samples, g)["V1"] == \
+        pytest.approx(0.9, abs=1e-6)
+    short = RtDSamples(grid[:-1], samples.values[:-1])
+    with pytest.raises(ValueError, match=r"reaches only z=-1\.04858e\+06; "
+                       r"the probe ladder needs z=-4\.1943e\+06$"):
+        recover_external_couplings(short, g)
+    with pytest.raises(ValueError, match="z=-1.67772e[+]07$"):
+        recover_external_couplings(samples, g, levels=8)
+
+
 def test_recover_external_refuses_a_ladder_too_deep_for_doubles():
     """Exact samples on the ladder from tau0 = 1e16: one ulp of the deepest
     drift tau * D is 128, so the samples keep no digit of the coupling.
@@ -548,17 +561,17 @@ def test_forward_oracle_gates_each_ladder_energy_once(star3, monkeypatch):
     all paths together."""
     import qgs.inverse
     contracted, stacks = [], []
-    real_inverse = qgs.inverse.checked_inverse
+    real_gate = qgs.inverse.gated_inverses
 
     def gate(A, z, what):
         stacks.append(len(A))
-        return real_inverse(A, z, what)
+        return real_gate(A, z, what)
 
     monkeypatch.setattr(qgs.inverse, "contract",
                         lambda *args: contracted.append(args))
     monkeypatch.setattr(qgs.inverse, "f1_entry",
                         lambda *args: contracted.append(args))
-    monkeypatch.setattr(qgs.inverse, "checked_inverse", gate)
+    monkeypatch.setattr(qgs.inverse, "gated_inverses", gate)
     g70 = family_graph(70, seed=7)
     assert stack_size(g70.n_vertices) == 3
     for g, want in ((star3, [7]), (chain(0.3, -0.4, 0.7, 1.2), [7]),

@@ -212,6 +212,43 @@ def test_sweep_reports_the_pole_not_its_placeholder(lead_interval):
     assert [type(exc) for _, exc in skipped] == [PoleProximity]
 
 
+def test_solves_report_each_energy_by_pole_then_m_minus_k_then_m_star(
+        lead_interval, monkeypatch):
+    """Per energy, scattering_solves reports the first of: the pole from
+    the assembly, the gate's refusal of M - K, its refusal of M*.  Here the
+    gates are told to refuse M - K at the 2nd and 3rd energies and M* at
+    the 2nd to 4th, and the 2nd is a pole, so the errors read pole, M - K,
+    M*; the refused energies' rows and columns are NaN, and the others are
+    bit for bit those of each energy alone."""
+    import qgs.scattering
+    k = CouplingMatrix.from_values(lead_interval, [0.3, -0.2])
+    grid = [1.0, math.pi ** 2, 4.0, 6.5, 12.0]
+    forced = {"M - coupling": (1, 2), "M*": (1, 2, 3)}
+    real_gate = qgs.scattering.gated_inverses
+
+    def gate(A, z, what):
+        inverse, errors = real_gate(A, z, what)
+        if len(z) < len(grid):
+            return inverse, errors
+        return inverse, [SingularMatrix(zi, what) if i in forced[what]
+                         else e for i, (zi, e) in enumerate(zip(z, errors))]
+
+    alone = {s: scattering_solves(lead_interval, k, [s], [0])
+             for s in (1.0, 12.0)}
+    monkeypatch.setattr(qgs.scattering, "gated_inverses", gate)
+    rows, cols, errors = scattering_solves(lead_interval, k, grid, [0])
+    assert [type(e) for e in errors] == [
+        type(None), PoleProximity, SingularMatrix, SingularMatrix,
+        type(None)]
+    assert [str(e) for e in errors[2:4]] == [
+        "M - coupling numerically singular at z=4.0",
+        "M* numerically singular at z=6.5"]
+    assert np.isnan(rows[1:4]).all() and np.isnan(cols[1:4]).all()
+    for i, s in ((0, 1.0), (4, 12.0)):
+        assert np.array_equal(rows[i], alone[s][0][0])
+        assert np.array_equal(cols[i], alone[s][1][0])
+
+
 def test_sweep_preserves_order(star3):
     k = CouplingMatrix.from_values(star3, [0.1, 0.0, 0.0, 0.0])
     grid = [5.0, 1.0, 3.0]
@@ -370,8 +407,8 @@ def test_rows_come_from_the_gates_inverse(n, monkeypatch):
     g, kappa = _family_graph(n, seed=n)
     ext = g.external_indices()
     grid = [0.3 + 0.41 * i for i in range(min(stack_size(n), 6))]
-    M, poles = weyl.weyl_stack(g, np.array(grid), full=True)
-    assert (poles < 0).all()
+    M, errors = weyl.weyl_stack(g, np.array(grid), full=True)
+    assert errors == [None] * len(grid)
     K = kappa.as_array()
     E = np.eye(n)[:, ext]
     Y = np.linalg.solve((M - K).swapaxes(1, 2),

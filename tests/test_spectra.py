@@ -135,11 +135,20 @@ def test_deep_well(interval, mode):
 
 
 def test_deep_well_kernel_is_empty_away_from_the_root(interval):
-    """M(z) - kappa is bounded on the negative axis, so its kernel test
-    sees no eigenvalue at -1500, and two at the double root -1600."""
+    """The kernel test, on the matching matrix at every z, sees no
+    eigenvalue at -1500, and two at the double root -1600: the nullity
+    that kernel_margins finds there, at -1600 and at the counted root."""
     k = CouplingMatrix.from_values(interval, [-40.0, -40.0])
     assert multiplicity_at(interval, k, -1500.0) == 0
     assert multiplicity_at(interval, k, -1600.0) == 2
+    (root, *_) = compact_spectrum(interval, k, 1.0)
+    for z in (-1600.0, root.z):
+        assert multiplicity_at(interval, k, z) == root.multiplicity
+        with pytest.raises(UnconfirmedRoot) as info:
+            kernel_margins(interval, k, [Eigenvalue(z, 1)])
+        assert info.value.nullity == 2
+        assert kernel_margins(interval, k, [Eigenvalue(z, 2)])[0] < \
+            spectra.KERNEL_REL
 
 
 def test_positive_couplings_have_no_negative_spectrum(star3):

@@ -65,7 +65,8 @@ def test_digest_dump_and_against(tmp_path, monkeypatch, capsys,
     """--dump writes each job's output; --against reports, per job whose
     output differs from the dumped one, how many numbers changed and by
     how much at most, or that the text or the file differs, and then the
-    same per workload."""
+    same per workload; it exits 1 when any output differs or is missing,
+    and 0 when none does."""
     monkeypatch.chdir(ROOT)     # the tool works from the checkout root
     monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
     import inputs
@@ -85,12 +86,12 @@ def test_digest_dump_and_against(tmp_path, monkeypatch, capsys,
     text = first.read_text()
     assert '"couplings"' in text
 
-    def against():
-        assert output_digest.main(argv + ["--against", str(dump)]) == 0
+    def against(status=1):
+        assert output_digest.main(argv + ["--against", str(dump)]) == status
         return capsys.readouterr().out.splitlines()
 
-    assert against()[-2:] == ["# tiny: 0 of 2 outputs differ",
-                              f"# 0 outputs differ from {dump}"]
+    assert against(0)[-2:] == ["# tiny: 0 of 2 outputs differ",
+                               f"# 0 outputs differ from {dump}"]
     numbers = output_digest.pinned_rule()._split(text)[1]
     value = next(x for x in numbers if abs(x) > 0.1)    # a coupling
     moved = value * (1 + 1e-12)

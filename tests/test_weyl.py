@@ -16,9 +16,7 @@ from qgs import (CouplingMatrix, Edge, MetricGraph, PoleProximity,
                  robin_to_dirichlet, weyl_compact, weyl_full)
 from qgs.kernels import mp_edge_kernels
 from qgs.testing import make_random_graph
-from qgs.weyl import (COND_LIMIT, _cond_gate, checked_inverse,
-                      checked_inverses, checked_solve, compact_entries,
-                      weyl_stack)
+from qgs.weyl import COND_LIMIT, compact_entries, gated_inverses, weyl_stack
 
 graphs = st.integers(min_value=0, max_value=10**9).map(
     lambda seed: make_random_graph(random.Random(seed)))
@@ -194,7 +192,7 @@ def test_rtd_singular_at_eigenvalue(interval):
 
 
 # --------------------------------------------------------------------------
-# the condition gate of checked_solve and checked_inverses
+# the condition gate, gated_inverses
 # --------------------------------------------------------------------------
 
 def _with_cond(rng, n, kappa):
@@ -240,23 +238,23 @@ def _gate_cases():
 
 
 def test_gate_decides_as_the_svd_condition_number():
-    """One matrix at a time (checked_solve) and as stacks of equal size
-    (checked_inverses), the gate refuses exactly the matrices with
-    np.linalg.cond(A) > COND_LIMIT; what it solves is np.linalg.solve's
-    answer, and what it inverts np.linalg.inv's, bit for bit."""
+    """One matrix at a time (a stack of one) and as stacks of equal size,
+    the gate refuses exactly the matrices with np.linalg.cond(A) >
+    COND_LIMIT, and what it inverts is np.linalg.inv's answer, bit for
+    bit."""
     cases = _gate_cases()
     for A in cases:
-        B = np.arange(A.shape[0] * 2).reshape(-1, 2) + 1j
+        (X,), (error,) = gated_inverses(A[None], [1.5], "probe")
         if np.linalg.cond(A) > COND_LIMIT:
-            with pytest.raises(SingularMatrix, match="probe"):
-                checked_solve(A, B, 1.5, "probe")
+            assert str(error) == "probe numerically singular at z=1.5"
+            assert np.isnan(X).all()
         else:
-            assert np.array_equal(checked_solve(A, B, 1.5, "probe"),
-                                  np.linalg.solve(A, B))
+            assert error is None
+            assert np.array_equal(X, np.linalg.inv(A))
     for n in (1, 2, 10, 100):
         stack = np.array([A for A in cases if A.shape[0] == n])
-        inverse, errors = checked_inverses(stack, list(range(len(stack))),
-                                           "probe")
+        inverse, errors = gated_inverses(stack, list(range(len(stack))),
+                                         "probe")
         want = [np.linalg.cond(A) > COND_LIMIT for A in stack]
         assert [e is not None for e in errors] == want
         for i, (A, refused) in enumerate(zip(stack, want)):
@@ -280,49 +278,50 @@ def test_gate_needs_no_svd_clear_of_the_limit(monkeypatch):
         raise AssertionError("np.linalg.cond called")
 
     monkeypatch.setattr(np.linalg, "cond", no_svd)
-    _, errors = checked_inverses(np.concatenate([fine, bad]), [1.0] * 5,
-                                 "probe")
+    _, errors = gated_inverses(np.concatenate([fine, bad]), [1.0] * 5,
+                               "probe")
     assert [e is None for e in errors] == [True, True, True, False, False]
 
 
-def test_checked_inverse_of_a_stack_raises_at_the_first_refusal():
-    """A stack's inverse is np.linalg.inv's of each matrix bit for bit,
-    an exactly singular matrix included in the stack; the first refused
-    matrix in stack order names the error."""
+def test_gated_inverses_of_a_stack_do_not_depend_on_its_refusals():
+    """The inverses of the matrices a stack's gate passes are
+    np.linalg.inv's of each, bit for bit, whether or not the stack holds
+    refused matrices, an exactly singular one included; each refused
+    matrix names its own energy."""
     cases = _gate_cases()
     for n in (1, 2, 10, 100):
         stack = np.array([A for A in cases if A.shape[0] == n])
         refused = [np.linalg.cond(A) > COND_LIMIT for A in stack]
         assert any(refused)
-        first = refused.index(True)
         energies = [0.5 * i for i in range(len(stack))]
-        with pytest.raises(SingularMatrix) as info:
-            checked_inverse(stack, energies, "probe")
-        assert info.value.z == energies[first]
+        inverse, errors = gated_inverses(stack, energies, "probe")
+        assert [e.z for e in errors if e is not None] == [
+            z for z, r in zip(energies, refused) if r]
         fine = stack[[not r for r in refused]]
-        inverse = checked_inverse(fine, energies[:len(fine)], "probe")
-        for A, X in zip(fine, inverse):
+        alone, errors = gated_inverses(fine, energies[:len(fine)], "probe")
+        assert errors == [None] * len(fine)
+        assert np.array_equal(alone, inverse[[not r for r in refused]])
+        for A, X in zip(fine, alone):
             assert np.array_equal(X, np.linalg.inv(A))
     rng = np.random.default_rng(4)
     stack = np.array([_with_cond(rng, 5, 10.0) for _ in range(3)])
     singular = stack.copy()
     singular[1] = 0.0
-    with pytest.raises(SingularMatrix, match="at z=2"):
-        checked_inverse(singular, [1, 2, 3], "probe")
-    refused, inverse = _cond_gate(singular)
-    assert refused.tolist() == [False, True, False]
+    inverse, errors = gated_inverses(singular, [1, 2, 3], "probe")
+    assert [e is not None for e in errors] == [False, True, False]
+    assert str(errors[1]) == "probe numerically singular at z=2"
     assert np.array_equal(inverse[::2], np.linalg.inv(stack[::2]))
 
 
-def test_checked_inverses_refuse_matrix_by_matrix():
-    """checked_inverses refuses matrix by matrix, one error per refused
+def test_gated_inverses_refuse_matrix_by_matrix():
+    """gated_inverses refuses matrix by matrix, one error per refused
     matrix and NaN in its place; the other inverses are
     np.linalg.inv's, and each of their columns is np.linalg.solve's with
     that column of the identity, bit for bit."""
     rng = np.random.default_rng(9)
     stack = np.array([_with_cond(rng, 6, 10.0) for _ in range(4)]) + 0.5j
     stack[2] = 0.0
-    inverse, errors = checked_inverses(stack, [0.5, 1.0, 1.5, 2.0], "M*")
+    inverse, errors = gated_inverses(stack, [0.5, 1.0, 1.5, 2.0], "M*")
     assert [e is None for e in errors] == [True, True, False, True]
     assert str(errors[2]) == "M* numerically singular at z=1.5"
     assert np.isnan(inverse[2]).all()
@@ -376,11 +375,38 @@ def test_stack_equals_stacks_of_one_bit_for_bit():
         for zi, M in zip(z, stack):
             assert np.array_equal(M, compact_entries(g, zi))
         for full in (False, True):
-            stack, poles = weyl_stack(g, z, full)
-            assert (poles == -1).all()
+            stack, errors = weyl_stack(g, z, full)
+            assert errors == [None] * len(z)
             for zi, M in zip(z, stack):
                 (one,), _ = weyl_stack(g, [zi], full)
                 assert np.array_equal(M, one)
+
+
+def test_stack_puts_the_identity_at_a_pole():
+    """At a pole the stack holds the identity and the PoleProximity of the
+    first edge, in edge order, that has the pole there; the other
+    energies' matrices are, bit for bit, those of a stack without the
+    poles.  (2 pi)^2 is a pole of the edges 0.5 and 1 long, (pi / 0.7)^2
+    of the edge 0.7 long only.  weyl_compact and weyl_full raise that
+    error."""
+    g = _loops_and_parallels()
+    z = [2.7, (2 * math.pi) ** 2, -3.1, (math.pi / 0.7) ** 2, 11.9]
+    edges = [next(e.id for e in g.edges if e.length in lengths)
+             for lengths in ((0.5, 1.0), (0.7,))]
+    for full, one in ((False, weyl_compact), (True, weyl_full)):
+        stack, errors = weyl_stack(g, z, full)
+        assert [e is None for e in errors] == [True, False, True, False,
+                                               True]
+        assert [(e.z, e.edge) for e in errors if e is not None] == [
+            (complex(z[1]), edges[0]), (complex(z[3]), edges[1])]
+        for i in (1, 3):
+            assert np.array_equal(stack[i], np.eye(g.n_vertices))
+            with pytest.raises(PoleProximity) as info:
+                one(g, z[i])
+            assert str(info.value) == str(errors[i])
+        clear, errors = weyl_stack(g, z[::2], full)
+        assert errors == [None] * 3
+        assert np.array_equal(stack[::2], clear)
 
 
 def _mp_reference(g, z):
@@ -430,6 +456,6 @@ def test_pole_test_saturates_far_from_the_real_axis():
     g = _loops_and_parallels()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        M, poles = weyl_stack(g, [complex(-1e9, 1.0), complex(1e8, 1e8)])
-    assert (poles == -1).all()
+        M, errors = weyl_stack(g, [complex(-1e9, 1.0), complex(1e8, 1e8)])
+    assert errors == [None, None]
     assert np.isfinite(M).all()

@@ -32,7 +32,9 @@ reported as such.  The report ends with one line per workload (check
 and the demos included): how many of its outputs differ, the largest
 absolute and relative changes of a number among them, and how many differ
 in their text or are missing; a last line counts all the jobs that
-differ.
+differ.  With --against the exit status is 1 when any output differs
+from its dump or is missing there, and 0 when every one is the same, byte
+for byte; without it, 0.
 """
 
 from __future__ import annotations
@@ -200,10 +202,11 @@ def main(argv=None) -> int:
         if counts["text"]:
             line += f", {counts['text']} in their text or missing"
         print(line, flush=True)
-    if against:
-        differ = sum(counts["differ"] for counts in tally.values())
-        print(f"# {differ} outputs differ from {args.against}", flush=True)
-    return 0
+    if not against:
+        return 0
+    differ = sum(counts["differ"] for counts in tally.values())
+    print(f"# {differ} outputs differ from {args.against}", flush=True)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
