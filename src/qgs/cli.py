@@ -7,9 +7,9 @@ Subcommands: spectrum, smatrix, invert, homog, check.  Exit codes:
 Outputs are byte-deterministic: identical invocations produce identical
 bytes (no timestamps, fixed float formatting, sorted keys).  Grids accept
 either comma lists ("1,2,5") or ranges "start:stop:step" (stop
-inclusive up to rounding).  Set QGS_LOG=INFO (or DEBUG, ...) for
-progress logging on stderr.  Grid evaluation is serial; --jobs is still
-accepted, for compatibility with older command lines, and has no effect.
+inclusive up to rounding).  Warnings go to stderr.  Grid evaluation is
+serial; --jobs is still accepted, for compatibility with older command
+lines, and has no effect.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import argparse
 import contextlib
 import functools
 import json
-import logging
 import math
 import os
 import sys
@@ -36,8 +35,6 @@ from .inverse import (TAU0, RtDSamples, forward_f1_oracle, invert_couplings,
 from .scattering import sigma_external, sigma_sweep
 from .spectra import compact_spectrum, kernel_margins
 from .weyl import CouplingMatrix
-
-log = logging.getLogger("qgs")
 
 
 def _fmt(x: float) -> str:
@@ -88,7 +85,7 @@ def _load_valid_graph(path: str) -> MetricGraph:
     if report.violations:
         raise GraphError("; ".join(report.violations))
     for w in report.warnings:
-        log.warning("%s: %s", path, w)
+        print(f"{path}: {w}", file=sys.stderr)
     return graph
 
 
@@ -198,7 +195,7 @@ def cmd_smatrix(args) -> int:
         for s, exc in skipped:
             fh.write(f"# skipped s={_fmt(s)} reason={type(exc).__name__}\n")
     if skipped:
-        log.warning("%d grid points skipped", len(skipped))
+        print(f"{len(skipped)} grid points skipped", file=sys.stderr)
     return 0
 
 
@@ -611,11 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("QGS_LOG", "").upper()
-    if level:
-        logging.basicConfig(
-            level=getattr(logging, level, logging.INFO),
-            format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

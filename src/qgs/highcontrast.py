@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kernels import entire_cs_array, entire_cs_real
+from .kernels import entire_cs, entire_cs_real
 
 SUM_TOL = 1e-12
 
@@ -144,12 +144,12 @@ def transfer_matrix(coef, length, z) -> np.ndarray:
     z = np.asarray(z)
     w = z / coef
     if w.dtype.kind == "c" or not (real := w >= 0.0).any():
-        C, S = entire_cs_array(w, length)
+        C, S = entire_cs(w, length)
     elif real.all():
         C, S = entire_cs_real(w, length)
     else:   # a mixed stack: both sets, and each element takes its own
         (C, S), (Cc, Sc) = (entire_cs_real(np.where(real, w, 0.0), length),
-                            entire_cs_array(w, length))
+                            entire_cs(w, length))
         C, S = np.where(real, C, Cc.real), np.where(real, S, Sc.real)
     if z.dtype.kind != "c":
         C, S = C.real, S.real

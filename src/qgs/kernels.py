@@ -13,12 +13,12 @@ square-root branch fixed by Im sqrt(z) >= 0.  Three evaluation regimes:
 * exactly-real z -> the same formulas, with the ~1e-16 imaginary dust
   zeroed, so real-symmetric invariants hold exactly.
 
-Each kernel has one source, ``_kernels``, instantiated for four
+Each kernel has one source, ``_kernels``, instantiated for three
 arithmetics:
 
 * numpy complex arrays: ``edge_kernels`` (kcot, kcsc and ktanhalf of an
-  edge at once), ``kcot``, ``kcsc``, ``ktanhalf``, ``sqrt_upper_array``
-  and ``entire_cs_array`` work elementwise on energies and lengths that
+  edge at once), ``kcot``, ``kcsc``, ``ktanhalf``, ``sqrt_upper``
+  and ``entire_cs`` work elementwise on energies and lengths that
   broadcast, e.g. an (N, 1) column of energies against the (E,) edge
   lengths of a graph.  They compute in numpy's own arithmetic, element by
   element: where an array mixes the two regimes both forms are evaluated
@@ -27,26 +27,22 @@ arithmetics:
   numpy's scalar arithmetic, whose complex product need not round as the
   array loops' does: a stack of one is a one-element array.  The M-matrix
   assembly of ``weyl`` calls ``edge_kernels`` once per stack of energies,
-  and the layer transfer matrices of ``highcontrast`` call
-  ``entire_cs_array`` for the (energy, layer) pairs with a complex or
-  negative energy.
+  the vertex-matching system of ``spectra`` calls ``entire_cs`` once per
+  energy for all its edges, and the layer transfer matrices of
+  ``highcontrast`` call ``entire_cs`` for the (energy, layer) pairs with
+  a complex or negative energy.
 * numpy float arrays: ``entire_cs_real``, the same pair for real z >= 0,
   where k = sqrt(z) is real and so are cos(k x) and sin(k x)/k, in real
   arithmetic and by the same per-element rule.  Its values agree with the
-  real parts of ``entire_cs_array``'s to rounding, not bit for bit, so
+  real parts of ``entire_cs``'s to rounding, not bit for bit, so
   the layer transfer matrices choose between the two element by element:
   the real pair wherever z >= 0, which is every energy of the fiber
   bisections.
-* Python complex scalars: ``sqrt_upper`` and ``entire_cs``, for the
-  vertex-matching systems, which take one energy at a time and where
-  numpy's per-call cost would dominate.
 * mpmath at the working precision (``mp_edge_kernels``, ``mp_kcot``, ...).
   The mpmath versions keep every digit (no dust is zeroed); the 60-digit
   reference determinants of ``spectra`` use them.  The matrix assemblies
   pick the arithmetic from the type of z, see ``is_mp``.
 """
-
-import cmath
 
 import mpmath as mp
 import numpy as np
@@ -69,13 +65,6 @@ def _scalar_regime(series, exact, z, u, l):
 
 def _scalar_where(cond, a, b):
     return a if cond else b
-
-
-def _realify(z, value):
-    # kernels of real z are mathematically real; drop rounding dust
-    if isinstance(z, complex) and z.imag != 0.0:
-        return value
-    return complex(value.real, 0.0)
 
 
 def _array_regime(series, exact, z, u, l):
@@ -127,7 +116,7 @@ def _kernels(cast, sqrt, exp, cos, sin, where, regime, realify, quotients):
     hands it its three values at once, which the array arithmetic stacks
     along a new first axis, and entire_cs its two values one at a time.
     edge_kernels serves the complex array and mpmath arithmetics,
-    entire_cs all four.  The array arithmetics choose every form element
+    entire_cs all three.  The array arithmetics choose every form element
     by element, so that an element's value does not depend on the stack
     it sits in.
     """
@@ -197,8 +186,7 @@ def _kernels(cast, sqrt, exp, cos, sin, where, regime, realify, quotients):
     return sqrt_upper, edge_kernels, kcot, kcsc, ktanhalf, entire_cs
 
 
-(sqrt_upper_array, edge_kernels, kcot, kcsc, ktanhalf,
- entire_cs_array) = _kernels(
+sqrt_upper, edge_kernels, kcot, kcsc, ktanhalf, entire_cs = _kernels(
     _as_complex_array, _array_sqrt, np.exp, np.cos, np.sin, np.where,
     _array_regime, _array_realify, _array_quotients)
 # real arrays, for energies z >= 0: only entire_cs, whose k is real there,
@@ -206,9 +194,6 @@ def _kernels(cast, sqrt, exp, cos, sin, where, regime, realify, quotients):
 _, _, _, _, _, entire_cs_real = _kernels(
     _as_float_array, np.sqrt, np.exp, np.cos, np.sin, np.where,
     _array_regime, lambda z, value: value, None)
-sqrt_upper, _, _, _, _, entire_cs = _kernels(
-    complex, cmath.sqrt, cmath.exp, cmath.cos, cmath.sin, _scalar_where,
-    _scalar_regime, _realify, _scalar_quotients)
 (mp_sqrt_upper, mp_edge_kernels, mp_kcot, mp_kcsc, mp_ktanhalf,
  mp_entire_cs) = _kernels(mp.mpc, mp.sqrt, mp.exp, mp.cos, mp.sin,
                           _scalar_where, _scalar_regime,

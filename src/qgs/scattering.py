@@ -211,7 +211,9 @@ def lead_matching_oracle(graph: MetricGraph, kappa: CouplingMatrix,
 
     Column j holds the outgoing amplitudes produced by a unit incoming
     wave on lead j; rows and columns follow sorted external vertex order.
-    A lone vertex with coupling a reflects with (a + ik)/(ik - a).
+    A lone vertex with coupling a reflects with (a + ik)/(ik - a).  The
+    amplitudes are the lead rows of the condition gate's own inverse of
+    the system times the incoming waves' columns: one factorisation.
     """
     if s <= 0:
         raise ValueError("lead matching needs s > 0")
@@ -225,10 +227,10 @@ def lead_matching_oracle(graph: MetricGraph, kappa: CouplingMatrix,
     unknown = list(range(lead0)) + list(range(lead0, A.shape[1], 2))
     B = -A[:, lead0 + 1::2]
     A = A[:, unknown]
-    _, (error,) = gated_inverses(A[None], [s], "lead matching system")
+    (G,), (error,) = gated_inverses(A[None], [s], "lead matching system")
     if error is not None:
         raise error
-    return np.linalg.solve(A, B)[lead0:, :]
+    return G[lead0:] @ B
 
 
 def sigma_sweep(graph: MetricGraph, kappa: CouplingMatrix, s_values,

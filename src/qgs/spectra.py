@@ -50,7 +50,6 @@ determinants.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -297,10 +296,10 @@ def _mp_weyl_det_negative(graph, kappa, q):
 # vertex-matching oracle
 # --------------------------------------------------------------------------
 
-def _edge_end_data(z, l):
-    """Value and inward-derivative coefficients of one edge's basis pair at
-    its two ends: (u_end, v_end), each ((cA_val, cB_val), (cA_der,
-    cB_der)).
+def _edge_end_data(z, lengths):
+    """Value and inward-derivative coefficients of each edge's basis pair at
+    its two ends: one (u_end, v_end) per length, each ((cA_val, cB_val),
+    (cA_der, cB_der)).
 
     While b = Im(sqrt(z)) * l < DECAY_FROM the pair is the entire C(z;x),
     S(z;x).  Beyond it C and S grow like e^b and their combinations cancel,
@@ -308,16 +307,28 @@ def _edge_end_data(z, l):
     e^{ikx} and e^{ik(l-x)}, which are bounded by 1.  The change of basis
     is invertible (for real z < 0 its determinant 2 q e^{-ql} is
     positive), so it moves no zero and keeps the kernel's dimension.  The
-    arithmetic follows z.
+    arithmetic follows z: a float z takes both bases of every edge from one
+    call each of the array kernels and np.exp, an mpmath z goes edge by
+    edge.
     """
-    mp_z = is_mp(z)
-    k = (mp_sqrt_upper if mp_z else sqrt_upper)(z)
-    if abs(k.imag) * l < DECAY_FROM:
-        C, S = (mp_entire_cs if mp_z else entire_cs)(z, l)
-        return ((1.0, 0.0), (0.0, 1.0)), ((C, S), (z * S, -C))
+    if is_mp(z):
+        k = mp_sqrt_upper(z)
+        edges = [(*mp_entire_cs(z, l), mp.exp(1j * k * l), k.imag * l)
+                 for l in lengths]
+    else:
+        k = sqrt_upper(z)
+        lengths = np.array(lengths)
+        with np.errstate(all="ignore"):     # C and S overflow where b is large
+            C, S = entire_cs(z, lengths)
+        E = np.exp(1j * k * lengths)        # |E| = e^{-b}
+        edges = zip(C.tolist(), S.tolist(), E.tolist(),
+                    (k.imag * lengths).tolist())
+        k = complex(k)
     ik = 1j * k
-    E = (mp.exp if mp_z else cmath.exp)(ik * l)    # |E| = e^{-b}
-    return ((1.0, E), (ik, -ik * E)), ((E, 1.0), (-ik * E, ik))
+    return [(((1.0, 0.0), (0.0, 1.0)), ((C, S), (z * S, -C)))
+            if b < DECAY_FROM else
+            (((1.0, E), (ik, -ik * E)), ((E, 1.0), (-ik * E, ik)))
+            for C, S, E, b in edges]
 
 
 def matching_matrix(graph: MetricGraph, kappa: CouplingMatrix, z,
@@ -332,7 +343,8 @@ def matching_matrix(graph: MetricGraph, kappa: CouplingMatrix, z,
     1/max(1, |k|) to keep the system well-conditioned at large z (a
     positive continuous factor, so zeros and sign changes are unaffected).
     The arithmetic follows z: a numpy complex matrix for a Python number,
-    an mpmath matrix for an mpmath number.
+    with every edge's entries from one call of the array kernels, an
+    mpmath matrix for an mpmath number.
 
     Without leads the system is square, (2n)x(2n).  Each vertex id in
     `leads` adds one lead end to that vertex: one more row and, after the
@@ -350,8 +362,8 @@ def matching_matrix(graph: MetricGraph, kappa: CouplingMatrix, z,
     # per vertex: (first column, ((cA_val, cB_val), (cA_der, cB_der))) per
     # end; an end's coefficients act on its column and the next one
     incident = {v.id: [] for v in graph.vertices}
-    for i, e in enumerate(graph.edges):
-        u_end, v_end = _edge_end_data(z, e.length)
+    ends = _edge_end_data(z, [e.length for e in graph.edges])
+    for i, (e, (u_end, v_end)) in enumerate(zip(graph.edges, ends)):
         incident[e.u].append((2 * i, u_end))
         incident[e.v].append((2 * i, v_end))
     if leads:

@@ -43,7 +43,7 @@ import numpy as np
 from .errors import PoleProximity, SingularMatrix
 from .graphs import MetricGraph
 from .kernels import (SERIES_CUTOFF, edge_kernels, is_mp, mp_edge_kernels,
-                      sqrt_upper_array)
+                      sqrt_upper)
 
 POLE_TOL = 1e-12
 COND_LIMIT = 1e12
@@ -211,7 +211,7 @@ def _assemble(graph, z, full):
     M = M.reshape(N, plan.n, plan.n)
     if full:
         ext = graph.external_indices()
-        M[:, ext, ext] += 1j * sqrt_upper_array(zc)
+        M[:, ext, ext] += 1j * sqrt_upper(zc)
     return M, terms
 
 

@@ -238,6 +238,27 @@ def test_smatrix_skips_poles(tmp_path, capsys):
     assert len(data) == 3  # header + 2 surviving points
 
 
+def test_warnings_go_to_stderr_as_bare_lines(tmp_path, capsys):
+    """A validation warning names the graph file, and a sweep with skipped
+    points says how many: each one bare line on stderr, nothing on it
+    otherwise."""
+    g = MetricGraph([Vertex("A"), Vertex("B"), Vertex("C")],
+                    [Edge("A", "B", 1.0), Edge("B", "C", 2.0)])
+    path = tmp_path / "rational.json"
+    path.write_text(serialize_graph(g))
+    assert main(["spectrum", "--graph", str(path), "--zmax", "1"]) == 0
+    assert capsys.readouterr().err == (
+        f"{path}: edge lengths may be rationally dependent (ratio 1/2 ~ "
+        "rational); reconstruction guarantees assume rational "
+        "independence\n")
+    g = MetricGraph([Vertex("V1"), Vertex("V2")], [Edge("V1", "V2", 1.0)],
+                    leads=["V1"])
+    path.write_text(serialize_graph(g))
+    assert main(["smatrix", "--graph", str(path), "--s",
+                 f"1.0,{math.pi**2},4.0"]) == 0
+    assert capsys.readouterr().err == "1 grid points skipped\n"
+
+
 def test_smatrix_needs_leads(interval_file, capsys):
     rc = main(["smatrix", "--graph", interval_file, "--s", "1.0"])
     assert rc == 2
@@ -278,6 +299,14 @@ def _short_loop(tmp_path):
     path = tmp_path / "short-loop.json"
     path.write_text(serialize_graph(g))
     return g, path
+
+
+def _rational_warning(path):
+    """The validation warning on stderr for the graph of _short_loop, whose
+    lengths 1 and 0.3 are rationally dependent."""
+    return (f"{path}: edge lengths may be rationally dependent (ratio "
+            "1/0.3 ~ rational); reconstruction guarantees assume rational "
+            "independence\n")
 
 
 def _ladder_samples(tmp_path, g, couplings):
@@ -326,15 +355,17 @@ def test_invert_rtd_samples_warns_when_the_ladder_is_too_shallow(
     """--rtd-samples keeps tau0 = 32.  On a graph with a 0.3-long loop,
     where max(32, 32/l_min) is 32/0.3, that ladder is too shallow: stderr
     says so, while stdout (the sampled-data payload at tau0 = 32) and
-    the exit code 0 stay as they were."""
+    the exit code 0 stay as they were.  Each run first warns that the
+    lengths are rationally dependent."""
     g, path = _short_loop(tmp_path)
     csv = _ladder_samples(tmp_path, g, SHORT_LOOP_COUPLINGS)
     argv = ["invert", "--graph-topology", str(path), "--rtd-samples",
             str(csv)]
+    rational = _rational_warning(path)
     assert main(argv) == 0
     out, err = capsys.readouterr()
-    assert err.startswith("warning: probe ladder starts at tau0 = 32, "
-                          "below max(32, 32/l_min) = 106.667")
+    assert err.startswith(rational + "warning: probe ladder starts at "
+                          "tau0 = 32, below max(32, 32/l_min) = 106.667")
     payload = json.loads(out)
     assert payload["metadata"]["tau0"] == 32.0
     assert payload["metadata"]["mode"] == "sampled-data"
@@ -344,8 +375,9 @@ def test_invert_rtd_samples_warns_when_the_ladder_is_too_shallow(
     assert main(argv + ["--tau0", str(32.0 / 0.3)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == ("error: sample grid reaches only z=-4.1943e+06; the "
-                   "probe ladder needs z=-4.66034e+07\n")
+    assert err == rational + ("error: sample grid reaches only "
+                              "z=-4.1943e+06; the probe ladder needs "
+                              "z=-4.66034e+07\n")
     # a graph whose shortest edge is 1 long keeps quiet
     csv = _ladder_samples(tmp_path, load_graph(graph_file), [0.5, -0.25, 1.0])
     assert main(["invert", "--graph-topology", graph_file,
@@ -373,13 +405,16 @@ def test_invert_ladder_too_deep_for_doubles_diverges(graph_file, capsys):
 
 def test_invert_residuals_need_the_forward_oracle(tmp_path, capfd):
     """Sampled data give no path-sum residuals, so --residuals-out with
-    --rtd-samples is refused, where it used to write nothing and exit 0."""
+    --rtd-samples is refused, where it used to write nothing and exit 0,
+    after the warning that the graph's lengths are rationally
+    dependent."""
     g, path = _short_loop(tmp_path)
     csv = _ladder_samples(tmp_path, g, SHORT_LOOP_COUPLINGS)
     res = tmp_path / "residuals.csv"
     _refused(["invert", "--graph-topology", str(path), "--rtd-samples",
               str(csv), "--residuals-out", str(res)], capfd,
-             "--residuals-out needs --oracle forward")
+             "--residuals-out needs --oracle forward",
+             _rational_warning(path))
     assert not res.exists()
 
 
@@ -634,14 +669,14 @@ def test_homog_duplicate_eps_is_invalid_input(capsys):
 # out-of-range numbers: exit 2 with a message, nothing on stdout
 # --------------------------------------------------------------------------
 
-def _refused(argv, capfd, names=""):
-    """Exit 2, nothing on stdout, and an error message containing `names`,
-    the bad input's name."""
+def _refused(argv, capfd, names="", warnings=""):
+    """Exit 2, nothing on stdout, and on stderr the lines `warnings` and an
+    error message containing `names`, the bad input's name."""
     rc = main(argv)
     captured = capfd.readouterr()  # file-descriptor level, so LAPACK too
     assert rc == 2
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    assert captured.err.startswith(warnings + "error: ")
     assert names in captured.err
 
 

@@ -14,8 +14,7 @@ from qgs import (HighContrastCell, Quasimomentum, build_dispersion_table,
                  eps_spectrum, hom_dprime_spectra, hom_dprime_spectrum,
                  hom_tau_spectra, hom_tau_spectrum, transfer_matrix)
 from qgs.highcontrast import _bisect, _rotation
-from qgs.kernels import (SERIES_CUTOFF, entire_cs, entire_cs_array,
-                         entire_cs_real, mp_entire_cs)
+from qgs.kernels import SERIES_CUTOFF, entire_cs, entire_cs_real, mp_entire_cs
 
 CELL = HighContrastCell(0.25, 0.5, 0.25)
 
@@ -380,12 +379,15 @@ def test_dispersion_table_needs_epsilon_for_eps_model():
 # --------------------------------------------------------------------------
 
 # The per-bracket bisection that the lockstep replaced, kept as the
-# reference: one kappa at a time, on transfer matrices in Python's complex
-# arithmetic multiplied as complex (2, 2) matrices.
+# reference: one kappa at a time, on transfer matrices written from their
+# definitions, cos(k L) and sin(k L)/k with k = sqrt(z / c), in Python's
+# float arithmetic, multiplied as real (2, 2) matrices.
 
 def _ref_transfer(coef, length, z):
-    C, S = entire_cs(complex(z) / coef, length)
-    return np.array([[C, S / coef], [-complex(z) * S, C]])
+    k = math.sqrt(z / coef)
+    C = math.cos(k * length)
+    S = math.sin(k * length) / k if k else length
+    return np.array([[C, S / coef], [-z * S, C]])
 
 
 def _ref_layers(cell):
@@ -481,14 +483,15 @@ LOCKSTEP_TAUS = ([0.0, math.pi, -math.pi, 1e-4, -3e-4, 1e-3]
                  + list(np.linspace(-3.0, 3.0, 5)))
 
 
-# The lockstep roots and the rotation function compute in numpy's
-# arithmetic, the references in Python's, so they agree to rounding.  The
-# worst differences on the points of the tests below: 4.2e-16 of a root,
-# relative to max(1, z), and 1.8e-15 of the rotation function rho,
-# absolute; 4 - D^2 does not move.  Code that rounds as Python does shows
-# none.
+# The lockstep roots and the rotation function compute with the kernels in
+# numpy's arithmetic, the references from the definitions in Python's, so
+# they agree to rounding.  The worst differences on the points of the
+# tests below: 4.2e-16 of a root, relative to max(1, z), 1.8e-15 of the
+# rotation function rho, absolute, and 2.2e-15 of 4 - D^2, relative to
+# max(1, |4 - D^2|).
 ROOT_TOL = 1e-15
 RHO_TOL = 4e-15
+DELTA_TOL = 1e-14
 
 
 def _assert_near(got, want, tol, scale=True):
@@ -530,8 +533,8 @@ def test_eps_lockstep_matches_scalar_bisection_to_eight_bands():
 @pytest.mark.parametrize("a", [0.4, 1.0, 2.5])
 def test_rotation_matches_scalar_rotation(a):
     """The rotation function and 4 - D^2 of each item, at kappa = 0 and
-    across bands: bit for bit its value alone, and within RHO_TOL of the
-    scalar code, 4 - D^2 bit for bit."""
+    across bands: bit for bit its value alone, and within RHO_TOL and
+    DELTA_TOL of the scalar code."""
     cell = HighContrastCell(0.3, 0.45, 0.25, a=a)
     kappa = np.concatenate([[0.0, 1e-9], np.random.default_rng(3).uniform(
         0.0, 25.0, 150)])
@@ -545,7 +548,7 @@ def test_rotation_matches_scalar_rotation(a):
             ref = [_ref_rotation(cell.with_epsilon(eps), k, band)
                    for k in kappa.tolist()]
             _assert_near(rho, [r for r, _ in ref], RHO_TOL, scale=False)
-            assert _bits(delta) == _bits([d for _, d in ref])
+            _assert_near(delta, [d for _, d in ref], DELTA_TOL)
 
 
 @pytest.mark.parametrize("count", [1, 3, 8])
@@ -608,8 +611,7 @@ def _mp_entire_cs(z, x):
 
 # the worst error of the array pairs against _mp_entire_cs on the points
 # below, relative to max(1, |value|), is 6.6e-15, in real and in complex
-# arithmetic alike, and so it is for pairs that round as Python's complex
-# numbers do
+# arithmetic alike
 ENTIRE_CS_TOL = 1e-14
 
 
@@ -619,7 +621,7 @@ def test_entire_cs_arrays_match_their_definitions():
     definitions (the complex one's imaginary parts read +0.0), and z = 0
     gives (1, x) exactly."""
     z = _both_regimes()
-    for instance in (entire_cs_array, entire_cs_real):
+    for instance in (entire_cs, entire_cs_real):
         for x in (0.25, 0.45, 1.3):
             got = instance(z, x)
             want = np.array([_mp_entire_cs(v, x) for v in z.tolist()]).T
@@ -651,10 +653,10 @@ def test_entire_cs_real_does_not_depend_on_the_stack():
 
 
 @pytest.mark.parametrize("z_imag", [0.0, 0.5])
-def test_entire_cs_array_does_not_depend_on_the_stack(z_imag):
+def test_entire_cs_does_not_depend_on_the_stack(z_imag):
     """The same on both sides of 0, on the real axis and off it."""
     z = np.concatenate([_both_regimes(11), -_both_regimes(12)])[:1000]
-    _check_stack_independence(entire_cs_array, z + 1j * z_imag * abs(z))
+    _check_stack_independence(entire_cs, z + 1j * z_imag * abs(z))
 
 
 @pytest.mark.parametrize("z", [-3.0, -250.0, 2.0 + 0.5j, -40.0 - 3.0j,

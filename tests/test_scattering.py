@@ -190,6 +190,20 @@ def test_oracle_and_sigma_both_unitary_not_identical(star3):
     assert np.linalg.norm(R @ R.conj().T - np.eye(1)) < 1e-10
 
 
+def test_oracle_factorises_its_system_once(star3, monkeypatch):
+    """The amplitudes come from the condition gate's own inverse: the
+    oracle answers without a second factorisation by np.linalg.solve."""
+    k = CouplingMatrix.from_values(star3, [0.6, 0.0, 0.0, 0.0])
+    want = lead_matching_oracle(star3, k, 2.0)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called")
+
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    assert np.abs(lead_matching_oracle(star3, k, 2.0) - want).max() == 0.0
+    assert np.linalg.norm(want @ want.conj().T - np.eye(1)) < 1e-10
+
+
 # --------------------------------------------------------------------------
 # sweeps
 # --------------------------------------------------------------------------

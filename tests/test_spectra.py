@@ -14,6 +14,7 @@ from qgs import (CouplingMatrix, Edge, Eigenvalue, MetricGraph,
                  compact_eigenvalues, compact_spectrum, kernel_margins,
                  load_graph, matching_matrix, multiplicity_at)
 from qgs import parse_graph, spectra, weyl
+from qgs.kernels import entire_cs
 from qgs.rootscan import scan_roots
 from qgs.spectra import (_count_jumps, _mp_matching_det,
                          _mp_weyl_det_negative, _mp_weyl_secular,
@@ -502,6 +503,27 @@ def test_matching_matrix_shape(star3):
     A = matching_matrix(star3, zeros(star3), 3.0)
     n = star3.n_edges
     assert A.shape == (2 * n, 2 * n)
+
+
+@pytest.mark.parametrize("z", [7.3, -400.0])
+def test_matching_matrix_takes_every_edge_from_one_kernel_call(z,
+                                                               monkeypatch):
+    """A float matching system evaluates the entire pair of all its edges
+    in one call of the array kernel, also where some edges take the
+    decaying basis (at z = -400 the edges longer than 0.05 do)."""
+    g = MetricGraph([Vertex(f"V{i:02d}") for i in range(12)],
+                    [Edge(f"V{i:02d}", f"V{(i + 1) % 12:02d}", 0.02 + 0.1 * i)
+                     for i in range(12)])
+    want = matching_matrix(g, zeros(g), z)
+    shapes = []
+
+    def counted(z, x):
+        shapes.append(np.shape(x))
+        return entire_cs(z, x)
+
+    monkeypatch.setattr(spectra, "entire_cs", counted)
+    assert np.array_equal(matching_matrix(g, zeros(g), z), want)
+    assert shapes == [(12,)]
 
 
 def test_matching_det_vanishes_at_eigenvalue(interval):

@@ -63,17 +63,18 @@ def output_digest():
 def test_digest_dump_and_against(tmp_path, monkeypatch, capsys,
                                  output_digest):
     """--dump writes each job's output; --against reports, per job whose
-    output differs from the dumped one, how many numbers changed and by
-    how much at most, or that the text or the file differs, and then the
-    same per workload; it exits 1 when any output differs or is missing,
-    and 0 when none does."""
+    output differs from the dumped one, how many numbers changed, by how
+    much at most and in which CSV columns, or that the text or the file
+    differs, and then the same per workload; it exits 1 when any output
+    differs or is missing, and 0 when none does."""
     monkeypatch.chdir(ROOT)     # the tool works from the checkout root
     monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
     import inputs
 
     def tiny(inp):
         graph = inputs.fixed_graph("acceptance-multigraph")
-        return [inp.invert_job(graph, "a"), inp.invert_job(graph, "b")]
+        return [inp.invert_job(graph, "a"), inp.invert_job(graph, "b"),
+                inp.spectrum_job(graph, "c", 3.0, "both")]
 
     monkeypatch.setitem(inputs.WORKLOADS, "tiny", tiny)
     dump = tmp_path / "dump"
@@ -81,7 +82,8 @@ def test_digest_dump_and_against(tmp_path, monkeypatch, capsys,
     assert output_digest.main(argv + ["--dump", str(dump)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[:3] for line in lines] == [["tiny", "000", "a"],
-                                                   ["tiny", "001", "b"]]
+                                                   ["tiny", "001", "b"],
+                                                   ["tiny", "002", "c"]]
     first = dump / "tiny-000-a.out"
     text = first.read_text()
     assert '"couplings"' in text
@@ -90,7 +92,7 @@ def test_digest_dump_and_against(tmp_path, monkeypatch, capsys,
         assert output_digest.main(argv + ["--against", str(dump)]) == status
         return capsys.readouterr().out.splitlines()
 
-    assert against(0)[-2:] == ["# tiny: 0 of 2 outputs differ",
+    assert against(0)[-2:] == ["# tiny: 0 of 3 outputs differ",
                                f"# 0 outputs differ from {dump}"]
     numbers = output_digest.pinned_rule()._split(text)[1]
     value = next(x for x in numbers if abs(x) > 0.1)    # a coupling
@@ -100,12 +102,12 @@ def test_digest_dump_and_against(tmp_path, monkeypatch, capsys,
     assert lines[0].endswith(f" differs: 1 of {len(numbers)} numbers "
                              f"changed, max abs {abs(value - moved):.2g}, "
                              "max rel 1e-12 (beyond the pinned tolerance)")
-    assert "differs" not in lines[1]
-    assert lines[-2:] == [f"# tiny: 1 of 2 outputs differ, max abs "
+    assert "differs" not in lines[1] + lines[2]
+    assert lines[-2:] == [f"# tiny: 1 of 3 outputs differ, max abs "
                           f"{abs(value - moved):.2g}, max rel 1e-12",
                           f"# 1 outputs differ from {dump}"]
     first.write_text(text.replace("couplings", "coupling", 1))
-    other = "# tiny: 1 of 2 outputs differ, 1 in their text or missing"
+    other = "# tiny: 1 of 3 outputs differ, 1 in their text or missing"
     lines = against()
     assert lines[0].endswith(" differs: text differs")
     assert lines[-2] == other
@@ -113,6 +115,20 @@ def test_digest_dump_and_against(tmp_path, monkeypatch, capsys,
     lines = against()
     assert lines[0].endswith(" differs: missing")
     assert lines[-2] == other
+
+    # the spectrum's CSV table: every kernel_sv cell and the zmax line moved
+    first.write_text(text)
+    third = dump / "tiny-002-c.out"
+    table = third.read_text().splitlines(keepends=True)
+    rows = [i for i, line in enumerate(table) if line[0].isdigit()]
+    for i in rows:
+        *cells, sv = table[i].split(",")
+        table[i] = ",".join(cells + [repr(2.0 * float(sv)) + "\n"])
+    third.write_text("".join(table).replace("# zmax=3", "# zmax=3.5"))
+    lines = against()
+    columns = f"; by column elsewhere: 1, kernel_sv: {len(rows)}"
+    assert len(rows) > 1
+    assert lines[2].endswith(columns) and lines[-2].endswith(columns)
 
 
 def test_digest_reports_the_largest_absolute_change_beside_the_relative(
@@ -125,11 +141,12 @@ def test_digest_reports_the_largest_absolute_change_beside_the_relative(
     want = "s,re,defect\n0.5,0.25,2.2e-14\n1.5,-0.75,3e-15\n"
     got = "s,re,defect\n0.5,0.25000000000000006,1.7e-14\n1.5,-0.75,3e-15\n"
     assert output_digest.compare(got, want, rule) == (
-        "2 of 6 numbers changed, max abs 5e-15, max rel 0.23")
+        "2 of 6 numbers changed, max abs 5e-15, max rel 0.23; by column "
+        "re: 1, defect: 1")
     got = got.replace("-0.75", "-0.7500000001")
     assert output_digest.compare(got, want, rule) == (
         "3 of 6 numbers changed, max abs 1e-10, max rel 0.23 (beyond the "
-        "pinned tolerance)")
+        "pinned tolerance); by column re: 2, defect: 1")
 
 
 def test_scaling_records_the_weyl_route_run(tmp_path, monkeypatch, capsys,

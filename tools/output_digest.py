@@ -25,12 +25,16 @@ Nothing under perfbench/ is written.
 and appends to the line of each job whose output differs how many of
 its numbers changed and the largest absolute and relative changes among
 them (each taken over every changed number, so a last-bit change of a
-number near 0 reads large relative and small absolute).  Numbers
+number near 0 reads large relative and small absolute), and in which
+columns of its CSV tables they sit, with how many changed in each
+("elsewhere" for the numbers outside a table; nothing when none sits
+in a table).  Numbers
 are found and compared by the rule of tests/test_pinned.py; an output
 whose text around the numbers differs, or that is missing from DIR, is
 reported as such.  The report ends with one line per workload (check
 and the demos included): how many of its outputs differ, the largest
-absolute and relative changes of a number among them, and how many differ
+absolute and relative changes of a number among them, the changed
+numbers per column, and how many differ
 in their text or are missing; a last line counts all the jobs that
 differ.  With --against the exit status is 1 when any output differs
 from its dump or is missing there, and 0 when every one is the same, byte
@@ -55,6 +59,7 @@ import runpy  # noqa: E402
 import shutil  # noqa: E402
 import sys  # noqa: E402
 import warnings  # noqa: E402
+from collections import Counter  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORK = os.path.join("tools", ".digest-work")
@@ -97,6 +102,48 @@ def changes(got: str, want: str, rule):
             if not (g == w or g != g and w != w)]
 
 
+def _is_number(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
+def _is_header(line: str) -> bool:
+    """A CSV header: two or more comma-separated names, none of them
+    blank, spaced or a number."""
+    fields = line.split(",")
+    return (not line.startswith("#") and len(fields) > 1
+            and all(f and " " not in f and not _is_number(f) for f in fields))
+
+
+def columns(got: str, want: str, rule) -> Counter:
+    """{column: how many of its numbers changed} for got and want whose
+    text around the numbers is the same, over their CSV rows: the lines
+    under a header line with as many fields as it has.  Changed numbers
+    outside such rows count under "elsewhere"."""
+    counts, header = Counter(), []
+    for got_line, want_line in zip(got.splitlines(), want.splitlines()):
+        if _is_header(got_line):
+            header = got_line.split(",")
+            continue
+        cells, names = zip(got_line.split(","), want_line.split(",")), header
+        if got_line.count(",") + 1 != len(header):     # not a row
+            cells, names = [(got_line, want_line)], ["elsewhere"]
+        for name, (g, w) in zip(names, cells):
+            counts[name] += len(changes(g, w, rule))
+    return +counts      # without the columns where nothing changed
+
+
+def by_column(counts: Counter) -> str:
+    """'; by column a: 3, b: 1', or '' when no changed number sits in a
+    column."""
+    if not counts.keys() - {"elsewhere"}:
+        return ""
+    return "; by column " + ", ".join(f"{k}: {n}" for k, n in counts.items())
+
+
 def worst(changed) -> tuple[float, float]:
     """The largest absolute and relative change among changed pairs."""
     return (max(abs(g - w) for g, w in changed),
@@ -117,7 +164,7 @@ def compare(got: str, want: str, rule) -> str:
               f"changed, max abs {worst_abs:.2g}, max rel {worst_rel:.2g}")
     if any(not rule._same_number(g, w) for g, w in changed):
         report += " (beyond the pinned tolerance)"
-    return report
+    return report + by_column(columns(got, want, rule))
 
 
 def run_demo(path) -> int:
@@ -162,7 +209,8 @@ def main(argv=None) -> int:
                 fh.write(text)
         if against:
             counts = tally.setdefault(
-                name, {"outputs": 0, "differ": 0, "numbers": [], "text": 0})
+                name, {"outputs": 0, "differ": 0, "numbers": [], "text": 0,
+                       "columns": Counter()})
             counts["outputs"] += 1
             try:
                 with open(os.path.join(against, base)) as fh:
@@ -178,6 +226,7 @@ def main(argv=None) -> int:
                     counts["text"] += 1
                 else:
                     counts["numbers"] += changed
+                    counts["columns"] += columns(text, want, rule)
         print(line, flush=True)
 
     shutil.rmtree(WORK, ignore_errors=True)
@@ -198,7 +247,7 @@ def main(argv=None) -> int:
                 "outputs differ")
         if counts["numbers"]:
             line += ", max abs {:.2g}, max rel {:.2g}".format(
-                *worst(counts["numbers"]))
+                *worst(counts["numbers"])) + by_column(counts["columns"])
         if counts["text"]:
             line += f", {counts['text']} in their text or missing"
         print(line, flush=True)
