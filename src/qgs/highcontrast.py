@@ -22,11 +22,11 @@ independent code paths so they can be cross-checked band by band.
 Fiber eigenvalue n is the only root in band n (Floquet theory: Eastham
 1973; Reed & Simon IV, XIII.16), so each is one bisection to full double
 precision on a bracket known in advance: no grid scan, no derivative.
-All three models bisect in one lockstep per band: every (eps, tau)
-bracket of a study, or every tau of a limit model's table, is halved
-together, twice per round on one array evaluation (``_bisect``).  Each
-root is bit for bit the one that a bisection of its bracket alone would
-find.
+Each model bisects in one lockstep per study: every (eps, tau, band)
+bracket of the eps model, or every (tau, band) bracket of a limit
+model's table, is halved together, twice per round on one array
+evaluation (``_bisect``).  Each root is bit for bit the one that a
+bisection of its bracket alone would find.
 A closed gap's edge is listed once per band: the free medium (a=1,
 eps=1) at tau=0 lists (2 pi n)^2 twice for n >= 1, the two Bloch waves.
 """
@@ -205,6 +205,11 @@ def _bisect(below, lo, hi) -> np.ndarray:
     double strictly between lo and hi) of a bisection of its own, so its
     root does not depend on the brackets beside it.
     """
+    # Brackets keep their own midpoints because a predicate that changes
+    # once in exact arithmetic need not in the last bits.  Witness: band 2
+    # of eps_spectra at l1 = 0.16122465950414808, l2 = 0.51750253879416,
+    # a = 1, eps = 0.01, tau = 0.02965957159205379 reads true, false, true,
+    # false on the four doubles from kappa = 7.93123898785971.
     lo = np.array(lo, dtype=float)
     hi = np.array(np.broadcast_to(hi, lo.shape), dtype=float)
     live = np.arange(lo.size)
@@ -228,16 +233,17 @@ def _bisect(below, lo, hi) -> np.ndarray:
         live = live[inside]
 
 
-def _rotation(cell: HighContrastCell, stiff, kappa, band: int):
+def _rotation(cell: HighContrastCell, stiff, kappa, band):
     """(phi(kappa) - (band - 1) pi, 4 - D^2) per item, for media with stiff
-    coefficients `stiff`: the cell's rotation function phi rises from 0 to
-    pi across the band, D = 2 cos(phi), and is flat in the gaps, where
-    4 - D^2 < 0.  phi = pi n_D + (a, or pi - a for odd n_D): n_D =
-    ceil(theta/pi) - 1 counts Dirichlet eigenvalues below kappa^2 by the
-    Pruefer angle of u(0) = 0, which gains kappa L / sqrt(c) in a layer and
-    at an interface maps psi = theta mod pi to atan2(sqrt(c_new/c_old)
-    sin psi, cos psi); a = atan2(sqrt(4 - D^2), D), with 4 - D^2 formed from
-    the monodromy entries so that it stays exact where a gap closes."""
+    coefficients `stiff` and bands `band` (one, or one per item): the cell's
+    rotation function phi rises from 0 to pi across the band, D =
+    2 cos(phi), and is flat in the gaps, where 4 - D^2 < 0.  phi = pi n_D
+    + (a, or pi - a for odd n_D): n_D = ceil(theta/pi) - 1 counts Dirichlet
+    eigenvalues below kappa^2 by the Pruefer angle of u(0) = 0, which gains
+    kappa L / sqrt(c) in a layer and at an interface maps psi = theta mod
+    pi to atan2(sqrt(c_new/c_old) sin psi, cos psi); a = atan2(sqrt(4 -
+    D^2), D), with 4 - D^2 formed from the monodromy entries so that it
+    stays exact where a gap closes."""
     root = np.sqrt(stiff)
     theta = kappa * cell.l1 / root      # the first layer starts at angle 0
     for ratio, gain in ((np.sqrt(1.0 / stiff), kappa * cell.l2),
@@ -261,29 +267,27 @@ def eps_spectra(cell: HighContrastCell, eps_values, taus,
     eps_values[i] and taus[j].  ``cell.epsilon`` is not used.
 
     Eigenvalue n solves phi = (n - 1) pi + (t, or pi - t for even n),
-    t = |tau| folded into [0, pi], bisected in kappa = sqrt(z) from the
-    previous root to n pi / l2, where phi >= n pi: by min-max the n-th
-    Dirichlet eigenvalue is at most (n pi / l2)^2.  At a band edge (t = 0
+    t = |tau| folded into [0, pi], bisected in kappa = sqrt(z) on
+    [0, n pi / l2]: phi = 0 at kappa = 0, and phi >= n pi at the upper
+    end, since by min-max the n-th Dirichlet eigenvalue is at most
+    (n pi / l2)^2.  No bracket needs the band below it, so every (eps,
+    tau, band) bracket is bisected in one lockstep.  At a band edge (t = 0
     or pi) the root is the end of phi's flat stretch inside the band; z = 0
-    at tau = 0 is an exact hit at band 1's left end, where D(0) = 2.  Each
-    band is one lockstep bisection of every (eps, tau) bracket.
+    at tau = 0 is an exact hit at band 1's left end, where D(0) = 2.
     """
     stiff = [cell.with_epsilon(e).stiff for e in eps_values]
     _check_bands(count)
-    t = [_folded(tau) for tau in taus]
-    shape = (len(stiff), len(t))
-    stiff, t = np.repeat(stiff, len(t)), np.tile(t, len(stiff))
-    kappa, roots = np.zeros(stiff.size), []
-    for n in range(1, count + 1):
-        s = t if n % 2 else math.pi - t
+    grid = np.meshgrid(stiff, [_folded(tau) for tau in taus],
+                       np.arange(1.0, count + 1), indexing="ij")
+    stiff, t, n = (g.ravel() for g in grid)
+    s = np.where(n % 2 == 1, t, math.pi - t)
 
-        def below(i, k):  # an open gap at rho = 0 lies under the band
-            rho, delta = _rotation(cell, stiff[i], k, n)
-            return (rho < s[i]) | ((rho <= 0.0) & (delta < 0.0))
+    def below(i, k):  # an open gap at rho = 0 lies under the band
+        rho, delta = _rotation(cell, stiff[i], k, n[i])
+        return (rho < s[i]) | ((rho <= 0.0) & (delta < 0.0))
 
-        kappa = _bisect(below, kappa, n * math.pi / cell.l2)
-        roots.append(kappa * kappa)
-    return np.reshape(np.transpose(roots), shape + (count,)).tolist()
+    kappa = _bisect(below, np.zeros(n.size), n * math.pi / cell.l2)
+    return (kappa * kappa).reshape(grid[0].shape).tolist()
 
 
 def eps_spectrum(cell: HighContrastCell, tau, count: int = 8) -> list[float]:
@@ -380,11 +384,9 @@ class ConvergenceRow:
 
 @dataclass(frozen=True)
 class DispersionTable:
-    """Eigenvalues per model over a tau grid, plus study metadata."""
+    """Eigenvalues per model over a tau grid."""
     taus: tuple
-    bands: int
     eigenvalues: dict       # model name -> {tau index -> list of z}
-    metadata: dict
 
     def rows(self):
         """(model, tau, band, eigenvalue) in deterministic order."""
@@ -410,9 +412,7 @@ def build_dispersion_table(cell: HighContrastCell, taus, bands: int,
                 cell, [Quasimomentum(t).shifted() for t in taus], bands)
         else:
             raise ValueError(f"unknown model {model!r}")
-    meta = {"l1": cell.l1, "l2": cell.l2, "l3": cell.l3, "a": cell.a,
-            "epsilon": cell.epsilon, "bands": bands}
-    return DispersionTable(taus, bands, table, meta)
+    return DispersionTable(taus, table)
 
 
 def convergence_fit(eps_list, taus, limits, spectra) -> list[ConvergenceRow]:
@@ -420,9 +420,11 @@ def convergence_fit(eps_list, taus, limits, spectra) -> list[ConvergenceRow]:
 
     limits[j] is the homogenised spectrum at taus[j] and spectra[i][j] the
     fiber spectrum of the eps_list[i] medium there.  Needs at least three
-    distinct eps values, in any order.  Bands where the two models agree
-    below the resolution floor at every eps (the z = 0 row at tau = 0) are
-    flagged exact instead of fitted.
+    distinct eps values, in any order.  The order is the slope of
+    log(error) against log(eps), one least-squares fit for every (tau,
+    band) column at once.  Bands where the two models agree below the
+    resolution floor at every eps (the z = 0 row at tau = 0) are flagged
+    exact instead, with no order.
     """
     by_eps = dict(zip((float(e) for e in eps_list), spectra))
     eps_list = sorted(by_eps, reverse=True)
@@ -430,24 +432,17 @@ def convergence_fit(eps_list, taus, limits, spectra) -> list[ConvergenceRow]:
         raise ValueError("need at least three eps values")
     if len(eps_list) < len(spectra):
         raise ValueError("eps values must be distinct")
-    rows = []
-    for j, t in enumerate(taus):
-        limit = limits[j]
-        per_eps = [[abs(s - l) for s, l in zip(by_eps[e][j], limit)]
-                   for e in eps_list]
-        for band in range(len(limit)):
-            errs = tuple((e, per_eps[i][band])
-                         for i, e in enumerate(eps_list))
-            if all(err < EXACT_FLOOR for _, err in errs):
-                rows.append(ConvergenceRow(t, band + 1, limit[band], errs,
-                                           None, True))
-                continue
-            xs = np.log([e for e, _ in errs])
-            ys = np.log([max(err, 1e-300) for _, err in errs])
-            order = float(np.polyfit(xs, ys, 1)[0])
-            rows.append(ConvergenceRow(t, band + 1, limit[band], errs,
-                                       order, False))
-    return rows
+    err = np.abs(np.array([by_eps[e] for e in eps_list], dtype=float)
+                 - np.array(limits, dtype=float))       # (eps, tau, band)
+    exact = (err < EXACT_FLOOR).all(0)
+    logs = np.log(np.maximum(err, 1e-300)).reshape(len(eps_list), -1)
+    order = np.polyfit(np.log(eps_list), logs, 1)[0].reshape(exact.shape)
+    return [ConvergenceRow(t, band + 1, limit[band],
+                           tuple(zip(eps_list, err[:, j, band].tolist())),
+                           None if exact[j, band] else float(order[j, band]),
+                           bool(exact[j, band]))
+            for j, (t, limit) in enumerate(zip(taus, limits))
+            for band in range(len(limit))]
 
 
 def convergence_study(cell: HighContrastCell, eps_list, tau_list,

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from qgs import (HighContrastCell, Quasimomentum, build_dispersion_table,
                  cell_discriminant, convergence_study, eps_spectra,
                  eps_spectrum, hom_dprime_spectra, hom_dprime_spectrum,
-                 hom_tau_spectra, hom_tau_spectrum, transfer_matrix)
-from qgs.highcontrast import _bisect, _rotation
+                 hom_tau_spectra, hom_tau_spectrum, highcontrast,
+                 transfer_matrix)
+from qgs.highcontrast import _bisect, _rotation, convergence_fit
 from qgs.kernels import SERIES_CUTOFF, entire_cs, entire_cs_real, mp_entire_cs
 
 CELL = HighContrastCell(0.25, 0.5, 0.25)
@@ -328,6 +329,46 @@ def test_convergence_flags_exact_band():
     assert first.limit == 0.0
 
 
+def test_convergence_fit_is_one_polyfit_equal_to_per_row_fits(monkeypatch):
+    """One np.polyfit for the whole study; each order is bit for bit the
+    per-row fit of log(error) against log(eps), and the exact row (tau = 0,
+    band 1) has none."""
+    eps, taus = [0.05, 0.2, 0.025, 0.1], [0.0, 0.7, -2.1, math.pi / 2]
+    limits = hom_tau_spectra(CELL, taus, 4)
+    spectra = eps_spectra(CELL, eps, taus, 4)
+    calls = []
+    polyfit = np.polyfit
+
+    def counted(*args):
+        calls.append(1)
+        return polyfit(*args)
+
+    monkeypatch.setattr(np, "polyfit", counted)
+    rows = convergence_fit(eps, taus, limits, spectra)
+    monkeypatch.undo()
+    assert len(calls) == 1
+    assert [(r.tau, r.band) for r in rows] == [(t, b) for t in taus
+                                               for b in range(1, 5)]
+    by_eps = dict(zip(eps, spectra))
+    for r in rows:
+        j = taus.index(r.tau)
+        want = [(e, abs(by_eps[e][j][r.band - 1] - limits[j][r.band - 1]))
+                for e in sorted(eps, reverse=True)]
+        assert r.errors == tuple(want) and r.limit == limits[j][r.band - 1]
+        if (r.tau, r.band) == (0.0, 1):
+            assert r.exact and r.order is None
+            continue
+        assert not r.exact
+        xs = np.log([e for e, _ in want])
+        ys = np.log([max(x, 1e-300) for _, x in want])
+        ref = float(np.polyfit(xs, ys, 1)[0])
+        assert _bits([r.order]) == _bits([ref])
+
+
+def test_convergence_study_on_no_tau_is_empty():
+    assert convergence_study(CELL, [0.2, 0.1, 0.05], [], 2) == []
+
+
 def test_convergence_requires_three_epsilons():
     with pytest.raises(ValueError):
         convergence_study(CELL, [0.2, 0.1], [0.0], 2)
@@ -429,7 +470,7 @@ def _ref_rotation(cell, kappa, band):
 
 def _ref_eps_spectrum(cell, tau, count):
     t = abs(Quasimomentum(tau).tau)
-    out, kappa = [], 0.0
+    out = []
     for n in range(1, count + 1):
         s = t if n % 2 else math.pi - t
 
@@ -437,8 +478,7 @@ def _ref_eps_spectrum(cell, tau, count):
             rho, delta = _ref_rotation(cell, k, n)
             return rho < s or (rho <= 0.0 and delta < 0.0)
 
-        kappa = _ref_bisect(below, kappa, n * math.pi / cell.l2)
-        out.append(kappa * kappa)
+        out.append(_ref_bisect(below, 0.0, n * math.pi / cell.l2) ** 2)
     return out
 
 
@@ -528,6 +568,77 @@ def test_eps_lockstep_matches_scalar_bisection_to_eight_bands():
     # closed-gap edge (2 pi)^2
     assert _bits(got[0][0][:1]) == _bits(got[1][0][:1]) == _bits([0.0])
     assert got[0][0][1] == got[0][0][2]
+
+
+# A cell and an item at which the rotation predicate of band 2 reads true,
+# false, true, false on the four doubles from kappa = 7.93123898785971: a
+# bisection from band 1's root ends on the second true one, z =
+# 62.904551882545945, the bisection of band 2's own bracket on the first.
+WITNESS_CELL = HighContrastCell(0.16122465950414808, 0.51750253879416,
+                                1.0 - 0.16122465950414808 - 0.51750253879416)
+WITNESS = (0.01, 0.02965957159205379, 2)
+
+
+def _band_predicate(cell, eps, tau, n):
+    """eps_spectra's predicate for band n at one (eps, tau)."""
+    stiff = np.array([cell.with_epsilon(eps).stiff])
+    t = abs(Quasimomentum(tau).tau)
+    s = t if n % 2 else math.pi - t
+
+    def below(i, k):
+        rho, delta = _rotation(cell, stiff[i], k, n)
+        return (rho < s) | ((rho <= 0.0) & (delta < 0.0))
+
+    return below
+
+
+def _own_bracket_root(cell, eps, tau, n):
+    """Band n's root from _bisect on its one bracket [0, n pi / l2]."""
+    kappa = _bisect(_band_predicate(cell, eps, tau, n), [0.0],
+                    n * math.pi / cell.l2)[0]
+    return kappa * kappa
+
+
+def test_witness_predicate_changes_three_times():
+    below = _band_predicate(WITNESS_CELL, *WITNESS)
+    kappa = [7.93123898785971]
+    for _ in range(3):
+        kappa.append(math.nextafter(kappa[-1], math.inf))
+    got = [bool(below(np.array([0]), np.array([k]))[0]) for k in kappa]
+    assert got == [True, False, True, False]
+
+
+@pytest.mark.parametrize("cell, eps, taus, count", [
+    (WITNESS_CELL, [WITNESS[0]], [WITNESS[1]], 2),
+    (HighContrastCell(0.3, 0.45, 0.25, a=2.5), [1.0, 0.02],
+     [0.0, 1e-4, 1.1, -math.pi], 4),
+    (HighContrastCell(0.25, 0.5, 0.25), [0.05], [0.0, -0.7], 8)])
+def test_eps_root_depends_on_its_own_bracket_only(cell, eps, taus, count):
+    """Each band's root is, bit for bit, _bisect on that band's bracket
+    alone, whatever the bands below it give."""
+    got = eps_spectra(cell, eps, taus, count)
+    for e, per_tau in zip(eps, got):
+        for tau, spectrum in zip(taus, per_tau):
+            assert _bits(spectrum) == _bits(
+                [_own_bracket_root(cell, e, tau, n)
+                 for n in range(1, count + 1)]), (e, tau)
+    if cell is WITNESS_CELL:
+        z = got[0][0][WITNESS[2] - 1]
+        assert z != 62.904551882545945
+        assert z == pytest.approx(62.904551882545945, rel=1e-15)
+
+
+def test_eps_spectra_bisect_once_for_all_bands(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _bisect(*args)
+
+    monkeypatch.setattr(highcontrast, "_bisect", counted)
+    spectra = eps_spectra(CELL, [0.2, 0.05], [0.0, 1.1, -2.0], 8)
+    assert len(calls) == 1
+    assert np.shape(spectra) == (2, 3, 8)
 
 
 @pytest.mark.parametrize("a", [0.4, 1.0, 2.5])
