@@ -125,10 +125,6 @@ class MetricGraph:
         except KeyError:
             raise GraphError(f"unknown vertex id {vid!r}") from None
 
-    def external(self, vid: str) -> bool:
-        """True iff the vertex carries a lead (derived from ``leads``)."""
-        return vid in self.leads
-
     def external_ids(self) -> list[str]:
         """Sorted ids of external vertices — the external matrix order."""
         return sorted(set(self.leads))
@@ -292,7 +288,7 @@ def validate(graph: MetricGraph) -> ValidationReport:
             if end not in seen:
                 report.violations.append(
                     f"edge {e.id} endpoint {end!r} is not a vertex")
-        if not (e.length > 0.0) or e.length != e.length or e.length == float("inf"):
+        if not 0.0 < e.length < math.inf:
             report.violations.append(
                 f"edge {e.id} ({e.u}-{e.v}): non-positive length {e.length!r}")
 
@@ -518,8 +514,7 @@ def serialize_graph(graph: MetricGraph) -> str:
     """
     doc = {
         "vertices": [
-            {"id": v.id, "coupling": [float(v.coupling.real if isinstance(v.coupling, complex) else v.coupling),
-                                      float(v.coupling.imag if isinstance(v.coupling, complex) else 0.0)]}
+            {"id": v.id, "coupling": [(c := complex(v.coupling)).real, c.imag]}
             for v in graph.vertices
         ],
         "edges": [

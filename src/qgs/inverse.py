@@ -477,13 +477,13 @@ def _ladder(tau0, levels, fit_tol):
 
     tau0 must be finite and positive, and levels at least 4: with only
     three levels the three coefficients of the fit fit exactly, so its
-    residual could never flag a divergence.  A NaN fit_tol, which no
-    residual can exceed, is refused, and so is a ladder whose deepest
-    energy -(tau0 * 2^(levels - 1))^2 overflows, or whose 1/tau0^2, the
-    largest entry of the fit's design matrix, does.
+    residual could never flag a divergence.  A fit_tol below 0, which
+    every residual exceeds, or NaN, which none can, is refused, and so is
+    a ladder whose deepest energy -(tau0 * 2^(levels - 1))^2 overflows,
+    or whose 1/tau0^2, the largest entry of the fit's design matrix, does.
     """
-    if math.isnan(fit_tol):
-        raise ValueError("fit_tol must be a number, got nan")
+    if not fit_tol >= 0.0:
+        raise ValueError(f"fit_tol must be a number >= 0, got {fit_tol!r}")
     if not (math.isfinite(tau0) and tau0 > 0):
         raise ValueError(f"tau0 must be finite and positive, got {tau0!r}")
     if levels < 4:

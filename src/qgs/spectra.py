@@ -130,31 +130,19 @@ def _special_point(lengths, a, b):
     return p, a - reach <= p <= b + reach, b - reach <= p <= a + reach
 
 
-def _isolated(near, a, b, na, nb, ea, eb):
-    """The _Crossing of a bracket (a, b] with counts na, nb and eigenvalue
-    rows ea, eb at its ends, or None while it must still be halved: when
-    its jump is not exactly 1, when 0 or a pole is near it (_special_point),
-    or when the crossing eigenvalue is not negative at a and positive at
-    b."""
-    if nb - na != 1 or near:
-        return None
-    j = eb.size - int(np.sum(eb > 0.0))
-    if not ea[j] < 0.0 < eb[j]:
-        return None
-    return _Crossing(a, b, na, nb, ea, eb, j)
-
-
 def _illinois_point(a, b, fa, fb):
     """The zero of the chord through (a, fa) and (b, fb)."""
     return (a * fb - b * fa) / (fb - fa)
 
 
-class _Crossing:
-    """An isolated jump of the count: on (a, b] eigenvalue j of
-    M(t|t|) - kappa, continuous and increasing there, crosses zero, and
-    the count steps from na to nb where it does.
+class _Bracket:
+    """A bracket (a, b] of the count, with counts na, nb and eigenvalue
+    rows ea, eb at its ends.  It is halved until isolate accepts it, and
+    from then on refined: on (a, b] eigenvalue j of M(t|t|) - kappa,
+    continuous and increasing there, crosses zero, and the count steps
+    from na to nb where it does.
 
-    Refined by safeguarded Illinois steps (Dowell & Jarratt, BIT 11,
+    Refinement takes safeguarded Illinois steps (Dowell & Jarratt, BIT 11,
     1971): the chord's zero, with the value at an end halved whenever the
     other end moves twice in a row.  A point closer than tol to the last
     one moves tol past it, so that a converged side closes the bracket in
@@ -165,24 +153,41 @@ class _Crossing:
     to halve the bracket use up the slack, after which the points are
     midpoints.  tol is REFINE_ULPS / 2 ulps of the larger end."""
 
-    def __init__(self, a, b, na, nb, ea, eb, j):
-        self.a, self.b, self.na, self.nb = a, b, na, nb
-        self.ea, self.eb, self.j = ea, eb, j
-        self.fa, self.fb = float(ea[j]), float(eb[j])
+    j = None                        # the crossing eigenvalue once refining
+
+    def __init__(self, a, b, na, nb, ea, eb):
+        self.a, self.b, self.na, self.nb, self.ea, self.eb = \
+            a, b, na, nb, ea, eb
+
+    def isolate(self, near):
+        """Start refining, from the end rows' values of the crossing
+        eigenvalue, unless the bracket must still be halved: when its jump
+        is not exactly 1, when 0 or a pole is near it (_special_point), or
+        when that eigenvalue is not negative at a and positive at b."""
+        if self.nb - self.na != 1 or near:
+            return
+        j = self.eb.size - int(np.sum(self.eb > 0.0))
+        if not self.ea[j] < 0.0 < self.eb[j]:
+            return
+        self.j, self.fa, self.fb = j, float(self.ea[j]), float(self.eb[j])
         self.moved = 0              # the end the last step moved, -1 or 1
-        ulp = math.ulp(max(-a, b))
+        ulp = math.ulp(max(-self.a, self.b))
         self.tol = 0.5 * REFINE_ULPS * ulp
         # one round fewer than bisection takes to adjacent doubles, so that
         # rounding in the schedule cannot cost more than bisection
-        self.rounds = math.ceil(math.log2((b - a) / ulp)) - 1
+        self.rounds = math.ceil(math.log2((self.b - self.a) / ulp)) - 1
 
     def point(self):
-        """The next point to evaluate, or None once the bracket is at most
+        """The next point to evaluate: the midpoint while halving, the
+        safeguarded Illinois point while refining; None once the midpoint
+        is no double strictly inside or a refined bracket is at most
         2 * tol wide."""
         a, b = self.a, self.b
         half = 0.5 * (a + b)
-        if b - a <= 2.0 * self.tol or not a < half < b:
+        if not a < half < b or self.j is not None and b - a <= 2 * self.tol:
             return None
+        if self.j is None:
+            return half
         x = _illinois_point(a, b, self.fa, self.fb)
         if self.moved:
             last = b if self.moved == 1 else a
@@ -193,88 +198,70 @@ class _Crossing:
             x = half - math.copysign(max(radius, 0.0), half - x)
         return x if a < x < b else half
 
-    def update(self, x, nx, ex):
-        """Move the end whose count x has; False when nx is neither."""
+    def split(self, x, nx, ex):
+        """The brackets after evaluating x, with count nx and eigenvalue
+        row ex there: a refining bracket with the end whose count x has
+        moved to x, or else the two halves at x, to be halved (a refining
+        step whose count is neither end's is float noise)."""
+        if self.j is None or nx not in (self.na, self.nb):
+            return [_Bracket(self.a, x, self.na, nx, self.ea, ex),
+                    _Bracket(x, self.b, nx, self.nb, ex, self.eb)]
         self.rounds -= 1
+        fx = float(ex[self.j])
         if nx == self.nb:
             if self.moved == 1:
                 self.fa *= 0.5
-            self.b, self.eb, self.fb, self.moved = x, ex, float(ex[self.j]), 1
-        elif nx == self.na:
+            self.b, self.eb, self.fb, self.moved = x, ex, fx, 1
+        else:
             if self.moved == -1:
                 self.fb *= 0.5
-            self.a, self.ea, self.fa, self.moved = x, ex, float(ex[self.j]), -1
-        else:
-            return False
-        return True
+            self.a, self.ea, self.fa, self.moved = x, ex, fx, -1
+        return [self]
 
 
 def _count_jumps(graph, kappa, ends):
     """(t, jump) for every jump of the count on the brackets between
     consecutive ends, in ascending t.
 
-    Isolate: each bracket whose end counts differ is halved until it stops
-    or _isolated accepts it.  A bracket that lies wholly within the snap's
-    reach of its special point p (_special_point) stops at p with its
-    whole jump when the kernel test finds an eigenvalue at p^2, asked once
-    per p; a bracket whose midpoint is no longer a double strictly inside
-    it stops there, which ends a jump of 2 or more, or a root the kernel
-    test does not find at p, at adjacent doubles.  Refine: an accepted
-    bracket, one jump of 1 clear of 0 and of the poles, is a _Crossing,
-    refined on its crossing eigenvalue to REFINE_ULPS ulps and reported at
-    the final midpoint.  Every round evaluates one point per live bracket,
-    halving or refining, in one _eigen_counts call, whose eigenvalue rows
-    give each new crossing its values at both ends at no cost.  A refining
-    step whose count is neither end's (float noise) hands both halves back
-    to halving."""
+    Each round drops the _Brackets whose end counts are equal and
+    evaluates one point per live bracket, halving or refining, in one
+    _eigen_counts call.  A halving bracket wholly within the snap's reach
+    of its special point p (_special_point) stops at p with its whole
+    jump when the kernel test finds an eigenvalue at p^2, asked once per
+    p; otherwise isolate may start its refinement.  A bracket without a
+    next point stops at its midpoint: adjacent doubles end a jump of 2 or
+    more, or a root the kernel test does not find at p, and REFINE_ULPS
+    ulps end a refined one."""
     lengths = np.array([e.length for e in graph.edges])
     counts, eigs = _eigen_counts(graph, kappa, ends)
-    counts = counts.tolist()
-    brackets = list(zip(ends, ends[1:], counts, counts[1:], eigs, eigs[1:]))
-    crossings, jumps, on_point = [], [], {}
+    brackets = [_Bracket(*end) for end in zip(
+        ends, ends[1:], counts.tolist(), counts[1:].tolist(), eigs, eigs[1:])]
+    jumps, on_point = [], {}
     while True:
-        halving = []
-        for a, b, na, nb, ea, eb in brackets:
-            if na == nb:
-                continue
-            p, near, within = _special_point(lengths, a, b)
-            if within:
-                if p not in on_point:
-                    on_point[p] = multiplicity_at(graph, kappa, p * p) >= 1
-                if on_point[p]:
-                    jumps.append((p, nb - na))
-                    continue
-            crossing = _isolated(near, a, b, na, nb, ea, eb)
-            if crossing is not None:
-                crossings.append(crossing)
-                continue
-            m = 0.5 * (a + b)
-            if a < m < b:
-                halving.append((a, m, b, na, nb, ea, eb))
-            else:
-                jumps.append((m, nb - na))
         steps = []
-        for c in crossings:
-            x = c.point()
+        for br in brackets:
+            jump = br.nb - br.na
+            if not jump:
+                continue
+            if br.j is None:
+                p, near, within = _special_point(lengths, br.a, br.b)
+                if within:
+                    if p not in on_point:
+                        on_point[p] = multiplicity_at(graph, kappa, p * p) >= 1
+                    if on_point[p]:
+                        jumps.append((p, jump))
+                        continue
+                br.isolate(near)
+            x = br.point()
             if x is None:
-                jumps.append((0.5 * (c.a + c.b), 1))
+                jumps.append((0.5 * (br.a + br.b), jump))
             else:
-                steps.append((c, x))
-        if not halving and not steps:
+                steps.append((br, x))
+        if not steps:
             return sorted(jumps)
-        counts, eigs = _eigen_counts(
-            graph, kappa, [h[1] for h in halving] + [x for _, x in steps])
-        counts = counts.tolist()
-        brackets, crossings = [], []
-        for (a, m, b, na, nb, ea, eb), nm, em in zip(halving, counts, eigs):
-            brackets += [(a, m, na, nm, ea, em), (m, b, nm, nb, em, eb)]
-        k = len(halving)
-        for (c, x), nx, ex in zip(steps, counts[k:], eigs[k:]):
-            if c.update(x, nx, ex):
-                crossings.append(c)
-            else:
-                brackets += [(c.a, x, c.na, nx, c.ea, ex),
-                             (x, c.b, nx, c.nb, ex, c.eb)]
+        counts, eigs = _eigen_counts(graph, kappa, [x for _, x in steps])
+        brackets = [new for (br, x), n, e in zip(steps, counts.tolist(), eigs)
+                    for new in br.split(x, n, e)]
 
 
 def _mp_weyl_secular(graph, kappa, k, dps):
@@ -517,10 +504,8 @@ def compact_eigenvalues(graph: MetricGraph, kappa: CouplingMatrix, count: int,
     # Weyl-type counting: about total_length/pi eigenvalues per unit of k
     k_guess = (count + 2) * math.pi / total + 2.0 / min(e.length for e in graph.edges)
     z_max = k_guess * k_guess
-    n = _eigen_counts(graph, kappa, [math.sqrt(z_max)])[0][0]
-    while n < count:
+    while (n := _eigen_counts(graph, kappa, [math.sqrt(z_max)])[0][0]) < count:
         z_max *= 2.0
-        n = _eigen_counts(graph, kappa, [math.sqrt(z_max)])[0][0]
     eigs = compact_spectrum(graph, kappa, z_max, mode)
     values = [e.z for e in eigs for _ in range(e.multiplicity)]
     if len(values) < n:

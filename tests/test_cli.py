@@ -737,15 +737,20 @@ def test_infinite_edge_length_is_invalid_input(tmp_path, capfd):
              "non-positive length inf")
 
 
-def test_smatrix_nan_factor_tol_is_invalid_input(graph_file, capfd):
-    """No defect exceeds a NaN tolerance, so the check could never fire."""
+@pytest.mark.parametrize("tol,name", [("nan", "check_tol"),
+                                      ("-1", "factor_tol")])
+def test_smatrix_nan_factor_tol_is_invalid_input(graph_file, capfd, tol,
+                                                 name):
+    """No defect exceeds a NaN tolerance, so the check could never fire;
+    every defect exceeds a negative one, so every point would be skipped."""
     _refused(["smatrix", "--graph", graph_file, "--s", "1,2",
-              "--factor-tol", "nan"], capfd, "check_tol")
+              "--factor-tol", tol], capfd, name)
 
 
-def test_invert_nan_fit_tol_is_invalid_input(graph_file, capfd):
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_invert_nan_fit_tol_is_invalid_input(graph_file, capfd, tol):
     _refused(["invert", "--graph-topology", graph_file, "--oracle", "forward",
-              "--true-couplings", "0.5,-0.25,1.0", "--fit-tol", "nan"], capfd,
+              "--true-couplings", "0.5,-0.25,1.0", "--fit-tol", tol], capfd,
              "fit_tol")
 
 

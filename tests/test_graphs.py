@@ -30,7 +30,7 @@ def test_degree_ignores_leads():
     g = MetricGraph([Vertex("A"), Vertex("B")], [Edge("A", "B", 1.0)],
                     leads=["A"])
     assert g.degree("A") == 1
-    assert g.external("A") and not g.external("B")
+    assert g.external_ids() == ["A"]
 
 
 def test_index_maps_are_kept_on_the_graph_and_not_shared():
@@ -100,13 +100,16 @@ def test_connected_graph_validates(star3):
     assert validate(star3).ok
 
 
-def test_validate_infinite_length_is_a_violation_not_a_crash():
+@pytest.mark.parametrize("length", [math.inf, math.nan, 0.0, -1.0])
+def test_validate_infinite_length_is_a_violation_not_a_crash(length):
     """An infinite length before a finite one used to reach Fraction(inf)
-    in the rational-ratio check and raise OverflowError."""
+    in the rational-ratio check and raise OverflowError; every length
+    outside (0, inf) is a violation, with no ratio warning."""
     g = MetricGraph([Vertex("A"), Vertex("B"), Vertex("C")],
-                    [Edge("A", "B", math.inf), Edge("B", "C", 1.0)])
+                    [Edge("A", "B", length), Edge("B", "C", 1.0)])
     report = validate(g)
-    assert any("non-positive length inf" in v for v in report.violations)
+    assert any(f"non-positive length {length!r}" in v
+               for v in report.violations)
     assert not report.warnings
 
 

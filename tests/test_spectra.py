@@ -433,14 +433,16 @@ def test_count_noise_while_refining_neither_loses_nor_adds(monkeypatch):
     multiplicity."""
     g, kappa = _count_case("missed-13")
     want = compact_spectrum(g, kappa, 30.0, "weyl")
-    update = spectra._Crossing.update
+    split = spectra._Bracket.split
     calls = []
 
     def noisy(self, x, nx, ex):
+        if self.j is None:
+            return split(self, x, nx, ex)
         calls.append(x)
-        return update(self, x, self.nb + 1 if len(calls) == 5 else nx, ex)
+        return split(self, x, self.nb + 1 if len(calls) == 5 else nx, ex)
 
-    monkeypatch.setattr(spectra._Crossing, "update", noisy)
+    monkeypatch.setattr(spectra._Bracket, "split", noisy)
     got = compact_spectrum(g, kappa, 30.0, "weyl")
     assert len(calls) > 5
     assert [e.multiplicity for e in got] == [e.multiplicity for e in want]
@@ -602,6 +604,26 @@ def test_compact_eigenvalues_collects_requested_count(loop_tadpole):
     for z in eig:
         if z > 1e-8:
             assert multiplicity_at(loop_tadpole, k, z) >= 1
+
+
+def test_compact_eigenvalues_shortfall_is_a_scan_failure(loop_tadpole,
+                                                         monkeypatch):
+    """A route that lists fewer eigenvalues than the count N(z_max) raises
+    ScanFailure, a NumericalError (so the CLI exits 3), with both numbers
+    and the window in its message."""
+    k = CouplingMatrix.from_values(loop_tadpole, [0.5, -0.5])
+    full = spectra.compact_spectrum
+    monkeypatch.setattr(spectra, "compact_spectrum",
+                        lambda *args: full(*args)[1:])
+    with pytest.raises(ScanFailure) as info:
+        compact_eigenvalues(loop_tadpole, k, 8)
+    z_max = info.value.x
+    n = spectra._eigen_counts(loop_tadpole, k, [math.sqrt(z_max)])[0][0]
+    listed = flatten(full(loop_tadpole, k, z_max)[1:])
+    assert isinstance(info.value, NumericalError)
+    assert n >= 8 and len(listed) < n
+    assert str(info.value) == (f"the weyl route listed {len(listed)} of the "
+                               f"{n} eigenvalues below z={z_max:g}")
 
 
 def test_leads_do_not_change_compact_spectrum(star3):
