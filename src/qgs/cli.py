@@ -153,8 +153,8 @@ def cmd_spectrum(args) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_smatrix(args) -> int:
-    if args.factor_tol < 0.0:
-        # every defect exceeds it, so every point would be skipped
+    if not args.factor_tol >= 0.0:
+        # a negative one would skip every point; a NaN one, none
         raise ValueError(f"factor_tol must be >= 0, got {args.factor_tol!r}")
     graph = _load_valid_graph(args.graph)
     ext = graph.external_ids()

@@ -42,10 +42,12 @@ Two independent constructions live here:
   made the projected-vs-factorised defect 2.6e-9, against 8.4e-13 from
   the solve.)  A single energy is a block of one, and ``sigma_sweep``
   cuts its grid into blocks of at most ``weyl.BLOCK_BYTES`` of
-  M-matrices.  The projected form is checked as the external rows of the
-  left factor times the external columns of the right one, without the
-  n x n product.  Energies s <= 0 are refused with ValueError: no wave
-  propagates on a lead there.
+  M-matrices and one dense coupling matrix.  The projected form is
+  checked as the external rows of the left factor times the external
+  columns of the right one, without the n x n product.  The unitarity
+  defect ||S*S - I|| is computed once per block, on the block's stack of
+  S, and stored on each ScatteringMatrix.  Energies s <= 0 are refused
+  with ValueError: no wave propagates on a lead there.
 
 * ``lead_matching_oracle`` — plane-wave matching.  For a unit incoming
   wave e^{-ikx} on one lead, solve the (2n + n_leads) linear system of
@@ -74,16 +76,21 @@ FACTOR_TOL = 1e-10
 
 @dataclass(frozen=True)
 class ScatteringMatrix:
-    """External scattering matrix at a single energy s > 0."""
+    """External scattering matrix at a single energy s > 0, with its
+    unitarity_defect ||S*S - I|| (Frobenius), computed for its block."""
     at_s: float
     entries: np.ndarray          # n_e x n_e, ordered by sorted external ids
     form: str                    # "full-factorised" | "projected"
+    unitarity_defect: float
 
-    @property
-    def unitarity_defect(self) -> float:
-        n = self.entries.shape[0]
-        return float(np.linalg.norm(
-            self.entries.conj().T @ self.entries - np.eye(n)))
+
+def _unitarity_defects(S):
+    """||S*S - I|| of each matrix of a stack S, bit for bit np.linalg.norm's:
+    (1 x k)(k x 1) products sum the squares with the dot kernel norm uses."""
+    m = S.shape[-1]
+    x = (S.conj().swapaxes(1, 2) @ S - np.eye(m)).reshape(len(S), 1, m * m)
+    squares = x.real @ x.real.swapaxes(1, 2) + x.imag @ x.imag.swapaxes(1, 2)
+    return np.sqrt(squares[:, 0, 0])
 
 
 def external_block(graph: MetricGraph):
@@ -113,13 +120,17 @@ def scattering_solves(graph: MetricGraph, kappa: CouplingMatrix, s_values,
     columns do not depend on kappa, so a caller that wants only them
     passes CouplingMatrix.zeros.  Raises ValueError for an energy s <= 0.
     """
+    return _solves(graph, kappa.as_array(), s_values, idx)
+
+
+def _solves(graph, K, s_values, idx):
+    """scattering_solves with K the dense coupling matrix, built once."""
     for s in s_values:
         if not s > 0:
             raise ValueError(f"scattering needs s > 0, got s={s:g}")
     M, poles = weyl_stack(graph, np.asarray(s_values, dtype=float), full=True)
     Ms = M.conj().swapaxes(1, 2)
     E = np.eye(graph.n_vertices)[:, idx]
-    K = kappa.as_array()
     inverse, refused = gated_inverses((M - K).swapaxes(1, 2), s_values,
                                       "M - coupling")
     rows = inverse[:, :, idx].swapaxes(1, 2) @ (Ms - K)
@@ -158,23 +169,24 @@ def external_factors(graph: MetricGraph, kappa: CouplingMatrix, s: float):
     return rows[:, ext], cols[ext, :]
 
 
-def _sigma_block(graph, kappa, s_values, check_tol):
-    """sigma_external at each energy of one block: per energy, the
-    ScatteringMatrix or the NumericalError that refused it."""
+def _sigma_block(graph, K, s_values, check_tol):
+    """sigma_external at each energy of one block, K the dense coupling
+    matrix: per energy, the ScatteringMatrix or the error refusing it."""
     ext = graph.external_indices()
-    rows, cols, errors = scattering_solves(graph, kappa, s_values, ext)
+    rows, cols, errors = _solves(graph, K, s_values, ext)
     factorised = rows[:, :, ext] @ cols[:, ext, :]
     # the external block of the full product, without forming the product
     projected = rows @ cols
     defects = np.linalg.norm(projected - factorised, axis=(1, 2))
     scales = np.maximum(1.0, np.linalg.norm(factorised, axis=(1, 2)))
     results = []
-    for s, error, entries, defect, scale in zip(
-            s_values, errors, factorised, defects, scales):
+    for s, error, entries, defect, scale, unitarity in zip(
+            s_values, errors, factorised, defects, scales,
+            _unitarity_defects(factorised).tolist()):
         if error is None and defect > check_tol * scale:
             error = FactorisationMismatch(s, float(defect), check_tol)
-        results.append(error or ScatteringMatrix(float(s), entries,
-                                                 "full-factorised"))
+        results.append(error or ScatteringMatrix(
+            float(s), entries, "full-factorised", unitarity))
     return results
 
 
@@ -198,7 +210,8 @@ def sigma_projected(graph: MetricGraph, kappa: CouplingMatrix,
                     s: float) -> ScatteringMatrix:
     """External scattering matrix by projection alone (no cross-check)."""
     entries = sigma_full(graph, kappa, s)[external_block(graph)]
-    return ScatteringMatrix(float(s), entries, "projected")
+    (defect,) = _unitarity_defects(entries[None]).tolist()
+    return ScatteringMatrix(float(s), entries, "projected", defect)
 
 
 # --------------------------------------------------------------------------
@@ -250,10 +263,11 @@ def sigma_sweep(graph: MetricGraph, kappa: CouplingMatrix, s_values,
         raise ValueError("check_tol must be a number, got nan")
     s_values = list(s_values)
     size = stack_size(graph.n_vertices)
+    K = kappa.as_array()
     matrices, skipped = [], []
     for start in range(0, len(s_values), size):
         block = s_values[start:start + size]
-        for s, result in zip(block, _sigma_block(graph, kappa, block,
+        for s, result in zip(block, _sigma_block(graph, K, block,
                                                  check_tol)):
             if isinstance(result, NumericalError):
                 skipped.append((float(s), result))

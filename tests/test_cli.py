@@ -737,7 +737,7 @@ def test_infinite_edge_length_is_invalid_input(tmp_path, capfd):
              "non-positive length inf")
 
 
-@pytest.mark.parametrize("tol,name", [("nan", "check_tol"),
+@pytest.mark.parametrize("tol,name", [("nan", "factor_tol"),
                                       ("-1", "factor_tol")])
 def test_smatrix_nan_factor_tol_is_invalid_input(graph_file, capfd, tol,
                                                  name):
@@ -745,6 +745,18 @@ def test_smatrix_nan_factor_tol_is_invalid_input(graph_file, capfd, tol,
     every defect exceeds a negative one, so every point would be skipped."""
     _refused(["smatrix", "--graph", graph_file, "--s", "1,2",
               "--factor-tol", tol], capfd, name)
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_smatrix_factor_tol_is_refused_before_the_graph_is_read(tmp_path,
+                                                                capfd, tol):
+    """One line naming factor_tol, though the graph file is missing."""
+    rc = main(["smatrix", "--graph", str(tmp_path / "missing.json"), "--s",
+               "1,2", "--factor-tol", tol])
+    captured = capfd.readouterr()
+    assert (rc, captured.out) == (2, "")
+    message = f"factor_tol must be >= 0, got {float(tol)!r}"
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1"])

@@ -16,8 +16,8 @@ from qgs import (CouplingMatrix, Edge, FactorisationMismatch, MetricGraph,
                  external_factors, lead_matching_oracle, parse_graph,
                  sigma_external, sigma_full, sigma_projected, sigma_sweep)
 from qgs import weyl
-from qgs.scattering import (FACTOR_TOL, external_block, scattering_solves,
-                            scattering_solves_at)
+from qgs.scattering import (FACTOR_TOL, _unitarity_defects, external_block,
+                            scattering_solves, scattering_solves_at)
 from qgs.weyl import COND_LIMIT, compact_entries, stack_size, weyl_full
 from qgs.testing import make_random_graph
 
@@ -484,3 +484,61 @@ def test_nonpositive_energy_is_refused(star3, s):
                  lambda: sigma_sweep(star3, k, [2.0, 3.0, s])):
         with pytest.raises(ValueError, match=f"s={s:g}"):
             call()
+
+
+def _stacks(m, rng):
+    """Random complex, QR-unitary and real stacks of m x m matrices, with
+    entries from 1e-8 to 1e3, and a stack of one."""
+    for scale in (1e-8, 1.0, 1e3):
+        shape = (9, m, m)
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        yield scale * z
+        q = np.linalg.qr(z)[0]
+        yield q + scale * 1e-12 * rng.standard_normal(shape)
+        yield scale * rng.standard_normal(shape)
+        yield scale * z[:1]
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_stacked_unitarity_defect_is_np_linalg_norm_bit_for_bit(m):
+    """The stacked defect of each matrix is, exactly, the one-matrix
+    formula np.linalg.norm(S*S - I): the sweep prints it with 17 digits."""
+    rng = np.random.default_rng(m)
+    for S in _stacks(m, rng):
+        got = _unitarity_defects(S).tolist()
+        assert got == [float(np.linalg.norm(a.conj().T @ a - np.eye(m)))
+                       for a in S]
+
+
+def test_sweep_unitarity_defects_are_each_energy_alone(monkeypatch):
+    """On a 3-lead graph swept in blocks of 4, each point's defect is
+    sigma_external's at that energy alone, bit for bit, and
+    sigma_projected's is the one-matrix formula on its entries."""
+    g = make_random_graph(random.Random(3), n_leads=3)
+    kappa = CouplingMatrix.from_graph(g)
+    monkeypatch.setattr(weyl, "BLOCK_BYTES", 4 * 16 * g.n_vertices ** 2)
+    assert stack_size(g.n_vertices) == 4
+    grid = [0.5 + 0.37 * i for i in range(11)]
+    matrices, skipped = sigma_sweep(g, kappa, grid)
+    assert not skipped and len(matrices) == len(grid)
+    for sm in matrices:
+        assert sm.entries.shape == (3, 3)
+        alone = sigma_external(g, kappa, sm.at_s)
+        assert sm.unitarity_defect == alone.unitarity_defect < 1e-12
+        assert type(sm.unitarity_defect) is float
+        p = sigma_projected(g, kappa, sm.at_s)
+        assert p.unitarity_defect == float(np.linalg.norm(
+            p.entries.conj().T @ p.entries - np.eye(3)))
+
+
+def test_sweep_builds_the_dense_coupling_matrix_once(star3, monkeypatch):
+    """Every block of a sweep takes the same dense coupling matrix."""
+    calls = []
+    real = CouplingMatrix.as_array
+    monkeypatch.setattr(CouplingMatrix, "as_array",
+                        lambda self: calls.append(1) or real(self))
+    monkeypatch.setattr(weyl, "BLOCK_BYTES", 2 * 16 * star3.n_vertices ** 2)
+    k = CouplingMatrix.from_values(star3, [0.1, 0.0, 0.0, 0.0])
+    matrices, _ = sigma_sweep(star3, k, [1.0 + i for i in range(7)])
+    assert len(matrices) == 7
+    assert len(calls) == 1
