@@ -16,21 +16,18 @@ from .errors import (Disconnected, ExtrapolationDiverged,
 from .graphs import (Edge, MetricGraph, SpanningTreePath, ValidationReport,
                      Vertex, contract, load_graph, parse_graph,
                      serialize_graph, spanning_tree, validate)
-from .highcontrast import (ConvergenceRow, DispersionTable, HighContrastCell,
-                           Quasimomentum, build_dispersion_table,
+from .highcontrast import (ConvergenceRow, HighContrastCell, Quasimomentum,
                            cell_discriminant, convergence_study, eps_spectra,
                            eps_spectrum, hom_dprime_spectra,
                            hom_dprime_spectrum, hom_tau_spectra,
                            hom_tau_spectrum, transfer_matrix)
-from .inverse import (PathSumEstimate, RtDSamples, barycentric,
-                      contraction_validation, extract_rtd, f1_contracted,
-                      f1_entry, f1_shrunk, f1_via_determinants,
-                      forward_f1_oracle, invert_couplings, ladder_tau0,
-                      recover_couplings, recover_external_couplings,
-                      recover_path_sums)
+from .inverse import (PathSumEstimate, RtDSamples, barycentric, extract_rtd,
+                      f1_contracted, f1_entry, forward_f1_oracle,
+                      invert_couplings, ladder_tau0, recover_couplings,
+                      recover_external_couplings, recover_path_sums)
 from .scattering import (ScatteringMatrix, external_factors,
                          lead_matching_oracle, sigma_external, sigma_full,
-                         sigma_projected, sigma_sweep)
+                         sigma_sweep)
 from .spectra import (Eigenvalue, compact_eigenvalues, compact_spectrum,
                       kernel_margins, matching_matrix, multiplicity_at)
 from .weyl import (CouplingMatrix, external_projector, robin_to_dirichlet,
@@ -43,26 +40,23 @@ from . import rootscan  # noqa: F401,E402
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConvergenceRow", "CouplingMatrix", "Disconnected", "DispersionTable",
-    "Edge", "Eigenvalue", "ExtrapolationDiverged", "FactorisationMismatch",
-    "GraphError", "HighContrastCell", "InconsistentPaths", "LoopContraction",
+    "ConvergenceRow", "CouplingMatrix", "Disconnected", "Edge", "Eigenvalue",
+    "ExtrapolationDiverged", "FactorisationMismatch", "GraphError",
+    "HighContrastCell", "InconsistentPaths", "LoopContraction",
     "MetricGraph", "NumericalError", "ParseError", "PathSumEstimate",
     "PoleProximity", "QGSError", "Quasimomentum", "RtDSamples",
-    "ScanFailure", "ScanResolution", "ScatteringMatrix", "SingularBracket", "SingularMatrix",
-    "SpanningTreePath", "UnconfirmedRoot", "UnknownEdge", "ValidationReport",
-    "Vertex", "barycentric", "build_dispersion_table",
-    "cell_discriminant", "compact_eigenvalues", "compact_spectrum",
-    "contract", "contraction_validation", "convergence_study",
-    "eps_spectra", "eps_spectrum", "external_factors", "external_projector",
-    "extract_rtd", "f1_contracted", "f1_entry", "f1_shrunk",
-    "f1_via_determinants",
+    "ScanFailure", "ScanResolution", "ScatteringMatrix", "SingularBracket",
+    "SingularMatrix", "SpanningTreePath", "UnconfirmedRoot", "UnknownEdge",
+    "ValidationReport", "Vertex", "barycentric", "cell_discriminant",
+    "compact_eigenvalues", "compact_spectrum", "contract",
+    "convergence_study", "eps_spectra", "eps_spectrum", "external_factors",
+    "external_projector", "extract_rtd", "f1_contracted", "f1_entry",
     "forward_f1_oracle", "hom_dprime_spectra", "hom_dprime_spectrum",
-    "hom_tau_spectra", "hom_tau_spectrum",
-    "invert_couplings", "kernel_margins", "ladder_tau0",
-    "lead_matching_oracle", "load_graph", "matching_matrix",
-    "multiplicity_at", "parse_graph", "recover_couplings",
+    "hom_tau_spectra", "hom_tau_spectrum", "invert_couplings",
+    "kernel_margins", "ladder_tau0", "lead_matching_oracle", "load_graph",
+    "matching_matrix", "multiplicity_at", "parse_graph", "recover_couplings",
     "recover_external_couplings", "recover_path_sums", "robin_to_dirichlet",
-    "serialize_graph", "sigma_external", "sigma_full", "sigma_projected",
-    "sigma_sweep", "spanning_tree", "transfer_matrix", "validate",
-    "weyl_compact", "weyl_full",
+    "serialize_graph", "sigma_external", "sigma_full", "sigma_sweep",
+    "spanning_tree", "transfer_matrix", "validate", "weyl_compact",
+    "weyl_full",
 ]

@@ -26,9 +26,9 @@ import numpy as np
 
 from .errors import GraphError, InconsistentPaths, NumericalError, ParseError
 from .graphs import MetricGraph, load_graph, validate
-from .highcontrast import (HighContrastCell, Quasimomentum,
-                           build_dispersion_table, convergence_fit,
-                           eps_spectra, eps_spectrum, hom_dprime_spectrum,
+from .highcontrast import (HighContrastCell, Quasimomentum, convergence_fit,
+                           eps_spectra, eps_spectrum, hom_dprime_spectra,
+                           hom_dprime_spectrum, hom_tau_spectra,
                            hom_tau_spectrum)
 from .inverse import (TAU0, RtDSamples, forward_f1_oracle, invert_couplings,
                       ladder_tau0, recover_external_couplings)
@@ -58,7 +58,10 @@ def parse_grid(spec: str) -> list[float]:
         a, b, step = _finite(parts, spec)
         if step <= 0:
             raise ValueError("range step must be positive")
-        n = int(math.floor((b - a) / step + 1e-9)) + 1
+        count = (b - a) / step
+        if not math.isfinite(count):    # the span or the quotient overflows
+            raise ValueError(f"range {spec!r} has no finite point count")
+        n = int(math.floor(count + 1e-9)) + 1
         if n < 1:
             raise ValueError(f"empty range {spec!r}")
         return [a + i * step for i in range(n)]
@@ -324,17 +327,20 @@ def cmd_homog(args) -> int:
     bands = args.bands
 
     spectra = eps_spectra(cell, eps_values, taus, bands)
-    limits = build_dispersion_table(cell, taus, bands, ("hom", "hom-shifted"))
-    rows = [(f"eps:{tok}", t, b, z)
-            for tok, per_tau in zip(eps_tokens, spectra)
+    hom = hom_tau_spectra(cell, taus, bands)
+    # (model, spectra per tau) in row order; a repeated eps token repeats
+    models = [(f"eps:{tok}", per_tau)
+              for tok, per_tau in zip(eps_tokens, spectra)]
+    models += [("hom", hom), ("hom-shifted", hom_dprime_spectra(
+        cell, [Quasimomentum(t).shifted() for t in taus], bands))]
+    rows = [(model, t, b, z)
+            for model, per_tau in models
             for t, spectrum in zip(taus, per_tau)
             for b, z in enumerate(spectrum, start=1)]
-    rows += list(limits.rows())
 
     conv = []
     if len(eps_values) >= 3:
-        conv = convergence_fit(eps_values, taus, limits.eigenvalues["hom"],
-                               spectra)
+        conv = convergence_fit(eps_values, taus, hom, spectra)
 
     def write_dispersion(fh):
         fh.write("# qgs homog\n")

@@ -68,7 +68,6 @@ class MetricGraph:
 
     * ``n_vertices``  — N, total vertex count
     * ``n_edges``     — n, compact edge count
-    * ``n_external``  — number of lead-carrying (external) vertices
     """
 
     vertices: tuple[Vertex, ...]
@@ -92,10 +91,6 @@ class MetricGraph:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-    @property
-    def n_external(self) -> int:
-        return len(set(self.leads))
 
     # ---- indexing helpers ----------------------------------------------
     def vertex_ids(self) -> list[str]:
@@ -134,12 +129,6 @@ class MetricGraph:
         new list on each call)."""
         return list(self._cached("_external_indices", lambda: tuple(
             self.vertex_index(vid) for vid in self.external_ids())))
-
-    def edge_by_id(self, edge_id: str) -> Edge:
-        for e in self.edges:
-            if e.id == edge_id:
-                return e
-        raise UnknownEdge(f"no edge with id {edge_id!r}")
 
     def degree(self, vid: str) -> int:
         """Degree in the compact part: loops count twice, leads do not count."""
@@ -204,10 +193,6 @@ class ValidationReport:
 
     violations: list[str] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def _adjacency(graph):

@@ -89,10 +89,6 @@ class HighContrastCell:
         return self.a / self.epsilon ** 2
 
     @property
-    def stiff_width(self) -> float:
-        return self.l1 + self.l3
-
-    @property
     def width_ratio(self) -> float:
         """b = (l1 + l3)/l2, the only shape parameter of the limit models."""
         return (self.l1 + self.l3) / self.l2
@@ -382,39 +378,6 @@ class ConvergenceRow:
     exact: bool             # every error below the resolution floor
 
 
-@dataclass(frozen=True)
-class DispersionTable:
-    """Eigenvalues per model over a tau grid."""
-    taus: tuple
-    eigenvalues: dict       # model name -> {tau index -> list of z}
-
-    def rows(self):
-        """(model, tau, band, eigenvalue) in deterministic order."""
-        for model in sorted(self.eigenvalues):
-            per_tau = self.eigenvalues[model]
-            for i, tau in enumerate(self.taus):
-                for band, z in enumerate(per_tau[i], start=1):
-                    yield model, tau, band, z
-
-
-def build_dispersion_table(cell: HighContrastCell, taus, bands: int,
-                           models=("eps", "hom")) -> DispersionTable:
-    _check_bands(bands)
-    taus = tuple(float(_tau_value(t)) for t in taus)
-    table: dict = {}
-    for model in models:
-        if model == "eps":
-            table[model] = eps_spectra(cell, [cell.epsilon], taus, bands)[0]
-        elif model == "hom":
-            table[model] = hom_tau_spectra(cell, taus, bands)
-        elif model == "hom-shifted":
-            table[model] = hom_dprime_spectra(
-                cell, [Quasimomentum(t).shifted() for t in taus], bands)
-        else:
-            raise ValueError(f"unknown model {model!r}")
-    return DispersionTable(taus, table)
-
-
 def convergence_fit(eps_list, taus, limits, spectra) -> list[ConvergenceRow]:
     """Fit the eps -> 0 convergence order per band from computed spectra.
 
@@ -450,7 +413,8 @@ def convergence_study(cell: HighContrastCell, eps_list, tau_list,
     """Both models' spectra over eps_list x tau_list, then
     ``convergence_fit`` on them."""
     eps_list = [float(e) for e in eps_list]
-    limits = build_dispersion_table(cell, tau_list, bands, ("hom",))
-    spectra = eps_spectra(cell, eps_list, limits.taus, bands)
-    return convergence_fit(eps_list, limits.taus,
-                           limits.eigenvalues["hom"], spectra)
+    _check_bands(bands)     # a bad count is refused before a bad tau
+    taus = [float(_tau_value(t)) for t in tau_list]
+    limits = hom_tau_spectra(cell, taus, bands)
+    spectra = eps_spectra(cell, eps_list, taus, bands)
+    return convergence_fit(eps_list, taus, limits, spectra)

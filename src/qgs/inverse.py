@@ -43,7 +43,10 @@ The chain implemented here:
    (``weyl.gated_inverses``) come per energy; the first in energy order
    is raised, PoleProximity or SingularMatrix, and so is SingularMatrix
    for an s the contracted graph's gate would refuse.  ``f1_contracted``
-   keeps the contraction itself, as the independent cross-check.
+   keeps the contraction itself, as the independent cross-check.  The
+   references that only the tests call live in tests/conftest.py: the
+   cofactor ratio of ``f1_entry`` and the shrinking-edge limit that
+   ``f1_contracted`` approaches.
 
 3. ``recover_couplings`` — the path sums over a prefix-closed family of
    tree paths form a triangular system: each vertex coupling is the sum
@@ -68,12 +71,11 @@ import numpy as np
 
 from .errors import (ExtrapolationDiverged, InconsistentPaths,
                      SingularBracket, SingularMatrix, UnknownEdge)
-from .graphs import (Edge, MetricGraph, SpanningTreePath, contract,
-                     spanning_tree)
+from .graphs import MetricGraph, SpanningTreePath, contract, spanning_tree
 from .kernels import edge_kernels
 from .scattering import external_factors
 from .weyl import (COND_LIMIT, CouplingMatrix, _inverse, gated_inverses,
-                   stack_size, weyl_compact, weyl_stack)
+                   stack_size, weyl_stack)
 
 TAU0 = 32.0
 LEVELS = 7
@@ -238,23 +240,6 @@ def f1_entry(graph: MetricGraph, kappa: CouplingMatrix, z,
     return complex(f[0]) if z.ndim == 0 else f
 
 
-def f1_via_determinants(graph: MetricGraph, kappa: CouplingMatrix, z,
-                        vertex: str | None = None) -> complex:
-    """Same entry through the cofactor ratio — independent cross-check.
-
-    The two determinants are taken as sign and log-modulus (slogdet), so
-    the ratio holds where either determinant alone over- or underflows.
-    """
-    i = graph.vertex_index(_probe_vertex(graph, vertex))
-    A = weyl_compact(graph, z) - kappa.as_array()
-    keep = [j for j in range(A.shape[0]) if j != i]
-    sign, logdet = np.linalg.slogdet(A)
-    if sign == 0:
-        raise SingularMatrix(z, "M_compact - coupling")
-    minor_sign, minor_logdet = np.linalg.slogdet(A[np.ix_(keep, keep)])
-    return complex(minor_sign / sign * np.exp(minor_logdet - logdet))
-
-
 def _edges_between(graph: MetricGraph):
     """{frozenset of the two ends: the edges between them, in edge order}."""
     between = {}
@@ -316,47 +301,11 @@ def f1_contracted(graph: MetricGraph, kappa: CouplingMatrix,
     couplings add), drop the traversed edges, evaluate the diagonal entry
     at the merged vertex with f1_entry.  It builds the contracted graph,
     so it checks the glued Schur complements of forward_f1_oracle, which
-    never does; ``contraction_validation`` offers the slow shrinking-edge
-    route for checking the identity itself.
+    never does.
     """
     g, k, merged = _contract_along(graph.with_couplings(kappa.diagonal),
                                    path)
     return f1_entry(g, k, z, vertex=merged)
-
-
-def f1_shrunk(graph: MetricGraph, kappa: CouplingMatrix,
-              path: SpanningTreePath, z, delta: float) -> complex:
-    """Response-map entry with every path edge shrunk by the factor delta.
-
-    As delta -> 0 this converges (first order) to f1_contracted; the pair
-    exists to validate the contraction identity numerically.
-    """
-    g = graph.with_couplings(kappa.diagonal)
-    shrink = set(_path_edges(g, path)[0])
-    new_edges = []
-    for e in g.edges:
-        scale = delta if e.id in shrink else 1.0
-        new_edges.append(Edge(e.u, e.v, e.length * scale))
-    g2 = MetricGraph(list(g.vertices), new_edges, list(g.leads))
-    return f1_entry(g2, CouplingMatrix.from_graph(g2), z,
-                    vertex=path.vertices_on_path[0])
-
-
-def contraction_validation(graph: MetricGraph, kappa: CouplingMatrix,
-                           path: SpanningTreePath, z,
-                           deltas=(1e-2, 1e-3, 1e-4)):
-    """(differences, fitted order) of |f1_shrunk(delta) - f1_contracted|.
-
-    The fitted order is the least-squares slope of log|diff| against
-    log(delta); first-order convergence gives a slope near 1.
-    """
-    target = f1_contracted(graph, kappa, path, z)
-    diffs = [abs(f1_shrunk(graph, kappa, path, z, d) - target)
-             for d in deltas]
-    xs = np.log(np.asarray(deltas))
-    ys = np.log(np.asarray(diffs))
-    slope = float(np.polyfit(xs, ys, 1)[0])
-    return diffs, slope
 
 
 def _glued_paths(graph: MetricGraph, paths):

@@ -57,7 +57,7 @@ def is_mp(x) -> bool:
     return isinstance(x, (mp.mpf, mp.mpc))
 
 
-# -- the arithmetics: regime switch, selection and quotients ----------------
+# -- the arithmetics: regime switch and selection ---------------------------
 
 def _scalar_regime(series, exact, z, u, l):
     return (series if abs(u) < SERIES_CUTOFF else exact)(z, u, l)
@@ -95,21 +95,12 @@ def _as_float_array(z):
     return np.asarray(z, dtype=float)
 
 
-def _array_quotients(numerators, denominators):
-    return np.divide(np.array(numerators), np.array(denominators))
-
-
-def _scalar_quotients(numerators, denominators):
-    return [a / b for a, b in zip(numerators, denominators)]
-
-
-def _kernels(cast, sqrt, exp, cos, sin, where, regime, realify, quotients):
+def _kernels(cast, sqrt, exp, cos, sin, where, regime, realify):
     """The kernel family in one arithmetic.
 
     cast converts the energy into the arithmetic, sqrt/exp/cos/sin are its
-    complex elementary functions, where(cond, a, b) selects, and
-    quotients(numerators, denominators) divides pairwise; products and
-    quotients otherwise are the arithmetic's own * and /.  regime(series,
+    complex elementary functions and where(cond, a, b) selects; products
+    and quotients are the arithmetic's own * and /.  regime(series,
     exact, z, u, l) evaluates series(z, u, l) where |u| < SERIES_CUTOFF
     and exact(z, u, l) elsewhere (u = z l^2), both a sequence of values.
     realify(z, value) post-processes every returned value; edge_kernels
@@ -142,8 +133,8 @@ def _kernels(cast, sqrt, exp, cos, sin, where, regime, realify, quotients):
         ik, ik2 = 1j * k, 2j * k
         q = exp(ik2 * l)
         p = exp(ik * l)
-        return quotients((ik * (q + 1.0), ik2 * p, -1j * k * (p - 1.0)),
-                         (q - 1.0, p * p - 1.0, p + 1.0))
+        return (ik * (q + 1.0) / (q - 1.0), ik2 * p / (p * p - 1.0),
+                -1j * k * (p - 1.0) / (p + 1.0))
 
     def edge_kernels(z, l):
         """(kcot, kcsc, ktanhalf) of an edge of length l at once, from one
@@ -188,13 +179,13 @@ def _kernels(cast, sqrt, exp, cos, sin, where, regime, realify, quotients):
 
 sqrt_upper, edge_kernels, kcot, kcsc, ktanhalf, entire_cs = _kernels(
     _as_complex_array, _array_sqrt, np.exp, np.cos, np.sin, np.where,
-    _array_regime, _array_realify, _array_quotients)
+    _array_regime, _array_realify)
 # real arrays, for energies z >= 0: only entire_cs, whose k is real there,
-# so the edge kernels (complex at every z) and their quotients are left out
+# so the edge kernels (complex at every z) are left out
 _, _, _, _, _, entire_cs_real = _kernels(
     _as_float_array, np.sqrt, np.exp, np.cos, np.sin, np.where,
-    _array_regime, lambda z, value: value, None)
+    _array_regime, lambda z, value: value)
 (mp_sqrt_upper, mp_edge_kernels, mp_kcot, mp_kcsc, mp_ktanhalf,
  mp_entire_cs) = _kernels(mp.mpc, mp.sqrt, mp.exp, mp.cos, mp.sin,
                           _scalar_where, _scalar_regime,
-                          lambda z, values: values, _scalar_quotients)
+                          lambda z, values: values)

@@ -80,7 +80,7 @@ class ScatteringMatrix:
     unitarity_defect ||S*S - I|| (Frobenius), computed for its block."""
     at_s: float
     entries: np.ndarray          # n_e x n_e, ordered by sorted external ids
-    form: str                    # "full-factorised" | "projected"
+    form: str                    # "full-factorised"
     unitarity_defect: float
 
 
@@ -91,13 +91,6 @@ def _unitarity_defects(S):
     x = (S.conj().swapaxes(1, 2) @ S - np.eye(m)).reshape(len(S), 1, m * m)
     squares = x.real @ x.real.swapaxes(1, 2) + x.imag @ x.imag.swapaxes(1, 2)
     return np.sqrt(squares[:, 0, 0])
-
-
-def external_block(graph: MetricGraph):
-    """Index of the external-by-external block of a vertex-space matrix,
-    in sorted external order."""
-    ext = graph.external_indices()
-    return np.ix_(ext, ext)
 
 
 def scattering_solves(graph: MetricGraph, kappa: CouplingMatrix, s_values,
@@ -144,29 +137,23 @@ def _solves(graph, K, s_values, idx):
     return rows, cols, errors
 
 
-def scattering_solves_at(graph: MetricGraph, kappa: CouplingMatrix, s: float,
-                         idx):
-    """scattering_solves at the one energy s: (rows, cols), or the
-    NumericalError that refused s, raised."""
-    rows, cols, (error,) = scattering_solves(graph, kappa, [s], idx)
-    if error is not None:
-        raise error
-    return rows[0], cols[0]
-
-
 def sigma_full(graph: MetricGraph, kappa: CouplingMatrix, s: float) -> np.ndarray:
     """Full vertex-space scattering product at energy s (n x n)."""
-    left, right = scattering_solves_at(graph, kappa, s,
-                                       list(range(graph.n_vertices)))
-    return left @ right
+    rows, cols, (error,) = scattering_solves(graph, kappa, [s],
+                                             list(range(graph.n_vertices)))
+    if error is not None:
+        raise error
+    return rows[0] @ cols[0]
 
 
 def external_factors(graph: MetricGraph, kappa: CouplingMatrix, s: float):
     """(F1, F2) external blocks whose product is the external scattering
     matrix.  F2 is coupling-independent."""
     ext = graph.external_indices()
-    rows, cols = scattering_solves_at(graph, kappa, s, ext)
-    return rows[:, ext], cols[ext, :]
+    rows, cols, (error,) = scattering_solves(graph, kappa, [s], ext)
+    if error is not None:
+        raise error
+    return rows[0][:, ext], cols[0][ext, :]
 
 
 def _sigma_block(graph, K, s_values, check_tol):
@@ -204,14 +191,6 @@ def sigma_external(graph: MetricGraph, kappa: CouplingMatrix, s: float,
     if skipped:
         raise skipped[0][1]
     return matrices[0]
-
-
-def sigma_projected(graph: MetricGraph, kappa: CouplingMatrix,
-                    s: float) -> ScatteringMatrix:
-    """External scattering matrix by projection alone (no cross-check)."""
-    entries = sigma_full(graph, kappa, s)[external_block(graph)]
-    (defect,) = _unitarity_defects(entries[None]).tolist()
-    return ScatteringMatrix(float(s), entries, "projected", defect)
 
 
 # --------------------------------------------------------------------------

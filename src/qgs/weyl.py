@@ -88,11 +88,6 @@ class CouplingMatrix:
                 f"expected {graph.n_vertices} couplings, got {len(vals)}")
         return cls(tuple(graph.vertex_ids()), vals)
 
-    @classmethod
-    def from_dict(cls, graph: MetricGraph, mapping) -> "CouplingMatrix":
-        return cls.from_values(
-            graph, [complex(mapping.get(v, 0.0)) for v in graph.vertex_ids()])
-
     def as_array(self) -> np.ndarray:
         return np.diag(np.asarray(self.diagonal, dtype=complex))
 

@@ -15,14 +15,14 @@ import pytest
 
 from qgs import (CouplingMatrix, Edge, HighContrastCell, MetricGraph,
                  Quasimomentum, Vertex, compact_eigenvalues,
-                 contraction_validation, convergence_study, external_projector,
-                 extract_rtd, forward_f1_oracle, hom_dprime_spectrum,
-                 hom_tau_spectrum, invert_couplings, robin_to_dirichlet,
-                 sigma_external, sigma_projected, spanning_tree, weyl_full)
+                 convergence_study, external_projector, extract_rtd,
+                 forward_f1_oracle, hom_dprime_spectrum, hom_tau_spectrum,
+                 invert_couplings, robin_to_dirichlet, sigma_external,
+                 spanning_tree, weyl_full)
 from qgs.cli import main
 from qgs.testing import make_random_graph
 
-from conftest import PERFBENCH
+from conftest import PERFBENCH, contraction_validation, sigma_projected
 
 
 class gate:
@@ -148,7 +148,7 @@ def test_scattering_unitary_and_factorised():
         for s in grid:
             sm = sigma_external(g, k, s, check_tol=1e-10)
             worst_unitary = max(worst_unitary, sm.unitarity_defect)
-            proj = sigma_projected(g, k, s).entries
+            proj = sigma_projected(g, k, s)
             worst_routes = max(worst_routes,
                                float(np.abs(proj - sm.entries).max()))
         worst_identity = 0.0

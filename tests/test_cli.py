@@ -55,6 +55,11 @@ def test_parse_grid_rejects_bad_range():
         parse_grid("1:2:0")
     with pytest.raises(ValueError):
         parse_grid("1:2:3:4")
+    # the point count (b - a) / step, or the span b - a, overflows
+    for spec in ("1:2:5e-324", "0:1:1e-320", "-1e308:1e308:1",
+                 "1e308:-1e308:1"):
+        with pytest.raises(ValueError, match=f"range '{spec}' has no finite"):
+            parse_grid(spec)
 
 
 @pytest.mark.parametrize("spec", ["", ",", " , ", "2:1:1"])
@@ -803,6 +808,16 @@ def test_empty_grid_list_is_invalid_input(graph_file, capfd):
     _refused(["smatrix", "--graph", graph_file, "--s="], capfd, "empty list")
     _refused(["smatrix", "--graph", graph_file, "--s", ","], capfd,
              "empty list")
+
+
+def test_range_without_finite_point_count_is_invalid_input(graph_file,
+                                                          capfd):
+    """A range whose point count overflows used to end in an OverflowError
+    traceback, exit 1."""
+    _refused(["smatrix", "--graph", graph_file, "--s", "1:2:5e-324"], capfd,
+             "'1:2:5e-324' has no finite point count")
+    _refused(_homog()[:-4] + ["--tau-grid", "0:1:1e-320", "--bands", "1"],
+             capfd, "'0:1:1e-320' has no finite point count")
 
 
 def test_homog_zero_bands_is_invalid_input(capfd):

@@ -9,11 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgs import (HighContrastCell, Quasimomentum, build_dispersion_table,
-                 cell_discriminant, convergence_study, eps_spectra,
-                 eps_spectrum, hom_dprime_spectra, hom_dprime_spectrum,
-                 hom_tau_spectra, hom_tau_spectrum, highcontrast,
-                 transfer_matrix)
+from qgs import (HighContrastCell, Quasimomentum, cell_discriminant,
+                 convergence_study, eps_spectra, eps_spectrum,
+                 hom_dprime_spectra, hom_dprime_spectrum, hom_tau_spectra,
+                 hom_tau_spectrum, highcontrast, transfer_matrix)
 from qgs.highcontrast import _bisect, _rotation, convergence_fit
 from qgs.kernels import SERIES_CUTOFF, entire_cs, entire_cs_real, mp_entire_cs
 
@@ -53,7 +52,7 @@ def test_stiff_coefficient_out_of_range_is_refused(a, eps):
 
 def test_cell_derived_quantities():
     cell = HighContrastCell(0.3, 0.45, 0.25, a=2.0)
-    assert cell.stiff_width == pytest.approx(0.55)
+    assert cell.l1 + cell.l3 == pytest.approx(0.55)
     assert cell.width_ratio == pytest.approx(0.55 / 0.45)
     assert cell.epsilon is None
     assert cell.with_epsilon(0.1).epsilon == 0.1
@@ -109,6 +108,8 @@ def test_transfer_zero_energy_is_shear():
 def test_discriminant_needs_epsilon():
     with pytest.raises(ValueError):
         cell_discriminant(CELL, 1.0)
+    with pytest.raises(ValueError):
+        eps_spectrum(CELL, 0.0, 2)
 
 
 def test_free_medium_discriminant():
@@ -171,7 +172,7 @@ def test_band_count_below_one_is_refused(spectrum, count):
     with pytest.raises(ValueError, match="bands must be at least 1"):
         spectrum(CELL.with_epsilon(0.1), 0.5, count)
     with pytest.raises(ValueError, match="bands must be at least 1"):
-        build_dispersion_table(CELL, [0.5], count, ("hom",))
+        convergence_study(CELL, [0.2, 0.1, 0.05], [0.5], count)
 
 
 @pytest.mark.parametrize("tau", [math.nan, math.inf])
@@ -380,39 +381,6 @@ def test_halving_epsilon_quarters_error():
     e = dict(row.errors)
     assert e[0.1] / e[0.2] == pytest.approx(0.25, abs=0.01)
     assert e[0.05] / e[0.1] == pytest.approx(0.25, abs=0.01)
-
-
-# --------------------------------------------------------------------------
-# dispersion tables
-# --------------------------------------------------------------------------
-
-def test_dispersion_table_contents():
-    taus = [0.0, 1.0]
-    table = build_dispersion_table(CELL.with_epsilon(0.1), taus, 2)
-    rows = list(table.rows())
-    models = {m for m, _, _, _ in rows}
-    assert models == {"eps", "hom"}
-    assert len(rows) == 2 * 2 * 2
-    eps_rows = [(t, b, z) for m, t, b, z in rows if m == "eps"]
-    hom_rows = [(t, b, z) for m, t, b, z in rows if m == "hom"]
-    for (te, be, ze), (th, bh, zh) in zip(eps_rows, hom_rows):
-        assert te == th and be == bh
-        assert ze == pytest.approx(zh, abs=1.0)  # eps=0.1 is already close
-
-
-def test_dispersion_table_shifted_model():
-    table = build_dispersion_table(CELL, [0.4], 2,
-                                   models=("hom", "hom-shifted"))
-    rows = list(table.rows())
-    by_model = {}
-    for m, t, b, z in rows:
-        by_model.setdefault(m, []).append(z)
-    assert by_model["hom"] == pytest.approx(by_model["hom-shifted"], abs=1e-8)
-
-
-def test_dispersion_table_needs_epsilon_for_eps_model():
-    with pytest.raises(ValueError):
-        build_dispersion_table(CELL, [0.0], 2, models=("eps",))
 
 
 # --------------------------------------------------------------------------

