@@ -49,8 +49,7 @@ def main():
     # tabulate the interior response on a log grid wide enough to cover
     # the probe ladder, as if it had been measured
     grid = np.array([-(0.5 * 2.0 ** j) ** 2 for j in range(22)][::-1])
-    vals = np.stack([robin_to_dirichlet(g, k, z) for z in grid])
-    samples = RtDSamples(grid, vals)
+    samples = RtDSamples(grid, robin_to_dirichlet(g, k, grid))
     topology = g.with_couplings([0.0] * g.n_vertices)  # couplings unknown
     got = recover_external_couplings(samples, topology)
     for vid, val in sorted(got.items()):
@@ -62,7 +61,7 @@ def main():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # any dropped point would be a surprise
         extracted = extract_rtd(lambda s: sigma_external(g, k, s), g, s_grid)
-    direct = np.stack([robin_to_dirichlet(g, k, s) for s in extracted.grid])
+    direct = robin_to_dirichlet(g, k, extracted.grid)
     print(f"  extracted response matches the direct one to"
           f" {float(np.abs(extracted.values - direct).max()):.2e}"
           f" on {len(extracted.grid)} grid points")

@@ -37,6 +37,9 @@ from .spectra import compact_spectrum, kernel_margins
 from .weyl import CouplingMatrix
 
 
+MAX_POINTS = 10 ** 6     # grid points, or homog eps x tau x band items
+
+
 def _fmt(x: float) -> str:
     return "%.17g" % float(x)
 
@@ -50,7 +53,7 @@ def _finite(tokens, spec: str) -> list[float]:
 
 def parse_grid(spec: str) -> list[float]:
     """"a:b:step" (b inclusive up to rounding), "x,y,z", or a scalar;
-    every number must be finite."""
+    every number must be finite, and a range holds at most MAX_POINTS."""
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
@@ -64,6 +67,9 @@ def parse_grid(spec: str) -> list[float]:
         n = int(math.floor(count + 1e-9)) + 1
         if n < 1:
             raise ValueError(f"empty range {spec!r}")
+        if n > MAX_POINTS:
+            raise ValueError(f"range {spec!r} has {n} points, more than "
+                             f"{MAX_POINTS}")
         return [a + i * step for i in range(n)]
     values = _finite((p for p in spec.split(",") if p.strip() != ""), spec)
     if not values:
@@ -325,6 +331,9 @@ def cmd_homog(args) -> int:
         raise ValueError(f"empty list {args.eps_list!r}")
     eps_values = [float(t) for t in eps_tokens]
     bands = args.bands
+    if len(eps_values) * len(taus) * bands > MAX_POINTS:
+        raise ValueError(f"{len(eps_values)} eps x {len(taus)} tau x {bands} "
+                         f"bands is more than {MAX_POINTS} fiber roots")
 
     spectra = eps_spectra(cell, eps_values, taus, bands)
     hom = hom_tau_spectra(cell, taus, bands)
@@ -383,7 +392,7 @@ def cmd_check(args) -> int:
     from .inverse import extract_rtd, f1_entry
     from .spectra import compact_eigenvalues
     from .testing import make_random_graph
-    from .weyl import external_projector, weyl_compact, weyl_full
+    from .weyl import external_projector, robin_to_dirichlet, weyl_full
 
     checks = []
 
@@ -464,10 +473,7 @@ def cmd_check(args) -> int:
         k = CouplingMatrix.from_values(
             g, [v.coupling.real for v in g.vertices])
         samples = extract_rtd(lambda s: sigma_external(g, k, s), g, [2.0])
-        order = g.vertex_ids()
-        ext = [order.index(v) for v in g.external_ids()]
-        Mi = weyl_compact(g, 2.0)
-        direct = np.linalg.inv(Mi - k.as_array())[np.ix_(ext, ext)]
+        direct = robin_to_dirichlet(g, k, 2.0)
         assert np.linalg.norm(samples.values[0] - direct) < 1e-9
 
     def check_roundtrip():

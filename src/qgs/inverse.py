@@ -39,10 +39,9 @@ The chain implemented here:
    matrix, a Schur complement.  Per energy A is assembled and gated once,
    G = A^-1, and each path's entry is 1/s with
    s = b - u.w + w_S^T G_SS^-1 w_S, w = G u (see ``_glued_schur``), at
-   O(n^2) per path.  The assembly's pole verdicts and the gate's
-   (``weyl.gated_inverses``) come per energy; the first in energy order
-   is raised, PoleProximity or SingularMatrix, and so is SingularMatrix
-   for an s the contracted graph's gate would refuse.  ``f1_contracted``
+   O(n^2) per path.  A and G come from ``weyl.resolvents``, which raises
+   the first pole or gate refusal in energy order; the oracle raises
+   SingularMatrix for an s the contracted graph's gate would refuse.  ``f1_contracted``
    keeps the contraction itself, as the independent cross-check.  The
    references that only the tests call live in tests/conftest.py: the
    cofactor ratio of ``f1_entry`` and the shrinking-edge limit that
@@ -75,7 +74,7 @@ from .graphs import MetricGraph, SpanningTreePath, contract, spanning_tree
 from .kernels import edge_kernels
 from .scattering import external_factors
 from .weyl import (COND_LIMIT, CouplingMatrix, _inverse, gated_inverses,
-                   stack_size, weyl_stack)
+                   resolvents)
 
 TAU0 = 32.0
 LEVELS = 7
@@ -181,41 +180,6 @@ def _probe_vertex(graph: MetricGraph, vertex: str | None) -> str:
     return ext[0] if ext else graph.vertex_ids()[0]
 
 
-def _gated_inverses(graph: MetricGraph, kappa: CouplingMatrix, z):
-    """(at, energies, A, G) for each run of the 1-D energy array z, in
-    order: A = M_compact - K at the energies z[at] and G its gated inverse.
-
-    The energies are assembled by weyl_stack and gated by gated_inverses
-    in stacks of stack_size(n).  A run is a stretch of real matrices (z <=
-    0 with real couplings), which are inverted in real arithmetic, or of
-    complex ones, so each inverse is the one its energy gives alone, bit
-    for bit.  A stack with an energy that lies within POLE_TOL of a pole
-    or whose matrix the gate refuses raises the first such PoleProximity
-    or SingularMatrix, in the order given (a pole before a refusal at the
-    same energy), after the stacks before it are yielded.
-    """
-    K = np.diag(np.asarray(kappa.diagonal, dtype=complex))
-    size = stack_size(graph.n_vertices)
-    for start in range(0, len(z), size):
-        block = z[start:start + size]
-        M, errors = weyl_stack(graph, block)
-        A = M - K
-        real = ~A.imag.any(axis=(1, 2))
-        cuts = [0, *(np.flatnonzero(np.diff(real)) + 1).tolist(), len(block)]
-        runs = []
-        for a, b in zip(cuts, cuts[1:]):
-            run = A[a:b].real if real[a] else A[a:b]
-            energies = block[a:b]
-            G, refused = gated_inverses(run, energies.tolist(),
-                                        "M_compact - coupling")
-            errors[a:b] = [e or r for e, r in zip(errors[a:b], refused)]
-            runs.append((slice(start + a, start + b), energies, run, G))
-        error = next((e for e in errors if e is not None), None)
-        if error is not None:
-            raise error
-        yield from runs
-
-
 def f1_entry(graph: MetricGraph, kappa: CouplingMatrix, z,
              vertex: str | None = None):
     """Diagonal response-map entry at one vertex (default: first external),
@@ -223,19 +187,16 @@ def f1_entry(graph: MetricGraph, kappa: CouplingMatrix, z,
 
     This is the (v, v) entry of (M_compact(z) - K)^-1, the quantity whose
     negative-axis asymptotics drive the recovery chain, read from the
-    inverse that the condition gate computes (see _gated_inverses: stacks
-    of stack_size(n), real runs in real arithmetic, each entry the one its
-    energy gives alone, bit for bit).  The first energy, in the order
-    given, that lies within POLE_TOL of a pole or whose matrix the gate
-    refuses raises PoleProximity or SingularMatrix, as a loop over the
-    energies would.
+    gated inverses of weyl.resolvents, which also raises its pole or
+    gate refusals.  At an external vertex it is robin_to_dirichlet's
+    entry, bit for bit.
 
     Returns a complex number for a scalar z, a complex array for an array.
     """
     i = graph.vertex_index(_probe_vertex(graph, vertex))
     z = np.asarray(z)
     f = np.empty(z.size, dtype=complex)
-    for at, _, _, G in _gated_inverses(graph, kappa, z.reshape(-1)):
+    for at, _, _, G in resolvents(graph, kappa, z.reshape(-1)):
         f[at] = G[:, i, i]
     return complex(f[0]) if z.ndim == 0 else f
 
@@ -381,23 +342,21 @@ def forward_f1_oracle(graph: MetricGraph, kappa: CouplingMatrix):
         s = b - u.w + w_S^T G_SS^-1 w_S,  G = A^-1,  w = G u,
 
     where b is the glued block's sum over S x S less the contracted edges
-    and u the sum of the columns of S off S (_glued_schur).  The energies
-    are taken in stacks of stack_size(n), each with all paths, so each
+    and u the sum of the columns of S off S (_glued_schur).  A and G come
+    from weyl.resolvents, one stack at a time with all paths, so each
     energy's A is assembled and gated once, for every path, and a stack's
-    (N, n, P) arrays stay within BLOCK_BYTES for P <= n paths.
-
-    A gate refusal of A raises SingularMatrix, a pole PoleProximity, as
-    f1_entry does, at the first such energy.  A path whose s is not finite
-    or has |s| <= |b| / COND_LIMIT raises SingularMatrix too: since cond of
-    the glued matrix is at least |b|/|s|, the gate of the contracted graph
-    would refuse it as well.
+    (N, n, P) arrays stay within BLOCK_BYTES for P <= n paths; its pole
+    and gate refusals are raised as for f1_entry.  A path whose s is not
+    finite or has |s| <= |b| / COND_LIMIT raises SingularMatrix too: since
+    cond of the glued matrix is at least |b|/|s|, the gate of the
+    contracted graph would refuse it as well.
     """
     def oracle(z, paths):
         paths = list(paths)
         glued, contracted, lengths, groups = _glued_paths(graph, paths)
         z = np.asarray(z).reshape(-1)
         f = np.empty((len(paths), len(z)), dtype=complex)
-        for at, energies, A, G in _gated_inverses(graph, kappa, z):
+        for at, energies, A, G in resolvents(graph, kappa, z):
             s, b = _glued_schur(A, G, energies, glued, contracted, lengths,
                                 groups)
             refused = ~np.isfinite(s) | (abs(s) <= abs(b) / COND_LIMIT)

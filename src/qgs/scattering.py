@@ -93,10 +93,9 @@ def _unitarity_defects(S):
     return np.sqrt(squares[:, 0, 0])
 
 
-def scattering_solves(graph: MetricGraph, kappa: CouplingMatrix, s_values,
-                      idx):
+def scattering_solves(graph: MetricGraph, K, s_values, idx):
     """The idx rows of the left factor and the idx columns of the right one
-    at each energy of a block.
+    at each energy of a block, K the dense coupling matrix.
 
     Returns (rows, cols, errors): stacks of [(M - K)^-1 (M* - K)][idx, :]
     and [(M*)^-1 M][:, idx], one per energy, with M the full M-matrix and
@@ -110,14 +109,9 @@ def scattering_solves(graph: MetricGraph, kappa: CouplingMatrix, s_values,
     (M - K)^-T E with E the idx columns of the identity.  errors[i] is
     None, or the first NumericalError that refused energy i (a pole of M,
     then M - K, then M*), whose rows and columns are then NaN.  The
-    columns do not depend on kappa, so a caller that wants only them
-    passes CouplingMatrix.zeros.  Raises ValueError for an energy s <= 0.
+    columns do not depend on K, so a caller that wants only them may pass
+    zeros.  Raises ValueError for an energy s <= 0.
     """
-    return _solves(graph, kappa.as_array(), s_values, idx)
-
-
-def _solves(graph, K, s_values, idx):
-    """scattering_solves with K the dense coupling matrix, built once."""
     for s in s_values:
         if not s > 0:
             raise ValueError(f"scattering needs s > 0, got s={s:g}")
@@ -139,8 +133,8 @@ def _solves(graph, K, s_values, idx):
 
 def sigma_full(graph: MetricGraph, kappa: CouplingMatrix, s: float) -> np.ndarray:
     """Full vertex-space scattering product at energy s (n x n)."""
-    rows, cols, (error,) = scattering_solves(graph, kappa, [s],
-                                             list(range(graph.n_vertices)))
+    rows, cols, (error,) = scattering_solves(
+        graph, kappa.as_array(), [s], list(range(graph.n_vertices)))
     if error is not None:
         raise error
     return rows[0] @ cols[0]
@@ -150,7 +144,8 @@ def external_factors(graph: MetricGraph, kappa: CouplingMatrix, s: float):
     """(F1, F2) external blocks whose product is the external scattering
     matrix.  F2 is coupling-independent."""
     ext = graph.external_indices()
-    rows, cols, (error,) = scattering_solves(graph, kappa, [s], ext)
+    rows, cols, (error,) = scattering_solves(graph, kappa.as_array(), [s],
+                                             ext)
     if error is not None:
         raise error
     return rows[0][:, ext], cols[0][ext, :]
@@ -160,7 +155,7 @@ def _sigma_block(graph, K, s_values, check_tol):
     """sigma_external at each energy of one block, K the dense coupling
     matrix: per energy, the ScatteringMatrix or the error refusing it."""
     ext = graph.external_indices()
-    rows, cols, errors = _solves(graph, K, s_values, ext)
+    rows, cols, errors = scattering_solves(graph, K, s_values, ext)
     factorised = rows[:, :, ext] @ cols[:, ext, :]
     # the external block of the full product, without forming the product
     projected = rows @ cols

@@ -28,7 +28,9 @@ an M-matrix system, of the scattering topology factor and of the lead
 matching system: a stack of matrices, one energy each, goes in; their
 inverses, np.linalg.inv's bit for bit, and one SingularMatrix or None
 per energy (cond > COND_LIMIT) come out.  A single matrix is a stack of
-one.
+one.  resolvents assembles and gates M_compact - K in stacks of
+stack_size(n), a real run in real arithmetic, for every reader of its
+inverse: robin_to_dirichlet, and inverse's f1_entry and forward oracle.
 """
 
 from __future__ import annotations
@@ -301,21 +303,56 @@ def external_projector(graph: MetricGraph) -> np.ndarray:
     return P
 
 
-def robin_to_dirichlet(graph: MetricGraph, kappa: CouplingMatrix, z) -> np.ndarray:
-    """External block of (M_compact(z) - kappa)^{-1}.
+def resolvents(graph: MetricGraph, kappa: CouplingMatrix, z):
+    """(at, energies, A, G) for each run of the 1-D energy array z, in
+    order: A = M_compact - K at the energies z[at] and G its gated inverse.
+
+    The energies are assembled by weyl_stack and gated by gated_inverses
+    in stacks of stack_size(n).  A run is a stretch of real matrices (every
+    real energy, of either sign, with real couplings), inverted in real
+    arithmetic, or of complex ones, so each inverse is the one its energy
+    gives alone, bit for bit.  A stack with an energy that lies within
+    POLE_TOL of a pole or whose matrix the gate refuses raises the first
+    such PoleProximity or SingularMatrix, in the order given (a pole
+    before a refusal at the same energy), after the stacks before it are
+    yielded.
+    """
+    K = kappa.as_array()
+    size = stack_size(graph.n_vertices)
+    for start in range(0, len(z), size):
+        block = z[start:start + size]
+        M, errors = weyl_stack(graph, block)
+        A = M - K
+        real = ~A.imag.any(axis=(1, 2))
+        cuts = [0, *(np.flatnonzero(np.diff(real)) + 1).tolist(), len(block)]
+        runs = []
+        for a, b in zip(cuts, cuts[1:]):
+            run = A[a:b].real if real[a] else A[a:b]
+            energies = block[a:b]
+            G, refused = gated_inverses(run, energies.tolist(),
+                                        "M_compact - coupling")
+            errors[a:b] = [e or r for e, r in zip(errors[a:b], refused)]
+            runs.append((slice(start + a, start + b), energies, run, G))
+        error = next((e for e in errors if e is not None), None)
+        if error is not None:
+            raise error
+        yield from runs
+
+
+def robin_to_dirichlet(graph: MetricGraph, kappa: CouplingMatrix, z):
+    """External block of (M_compact(z) - kappa)^{-1}: a complex n_e x n_e
+    matrix at one energy z, an (N, n_e, n_e) stack at a 1-D array of them.
 
     This is the Robin-to-Dirichlet map of the external vertex set: it sends
     the combination (Neumann data - kappa * Dirichlet data) to the Dirichlet
     data on the external vertices.  Symmetric for real kappa at real z.
-
-    Raises SingularMatrix when cond(M_compact - kappa) exceeds 1e12, i.e.
-    when z is (numerically) an eigenvalue of the compact-graph operator.
-    The block is read off the gate's inverse; its columns are the solves
-    with the external columns of the identity, bit for bit.
+    The blocks are read off resolvents, so their entries are f1_entry's,
+    bit for bit, and its pole and gate refusals are raised (SingularMatrix
+    where z is numerically an eigenvalue of the compact graph).
     """
-    A = weyl_compact(graph, z) - kappa.as_array()
-    (G,), (error,) = gated_inverses(A[None], [z], "M_compact - kappa")
-    if error is not None:
-        raise error
     ext = graph.external_indices()
-    return G[np.ix_(ext, ext)]
+    z = np.asarray(z)
+    R = np.empty((z.size, len(ext), len(ext)), dtype=complex)
+    for at, _, _, G in resolvents(graph, kappa, z.reshape(-1)):
+        R[at] = G[:, ext][:, :, ext]
+    return R[0] if z.ndim == 0 else R

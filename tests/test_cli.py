@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 
@@ -317,11 +318,11 @@ def _rational_warning(path):
 def _ladder_samples(tmp_path, g, couplings):
     """A CSV of the one-lead response map on the ladder -(32 * 2^j)^2."""
     k = CouplingMatrix.from_values(g, couplings)
+    grid = [-((32.0 * 2 ** j) ** 2) for j in range(7)]
     csv = tmp_path / "samples.csv"
     csv.write_text("z,re,im\n" + "".join(
         f"{z},{v.real},{v.imag}\n"
-        for z in (-((32.0 * 2 ** j) ** 2) for j in range(7))
-        for v in [robin_to_dirichlet(g, k, z)[0, 0]]))
+        for z, v in zip(grid, robin_to_dirichlet(g, k, grid)[:, 0, 0])))
     return csv
 
 
@@ -436,11 +437,10 @@ def test_invert_from_samples(graph_file, tmp_path, capsys):
         leads=["V1"])
     k = CouplingMatrix.from_graph(g)
     csv = tmp_path / "samples.csv"
-    rows = ["z,re,im"]
-    for j in range(8):
-        z = -((32.0 * 2 ** j) ** 2)
-        v = robin_to_dirichlet(g, k, z)[0, 0]
-        rows.append(f"{z},{v.real},{v.imag}")
+    grid = [-((32.0 * 2 ** j) ** 2) for j in range(8)]
+    rows = ["z,re,im"] + [
+        f"{z},{v.real},{v.imag}"
+        for z, v in zip(grid, robin_to_dirichlet(g, k, grid)[:, 0, 0])]
     csv.write_text("\n".join(rows) + "\n")
     rc = main(["invert", "--graph-topology", graph_file,
                "--rtd-samples", str(csv)])
@@ -695,6 +695,49 @@ def test_spectrum_nan_zmax_is_invalid_input(interval_file, capfd):
 
 def test_smatrix_infinite_grid_is_invalid_input(graph_file, capfd):
     _refused(["smatrix", "--graph", graph_file, "--s", "1:inf:1"], capfd)
+
+
+@pytest.mark.parametrize("option,value,names", [
+    ("--s", "1:11:1", "range '1:11:1' has 11 points, more than 10"),
+    ("--tau-grid", "0:10:1", "has 11 points, more than 10"),
+    ("--bands", "4", "3 eps x 1 tau x 4 bands is more than 10 fiber roots"),
+])
+def test_oversized_grid_or_study_is_invalid_input(graph_file, capfd,
+                                                  monkeypatch, option,
+                                                  value, names):
+    """A range of more than MAX_POINTS points, or a homog study of more
+    than MAX_POINTS eps x tau x band roots, is refused by its count before
+    anything is built; at MAX_POINTS it is taken."""
+    import qgs.cli
+    monkeypatch.setattr(qgs.cli, "MAX_POINTS", 10)
+    argv = ["smatrix", "--graph", graph_file, "--s", "1"] \
+        if option == "--s" else _homog()
+    argv[argv.index(option) + 1] = value
+    _refused(argv, capfd, names)
+    assert len(parse_grid("1:10:1")) == 10
+
+
+@pytest.mark.parametrize("argv,names", [
+    (["smatrix", "--graph", os.path.join(os.path.dirname(__file__), "pinned",
+                                         "two-leads.json"),
+      "--s", "1:1e10:1"], "has 10000000000 points"),
+    (["homog", "--l1", "0.25", "--l2", "0.5", "--eps-list", "0.1",
+      "--tau-grid", "0", "--bands", "1000000000"],
+     "1000000000 bands is more than"),
+])
+def test_huge_grids_exit_2_in_a_capped_address_space(argv, names):
+    """With the address space capped at 800 MB these commands used to end
+    in a MemoryError traceback with exit 1; the cap keeps a regression
+    from taking the machine's memory."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (800_000 * 1024,) * 2)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qgs", *argv], capture_output=True,
+        text=True, preexec_fn=cap, timeout=120,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and names in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
 
 
 def test_invert_zero_tau0_is_invalid_input(graph_file, capfd):

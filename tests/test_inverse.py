@@ -270,6 +270,59 @@ def test_stacked_f1_raises_in_a_later_block():
     assert str(stacked.value) == str(loop.value)
 
 
+def _chain_abc():
+    """The chain A-B-C, lengths 1 and sqrt 2, with leads at both ends."""
+    return MetricGraph(
+        [Vertex("A", 0.9), Vertex("B", -0.7), Vertex("C", 0.2)],
+        [Edge("A", "B", 1.0), Edge("B", "C", math.sqrt(2))],
+        leads=["A", "C"])
+
+
+@pytest.mark.parametrize("z", [-9.0, -0.3, 0.5, 7.7, 2.0 + 0.5j,
+                               -1.0 - 0.25j])
+def test_rtd_diagonal_is_f1_entry_bit_for_bit(z):
+    """robin_to_dirichlet and f1_entry read one gated inverse, so their
+    entries agree bit for bit, at real energies (inverted in real
+    arithmetic, with real couplings) and at complex ones alike."""
+    g = _chain_abc()
+    for k in (CouplingMatrix.from_graph(g),
+              CouplingMatrix.from_values(g, [0.9, -0.7 + 0.2j, 0.2])):
+        R = robin_to_dirichlet(g, k, z)
+        assert R.shape == (2, 2) and R.dtype == complex
+        assert _bits([R[0, 0], R[1, 1]]) == _bits(
+            [f1_entry(g, k, z, v) for v in ("A", "C")])
+
+
+def test_rtd_of_an_array_is_the_per_energy_blocks_bit_for_bit(
+        lead_interval):
+    """An array of energies gives the stack of the one-energy blocks, bit
+    for bit and complex, across the stacks of a 50-vertex graph too; a
+    failing energy raises what a loop over the energies raises first."""
+    g50 = family_graph(50, seed=3)
+    assert stack_size(g50.n_vertices) < 7
+    z = np.array([-4096.0, -1.0, 0.0, 0.75, 2.2, 5.5 + 0.25j, -9.0, 3.1])
+    for g, k in ((_chain_abc(), CouplingMatrix.from_graph(_chain_abc())),
+                 (g50, CouplingMatrix.from_graph(g50))):
+        stacked = robin_to_dirichlet(g, k, z)
+        n_ext = len(g.external_ids())
+        assert stacked.shape == (len(z), n_ext, n_ext)
+        assert stacked.dtype == complex
+        alone = [robin_to_dirichlet(g, k, zj) for zj in z]
+        assert _bits(stacked) == _bits(alone)
+
+    k = CouplingMatrix.zeros(lead_interval)
+    pole = math.pi ** 2
+    for zs in ([-4.0, -1.0, 0.0, -9.0], [-1.0, pole, 0.0],
+               [-1.0, 0.0, pole]):
+        with pytest.raises((SingularMatrix, PoleProximity)) as loop:
+            for zj in zs:
+                robin_to_dirichlet(lead_interval, k, zj)
+        with pytest.raises(type(loop.value)) as stacked:
+            robin_to_dirichlet(lead_interval, k, np.array(zs))
+        assert str(stacked.value) == str(loop.value)
+        assert stacked.value.z == loop.value.z
+
+
 def test_f1_via_determinants_on_a_large_graph():
     """On 120 vertices deep on the negative axis det(M - K) overflows;
     the log-determinant ratio still matches the gated inverse."""
@@ -483,8 +536,7 @@ def test_recover_external_from_samples():
         leads=["A", "C"])
     k = CouplingMatrix.from_graph(g)
     grid = ladder_grid()
-    blocks = np.array([robin_to_dirichlet(g, k, z) for z in grid])
-    samples = RtDSamples(np.array(grid), blocks)
+    samples = RtDSamples(np.array(grid), robin_to_dirichlet(g, k, grid))
     rec = recover_external_couplings(samples, g)
     assert set(rec) == {"A", "C"}
     assert abs(rec["A"] - 0.9) < 1e-6
@@ -499,8 +551,7 @@ def test_recover_external_refuses_samples_short_of_the_ladder():
     g = chain(0.9, -0.7)
     k = CouplingMatrix.from_graph(g)
     grid = np.array(ladder_grid())
-    samples = RtDSamples(grid, np.array(
-        [robin_to_dirichlet(g, k, z) for z in grid]))
+    samples = RtDSamples(grid, robin_to_dirichlet(g, k, grid))
     assert recover_external_couplings(samples, g)["V1"] == \
         pytest.approx(0.9, abs=1e-6)
     short = RtDSamples(grid[:-1], samples.values[:-1])
@@ -521,8 +572,7 @@ def test_recover_external_refuses_a_ladder_too_deep_for_doubles():
 
     def samples(tau0):
         grid = ladder_grid(tau0)
-        return RtDSamples(np.array(grid), np.array(
-            [robin_to_dirichlet(g, k, z) for z in grid]))
+        return RtDSamples(np.array(grid), robin_to_dirichlet(g, k, grid))
 
     rec = recover_external_couplings(samples(1e10), g, tau0=1e10)
     assert rec["V1"] == pytest.approx(0.9, abs=1e-4)
@@ -542,8 +592,7 @@ def test_recover_external_from_samples_of_another_topology_diverges():
                         leads=["A", "C"])
     k = CouplingMatrix.from_graph(truth)
     grid = ladder_grid()
-    samples = RtDSamples(np.array(grid), np.array(
-        [robin_to_dirichlet(truth, k, z) for z in grid]))
+    samples = RtDSamples(np.array(grid), robin_to_dirichlet(truth, k, grid))
     assert recover_external_couplings(samples, truth)["A"] == \
         pytest.approx(0.9, abs=1e-6)
     with pytest.raises(ExtrapolationDiverged, match="for path to 'A'$"):
@@ -559,8 +608,9 @@ def test_forward_oracle_gates_each_ladder_energy_once(star3, monkeypatch):
     assembles and gates each energy once, in stacks of stack_size(n), for
     all paths together."""
     import qgs.inverse
+    import qgs.weyl
     contracted, stacks = [], []
-    real_gate = qgs.inverse.gated_inverses
+    real_gate = qgs.weyl.gated_inverses
 
     def gate(A, z, what):
         stacks.append(len(A))
@@ -570,7 +620,7 @@ def test_forward_oracle_gates_each_ladder_energy_once(star3, monkeypatch):
                         lambda *args: contracted.append(args))
     monkeypatch.setattr(qgs.inverse, "f1_entry",
                         lambda *args: contracted.append(args))
-    monkeypatch.setattr(qgs.inverse, "gated_inverses", gate)
+    monkeypatch.setattr(qgs.weyl, "gated_inverses", gate)
     g70 = family_graph(70, seed=7)
     assert stack_size(g70.n_vertices) == 3
     for g, want in ((star3, [7]), (chain(0.3, -0.4, 0.7, 1.2), [7]),

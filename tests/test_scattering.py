@@ -247,10 +247,11 @@ def test_solves_report_each_energy_by_pole_then_m_minus_k_then_m_star(
         return inverse, [SingularMatrix(zi, what) if i in forced[what]
                          else e for i, (zi, e) in enumerate(zip(z, errors))]
 
-    alone = {s: scattering_solves(lead_interval, k, [s], [0])
+    K = k.as_array()
+    alone = {s: scattering_solves(lead_interval, K, [s], [0])
              for s in (1.0, 12.0)}
     monkeypatch.setattr(qgs.scattering, "gated_inverses", gate)
-    rows, cols, errors = scattering_solves(lead_interval, k, grid, [0])
+    rows, cols, errors = scattering_solves(lead_interval, K, grid, [0])
     assert [type(e) for e in errors] == [
         type(None), PoleProximity, SingularMatrix, SingularMatrix,
         type(None)]
@@ -309,7 +310,8 @@ def test_external_forms_share_one_solve_bit_for_bit():
         for s in (0.7, 2.3, 11.0):
             F1, F2 = external_factors(g, kappa, s)
             assert np.array_equal(sigma_external(g, kappa, s).entries, F1 @ F2)
-            (rows,), (cols,), (error,) = scattering_solves(g, kappa, [s], ext)
+            (rows,), (cols,), (error,) = scattering_solves(
+                g, kappa.as_array(), [s], ext)
             assert error is None
             assert np.array_equal(rows[:, ext], F1)
             assert np.array_equal(cols[ext, :], F2)
@@ -437,7 +439,7 @@ def test_rows_come_from_the_gates_inverse(n, monkeypatch):
             np.linalg, name,
             lambda *a, name=name, real=real, **kw: calls.append(name)
             or real(*a, **kw))
-    rows, _, errors = scattering_solves(g, kappa, grid, ext)
+    rows, _, errors = scattering_solves(g, K, grid, ext)
     assert calls == ["inv", "inv"]
     assert errors == [None] * len(grid)
     assert rows.tobytes() == want.tobytes()
