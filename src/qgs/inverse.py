@@ -72,7 +72,7 @@ from .errors import (ExtrapolationDiverged, InconsistentPaths,
                      SingularBracket, SingularMatrix, UnknownEdge)
 from .graphs import MetricGraph, SpanningTreePath, contract, spanning_tree
 from .kernels import edge_kernels
-from .scattering import external_factors
+from .scattering import scattering_solves
 from .weyl import (COND_LIMIT, CouplingMatrix, _inverse, gated_inverses,
                    resolvents)
 
@@ -112,10 +112,25 @@ class PathSumEstimate:
 # stage 1: scattering -> response map
 # --------------------------------------------------------------------------
 
-def _topology_factor(graph: MetricGraph, s: float) -> np.ndarray:
-    """F2 = Pe (M*)^-1 M Pe, which does not depend on the couplings, so it
-    is read off the factors of the coupling-free graph."""
-    return external_factors(graph, CouplingMatrix.zeros(graph), s)[1]
+def _topology_factors(graph: MetricGraph, grid):
+    """(F2_inverse, errors) at each energy of a positive grid: the inverse
+    of F2 = Pe (M*)^-1 M Pe, which does not depend on the couplings, from
+    the columns of one scattering_solves call on the coupling-free graph,
+    and the gate of each inverse.  errors[i] is the pole or refusal of the
+    solves, or of the gate."""
+    ext = graph.external_indices()
+    zeros = np.zeros((graph.n_vertices,) * 2, dtype=complex)
+    _, cols, errors = scattering_solves(graph, zeros, grid, ext)
+    F2_inverse = np.full((len(grid), len(ext), len(ext)), np.nan,
+                         dtype=complex)
+    solved = [i for i, error in enumerate(errors) if error is None]
+    if solved:
+        F2_inverse[solved], refused = gated_inverses(
+            cols[solved][:, ext, :], [grid[i] for i in solved],
+            "topology factor")
+        for i, error in zip(solved, refused):
+            errors[i] = error
+    return F2_inverse, errors
 
 
 def extract_rtd(sigma_e_oracle, graph_topology: MetricGraph,
@@ -123,15 +138,18 @@ def extract_rtd(sigma_e_oracle, graph_topology: MetricGraph,
     """Invert the scattering formula for the response map on a real grid.
 
     sigma_e_oracle(s) may return a plain matrix or anything with an
-    ``entries`` attribute.  Grid points where the bracket
+    ``entries`` attribute.  Grid points where F2 or the bracket
     I + Sigma_e F2^-1 is numerically singular are dropped with a
-    SingularBracket warning rather than poisoning the data set.
+    SingularBracket warning rather than poisoning the data set; a pole of
+    the coupling-free graph's M-matrix raises its PoleProximity.
     """
+    grid = [float(s) for s in grid]
+    positive = next((i for i, s in enumerate(grid) if s <= 0.0), len(grid))
+    F2_inverses, errors = _topology_factors(graph_topology, grid[:positive])
     kept, values = [], []
     ne = len(graph_topology.external_ids())
     eye = np.eye(ne)
-    for s in grid:
-        s = float(s)
+    for i, s in enumerate(grid):
         if s <= 0.0:
             raise ValueError(
                 f"scattering data lives on the positive axis, got s={s:g}; "
@@ -139,18 +157,13 @@ def extract_rtd(sigma_e_oracle, graph_topology: MetricGraph,
                 "(or interpolated from positive-axis extractions)")
         sig = sigma_e_oracle(s)
         sig = np.asarray(getattr(sig, "entries", sig), dtype=complex)
-        try:
-            F2 = _topology_factor(graph_topology, s)
-        except SingularMatrix as exc:   # the gate of M* in the factor
-            error = exc
-        else:
-            (F2_inverse,), (error,) = gated_inverses(F2[None], [s],
-                                                     "topology factor")
-        if error is not None:
+        if errors[i] is not None:
+            if not isinstance(errors[i], SingularMatrix):
+                raise errors[i]
             warnings.warn(f"topology factor singular at s={s:g}; "
                           "point dropped", SingularBracket)
             continue
-        product = sig @ F2_inverse
+        product = sig @ F2_inverses[i]
         bracket = eye + product
         # cond() alone misses the 1x1 case (cond of any scalar is 1), so
         # also compare the smallest singular value against the natural

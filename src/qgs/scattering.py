@@ -21,33 +21,57 @@ Two independent constructions live here:
   Every form is built from ``scattering_solves``, which assembles the
   M-matrices of a block of energies in one stacked call and returns only
   the rows of the left factor and the columns of the right one that a
-  form reads (the external ones, or every one for ``sigma_full``).  Per
-  energy that costs the two inverses of the condition gate
-  (``weyl.gated_inverses``), on the transpose of M - K and on M*, and no
-  further solve; an energy's error is the first of the assembly's pole
-  verdict and the two gates' refusals.  The columns come
-  from the gate's own inverse of M*, since
+  form reads (the external ones, or every one for ``sigma_full``).  The
+  columns are
 
       (M*)^-1 M = I + (M*)^-1 (M - M*),
 
   with M - M* = 2i Im M exact (at real s, 2i sqrt(s) on the lead
-  diagonals and 0 elsewhere: a finite-rank change, as in Krein's
-  resolvent formula).  The rows are the wanted rows of (M - K)^-1, times
-  M* - K, read as the wanted columns of the gate's inverse of the
-  transpose of M - K.  numpy inverts by LAPACK's gesv with the identity
-  for right-hand side, so those columns are, bit for bit, the backward
-  stable solves with the transpose and the wanted columns of the
+  diagonals and 0 elsewhere), and the rows are Y^T (M* - K), Y the wanted
+  columns of (M - K)^-T: the internal columns of the external rows vanish
+  in exact arithmetic, so the projected-vs-factorised defect is the
+  residual of Y.  An energy's error is the first of the assembly's pole
+  verdict and the refusals of M - K and M*.  Y and (M*)^-1 come one of
+  two ways.
+
+  The Krein route.  At real s the leads are a rank-n_e change of the
+  compact problem (Krein's resolvent formula): M - K = B1 + i sqrt(s) P_e
+  and M* = B0 - i sqrt(s) P_e, with B1 = M_compact - K and B0 = M_compact
+  real at real couplings.  One real inversion of the stack of B1 and B0
+  (of B0 alone when K = 0) and n_e x n_e complex solves give the lead
+  columns of both inverses (``weyl.krein_columns``), where the direct
+  route pays two complex n x n inverses.  An energy stays on it only
+  where an upper bound on the 1-norm condition of M - K and of M* passes
+  the gate's own bracket (accept-only: the gate would accept it too) and
+  B1 and B0 are within the accuracy limit ``weyl.KREIN_COND_LIMIT``.
+  It runs for the external rows and columns at real couplings on graphs
+  of at least KREIN_MIN_VERTICES vertices, where it pays: on a
+  100-energy block it took 1.44, 1.05, 1.00, 0.93 and 0.82 times the
+  direct route's time at 5, 10, 12, 16 and 20 vertices.  The same size
+  rule holds at K = 0, where one real inverse serves both matrices: a
+  90-energy sweep took the same time on either route at 2 to 8 vertices
+  and 0.7 times the direct time at 10 to 15, and a single energy about
+  60 us more on this route at 2 to 15.
+
+  The direct route, for every other energy, every refusal among them:
+  the two inverses of the condition gate (``weyl.gated_inverses``), on
+  the transpose of M - K and on M*.  numpy inverts by LAPACK's gesv with
+  the identity for right-hand side, so the wanted columns are, bit for
+  bit, the backward stable solves with the wanted columns of the
   identity.  (Rows read off an inverse of M - K itself are not backward
   stable: near a resonance of a 10-vertex graph, at cond 4.3e4, they
   made the projected-vs-factorised defect 2.6e-9, against 8.4e-13 from
-  the solve.)  A single energy is a block of one, and ``sigma_sweep``
-  cuts its grid into blocks of at most ``weyl.BLOCK_BYTES`` of
-  M-matrices and one dense coupling matrix.  The projected form is
-  checked as the external rows of the left factor times the external
-  columns of the right one, without the n x n product.  The unitarity
-  defect ||S*S - I|| is computed once per block, on the block's stack of
-  S, and stored on each ScatteringMatrix.  Energies s <= 0 are refused
-  with ValueError: no wave propagates on a lead there.
+  the solve.)
+
+  A single energy is a block of one, and ``sigma_sweep`` cuts its grid
+  into blocks of at most ``weyl.BLOCK_BYTES`` of M-matrices and one dense
+  coupling matrix; the route is chosen energy by energy, so a block does
+  not change an energy's answer.  The projected form is checked as the
+  external rows of the left factor times the external columns of the
+  right one, without the n x n product.  The unitarity defect ||S*S - I||
+  is computed once per block, on the block's stack of S, and stored on
+  each ScatteringMatrix.  Energies s <= 0 are refused with ValueError: no
+  wave propagates on a lead there.
 
 * ``lead_matching_oracle`` — plane-wave matching.  For a unit incoming
   wave e^{-ikx} on one lead, solve the (2n + n_leads) linear system of
@@ -55,8 +79,11 @@ Two independent constructions live here:
   The system is the vertex-matching assembly of the spectra, with one
   lead end per lead (``spectra.matching_matrix``); it is built from the
   entire edge kernels and never touches the M-matrix, so it cross-checks
-  the algebra above.  (The two objects are unitarily related but not equal;
-  tests record their relation rather than asserting it.)
+  the algebra above.  The two are not equal: Sigma scatters relative to
+  the coupling-free graph, Sigma_ext(s) = R(K) R(0)*, with R(K) the
+  oracle's matrix at couplings K, and factor by factor F1 = -R(K) and
+  F2 = -R(0)* (the Cayley transforms of Kostrykin & Schrader, J. Phys. A
+  32, 1999); the tests assert it.
 """
 
 from __future__ import annotations
@@ -69,9 +96,11 @@ import numpy as np
 from .errors import FactorisationMismatch, NumericalError
 from .graphs import MetricGraph
 from .spectra import matching_matrix
-from .weyl import CouplingMatrix, gated_inverses, stack_size, weyl_stack
+from .weyl import (CouplingMatrix, _inverse, gated_inverses, krein_columns,
+                   stack_size, weyl_stack)
 
 FACTOR_TOL = 1e-10
+KREIN_MIN_VERTICES = 16   # smallest graph on which the Krein route pays
 
 
 @dataclass(frozen=True)
@@ -93,41 +122,105 @@ def _unitarity_defects(S):
     return np.sqrt(squares[:, 0, 0])
 
 
+def _direct_solves(M, K, s_values, idx):
+    """(rows, cols, errors): scattering_solves' rows and columns at the
+    energies s_values of a stack M of full M-matrices, from the gate's
+    inverses of (M - K)^T and of M*; errors[i] is the refusal of M - K,
+    then of M*, or None, and a refused energy's rows and columns are NaN."""
+    Ms = M.conj().swapaxes(1, 2)
+    inverse, refused = gated_inverses((M - K).swapaxes(1, 2), s_values,
+                                      "M - coupling")
+    rows = inverse[:, :, idx].swapaxes(1, 2) @ (Ms - K)
+    G, refused_star = gated_inverses(Ms, s_values, "M*")
+    cols = np.eye(M.shape[-1])[:, idx] + G @ (M[:, :, idx] - Ms[:, :, idx])
+    errors = [r or r_star for r, r_star in zip(refused, refused_star)]
+    failed = [exc is not None for exc in errors]
+    rows[failed] = np.nan
+    cols[failed] = np.nan
+    return rows, cols, errors
+
+
+def _krein_solves(M, r, K, s, ext):
+    """(rows, cols, accepted): scattering_solves' external rows and columns
+    on the Krein route at the energies s of M[r], a stack of full
+    M-matrices at no pole, with K real.  weyl_stack assembles the compact
+    part from real kernels at s > 0 and adds i sqrt(s) on the lead
+    diagonals, so M.real is M_compact.
+
+    B1 = M_compact - K and B0 = M_compact are inverted in one real stack
+    (B0 alone when K = 0, since then B1 = B0), and weyl.krein_columns gives
+    Y, the ext columns of (M - K)^-1 = (M - K)^-T (M - K is symmetric),
+    and Z, those of (M*)^-1.  accepted marks the energies where
+    krein_columns accepts both matrices; the rest are not to be read.
+    """
+    n = M.shape[-1]
+    B = np.empty((2 if K.any() else 1, len(r), n, n))   # B1, B0
+    B[-1] = M.real[r]
+    if len(B) == 2:
+        np.subtract(B[1], K.real, out=B[0])
+    R = _inverse(B.reshape(-1, n, n)).reshape(B.shape)
+    ik = np.multiply.outer([1j, -1j], np.sqrt(s))
+    (Y, Z), accepted = krein_columns(B, R, ik, ext)
+    ik = ik[0, :, None, None]
+    # Y^T (M* - K) = Y^T B1 - i sqrt(s) Y^T P_e, with B1^T Y taken in real
+    # arithmetic on Y's real and imaginary parts side by side
+    rows = (B[0].swapaxes(1, 2) @ Y.view(float)).view(complex).swapaxes(1, 2)
+    rows[:, :, ext] -= ik * Y[:, ext, :].swapaxes(1, 2)
+    # (M*)^-1 M = I + (M*)^-1 (M - M*), and M - M* = 2i sqrt(s) P_e
+    cols = 2.0 * ik * Z
+    cols[:, ext, range(len(ext))] += 1.0
+    return rows, cols, accepted.all(axis=0)
+
+
 def scattering_solves(graph: MetricGraph, K, s_values, idx):
     """The idx rows of the left factor and the idx columns of the right one
     at each energy of a block, K the dense coupling matrix.
 
     Returns (rows, cols, errors): stacks of [(M - K)^-1 (M* - K)][idx, :]
     and [(M*)^-1 M][:, idx], one per energy, with M the full M-matrix and
-    idx a list of vertex indices.  The block's M-matrices are one stacked
-    assembly, and the condition gate (cond <= COND_LIMIT) runs on the
-    transpose of M - K and on M*.  The columns come from the gate's own
-    inverse of M*: (M*)^-1 M = I + (M*)^-1 (M - M*), where
-    M - M* = 2i Im M is exact.  The rows are Y^T (M* - K), with Y the idx
-    columns of the gate's inverse of (M - K)^T; numpy computes an inverse
-    as the solve with the identity, so Y is, bit for bit, the thin solve
-    (M - K)^-T E with E the idx columns of the identity.  errors[i] is
-    None, or the first NumericalError that refused energy i (a pole of M,
-    then M - K, then M*), whose rows and columns are then NaN.  The
-    columns do not depend on K, so a caller that wants only them may pass
-    zeros.  Raises ValueError for an energy s <= 0.
+    idx a list of vertex indices, from one stacked assembly.  The rows are
+    Y^T (M* - K), Y the idx columns of (M - K)^-T, and the columns
+    I + (M*)^-1 (M - M*).  errors[i] is None, or the first NumericalError
+    that refused energy i (a pole of M, then M - K, then M*), whose rows
+    and columns are then NaN.  The columns do not depend on K, so a caller
+    that wants only them may pass zeros.  Raises ValueError for an energy
+    s <= 0.
+
+    An energy that is not a pole takes the Krein route (_krein_solves)
+    when idx is the external set, K is real, the graph has at least
+    KREIN_MIN_VERTICES vertices, and weyl.krein_columns accepts both
+    matrices.  Every other energy, and so every refusal, takes the direct
+    route: the gate's inverses of (M - K)^T and of M*.
     """
     for s in s_values:
         if not s > 0:
             raise ValueError(f"scattering needs s > 0, got s={s:g}")
-    M, poles = weyl_stack(graph, np.asarray(s_values, dtype=float), full=True)
-    Ms = M.conj().swapaxes(1, 2)
-    E = np.eye(graph.n_vertices)[:, idx]
-    inverse, refused = gated_inverses((M - K).swapaxes(1, 2), s_values,
-                                      "M - coupling")
-    rows = inverse[:, :, idx].swapaxes(1, 2) @ (Ms - K)
-    G, refused_star = gated_inverses(Ms, s_values, "M*")
-    cols = E + G @ (M[:, :, idx] - Ms[:, :, idx])
-    errors = [pole or r or r_star
-              for pole, r, r_star in zip(poles, refused, refused_star)]
-    failed = [exc is not None for exc in errors]
-    rows[failed] = np.nan
-    cols[failed] = np.nan
+    s_array = np.asarray(s_values, dtype=float)
+    M, errors = weyl_stack(graph, s_array, full=True)
+    n, N, ext = graph.n_vertices, len(M), graph.external_indices()
+    krein = np.array([error is None for error in errors], dtype=bool)
+    krein &= (list(idx) == ext and not K.imag.any()
+              and n >= KREIN_MIN_VERTICES)
+    r = np.flatnonzero(krein)
+    if r.size:
+        rows_r, cols_r, accepted = _krein_solves(M, r, K, s_array[r], ext)
+        krein[r] = accepted
+    c = [i for i in np.flatnonzero(~krein).tolist() if errors[i] is None]
+    if len(c) == N:
+        # every energy direct, as on every graph below KREIN_MIN_VERTICES:
+        # the merge below cost about 60 us a sweep, 3-5 % of the time of
+        # smatrix-sweep's sweeps below 16 vertices, where its job_s.p50 sits
+        return _direct_solves(M, K, s_values, idx)
+    rows = np.full((N, len(idx), n), np.nan, dtype=complex)
+    cols = np.full((N, n, len(idx)), np.nan, dtype=complex)
+    if r.size:
+        rows[r[accepted]] = rows_r[accepted]
+        cols[r[accepted]] = cols_r[accepted]
+    if c:
+        rows[c], cols[c], refused = _direct_solves(
+            M[c], K, [s_values[i] for i in c], idx)
+        for i, error in zip(c, refused):
+            errors[i] = error
     return rows, cols, errors
 
 

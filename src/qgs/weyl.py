@@ -31,11 +31,22 @@ per energy (cond > COND_LIMIT) come out.  A single matrix is a stack of
 one.  resolvents assembles and gates M_compact - K in stacks of
 stack_size(n), a real run in real arithmetic, for every reader of its
 inverse: robin_to_dirichlet, and inverse's f1_entry and forward oracle.
+
+At real z the leads are a rank-n_e change of the compact problem
+(Krein's resolvent formula): A = B +- i sqrt(z) P_e with B real.
+krein_columns takes B's real inverse R to the lead columns of A^-1 by
+n_e x n_e complex solves, for the scattering sweep.  It passes a matrix
+only where two tests hold, and its caller runs the gate on the others:
+an upper bound on the 1-norm condition of A, built from R, that
+gated_inverses' own bracket accepts (accept-only: it never passes a
+matrix the gate would refuse), and the accuracy limit KREIN_COND_LIMIT
+on B's 1-norm condition, since R carries B's rounding into the answer.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -50,6 +61,7 @@ from .kernels import (SERIES_CUTOFF, edge_kernels, is_mp, mp_edge_kernels,
 POLE_TOL = 1e-12
 COND_LIMIT = 1e12
 GATE_SLACK = 4.0   # rounding margin of the 1-norm bracket in gated_inverses
+KREIN_COND_LIMIT = math.sqrt(COND_LIMIT)   # accuracy limit of krein_columns
 BLOCK_BYTES = 256 * 1024   # complex M-matrices held in one stack
 
 
@@ -144,6 +156,47 @@ def gated_inverses(A, z, what):
     inverse[refused] = np.nan
     return inverse, [SingularMatrix(zi, what) if r else None
                      for zi, r in zip(z, refused)]
+
+
+def krein_columns(B, R, ik, ext):
+    """(Y, accepted): the ext columns of the inverse of each matrix of
+    A = B + ik P_e, from R = B^-1, with B real, ik = +-i sqrt(s) one per
+    matrix, and P_e the 0/1 projector onto the ext indices.  B and R are
+    stacks (..., n, n) and ik an array (...), broadcast together.
+
+    A is a rank-len(ext) change of B (Krein's resolvent formula), so
+    A^-1 = R - ik Y R[ext, :] with Y = R[:, ext] (I + ik R[ext, ext])^-1:
+    one small complex inverse per matrix.  accepted marks the matrices
+    that pass two tests; only their Y are meant to be read:
+
+    * the accept-only bound: ||A||_1 <= ||B||_1 + |ik| and ||A^-1||_1 <=
+      ||R||_1 + |ik| ||Y||_1 ||R[ext, :]||_1 bound kappa_1(A) from above,
+      and GATE_SLACK n bound < COND_LIMIT passes A by gated_inverses' own
+      bracket, so no A is passed here that gated_inverses would refuse;
+    * the accuracy limit kappa_1(B) <= KREIN_COND_LIMIT = sqrt(COND_LIMIT):
+      R carries B's rounding, about eps kappa(B), into Y, and no gate
+      sees B.  The limit lets B's rounding cost at most half the digits
+      the gate lets a direct solve lose.  Measured on family graphs of 50
+      to 200 vertices at 90 energies each, the sweep's S moved from the
+      direct route's by at most 0.023 eps kappa_1(B); on a 10-vertex
+      graph where M_compact had 2-norm condition 2.7e6, the route without
+      the limit answered with a unitarity defect of 2.9e-11, against
+      1.5e-12 by the direct route.
+
+    A NaN in R (B exactly singular) or in the small inverse fails both.
+    """
+    n = B.shape[-1]
+    k = np.abs(ik)
+    with np.errstate(all="ignore"):
+        Re = R[..., ext]
+        Y = Re @ _inverse(np.eye(len(ext))
+                          + ik[..., None, None] * Re[..., ext, :])
+        norm_B, norm_R = _norm1(B), _norm1(R)
+        bound = (norm_B + k) * (norm_R
+                                + k * _norm1(Y) * _norm1(R[..., ext, :]))
+        accepted = ((GATE_SLACK * n * bound < COND_LIMIT)
+                    & (norm_B * norm_R <= KREIN_COND_LIMIT))
+    return Y, accepted
 
 
 class _Plan(NamedTuple):

@@ -12,8 +12,8 @@ from qgs import (CouplingMatrix, Edge, ExtrapolationDiverged, GraphError,
                  InconsistentPaths, MetricGraph, PathSumEstimate,
                  PoleProximity, RtDSamples, SingularBracket, SingularMatrix,
                  SpanningTreePath, UnknownEdge, Vertex, barycentric, contract,
-                 extract_rtd, f1_contracted, f1_entry, forward_f1_oracle,
-                 invert_couplings, ladder_tau0, parse_graph,
+                 external_factors, extract_rtd, f1_contracted, f1_entry,
+                 forward_f1_oracle, invert_couplings, ladder_tau0, parse_graph,
                  recover_couplings, recover_external_couplings,
                  recover_path_sums, robin_to_dirichlet, serialize_graph,
                  sigma_external, spanning_tree, weyl_compact)
@@ -88,58 +88,113 @@ def test_extraction_drops_singular_points(lead_interval):
     assert any(issubclass(w.category, SingularBracket) for w in rec)
 
 
+def _extraction_case(name, star3):
+    """(graph, couplings, krein) of an extraction test: star3 is below
+    KREIN_MIN_VERTICES, so its topology factor takes the direct solves; a
+    20-vertex family graph takes the Krein route."""
+    import qgs.scattering
+    if name == "star3":
+        g = star3
+        k = CouplingMatrix.from_values(g, [0.7, -0.2, 0.4, 0.0])
+    else:
+        g = family_graph(20, seed=20)
+        k = CouplingMatrix.from_graph(g)
+    return g, k, g.n_vertices >= qgs.scattering.KREIN_MIN_VERTICES
+
+
 def test_extraction_gates_the_topology_factor_without_an_svd(
         star3, monkeypatch):
-    """The topology factor's inverse comes from the condition gate: the
-    values are those of np.linalg.cond followed by np.linalg.inv, and a
-    well-conditioned grid point needs no np.linalg.cond."""
-    from qgs.inverse import _topology_factor
-    k = CouplingMatrix.from_values(star3, [0.7, -0.2, 0.4, 0.0])
+    """The topology factor F2 is the external block of external_factors'
+    right factor on the coupling-free graph, and its inverse comes from
+    the condition gate: the values are those of np.linalg.cond followed
+    by np.linalg.inv, and a well-conditioned grid point needs no
+    np.linalg.cond.  The whole grid's F2 comes from one stack of n x n
+    inverses per matrix: on star3 the direct route's two complex ones, of
+    M^T and M*; on the Krein route one real inverse of M_compact per
+    energy, and no complex n x n inverse."""
+    for name in ("star3", "family20"):
+        with monkeypatch.context() as patch:
+            _check_topology_gate(name, star3, patch)
+
+
+def _check_topology_gate(name, star3, monkeypatch):
+    g, k, krein = _extraction_case(name, star3)
+    assert krein == (name == "family20")
+    zeros = CouplingMatrix.zeros(g)
     grid = [0.9, 2.7, 8.1, 20.5]
+    ne = len(g.external_ids())
     want = []
     for s in grid:
-        F2 = _topology_factor(star3, s)
+        F2 = external_factors(g, zeros, s)[1]
         assert np.linalg.cond(F2) < 1e12
-        bracket = np.eye(1) + sigma_external(star3, k, s).entries @ \
+        bracket = np.eye(ne) + sigma_external(g, k, s).entries @ \
             np.linalg.inv(F2)
-        want.append((2.0 * np.linalg.inv(bracket) - np.eye(1))
+        want.append((2.0 * np.linalg.inv(bracket) - np.eye(ne))
                     / (1j * math.sqrt(s)))
-    conds = []
-    real_cond = np.linalg.cond
+    sigma = {s: sigma_external(g, k, s) for s in grid}
+    conds, inverses = [], []
+    real_cond, real_inv = np.linalg.cond, np.linalg.inv
     monkeypatch.setattr(np.linalg, "cond",
                         lambda *a, **kw: conds.append(1) or real_cond(*a,
                                                                       **kw))
-    samples = extract_rtd(lambda s: sigma_external(star3, k, s), star3, grid)
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(
+        (a.dtype.kind, a.shape)) or real_inv(a))
+    samples = extract_rtd(sigma.get, g, grid)
     assert conds == []
+    n = g.n_vertices
+    assert [c for c in inverses if c[1][-1] == n] == (
+        [("f", (4, n, n))] if krein else [("c", (4, n, n))] * 2)
     assert np.array_equal(samples.values, np.array(want))
 
 
-@pytest.mark.parametrize("gate", ["M*", "topology factor"])
+@pytest.mark.parametrize("gate", ["M*", "M - coupling", "topology factor"])
 def test_extraction_drops_a_point_whose_topology_factor_is_refused(
         star3, monkeypatch, gate):
-    """A refusal of the topology factor, by the gate of M* in its solve or
-    by the gate of its own inverse, drops that grid point with one
-    SingularBracket warning and keeps the others as they were."""
+    """A refusal of the topology factor, by a gate of the direct solves
+    behind it or by the gate of its own inverse, drops that grid point
+    with one SingularBracket warning and keeps the others as they were.
+    On star3 every energy reaches the direct solves' gates; on the Krein
+    route, which is told to decline 2.7, only that energy does."""
+    for name in ("star3", "family20"):
+        with monkeypatch.context() as patch:
+            _check_topology_refusal(name, gate, star3, patch)
+
+
+def _check_topology_refusal(name, gate, star3, monkeypatch):
     import qgs.inverse
     import qgs.scattering
-    k = CouplingMatrix.from_values(star3, [0.7, -0.2, 0.4, 0.0])
+    g, k, krein = _extraction_case(name, star3)
     grid = [0.9, 2.7, 8.1]
-    sigma = {s: sigma_external(star3, k, s) for s in grid}
-    want = extract_rtd(sigma.get, star3, grid)
-    module = qgs.scattering if gate == "M*" else qgs.inverse
+    sigma = {s: sigma_external(g, k, s) for s in grid}
+    want = extract_rtd(sigma.get, g, grid)
+    assert list(want.grid) == grid
+    module = qgs.inverse if gate == "topology factor" else qgs.scattering
     real_gate = module.gated_inverses
+    real_krein = qgs.scattering.krein_columns
+    gated = []
 
     def refuse(A, z, what):
         inverse, errors = real_gate(A, z, what)
-        if what == gate and z == [2.7]:
-            errors = [SingularMatrix(2.7, what)]
+        if what == gate:
+            gated.append(list(z))
+            errors = [SingularMatrix(zi, what) if zi == 2.7 else e
+                      for zi, e in zip(z, errors)]
         return inverse, errors
+
+    def decline(B, R, ik, ext):
+        Y, accepted = real_krein(B, R, ik, ext)
+        accepted[:, np.isclose(ik[0].imag ** 2, 2.7, rtol=1e-14)] = False
+        return Y, accepted
+
     monkeypatch.setattr(module, "gated_inverses", refuse)
+    monkeypatch.setattr(qgs.scattering, "krein_columns", decline)
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
-        samples = extract_rtd(sigma.get, star3, grid)
+        samples = extract_rtd(sigma.get, g, grid)
     assert [(w.category, str(w.message)) for w in rec] == [
         (SingularBracket, "topology factor singular at s=2.7; point dropped")]
+    direct = [2.7] if krein else grid
+    assert gated == [direct if gate != "topology factor" else grid]
     assert list(samples.grid) == [0.9, 8.1]
     assert np.array_equal(samples.values, want.values[[0, 2]])
 

@@ -190,6 +190,56 @@ def test_oracle_and_sigma_both_unitary_not_identical(star3):
     assert np.linalg.norm(R @ R.conj().T - np.eye(1)) < 1e-10
 
 
+# Sigma_ext against R(K) R(0)*, in the largest entry: over 6000 random
+# (graph, s) draws of lead_graphs with s on [0.2, 60] the error reached
+# 7.8e-13, and at most 34 eps cond, cond the larger of the 2-norm condition
+# numbers of M - K and M* that the sweep's gates judge
+RELATION_TOL = 1e-11
+RELATION_EPS_COND = 1e3
+
+
+def _check_relation(g, k, s):
+    """Sigma_ext(s) = R(K) R(0)* factor by factor, if every route answers."""
+    try:
+        sm = sigma_external(g, k, s)
+        R = lead_matching_oracle(g, k, s)
+        R0 = lead_matching_oracle(g, CouplingMatrix.zeros(g), s)
+    except NumericalError:
+        return  # poles / conditioning: other tests pin those paths
+    M = weyl_full(g, s)
+    cond = max(np.linalg.cond(M - k.as_array()), np.linalg.cond(M))
+    tol = RELATION_TOL + RELATION_EPS_COND * np.finfo(float).eps * cond
+    assert np.abs(sm.entries - R @ R0.conj().T).max() <= tol
+    F1, F2 = external_factors(g, k, s)
+    assert np.abs(F1 + R).max() <= tol
+    assert np.abs(F2 + R0.conj().T).max() <= tol
+
+
+@given(lead_graphs, st.floats(min_value=0.2, max_value=60.0))
+@settings(max_examples=40, deadline=None)
+def test_sigma_is_the_oracle_relative_to_the_coupling_free_graph(g, s):
+    """Sigma_ext(s) = R(K) R(0)*, R the plane-wave oracle's matrix: the
+    M-matrix route scatters relative to the coupling-free graph, so F1 is
+    -R(K) and F2 is -R(0)*.  The oracle never touches the M-matrix, so
+    this is the sweep's only check by an independent route."""
+    _check_relation(g, real_couplings(g), s)
+
+
+@given(st.integers(min_value=0, max_value=10**9),
+       st.integers(min_value=16, max_value=30),
+       st.floats(min_value=0.2, max_value=60.0))
+@settings(max_examples=15, deadline=None)
+def test_krein_route_is_the_oracle_relative_to_the_coupling_free_graph(
+        seed, n, s):
+    """The same relation on family graphs of 16 to 30 vertices with 2 to 6
+    leads and their own couplings, where the sweep takes the Krein route."""
+    inputs = perfbench("inputs")
+    rng = random.Random(seed)
+    g = parse_graph(json.dumps(inputs.family_graph(
+        rng, n, n_leads=rng.randint(2, 6))))
+    _check_relation(g, CouplingMatrix.from_graph(g), s)
+
+
 def test_oracle_factorises_its_system_once(star3, monkeypatch):
     """The amplitudes come from the condition gate's own inverse: the
     oracle answers without a second factorisation by np.linalg.solve."""
@@ -226,32 +276,68 @@ def test_sweep_reports_the_pole_not_its_placeholder(lead_interval):
     assert [type(exc) for _, exc in skipped] == [PoleProximity]
 
 
-def test_solves_report_each_energy_by_pole_then_m_minus_k_then_m_star(
-        lead_interval, monkeypatch):
-    """Per energy, scattering_solves reports the first of: the pole from
-    the assembly, the gate's refusal of M - K, its refusal of M*.  Here the
-    gates are told to refuse M - K at the 2nd and 3rd energies and M* at
-    the 2nd to 4th, and the 2nd is a pole, so the errors read pole, M - K,
-    M*; the refused energies' rows and columns are NaN, and the others are
-    bit for bit those of each energy alone."""
+def _declining_krein(monkeypatch, declined):
+    """Make the Krein route decline the energies in `declined` (and accept
+    the rest as it would), recording the energies it was asked about."""
     import qgs.scattering
-    k = CouplingMatrix.from_values(lead_interval, [0.3, -0.2])
-    grid = [1.0, math.pi ** 2, 4.0, 6.5, 12.0]
-    forced = {"M - coupling": (1, 2), "M*": (1, 2, 3)}
+    real = qgs.scattering.krein_columns
+    asked = []
+
+    def krein_columns(B, R, ik, ext):
+        Y, accepted = real(B, R, ik, ext)
+        energies = (ik[0].imag ** 2).tolist()
+        asked.extend(energies)
+        for i, s in enumerate(energies):
+            if any(math.isclose(s, d, rel_tol=1e-14) for d in declined):
+                accepted[:, i] = False
+        return Y, accepted
+
+    monkeypatch.setattr(qgs.scattering, "krein_columns", krein_columns)
+    return asked
+
+
+def test_solves_report_each_energy_by_pole_then_m_minus_k_then_m_star(
+        monkeypatch):
+    """Per energy, scattering_solves reports the first of: the pole from
+    the assembly, the gate's refusal of M - K, its refusal of M*.  A pole
+    reaches neither route.  The 2-vertex interval takes the direct route at
+    every energy; on a 20-vertex graph the Krein route takes every energy
+    but the pole, and is told to decline the 3rd and 4th, so only those
+    reach the gates.  The gates are told to refuse M - K at the 2nd and
+    3rd energies and M* at the 2nd to 4th, so the errors read pole,
+    M - K, M*; the refused energies' rows and columns are NaN, and the
+    others are bit for bit those of each energy alone."""
+    for n in (2, 20):
+        with monkeypatch.context() as patch:
+            _check_error_order(n, patch)
+
+
+def _check_error_order(n, monkeypatch):
+    import qgs.scattering
+    if n == 2:
+        g = MetricGraph([Vertex("V1"), Vertex("V2")],
+                        [Edge("V1", "V2", 1.0)], leads=["V1"])
+        k = CouplingMatrix.from_values(g, [0.3, -0.2])
+    else:
+        g, k = _family_graph(n, seed=n)
+    pole = (math.pi / g.edges[0].length) ** 2
+    grid = [1.0, pole, 4.0, 6.5, 12.0]
+    forced = {"M - coupling": (pole, 4.0), "M*": (pole, 4.0, 6.5)}
     real_gate = qgs.scattering.gated_inverses
+    gated = {"M - coupling": [], "M*": []}
 
     def gate(A, z, what):
         inverse, errors = real_gate(A, z, what)
-        if len(z) < len(grid):
-            return inverse, errors
-        return inverse, [SingularMatrix(zi, what) if i in forced[what]
-                         else e for i, (zi, e) in enumerate(zip(z, errors))]
+        gated[what] += z
+        return inverse, [SingularMatrix(zi, what) if zi in forced[what]
+                         else e for zi, e in zip(z, errors)]
 
     K = k.as_array()
-    alone = {s: scattering_solves(lead_interval, K, [s], [0])
-             for s in (1.0, 12.0)}
+    ext = g.external_indices()
+    alone = {s: scattering_solves(g, K, [s], ext) for s in (1.0, 12.0)}
+    asked = _declining_krein(monkeypatch, (4.0, 6.5))
     monkeypatch.setattr(qgs.scattering, "gated_inverses", gate)
-    rows, cols, errors = scattering_solves(lead_interval, K, grid, [0])
+    rows, cols, errors = scattering_solves(g, K, grid, ext)
     assert [type(e) for e in errors] == [
         type(None), PoleProximity, SingularMatrix, SingularMatrix,
         type(None)]
@@ -259,6 +345,9 @@ def test_solves_report_each_energy_by_pole_then_m_minus_k_then_m_star(
         "M - coupling numerically singular at z=4.0",
         "M* numerically singular at z=6.5"]
     assert np.isnan(rows[1:4]).all() and np.isnan(cols[1:4]).all()
+    direct = [1.0, 4.0, 6.5, 12.0] if n == 2 else [4.0, 6.5]
+    assert gated == {"M - coupling": direct, "M*": direct}
+    assert len(asked) == (0 if n == 2 else 4)
     for i, s in ((0, 1.0), (4, 12.0)):
         assert np.array_equal(rows[i], alone[s][0][0])
         assert np.array_equal(cols[i], alone[s][1][0])
@@ -415,34 +504,212 @@ def test_sweep_is_bit_equal_to_one_energy_at_a_time(n, block_bytes,
         assert len(got[0]) + len(got[1]) == len(grid)
 
 
+def _recording_inverses(monkeypatch):
+    """Record (name, dtype kind, shape) of every np.linalg.inv and solve."""
+    calls = []
+    for name in ("solve", "inv"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name,
+            lambda a, *rest, name=name, real=real, **kw: calls.append(
+                (name, a.dtype.kind, a.shape)) or real(a, *rest, **kw))
+    return calls
+
+
+def _thin_solves(M, K, ext):
+    """The external rows and columns of the two factors by np.linalg.solve:
+    the rows as Y^T (M* - K) with Y = (M - K)^-T E, E the external columns
+    of the identity, and the columns as (M*)^-1 M E."""
+    E = np.eye(M.shape[-1])[:, ext]
+    E = np.broadcast_to(E, (len(M),) + E.shape)
+    Ms = M.conj().swapaxes(1, 2)
+    Y = np.linalg.solve((M - K).swapaxes(1, 2), E)
+    return Y.swapaxes(1, 2) @ (Ms - K), np.linalg.solve(Ms, M @ E)
+
+
 @pytest.mark.parametrize("n", [5, 50, 100])
 def test_rows_come_from_the_gates_inverse(n, monkeypatch):
-    """A block of scattering_solves takes two inverses, the gates' of
+    """An energy on the direct route takes two inverses, the gates' of
     (M - K)^T and of M*, and no solve: its rows are the idx columns of the
     first inverse, transposed, times M* - K, bit for bit what a thin solve
-    with (M - K)^T and the idx columns of the identity gives."""
+    with (M - K)^T and the idx columns of the identity gives.  The
+    5-vertex graph is below KREIN_MIN_VERTICES, so every energy is direct;
+    on 50 and 100 vertices the Krein route is told to decline every
+    energy, after its one real inversion and its small complex ones."""
+    import qgs.scattering
     g, kappa = _family_graph(n, seed=n)
     ext = g.external_indices()
     grid = [0.3 + 0.41 * i for i in range(min(stack_size(n), 6))]
     M, errors = weyl.weyl_stack(g, np.array(grid), full=True)
     assert errors == [None] * len(grid)
     K = kappa.as_array()
-    E = np.eye(n)[:, ext]
-    Y = np.linalg.solve((M - K).swapaxes(1, 2),
-                        np.broadcast_to(E, (len(M),) + E.shape))
-    want = Y.swapaxes(1, 2) @ (M.conj().swapaxes(1, 2) - K)
+    want, _ = _thin_solves(M, K, ext)
 
-    calls = []
-    for name in ("solve", "inv"):
-        real = getattr(np.linalg, name)
-        monkeypatch.setattr(
-            np.linalg, name,
-            lambda *a, name=name, real=real, **kw: calls.append(name)
-            or real(*a, **kw))
+    krein = n >= qgs.scattering.KREIN_MIN_VERTICES
+    assert krein == (n != 5)
+    if krein:
+        _declining_krein(monkeypatch, grid)
+    calls = _recording_inverses(monkeypatch)
     rows, _, errors = scattering_solves(g, K, grid, ext)
-    assert calls == ["inv", "inv"]
+    N = len(grid)
+    assert calls == [("inv", "f", (2 * N, n, n)),
+                     ("inv", "c", (2, N, len(ext), len(ext)))] * krein + [
+        ("inv", "c", (N, n, n)), ("inv", "c", (N, n, n))]
     assert errors == [None] * len(grid)
     assert rows.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [20, 50, 100])
+def test_krein_route_inverts_the_real_pair_once(n, monkeypatch):
+    """On the Krein route a block takes one real inversion, of the stack
+    of B1 = M_compact - K and B0 = M_compact, one stack of n_e x n_e
+    complex inverses, and no solve and no complex n x n inverse.  Its rows
+    are Y^T (M* - K), with Y the external columns of (M - K)^-1 that
+    weyl.krein_columns reads off those inverses, and its columns
+    I + 2i sqrt(s) (M*)^-1 P_e.  Both agree with the direct route's thin
+    solves (here to 2.3e-14 at most).  The rows' internal columns vanish
+    in exact arithmetic; computed, they are Y's residual, nonzero and
+    small."""
+    g, kappa = _family_graph(n, seed=n)
+    ext = g.external_indices()
+    internal = [i for i in range(n) if i not in ext]
+    grid = [0.3 + 0.41 * i for i in range(min(stack_size(n), 6))]
+    N = len(grid)
+    M, _ = weyl.weyl_stack(g, np.array(grid), full=True)
+    K = kappa.as_array()
+    B = np.stack([M.real - K.real, M.real])
+    R = np.linalg.inv(B.reshape(-1, n, n)).reshape(B.shape)
+    ik = np.multiply.outer([1j, -1j], np.sqrt(grid))
+    (Y, Z), accepted = weyl.krein_columns(B, R, ik, ext)
+    assert accepted.all()
+    want_rows, want_cols = _thin_solves(M, K, ext)
+
+    calls = _recording_inverses(monkeypatch)
+    rows, cols, errors = scattering_solves(g, K, grid, ext)
+    assert calls == [("inv", "f", (2 * N, n, n)),
+                     ("inv", "c", (2, N, len(ext), len(ext)))]
+    assert errors == [None] * N
+    Ms = M.conj().swapaxes(1, 2)
+    assert np.abs(rows - Y.swapaxes(1, 2) @ (Ms - K)).max() <= 1e-13
+    E = np.eye(n)[:, ext]
+    assert np.abs(cols - (E + 2j * np.sqrt(grid)[:, None, None] * Z)).max() \
+        <= 1e-14
+    assert np.abs(rows - want_rows).max() <= 1e-13
+    assert np.abs(cols - want_cols).max() <= 1e-13
+    residual = np.abs(rows[:, :, internal]).max(axis=(1, 2))
+    assert (residual > 0.0).all() and (residual < 1e-13).all()
+
+
+def test_a_perturbed_krein_solve_raises_the_defect_and_is_refused(
+        monkeypatch):
+    """The projected-vs-factorised defect stays the left solve's residual
+    on the Krein route: scaling the internal rows of Y by 1 + 1e-6 raises
+    it from rounding to about 1e-6, and every energy is refused with
+    FactorisationMismatch.  (Rows built as I - 2i sqrt(s) Y^T P_e would
+    have internal columns of exact zeros, and a zero defect.)"""
+    import qgs.scattering
+    g, kappa = _family_graph(20, seed=20)
+    ext = g.external_indices()
+    internal = [i for i in range(g.n_vertices) if i not in ext]
+    grid = [0.3 + 0.41 * i for i in range(6)]
+
+    def defects():
+        _, skipped = sigma_sweep(g, kappa, grid, check_tol=-1.0)
+        return np.array([exc.defect for _, exc in skipped])
+
+    clean = defects()
+    assert len(clean) == len(grid) and clean.max() < 1e-12
+    real = qgs.scattering.krein_columns
+
+    def perturbed(B, R, ik, ext):
+        Y, accepted = real(B, R, ik, ext)
+        Y[0][:, internal, :] *= 1.0 + 1e-6
+        return Y, accepted
+
+    monkeypatch.setattr(qgs.scattering, "krein_columns", perturbed)
+    dirty = defects()
+    assert (dirty > 1e4 * clean).all() and (dirty > 1e-8).all()
+    matrices, skipped = sigma_sweep(g, kappa, grid)
+    assert matrices == []
+    assert [type(exc) for _, exc in skipped] == \
+        [FactorisationMismatch] * len(grid)
+
+
+@pytest.mark.parametrize("coupled", [True, False])
+def test_singular_compact_matrices_fall_back_to_the_direct_solves(
+        coupled, monkeypatch):
+    """At an eigenvalue of the compact graph with the couplings (B1 =
+    M_compact - K singular) or without them (B0 = M_compact singular),
+    the Krein route declines the energy, and the sweep emits the direct
+    route's S there, bit for bit, or skips it with the direct route's
+    error class.  Energies half-way between eigenvalues stay on the Krein
+    route."""
+    import qgs.scattering
+    from qgs import compact_spectrum
+    g, kappa = _family_graph(20, seed=20)
+    eigen = [e.z for e in compact_spectrum(
+        g, kappa if coupled else CouplingMatrix.zeros(g), 12.0) if e.z > 0.3]
+    assert len(eigen) >= 8
+    between = [(a + b) / 2 for a, b in zip(eigen, eigen[1:])]
+    real = qgs.scattering.krein_columns
+    verdicts = {}
+
+    def spy(B, R, ik, ext):
+        Y, accepted = real(B, R, ik, ext)
+        verdicts.update(zip((ik[0].imag ** 2).tolist(),
+                            accepted.all(axis=0).tolist()))
+        return Y, accepted
+
+    monkeypatch.setattr(qgs.scattering, "krein_columns", spy)
+    got = [sigma_sweep(g, kappa, [s]) for s in eigen + between]
+    monkeypatch.setattr(qgs.scattering, "KREIN_MIN_VERTICES", 10**9)
+    want = [sigma_sweep(g, kappa, [s]) for s in eigen + between]
+    assert len(verdicts) == len(eigen) + len(between)
+    assert not any(verdicts[s] for s in verdicts
+                   if any(math.isclose(s, e, rel_tol=1e-13) for e in eigen))
+    assert sum(verdicts.values()) >= len(between) - 1
+    for (m, sk), (m_want, sk_want), s in zip(got, want, eigen + between):
+        assert [type(e) for _, e in sk] == [type(e) for _, e in sk_want]
+        if s in eigen:
+            assert [x.entries.tobytes() for x in m] == \
+                [x.entries.tobytes() for x in m_want]
+        else:
+            assert all(np.abs(x.entries - y.entries).max() < 1e-11
+                       for x, y in zip(m, m_want))
+
+
+def _benchmark_job(seed, job):
+    """Graph and couplings of one smatrix-sweep job of the benchmark."""
+    import tempfile
+    inputs = perfbench("inputs")
+    with tempfile.TemporaryDirectory() as workdir:
+        spec = inputs.smatrix_sweep(inputs.Inputs(workdir, seed))[job]
+    g = parse_graph(json.dumps(spec["graph"]))
+    return g, CouplingMatrix.from_graph(g), spec["grid"]
+
+
+@pytest.mark.parametrize("seed, job, s", [(1, 36, 12.709356782976281),
+                                          (4242, 23, 6.6268870920247744)])
+def test_krein_route_keeps_its_accuracy_where_b_is_ill_conditioned(
+        seed, job, s, monkeypatch):
+    """Two energies of the benchmark's 10-vertex sweeps where M_compact - K
+    or M_compact is ill conditioned (2-norm cond 2.7e6 and 5.8e5) while
+    M - K and M* are not (4.5e4 and 5.3e3).  Gated on the condition of M -
+    K and M* alone, the Krein route refused the first with
+    FactorisationMismatch; without its accuracy limit it answers with a
+    unitarity defect of 2.9e-11.  Forced onto these 10-vertex graphs, the
+    route skips nothing, answers within 1e-11 of the direct route, and
+    keeps the defect below 1e-11."""
+    import qgs.scattering
+    g, kappa, grid = _benchmark_job(seed, job)
+    assert g.n_vertices == 10 and s in grid
+    (want,), skipped = sigma_sweep(g, kappa, [s])
+    assert not skipped
+    monkeypatch.setattr(qgs.scattering, "KREIN_MIN_VERTICES", 0)
+    (got,), skipped = sigma_sweep(g, kappa, [s])
+    assert not skipped
+    assert np.abs(got.entries - want.entries).max() < 1e-11
+    assert got.unitarity_defect < 1e-11
 
 
 def _mp_sigma_external(graph, kappa, s, dps=30):

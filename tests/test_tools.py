@@ -223,3 +223,54 @@ def test_scaling_records_the_invert_run(tmp_path, monkeypatch, capsys,
     moved = [[a + 1e-12, b] for a, b in couplings]
     assert scaling.compare_invert(couplings, moved)[
         "max_coupling_change"] == pytest.approx(1e-12, rel=1e-3)
+
+
+def test_scaling_records_the_smatrix_sweeps(tmp_path, monkeypatch, capsys,
+                                            bench_pair):
+    """--mode smatrix times a 90-energy sweep on [0.3, 30] of the family
+    graph with 2 and with 10 leads in a fresh process, and records per lead
+    count the time, the worst unitarity defect and the skipped energies,
+    and the git tree of what ran; compare_smatrix gives the largest entry
+    change between two sides that answer the same energies."""
+    path = os.path.join(ROOT, "tools", "scaling.py")
+    spec = importlib.util.spec_from_file_location("scaling", path)
+    scaling = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scaling)
+    monkeypatch.setattr(scaling, "OUT_DIR", str(tmp_path))
+    assert scaling.main(["--mode", "smatrix", "--n", "12"]) == 0
+    assert "10 leads swept in" in capsys.readouterr().out
+    with open(tmp_path / "BENCH_smatrix-12.json") as fh:
+        report = json.load(fh)
+    assert report["n"] == 12
+    assert report["graph"] == \
+        "family_graph(random.Random(12), 12, n_leads=leads)"
+    assert (report["leads"], report["s_range"], report["s_points"]) == \
+        ([2, 10], [0.3, 30.0], 90)
+    assert "base" not in report
+    change = report["change"]
+    assert set(change) == {"rev", "tree", "wall_s", "sweeps"}
+    assert change["tree"] == bench_pair.worktree_tree(ROOT)
+    assert set(change["sweeps"]) == {"2", "10"}
+    for sweep in change["sweeps"].values():
+        assert set(sweep) == {"wall_s", "max_unitarity_defect", "skipped"}
+        assert 0.0 < sweep["max_unitarity_defect"] < 1e-10
+        assert sweep["wall_s"] > 0.0
+    assert change["wall_s"] == pytest.approx(
+        sum(s["wall_s"] for s in change["sweeps"].values()))
+
+    monkeypatch.setattr(sys, "path", list(sys.path))   # measure adds one
+    matrices = scaling.measure_smatrix(12)["matrices"]
+    skipped = {leads: len(s["skipped"])
+               for leads, s in change["sweeps"].items()}
+    assert {leads: len(m) + skipped[leads]
+            for leads, m in matrices.items()} == {"2": 90, "10": 90}
+    assert len(matrices["10"][0][1]) == 2 * 10 * 10
+    assert scaling.compare_smatrix(matrices, matrices) == {
+        "same_energies": True, "max_entry_change": 0.0}
+    moved = {leads: [[s, [x + 1e-12 for x in v]] for s, v in m]
+             for leads, m in matrices.items()}
+    assert scaling.compare_smatrix(matrices, moved)[
+        "max_entry_change"] == pytest.approx(1e-12, rel=1e-3)
+    fewer = {leads: m[1:] for leads, m in matrices.items()}
+    assert scaling.compare_smatrix(matrices, fewer) == {
+        "same_energies": False, "max_entry_change": None}
